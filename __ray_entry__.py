@@ -67,7 +67,7 @@ def _triples_parquet() -> str:
     from jsonld_ex_ray.pipeline import build_triples, triples_only
 
     tmp = f"{out}.tmp.{os.getpid()}"
-    triples_only(build_triples(_corpus_for("sf0.01"), concurrency=2)).write_parquet(tmp)
+    triples_only(build_triples(_corpus_for("sf0.01"))).write_parquet(tmp)
     with open(os.path.join(tmp, ".done"), "w") as fh:
         fh.write("ok")
     try:
@@ -93,7 +93,7 @@ def entry() -> Any:
     from jsonld_ex_ray.pipeline import build_triples, triples_only
 
     corpus = _corpus_for("sf0.001")
-    return triples_only(build_triples(corpus, concurrency=2))
+    return triples_only(build_triples(corpus))
 
 
 # ---------------------------------------------------------------------------
@@ -152,26 +152,16 @@ def _q_orders_by_segment(sf_dir: str):
     )
     cust_ref = ray.put(cust.combine_chunks())
 
-    class AttachSegment:
-        def __init__(self, ref):
-            tbl = ray.get(ref)  # broadcast: fetched once per worker
-            self.keys = tbl.column("c_custkey").chunk(0)
-            self.segs = tbl.column("c_mktsegment").chunk(0)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            idx = pc.index_in(batch.column("o_custkey"), value_set=self.keys)
-            return batch.append_column("c_mktsegment", pc.take(self.segs, idx))
+    def attach_segment(batch: pa.Table) -> pa.Table:
+        tbl = ray.get(cust_ref)  # zero-copy read from the object store
+        keys = tbl.column("c_custkey").chunk(0)
+        idx = pc.index_in(batch.column("o_custkey"), value_set=keys)
+        return batch.append_column("c_mktsegment", pc.take(tbl.column("c_mktsegment").chunk(0), idx))
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
     )
-    ds = ds.map_batches(
-        AttachSegment,
-        fn_constructor_kwargs={"ref": cust_ref},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=2,
-    )
+    ds = ds.map_batches(attach_segment, batch_format="pyarrow", zero_copy_batch=True)
     from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
 
     return groupby_agg_lowcard(
@@ -1077,22 +1067,18 @@ _LINK_CHECK_MAPPING = {
 
 
 def _q_kg_link_check(sf_dir: str):
-    """The EntityLinker actor stage (canonical dictionary broadcast via
-    ray.put, materialized once per actor in __init__) vs a SQL VALUES
+    """The entity-linker task stage (canonical dictionary broadcast via
+    ray.put, indexed once per worker process) vs a SQL VALUES
     join replicating its lookup semantics — exact alias hit first, then
     the normalized fallback (lower, strip trailing '/', https→http),
     literals untouched — over the shared triples parquet. All input
     columns ride through, so the compare covers passthrough too."""
     import ray.data
 
-    from jsonld_ex_ray.stages.linker import EntityLinker, build_canonical_dictionary
+    from jsonld_ex_ray.stages.linker import link_entities
 
-    ref = build_canonical_dictionary(_LINK_CHECK_MAPPING)
     return ray.data.read_parquet(_triples_parquet()).map_batches(
-        EntityLinker,
-        fn_constructor_kwargs={"dict_ref": ref},
-        concurrency=2,
-        batch_format="pyarrow",
+        link_entities(ray.put(_LINK_CHECK_MAPPING)), batch_format="pyarrow"
     )
 
 
@@ -1134,31 +1120,31 @@ def _q_kg_canon_passthrough(sf_dir: str):
 def _q_kg_triples(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, triples_only
 
-    return triples_only(build_triples(_corpus_for(sf_dir), concurrency=2))
+    return triples_only(build_triples(_corpus_for(sf_dir)))
 
 
 def _q_kg_errors(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, errors_only
 
-    return errors_only(build_triples(_corpus_for(sf_dir), concurrency=2))
+    return errors_only(build_triples(_corpus_for(sf_dir)))
 
 
 def _q_kg_dedup(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, dedup_triples
 
-    return dedup_triples(build_triples(_corpus_for(sf_dir), concurrency=2))
+    return dedup_triples(build_triples(_corpus_for(sf_dir)))
 
 
 def _q_kg_canonicalize(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, canonicalize_bnodes
 
-    return canonicalize_bnodes(build_triples(_corpus_for(sf_dir), concurrency=2))
+    return canonicalize_bnodes(build_triples(_corpus_for(sf_dir)))
 
 
 def _q_kg_materialize(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, materialize_graph
 
-    return materialize_graph(build_triples(_corpus_for(sf_dir), concurrency=2))
+    return materialize_graph(build_triples(_corpus_for(sf_dir)))
 
 
 def _q_kg_error_stats(sf_dir: str):
@@ -1166,7 +1152,7 @@ def _q_kg_error_stats(sf_dir: str):
     from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
     from jsonld_ex_ray.pipeline import build_triples, errors_only
 
-    errs = errors_only(build_triples(_corpus_for(sf_dir), concurrency=2))
+    errs = errors_only(build_triples(_corpus_for(sf_dir)))
     return groupby_agg_lowcard(errs, ["error_code"], [("doc_id", "count", "n")])
 
 
@@ -1180,15 +1166,15 @@ def _q_kg_mentions(sf_dir: str):
     # curated KB or distinct_subject_iris + labels)
     names = {f"Widget {i}": f"https://kg.example/canonical/widget-{i}" for i in range(10_000)}
     ref = ray.put(names)
-    triples = triples_only(build_triples(_corpus_for(sf_dir), concurrency=2))
-    return detect_and_link_mentions(triples, ref, concurrency=2).sort(["doc_id", "subj"])
+    triples = triples_only(build_triples(_corpus_for(sf_dir)))
+    return detect_and_link_mentions(triples, ref).sort(["doc_id", "subj"])
 
 
 def _q_kg_from_rdf(sf_dir: str):
     """Inverse direction: triples → expanded JSON-LD docs per graph."""
     from jsonld_ex_ray.pipeline import build_triples, triples_to_jsonld
 
-    return triples_to_jsonld(build_triples(_corpus_for(sf_dir), concurrency=2))
+    return triples_to_jsonld(build_triples(_corpus_for(sf_dir)))
 
 
 def _q_kg_frame(sf_dir: str):
@@ -1196,7 +1182,7 @@ def _q_kg_frame(sf_dir: str):
     graph document by @type (the one API member the reference lacks)."""
     from jsonld_ex_ray.pipeline import build_triples, frame_docs, triples_to_jsonld
 
-    docs = triples_to_jsonld(build_triples(_corpus_for(sf_dir), concurrency=2))
+    docs = triples_to_jsonld(build_triples(_corpus_for(sf_dir)))
     frame = {
         "@context": {"@vocab": "https://schema.example/"},
         "@type": "Product",
@@ -1212,19 +1198,19 @@ def _q_kg_pagerank(sf_dir: str):
     from jsonld_ex_ray.ops.graph import pagerank, triples_to_edges
     from jsonld_ex_ray.pipeline import build_triples, triples_only
 
-    triples = triples_only(build_triples(_corpus_for(sf_dir), concurrency=2))
+    triples = triples_only(build_triples(_corpus_for(sf_dir)))
     ranks = pagerank(triples_to_edges(triples), iterations=5, num_buckets=16)
     return ranks.sort("node")
 
 
 def _q_kg_entity_link(sf_dir: str):
+    import ray
+
     from jsonld_ex_ray.pipeline import build_triples, triples_only
-    from jsonld_ex_ray.stages.linker import build_canonical_dictionary
 
     mapping = {f"https://kg.example/hot/{i}": f"https://kg.example/canonical/hot-{i}" for i in range(4)}
-    ref = build_canonical_dictionary(mapping)
     return triples_only(
-        build_triples(_corpus_for(sf_dir), concurrency=2, linker_dict_ref=ref)
+        build_triples(_corpus_for(sf_dir), linker_dict_ref=ray.put(mapping))
     )
 
 

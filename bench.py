@@ -218,7 +218,6 @@ def run_queries(sf_dir: str, num_cpus: int) -> dict:
         state["mat"] = triples_only(
             build_triples(
                 corpus,
-                concurrency=(2, max(2, num_cpus // 2)),
                 batch_size=512,
                 override_num_blocks=num_cpus * 2,
             )
@@ -325,7 +324,6 @@ def run_single(sf_dir: str, num_cpus: int, plain: bool = False) -> dict:
     n_triples = triples_only(
         build_triples(
             corpus,
-            concurrency=(2, max(2, num_cpus // 2)),
             batch_size=512,
             override_num_blocks=num_cpus * 2,
         )

@@ -1,7 +1,7 @@
 """CLI entry point — the `ray job submit` launch surface (SURVEY.md §4).
 
     python -m jsonld_ex_ray build --input repos.parquet [repos2.parquet ...] \
-        --out /data/kg_out [--shard-size 4] [--concurrency 8]
+        --out /data/kg_out [--shard-size 4]
     python -m jsonld_ex_ray nquads --out /data/kg_out --nq /data/kg.nq
     python -m jsonld_ex_ray frame --out /data/kg_out --frame frame.json \
         --framed /data/kg_framed
@@ -27,7 +27,6 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--input", nargs="+", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--shard-size", type=int, default=1)
-    b.add_argument("--concurrency", type=int, default=0, help="actor-pool max (0 = task-based kernel)")
     b.add_argument("--num-cpus", type=int, default=None)
 
     n = sub.add_parser("nquads", help="export a checkpointed run as N-Quads shards")
@@ -73,12 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "build":
             from .pipeline import run_checkpointed
 
-            metrics = run_checkpointed(
-                args.input,
-                args.out,
-                shard_size=args.shard_size,
-                concurrency=(2, args.concurrency) if args.concurrency else (2, 8),
-            )
+            metrics = run_checkpointed(args.input, args.out, shard_size=args.shard_size)
             print(json.dumps(metrics))
         elif args.cmd == "full":
             from .pipelines import full_kg_run

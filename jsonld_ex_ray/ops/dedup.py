@@ -392,10 +392,10 @@ def exact_dedup(
 
     Scale shape (all modes): the CORPUS NEVER SHUFFLES. Only fixed-width
     key rows (digest words or hash words, plus the id) take the one
-    bounded shuffle; each bucket emits (loser_id, winner_id) pairs for
-    ids that LOSE their identity group (id ≠ per-group min). The loser
-    set is broadcast once via ``ray.put`` and the documents stream
-    through a vectorized anti-filter. A mostly-duplicate corpus (losers
+    bounded shuffle; each bucket emits the ids that LOSE their identity
+    group (id ≠ per-group min). The loser set is broadcast once via
+    ``ray.put`` and the documents stream through a vectorized
+    anti-filter. A mostly-duplicate corpus (losers
     > ``_DEDUP_LOSER_BROADCAST_MAX``) falls back to shuffling the
     surviving rows themselves — value-exact there too (local and bucket
     min are taken over the text column directly; the key only routes).
@@ -405,32 +405,22 @@ def exact_dedup(
     - ``"digest"`` (default): identity is the FULL 256-bit SHA-256 of
       the text, computed vectorized (DuckDB kernel, ops/hashing.py
       ``sha256_quads``) in the SAME pruned key scan and carried as four
-      uint64 words (~44 B/row shuffle). Merging two distinct documents
-      requires an actual SHA-256 collision — adversarially infeasible —
-      and NO second corpus scan is needed. NULL texts form their own
-      identity group (SQL ``GROUP BY`` semantics).
-    - ``"rescan"``: routing keys are two cheap polynomial hashes at
-      independently-seeded bases (a finisher-only seed would make both
-      halves collide together on any 64-bit rowsum collision); identity
-      is then CONFIRMED BY LITERAL VALUE — the duplicate-involved rows
-      (losers + their winners, small whenever the duplicate rate is
-      sane) are gathered in one extra pruned rescan, bucketed by winner
-      id, and each bucket keeps the min id per DISTINCT TEXT (driver
-      compare ≤ ``_DEDUP_VERIFY_DRIVER_MAX`` pairs, bucketed shuffle
-      above). The strongest guarantee, at the cost of a second scan.
-    - ``False``: polynomial keys only, no confirmation — for trusted
-      closed corpora where even the digest pass is unwanted
-      (~2⁻¹²⁸-class accidental risk; crafted mod-2^64 collisions are
-      feasible, so never use this on untrusted training data)."""
+      uint64 words (~44 B/row shuffle). The trade: no second corpus scan
+      confirms identity by literal value, so two DIFFERENT texts merge
+      only on a real SHA-256 collision (adversarially infeasible). NULL
+      texts form their own identity group (SQL ``GROUP BY`` semantics).
+    - ``False``: two cheap polynomial hashes at independently-seeded
+      bases, no confirmation — for trusted closed corpora where even the
+      digest pass is unwanted (~2⁻¹²⁸-class accidental risk; crafted
+      mod-2^64 collisions are feasible, so never use this on untrusted
+      training data)."""
 
     import polars as pl
 
     from .hashing import hash_strings_pair, sha256_quads
 
-    if verify is True:  # legacy alias for the literal-value mode
-        verify = "rescan"
-    if verify not in ("digest", "rescan", False, None):
-        raise ValueError(f"verify must be 'digest', 'rescan' or False, got {verify!r}")
+    if verify not in ("digest", False, None):
+        raise ValueError(f"verify must be 'digest' or False, got {verify!r}")
     use_digest = verify == "digest"
     group_cols = ["__d0", "__d1", "__d2", "__d3"] if use_digest else ["__k1", "__k2"]
 
@@ -471,16 +461,16 @@ def exact_dedup(
         return t
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        # per identity group: winner = min id; emit (loser, winner) pairs.
+        # per identity group: winner = min id; emit every other id.
         # Digest groups ARE the identity (SHA-256); polynomial groups are
-        # CANDIDATES — value verification happens below. polars windows
+        # trusted as identity (verify=False). polars windows
         # group null keys together, so all-NULL digest rows (null text)
         # form one identity group like SQL GROUP BY.
         out = (
             pl.from_arrow(group.select([*group_cols, id_col]))
             .with_columns(pl.col(id_col).min().over(group_cols).alias("__w"))
             .filter(pl.col(id_col) != pl.col("__w"))
-            .select(pl.col(id_col).alias("loser"), pl.col("__w").alias("winner"))
+            .select(pl.col(id_col).alias("loser"))
         )
         return out.to_arrow()
 
@@ -504,24 +494,7 @@ def exact_dedup(
         import ray
 
         tbls = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
-        pairs_tbl = pa.concat_tables(tbls).combine_chunks()
-        if verify != "rescan":
-            # digest mode: identity is already the full SHA-256 — the
-            # losers are final. False: hash-trusted opt-out, same path.
-            verified = pairs_tbl.column("loser").combine_chunks()
-        elif n_losers <= _DEDUP_VERIFY_DRIVER_MAX:
-            # few candidates: gather their texts in ONE pruned scan and
-            # compare on the driver (no shuffle, no extra materialize)
-            verified = _verify_losers_driver(
-                ds, pairs_tbl, text_col=text_col, id_col=id_col
-            )
-        else:
-            verified = _verify_losers_by_value(
-                ds, pairs_tbl, text_col=text_col, id_col=id_col, num_buckets=num_buckets
-            )
-        if len(verified) == 0:
-            return ds
-        ref = ray.put(verified)
+        ref = ray.put(pa.concat_tables(tbls).column("loser").combine_chunks())
 
         def anti_filter(batch: pa.Table) -> pa.Table:
             import ray as _r
@@ -558,149 +531,6 @@ def exact_dedup(
         .groupby("__bucket")
         .map_groups(bucket_min, batch_format="pyarrow")
     )
-
-
-# per-worker-process cache: broadcast-ref hex → id→gid pandas Series.
-# Evicted down to the most recent few refs on insert (a worker only ever
-# services one verification pass at a time; without eviction each
-# rescan-verify pass would pin its O(involved-ids) Series in every
-# long-lived worker forever).
-_INVOLVED_CACHE: dict = {}
-_INVOLVED_CACHE_MAX = 2
-
-
-def _involved_cache_put(key, value):
-    while len(_INVOLVED_CACHE) >= _INVOLVED_CACHE_MAX:
-        _INVOLVED_CACHE.pop(next(iter(_INVOLVED_CACHE)))
-    _INVOLVED_CACHE[key] = value
-    return value
-
-# below this many candidate pairs the value verification happens on the
-# driver (one pruned gather scan, texts of dup-involved docs only);
-# above it the bucketed-shuffle verifier keeps driver memory bounded
-_DEDUP_VERIFY_DRIVER_MAX = 20_000
-
-
-def _verify_losers_driver(ds, pairs_tbl: pa.Table, *, text_col: str, id_col: str):
-    """Driver-side value confirmation for SMALL candidate-pair sets: one
-    pruned scan gathers (id, text) of the involved rows, the winner
-    grouping + min-id-per-distinct-text rule runs locally. Same
-    semantics as ``_verify_losers_by_value``."""
-    import pandas as pd
-    import polars as pl
-    import pyarrow.compute as pc
-    import ray
-
-    losers = pairs_tbl.column("loser").combine_chunks()
-    winners = pairs_tbl.column("winner").combine_chunks()
-    involved = pc.unique(pa.concat_arrays([losers, winners]))
-    ref = ray.put(involved)
-
-    def gather(batch: pa.Table) -> pa.Table:
-        ids = ray.get(ref)
-        return batch.select([id_col, text_col]).filter(
-            pc.is_in(batch.column(id_col), value_set=ids)
-        )
-
-    tbls = [
-        t
-        for t in ray.get(
-            ds.select_columns([id_col, text_col])
-            .map_batches(gather, batch_format="pyarrow", zero_copy_batch=True)
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    if not tbls:
-        return pa.array([], pairs_tbl.column("loser").type)
-    rows = pa.concat_tables(tbls).combine_chunks()
-    gid = pd.Series(
-        np.concatenate(
-            [winners.to_numpy(zero_copy_only=False), np.unique(winners.to_numpy(zero_copy_only=False))]
-        ),
-        index=np.concatenate(
-            [losers.to_numpy(zero_copy_only=False), np.unique(winners.to_numpy(zero_copy_only=False))]
-        ),
-    )
-    gvals = gid.reindex(rows.column(id_col).to_numpy(zero_copy_only=False)).to_numpy()
-    tbl = rows.append_column("__gid", pa.array(gvals).cast(rows.column(id_col).type))
-    out = (
-        pl.from_arrow(tbl)
-        .filter(pl.col(id_col) != pl.col(id_col).min().over(["__gid", text_col]))
-        .select(pl.col(id_col))
-    ).to_arrow()
-    return out.column(id_col).combine_chunks()
-
-
-def _verify_losers_by_value(ds, pairs_tbl: pa.Table, *, text_col: str, id_col: str, num_buckets: int):
-    """Value-exact confirmation of hash-candidate duplicate pairs.
-
-    One pruned rescan gathers ONLY the duplicate-involved rows (losers ∪
-    winners — bounded by the loser-broadcast cap), routes each to the
-    bucket of its key group's winner id, and each bucket keeps the min
-    id per DISTINCT TEXT within each winner group; every other id is a
-    verified loser. Handles the subtle case of a key group containing
-    several distinct texts with multiplicity (winner W:T1, losers
-    A,B:T2 → only one of A,B is deleted, matching SQL value-dedup).
-    Returns a pa.Array of verified loser ids."""
-    import pandas as pd
-    import polars as pl
-    import pyarrow.compute as pc
-    import ray
-
-    losers = pairs_tbl.column("loser").combine_chunks()
-    winners = pairs_tbl.column("winner").combine_chunks()
-    uniq_w = pc.unique(winners)
-    # gid per involved id: losers → their winner, winners → themselves
-    ids_np = np.concatenate([losers.to_numpy(zero_copy_only=False), uniq_w.to_numpy(zero_copy_only=False)])
-    gid_np = np.concatenate([winners.to_numpy(zero_copy_only=False), uniq_w.to_numpy(zero_copy_only=False)])
-    map_ref = ray.put((ids_np, gid_np))
-    ref_key = map_ref.hex()
-
-    def gather(batch: pa.Table) -> pa.Table:
-        # plain tasks, not an actor pool (pool spin-up dominates at small
-        # scale); the O(involved) id→gid Series build is amortized via a
-        # per-worker-process cache keyed by the broadcast ref
-        ser = _INVOLVED_CACHE.get(ref_key)
-        if ser is None:
-            i, g = ray.get(map_ref)
-            ser = _involved_cache_put(ref_key, pd.Series(g, index=i))
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        gid = ser.reindex(ids)
-        mask = gid.notna().to_numpy()
-        if not mask.any():
-            return pa.table(
-                {
-                    id_col: pa.array([], batch.column(id_col).type),
-                    text_col: pa.array([], batch.column(text_col).type),
-                    "__gid": pa.array([], batch.column(id_col).type),
-                    "__bucket": pa.array([], pa.int32()),
-                }
-            )
-        kept = batch.select([id_col, text_col]).filter(pa.array(mask))
-        gvals = pa.array(gid.to_numpy()[mask]).cast(batch.column(id_col).type)
-        return kept.append_column("__gid", gvals).append_column(
-            "__bucket", _id_buckets(gvals, num_buckets)
-        )
-
-    def verify(group: pa.Table) -> pa.Table:
-        out = (
-            pl.from_arrow(group.select(["__gid", text_col, id_col]))
-            .filter(pl.col(id_col) != pl.col(id_col).min().over(["__gid", text_col]))
-            .select(pl.col(id_col))
-        )
-        return out.to_arrow()
-
-    verified_ds = (
-        ds.select_columns([id_col, text_col])
-        .map_batches(gather, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(verify, batch_format="pyarrow")
-    )
-    tbls = [t for t in ray.get(verified_ds.to_arrow_refs()) if t.num_rows and id_col in t.column_names]
-    if not tbls:
-        return pa.array([], pairs_tbl.column("loser").type)
-    return pa.concat_tables(tbls).column(id_col).combine_chunks()
 
 
 # ---------------------------------------------------------------------------
@@ -1654,10 +1484,14 @@ def lsh_exactdup_candidate_pairs(
     )
 
     def pack(batch: pa.Table) -> pa.Table:
+        # "<len(a)>:<a>:<b>" — the length prefix makes the key unambiguous
+        # for ids that contain the separator ('a:b','c' vs 'a','b:c')
+        a = pc.cast(batch.column("doc_a"), pa.string())
         key = pc.binary_join_element_wise(
-            pc.cast(batch.column("doc_a"), pa.string()),
+            pc.cast(pc.utf8_length(a), pa.string()),
+            a,
             pc.cast(batch.column("doc_b"), pa.string()),
-            "|",
+            ":",
         )
         return batch.append_column("__pk", key)
 
@@ -1717,6 +1551,9 @@ def cut_duplicate_spans(
     flagged windows merge naturally via the interval counter. A doc
     whose every codepoint is flagged comes back as ``""``, never
     dropped.
+
+    Precondition: ``id_col`` values are unique. A repeated id among the
+    documents being cut raises ``ValueError`` naming it.
 
     → Dataset(``id_col``, ``text_col``) — every input doc exactly once.
     """
@@ -1850,6 +1687,13 @@ def cut_duplicate_spans(
         nchars = pc.utf8_length(texts).to_numpy(zero_copy_only=False)
         ascii_doc = nbytes == nchars
         w_ids = work.column(id_col).to_numpy(zero_copy_only=False)
+        dup = np.flatnonzero(w_ids[1:] == w_ids[:-1])
+        if dup.size:
+            # searchsorted below would cut only the first copy
+            raise ValueError(
+                f"cut_duplicate_spans needs unique {id_col} values; "
+                f"{w_ids[dup[0]]!r} appears more than once"
+            )
         f_ids = flags.column(id_col).to_numpy(zero_copy_only=False)
         f_off = flags.column("off").to_numpy(zero_copy_only=False)
         f_idx = np.searchsorted(w_ids, f_ids)

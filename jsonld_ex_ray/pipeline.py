@@ -2,15 +2,17 @@
 
     read_parquet(source_repos)                     # column-pruned scan
       → map_batches(extract_batch)                 # file → payload rows
-      → map_batches(JsonLdToTriples, concurrency)  # actor pool: resolve+
-                                                   # expand+node-map+toRdf
-      → [map_batches(EntityLinker, concurrency)]   # broadcast dictionary
+      → map_batches(triples_batch)                 # resolve+expand+
+                                                   # node-map+toRdf
+      → [map_batches(link_batch)]                  # broadcast dictionary
       → [dedup / canonicalize / materialize]       # explicit shuffles
       → write_parquet(out, partitioned)            # resumable shards
 
 Design notes (SURVEY.md §4): zero shuffles until the optional wide stages;
-the only cross-row state is the per-actor context cache; shards (= input
-file groups) are the checkpoint/resume unit.
+every per-batch stage is a plain Ray task, fused by Ray Data into one; the
+only cross-row state is the per-worker-process context cache and linker
+index (stages/state.py); shards (= input file groups) are the
+checkpoint/resume unit.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .stages.linker import EntityLinker
-from .stages.triples import JsonLdToTriples
+from .stages.linker import link_entities
+from .stages.triples import make_triples_batch
 
 
 def build_triples(
@@ -34,7 +36,7 @@ def build_triples(
     *,
     context_registry: dict | None = None,
     options=None,
-    concurrency: int | tuple[int, int] = (2, 8),
+    concurrency=None,
     batch_size: int = 256,
     linker_dict_ref=None,
     override_num_blocks: int | None = None,
@@ -42,7 +44,11 @@ def build_triples(
     """source: path(s) to the source-repo Parquet table, or a Dataset.
 
     Returns a lazy Dataset of TRIPLE_SCHEMA rows (triples + error records,
-    distinguished by ``pred IS NULL``).
+    distinguished by ``pred IS NULL``). ``context_registry`` / ``options``
+    replace the offline context registry and the JSON-LD options of the
+    kernel; ``linker_dict_ref`` (``ray.put(alias_to_iri)``) adds the
+    entity-linker columns. ``concurrency`` is accepted and ignored:
+    ``perfbench/workloads.py`` still passes it.
     """
     import ray.data
 
@@ -61,37 +67,21 @@ def build_triples(
     ds = ds.map_batches(
         make_extract_batch(), batch_format="pyarrow", zero_copy_batch=True
     )
-    if context_registry is None and options is None:
-        # static registry → task-based kernel with per-worker cached state
-        # (no actor-pool startup, elastic scheduling; see stages/triples.py)
-        from .stages.triples import triples_batch
-
-        ds = ds.map_batches(
-            triples_batch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    else:
-        ds = ds.map_batches(
-            JsonLdToTriples,
-            fn_constructor_kwargs={
-                "context_registry": context_registry,
-                "options": options,
-            },
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    state_ref = None
+    if context_registry is not None or options is not None:
+        state_ref = ray.put((context_registry, options))
+    ds = ds.map_batches(
+        make_triples_batch(state_ref),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
+    )
     if linker_dict_ref is not None:
         ds = ds.map_batches(
-            EntityLinker,
-            fn_constructor_kwargs={"dict_ref": linker_dict_ref},
+            link_entities(linker_dict_ref),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=4096,
-            concurrency=concurrency,
         )
     return ds
 
@@ -818,7 +808,6 @@ def run_checkpointed(
     *,
     shard_size: int = 1,
     context_registry: dict | None = None,
-    concurrency: int | tuple[int, int] = (2, 8),
     max_error_rate: float | None = None,
 ) -> dict:
     """Process input files in shards of ``shard_size`` files; each shard
@@ -869,9 +858,7 @@ def run_checkpointed(
                 metrics["shards_skipped"] += 1
                 continue
             t0 = time.monotonic()
-            ds = build_triples(
-                files, context_registry=context_registry, concurrency=concurrency
-            )
+            ds = build_triples(files, context_registry=context_registry)
             shard_dir = os.path.join(out_dir, "triples", f"shard={i}")
             if os.path.isdir(shard_dir):
                 # a previous attempt died mid-write: clear the partial shard or

@@ -47,9 +47,12 @@ def full_kg_run(
     *,
     linker_dict: dict | None = None,
     mention_names: dict | None = None,
-    concurrency=(2, 8),
+    concurrency=None,
     override_num_blocks: int | None = None,
 ) -> dict:
+    """Run every stage into ``out_dir`` and return the run metrics.
+    ``concurrency`` is accepted and ignored: ``perfbench/workloads.py``
+    still passes it."""
     import ray
 
     from ..pipeline import (
@@ -76,7 +79,6 @@ def full_kg_run(
     if not raw_done:
         triples = build_triples(
             source,
-            concurrency=concurrency,
             linker_dict_ref=linker_ref,
             override_num_blocks=override_num_blocks,
         )
@@ -117,7 +119,7 @@ def full_kg_run(
         men_dir, men_done = _stage_dir(out_dir, "mentions")
         if not men_done:
             mentions = detect_and_link_mentions(
-                triples_only(persisted), ray.put(mention_names), concurrency=concurrency
+                triples_only(persisted), ray.put(mention_names)
             )
             mentions.write_parquet(men_dir)
             _mark_done(men_dir)

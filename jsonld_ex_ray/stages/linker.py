@@ -2,9 +2,11 @@
 
 North-rule addition (not in the reference; SURVEY.md §2.3): a batched
 mention-detect + link scorer. The canonical dictionary is broadcast ONCE
-via ``ray.put`` and materialized per actor in ``__init__`` — never shipped
-per batch. Linking itself is a vectorized dictionary lookup with a
-deterministic normalization-based fallback scorer.
+via ``ray.put`` and each linker runs as a plain ``map_batches`` task that
+builds its index once per worker process (``stages/state.py``) — the
+dictionary is never shipped per batch. Linking itself is a vectorized
+dictionary lookup with a deterministic normalization-based fallback
+scorer.
 """
 
 from __future__ import annotations
@@ -12,33 +14,18 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def build_canonical_dictionary(alias_to_iri: dict[str, str]):
-    """``ray.put`` the small side once; returns the ObjectRef to hand to
-    every ``EntityLinker`` actor (broadcast join, no shuffle)."""
-    import ray
-
-    return ray.put(alias_to_iri)
+from .state import worker_state
 
 
 class EntityLinker:
-    """``map_batches(EntityLinker, fn_constructor_kwargs={"dict_ref": ref},
-    concurrency=N, batch_format="pyarrow")``.
-
-    Adds ``subj_canon`` / ``obj_canon`` columns: the canonical IRI when the
-    identifier (or its normalized form) is in the dictionary, else the
+    """Adds ``subj_canon`` / ``obj_canon`` columns: the canonical IRI when
+    the identifier (or its normalized form) is in the dictionary, else the
     original identifier. Literals pass through untouched.
+    :func:`link_entities` runs it as a Ray task.
     """
 
-    def __init__(self, dict_ref=None, alias_to_iri: dict[str, str] | None = None):
-        if alias_to_iri is not None:
-            self.mapping = alias_to_iri
-        elif dict_ref is not None:
-            import ray
-
-            self.mapping = ray.get(dict_ref)  # once per actor
-        else:
-            self.mapping = {}
+    def __init__(self, alias_to_iri: dict[str, str] | None = None):
+        self.mapping = alias_to_iri or {}
         # normalized index for the fallback scorer (lowercase, no trailing /)
         self.norm_index = {self._norm(k): v for k, v in self.mapping.items()}
 
@@ -67,6 +54,21 @@ class EntityLinker:
         return batch
 
 
+def link_entities(dict_ref):
+    """``map_batches`` task function for :class:`EntityLinker` over
+    ``dict_ref = ray.put(alias_to_iri)``."""
+
+    def build() -> EntityLinker:
+        import ray
+
+        return EntityLinker(alias_to_iri=ray.get(dict_ref))
+
+    def link_batch(batch: pa.Table) -> pa.Table:
+        return worker_state("entity_linker", dict_ref, build)(batch)
+
+    return link_batch
+
+
 def linked_fraction(batch: pa.Table) -> pa.Table:
     """Per-batch partial metric: how many identifiers were rewritten."""
     changed = pc.sum(
@@ -81,31 +83,16 @@ _NAME_PREDICATE_SUFFIXES = ("/name", "#name", "/label", "#label", "/title")
 class MentionLinker:
     """Batched mention-detect + link scorer (the north rule's stateful
     linker stage): detects textual mentions in name-like literal triples
-    and scores them against a canonical-name dictionary loaded ONCE per
-    actor. Scoring = token-set Jaccard over lowercased word sets with an
-    exact-match fast path.
-
-    ``map_batches(MentionLinker, fn_constructor_kwargs={"dict_ref": ref},
-    concurrency=N, batch_format="pyarrow")`` →
-    Dataset(doc_id, subj, mention, candidate_iri, link_score).
+    and scores them against a canonical-name dictionary. Scoring =
+    token-set Jaccard over lowercased word sets with an exact-match fast
+    path. Returns (doc_id, subj, mention, candidate_iri, link_score) rows;
+    :func:`detect_and_link_mentions` runs it as a Ray task.
     """
 
-    def __init__(
-        self,
-        dict_ref=None,
-        name_to_iri: dict[str, str] | None = None,
-        min_score: float = 0.5,
-    ):
-        if name_to_iri is not None:
-            mapping = name_to_iri
-        elif dict_ref is not None:
-            import ray
-
-            mapping = ray.get(dict_ref)  # broadcast: fetched once per actor
-        else:
-            mapping = {}
+    def __init__(self, name_to_iri: dict[str, str] | None = None, min_score: float = 0.5):
+        mapping = name_to_iri or {}
         self.min_score = min_score
-        # index built once per actor: exact lowercase map + token postings
+        # index built once: exact lowercase map + token postings
         self.exact = {k.lower(): v for k, v in mapping.items()}
         self.token_sets = [(frozenset(k.lower().split()), k.lower(), v) for k, v in mapping.items()]
         self.postings: dict[str, list[int]] = {}
@@ -163,15 +150,21 @@ class MentionLinker:
         )
 
 
-def detect_and_link_mentions(triples_ds, dict_ref, concurrency=(2, 4), min_score: float = 0.5):
-    """Wire the mention linker over a triple Dataset."""
+def detect_and_link_mentions(triples_ds, dict_ref, concurrency=None, min_score: float = 0.5):
+    """Wire the mention linker over a triple Dataset; ``dict_ref`` is
+    ``ray.put(name_to_iri)``. ``concurrency`` is accepted and ignored:
+    ``perfbench/workloads.py`` still passes it."""
+
+    def build() -> MentionLinker:
+        import ray
+
+        return MentionLinker(name_to_iri=ray.get(dict_ref), min_score=min_score)
+
+    def mention_batch(batch: pa.Table) -> pa.Table:
+        return worker_state("mention_linker", (dict_ref, min_score), build)(batch)
+
     return triples_ds.map_batches(
-        MentionLinker,
-        fn_constructor_kwargs={"dict_ref": dict_ref, "min_score": min_score},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=4096,
-        concurrency=concurrency,
+        mention_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
     )
 
 

@@ -1,9 +1,9 @@
 """Triple-emission stage: payload rows → (subj, pred, obj) triple rows.
 
-A stateful ``map_batches`` actor class (resolver + expand + node-map + toRdf
-fused into one kernel per SURVEY.md §3.1 "engine shape"): the remote-context
-loader cache is built ONCE per actor in ``__init__`` and reused across
-batches; everything else is pure per-document CPU.
+One kernel (resolver + expand + node-map + toRdf fused per SURVEY.md §3.1
+"engine shape") run as a plain ``map_batches`` task: the remote-context
+loader cache is built ONCE per worker process (``stages/state.py``) and
+reused across batches; everything else is pure per-document CPU.
 
 Blank-node determinism: the kernel relabels each document's ``_:b{n}`` to
 ``_:{doc_hash}-b{n}`` (doc_hash = sha1(doc_id)[:16]) — the URDNA2015-style
@@ -28,6 +28,7 @@ from ..core.loader import CachingLoader, StaticLoader
 from ..core.options import JsonLdOptions
 from ..core.rdf_generation import node_map_to_rdf
 from ..gen import CONTEXT_REGISTRY
+from .state import worker_state
 
 TRIPLE_SCHEMA = pa.schema(
     [
@@ -62,7 +63,8 @@ def _term_str(term: tuple, doc_hash: str) -> str:
 
 
 class JsonLdToTriples:
-    """Actor-pool kernel: ``map_batches(JsonLdToTriples, concurrency=N)``.
+    """The kernel, called on one payload batch; :func:`make_triples_batch`
+    wraps it as a Ray task function.
 
     ``context_registry`` maps URL → document for the offline resolver; in
     production this would be an HTTP-backed loader behind the same
@@ -193,17 +195,22 @@ class JsonLdToTriples:
         doc_idx.append(i)
 
 
-# Task-based variant: when the context registry is a static in-process dict
-# (no network/auth state), a plain function with a PER-WORKER-PROCESS cached
-# kernel gives identical semantics to the actor pool with zero pool-startup
-# cost and elastic scheduling. Ray worker processes are long-lived, so the
-# loader cache persists across tasks exactly like an actor's would. Use the
-# actor-pool class when the loader holds real connection state.
-_KERNEL_CACHE: dict[int, JsonLdToTriples] = {}
+def make_triples_batch(state_ref=None):
+    """The kernel as a ``map_batches`` task function. ``state_ref`` is
+    ``ray.put((context_registry, options))``, or None for the default
+    registry; each worker process builds the kernel once per ref."""
+
+    def build() -> JsonLdToTriples:
+        if state_ref is None:
+            return JsonLdToTriples()
+        import ray
+
+        return JsonLdToTriples(*ray.get(state_ref))
+
+    def triples_batch(batch: pa.Table) -> pa.Table:
+        return worker_state("triples", state_ref, build)(batch)
+
+    return triples_batch
 
 
-def triples_batch(batch: pa.Table) -> pa.Table:
-    kernel = _KERNEL_CACHE.get(0)
-    if kernel is None:
-        kernel = _KERNEL_CACHE[0] = JsonLdToTriples()
-    return kernel(batch)
+triples_batch = make_triples_batch()

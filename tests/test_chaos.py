@@ -21,7 +21,7 @@ sys.path.insert(0, {repo!r})
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False)
 from jsonld_ex_ray.pipeline import run_checkpointed
-run_checkpointed({files!r}, {out!r}, shard_size=1, concurrency=1)
+run_checkpointed({files!r}, {out!r}, shard_size=1)
 ray.shutdown()
 """
 
@@ -45,7 +45,7 @@ def test_kill9_mid_run_resume_no_double_counts(ray_session, tmp_path):
     clean_out = str(tmp_path / "out_clean")
 
     # reference totals from an uninterrupted run (same inputs)
-    m_clean = run_checkpointed(files, clean_out, shard_size=1, concurrency=1)
+    m_clean = run_checkpointed(files, clean_out, shard_size=1)
 
     script = _CHILD_SCRIPT.format(
         repo="/root/repo", files=files, out=out
@@ -72,7 +72,7 @@ def test_kill9_mid_run_resume_no_double_counts(ray_session, tmp_path):
     done_before = sum(1 for _ in open(manifest)) if os.path.exists(manifest) else 0
     assert done_before < len(files)  # the kill really interrupted the run
 
-    m2 = run_checkpointed(files, out, shard_size=1, concurrency=1)
+    m2 = run_checkpointed(files, out, shard_size=1)
     assert m2["shards_skipped"] >= done_before
     # read_triples filters error rows; raw parquet carries both
     assert read_triples(out).count() == m_clean["triples"]
@@ -101,14 +101,14 @@ def test_concurrent_writers_each_shard_once(ray_session, tmp_path):
     files = _corpus(tmp_path, n_shards=6, files_per=25)
     out = str(tmp_path / "out_race")
     solo_out = str(tmp_path / "out_solo")
-    m_solo = run_checkpointed(files, solo_out, shard_size=1, concurrency=1)
+    m_solo = run_checkpointed(files, solo_out, shard_size=1)
 
     results = []
     errors = []
 
     def writer():
         try:
-            results.append(run_checkpointed(files, out, shard_size=1, concurrency=1))
+            results.append(run_checkpointed(files, out, shard_size=1))
         except Exception as e:  # surfaced below
             errors.append(e)
 
@@ -134,13 +134,13 @@ def test_error_budget_gate(ray_session, tmp_path):
     a lenient budget passes; metrics parquet carries error_rate."""
     files = _corpus(tmp_path, n_shards=3, files_per=40)
     out_ok = str(tmp_path / "out_ok")
-    m = run_checkpointed(files, out_ok, shard_size=1, concurrency=1, max_error_rate=0.99)
+    m = run_checkpointed(files, out_ok, shard_size=1, max_error_rate=0.99)
     assert m["errors"] > 0  # the generator plants malformed payloads
 
     out_gate = str(tmp_path / "out_gate")
     with pytest.raises(RuntimeError, match="error budget exceeded"):
         run_checkpointed(
-            files, out_gate, shard_size=1, concurrency=1, max_error_rate=1e-9
+            files, out_gate, shard_size=1, max_error_rate=1e-9
         )
     # the finished shard is checkpointed — a later (fixed-budget) resume
     # skips it rather than redoing work
@@ -187,11 +187,11 @@ def test_torn_manifest_line_does_not_break_resume(ray_session, tmp_path):
     json.loads — and the metrics writer must tolerate it too."""
     files = _corpus(tmp_path, n_shards=3, files_per=20)
     out = str(tmp_path / "out")
-    m1 = run_checkpointed(files, out, shard_size=1, concurrency=1)
+    m1 = run_checkpointed(files, out, shard_size=1)
     manifest = os.path.join(out, "_state", "manifest.jsonl")
     with open(manifest, "a") as f:
         f.write('{"shard": 9, "status": "do')  # torn mid-append
-    m2 = run_checkpointed(files, out, shard_size=1, concurrency=1)
+    m2 = run_checkpointed(files, out, shard_size=1)
     assert m2["shards_skipped"] == len(files)
     assert read_triples(out).count() == m1["triples"]
 
@@ -200,7 +200,7 @@ def test_empty_input_and_missing_manifest(ray_session, tmp_path):
     """run_checkpointed([]) on a fresh dir must not crash writing metrics
     for a manifest that never existed."""
     out = str(tmp_path / "out_empty")
-    m = run_checkpointed([], out, shard_size=1, concurrency=1)
+    m = run_checkpointed([], out, shard_size=1)
     assert m["shards_total"] == 0
     assert read_triples(out).count() == 0  # and reading back is safe
 
@@ -210,12 +210,12 @@ def test_error_budget_is_cumulative_across_resume(ray_session, tmp_path):
     the PRIOR run's error mass, not start from zero."""
     files = _corpus(tmp_path, n_shards=3, files_per=40)
     out = str(tmp_path / "out_budget")
-    m1 = run_checkpointed(files, out, shard_size=1, concurrency=1, max_error_rate=0.99)
+    m1 = run_checkpointed(files, out, shard_size=1, max_error_rate=0.99)
     assert m1["errors"] > 0
     # resume over the SAME (fully done) corpus with a tiny budget: all
     # shards skip, but the seeded cumulative counters still reflect the
     # true error mass in the returned metrics
-    m2 = run_checkpointed(files, out, shard_size=1, concurrency=1, max_error_rate=0.99)
+    m2 = run_checkpointed(files, out, shard_size=1, max_error_rate=0.99)
     assert m2["shards_skipped"] == len(files)
     assert m2["errors"] == m1["errors"] and m2["triples"] == m1["triples"]
 
@@ -226,7 +226,7 @@ def test_read_triples_skips_unfinished_shards(ray_session, tmp_path):
     into read_triples."""
     files = _corpus(tmp_path, n_shards=3, files_per=20)
     out = str(tmp_path / "out_partial")
-    m = run_checkpointed(files, out, shard_size=1, concurrency=1)
+    m = run_checkpointed(files, out, shard_size=1)
     manifest = os.path.join(out, "_state", "manifest.jsonl")
     recs = [json.loads(l) for l in open(manifest)]
     victim = recs[-1]["shard"]

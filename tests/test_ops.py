@@ -891,11 +891,10 @@ def test_build_bloom_position_encoding_roundtrip(ray_session):
 def test_exact_dedup_value_exact_under_hash_collision(ray_session, monkeypatch):
     """ADVICE r3: a crafted (k1,k2) collision must NOT delete a distinct
     document. Force EVERY text onto one polynomial key and check
-    SQL-value-dedup semantics on all identity paths: the default digest
-    mode (identity = SHA-256, poly hashes unused), both rescan
-    verification tiers (identity confirmed by literal value), and the
-    carry-rows fallback — including the key group that mixes a distinct
-    winner text with a duplicated loser text."""
+    SQL-value-dedup semantics on both identity paths: the default digest
+    mode (identity = SHA-256, poly hashes unused) and the carry-rows
+    fallback — including the key group that mixes a distinct winner text
+    with a duplicated loser text."""
     import ray.data
     from jsonld_ex_ray.ops import dedup as dd
     from jsonld_ex_ray.ops import hashing as hh
@@ -920,25 +919,16 @@ def test_exact_dedup_value_exact_under_hash_collision(ray_session, monkeypatch):
     # irrelevant, identity is the full SHA-256 carried in the key rows
     assert run() == want
 
-    # path 1: rescan, broadcast + driver-side verify (few pairs)
-    assert run(verify="rescan") == want
-
-    # path 2: rescan, broadcast + bucketed-shuffle verify (forced)
-    monkeypatch.setattr(dd, "_DEDUP_VERIFY_DRIVER_MAX", 0)
-    assert run(verify="rescan") == want
-
-    # path 3: carry-rows fallback (mostly-duplicate corpus) — value
+    # path 1: carry-rows fallback (mostly-duplicate corpus) — value
     # identity regardless of mode; poly keys only route buckets
     monkeypatch.setattr(dd, "_DEDUP_LOSER_BROADCAST_MAX", 0)
     assert run() == want
-    assert run(verify="rescan") == want
 
 
 def test_exact_dedup_digest_rescan_parity_and_nulls(ray_session):
-    """The digest (fused SHA-256) and rescan (literal value) modes pick
-    identical survivors, NULL texts form ONE identity group (SQL GROUP
-    BY semantics: min-id null row survives), and verify=False keeps the
-    hash-trusted fast path alive."""
+    """The digest (fused SHA-256) mode and the hash-trusted verify=False
+    path pick identical survivors, and NULL texts form ONE identity group
+    (SQL GROUP BY semantics: min-id null row survives)."""
     import ray.data
     from jsonld_ex_ray.ops import dedup as dd
 
@@ -953,7 +943,6 @@ def test_exact_dedup_digest_rescan_parity_and_nulls(ray_session):
         )
 
     assert run() == want  # digest (default)
-    assert run(verify="rescan") == want
     assert run(verify=False) == want
 
 

@@ -39,7 +39,7 @@ def test_generator_deterministic():
 
 
 def test_pipeline_triples_and_lineage(ray_session, corpus):
-    df = triples_only(build_triples(corpus, concurrency=1)).to_pandas()
+    df = triples_only(build_triples(corpus)).to_pandas()
     assert len(df) > 100
     # lineage invariant: content_sha256 equals sha256 of the input row's content
     src = pq.read_table(corpus).to_pandas()
@@ -58,16 +58,16 @@ def test_pipeline_triples_and_lineage(ray_session, corpus):
 
 
 def test_pipeline_errors_have_spec_codes(ray_session, corpus):
-    errs = errors_only(build_triples(corpus, concurrency=1)).to_pandas()
+    errs = errors_only(build_triples(corpus)).to_pandas()
     assert len(errs) > 0
     assert {"invalid @id value", "context overflow"} <= set(errs.error_code)
     assert errs.subj.isna().all()
 
 
 def test_dedup_idempotent(ray_session, corpus):
-    once = dedup_triples(build_triples(corpus, concurrency=1)).to_pandas()
-    twice_input = build_triples(corpus, concurrency=1)
-    doubled = twice_input.union(build_triples(corpus, concurrency=1))
+    once = dedup_triples(build_triples(corpus)).to_pandas()
+    twice_input = build_triples(corpus)
+    doubled = twice_input.union(build_triples(corpus))
     deduped = dedup_triples(doubled).to_pandas()
     key_cols = ["graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
     k1 = set(map(tuple, once[key_cols].fillna("").values.tolist()))
@@ -76,8 +76,8 @@ def test_dedup_idempotent(ray_session, corpus):
 
 
 def test_canonicalize_bnodes_deterministic(ray_session, corpus):
-    a = canonicalize_bnodes(build_triples(corpus, concurrency=1)).to_pandas()
-    b = canonicalize_bnodes(build_triples(corpus, concurrency=1)).to_pandas()
+    a = canonicalize_bnodes(build_triples(corpus)).to_pandas()
+    b = canonicalize_bnodes(build_triples(corpus)).to_pandas()
     cols = ["doc_id", "graph", "subj", "pred", "obj"]
     sa = sorted(map(tuple, a[cols].fillna("").values.tolist()))
     sb = sorted(map(tuple, b[cols].fillna("").values.tolist()))
@@ -87,10 +87,10 @@ def test_canonicalize_bnodes_deterministic(ray_session, corpus):
 
 
 def test_materialize_graph_merges_hot_subjects(ray_session, corpus):
-    adj = materialize_graph(build_triples(corpus, concurrency=1), num_buckets=4).to_pandas()
+    adj = materialize_graph(build_triples(corpus), num_buckets=4).to_pandas()
     # one row per subject even for salted hot subjects
     assert adj.subj.is_unique
-    flat = triples_only(build_triples(corpus, concurrency=1)).to_pandas()
+    flat = triples_only(build_triples(corpus)).to_pandas()
     degrees = flat.groupby("subj").size()
     for r in adj.itertuples():
         assert r.degree == degrees[r.subj]
@@ -98,12 +98,11 @@ def test_materialize_graph_merges_hot_subjects(ray_session, corpus):
 
 
 def test_entity_linker_broadcast(ray_session, corpus):
-    from jsonld_ex_ray.stages.linker import build_canonical_dictionary
+    import ray
 
     mapping = {"https://kg.example/hot/0": "https://kg.example/canonical/hot-0"}
-    ref = build_canonical_dictionary(mapping)
     df = triples_only(
-        build_triples(corpus, concurrency=1, linker_dict_ref=ref)
+        build_triples(corpus, linker_dict_ref=ray.put(mapping))
     ).to_pandas()
     assert "subj_canon" in df.columns
     hot = df[df.subj == "https://kg.example/hot/0"]
@@ -114,19 +113,38 @@ def test_entity_linker_broadcast(ray_session, corpus):
     assert (cold.subj_canon == cold.subj).all()
 
 
-def test_actor_pool_path_matches_task_path(ray_session, corpus):
-    """Explicit context_registry → actor-pool kernel; results identical to
-    the default task-based kernel."""
+def test_custom_context_registry_changes_only_its_predicates(ray_session, corpus):
+    """A custom registry in which the person context maps ``knows`` to
+    another IRI changes exactly those predicates; a default build run
+    after it in the same session (same long-lived workers, per-worker
+    kernel cache) equals the default build run before it."""
+    import copy
+
     from jsonld_ex_ray.gen import CONTEXT_REGISTRY
 
-    task_df = triples_only(build_triples(corpus, concurrency=1)).to_pandas()
-    actor_df = triples_only(
-        build_triples(corpus, context_registry=dict(CONTEXT_REGISTRY), concurrency=1)
-    ).to_pandas()
+    old_iri, new_iri = "https://schema.example/knows", "https://alt.example/knows"
+    registry = copy.deepcopy(CONTEXT_REGISTRY)
+    person = registry["https://ctx.example/person"]["@context"]
+    assert person["knows"]["@id"] == old_iri
+    person["knows"]["@id"] = new_iri
+
     cols = ["doc_id", "graph", "subj", "pred", "obj"]
-    a = sorted(map(tuple, task_df[cols].fillna("").values.tolist()))
-    b = sorted(map(tuple, actor_df[cols].fillna("").values.tolist()))
-    assert a == b
+
+    def rows(**kw):
+        df = triples_only(build_triples(corpus, **kw)).to_pandas()
+        return sorted(map(tuple, df[cols].fillna("").values.tolist()))
+
+    default_before = rows()
+    custom = rows(context_registry=registry)
+    default_after = rows()
+
+    moved = [r for r in custom if r[3] == new_iri]
+    assert moved and not [r for r in default_before if r[3] == new_iri]
+    # the only difference is the remapped predicate
+    assert custom != default_before
+    restored = sorted(r[:3] + (old_iri,) + r[4:] if r[3] == new_iri else r for r in custom)
+    assert restored == default_before
+    assert default_after == default_before
 
 
 def test_pipeline_rows_match_core_kernel(ray_session, corpus):
@@ -140,7 +158,7 @@ def test_pipeline_rows_match_core_kernel(ray_session, corpus):
     from jsonld_ex_ray.extract import extract_payloads
     from jsonld_ex_ray.gen import CONTEXT_REGISTRY
 
-    df = triples_only(build_triples(corpus, concurrency=1)).to_pandas()
+    df = triples_only(build_triples(corpus)).to_pandas()
     src = pq.read_table(corpus).to_pandas()
     opts = JsonLdOptions(document_loader=CachingLoader(StaticLoader(CONTEXT_REGISTRY)))
     checked = 0
@@ -203,7 +221,7 @@ def test_checkpoint_resume(ray_session, tmp_path):
         write_corpus(f, 60, seed=20 + i)
         files.append(f)
     out = str(tmp_path / "out")
-    m1 = run_checkpointed(files, out, shard_size=1, concurrency=1)
+    m1 = run_checkpointed(files, out, shard_size=1)
     assert m1["shards_skipped"] == 0 and m1["triples"] > 0
     total = read_triples(out).count()
     assert total == m1["triples"]
@@ -222,7 +240,7 @@ def test_checkpoint_resume(ray_session, tmp_path):
             if rec["shard"] != victim:
                 f.write(json.dumps(rec) + "\n")
 
-    m2 = run_checkpointed(files, out, shard_size=1, concurrency=1)
+    m2 = run_checkpointed(files, out, shard_size=1)
     assert m2["shards_skipped"] == 2  # only the victim re-ran
     assert read_triples(out).count() == total
 
@@ -238,7 +256,7 @@ def test_checkpoint_resume(ray_session, tmp_path):
         for rec in lines:
             if rec["shard"] != victim:
                 f.write(json.dumps(rec) + "\n")
-    m3 = run_checkpointed(files, out, shard_size=1, concurrency=1)
+    m3 = run_checkpointed(files, out, shard_size=1)
     assert m3["shards_skipped"] == 2
     assert read_triples(out).count() == total  # no double counting
 
@@ -400,17 +418,11 @@ def test_linker_canon_columns_follow_bnode_relabeling(ray_session, tmp_path):
     columns must equal its relabeled identifiers."""
     from jsonld_ex_ray.gen import write_corpus
     from jsonld_ex_ray.pipeline import build_triples, canonicalize_bnodes, triples_only
-    from jsonld_ex_ray.stages.linker import EntityLinker
+    import ray
 
     corpus = str(tmp_path / "repos.parquet")
     write_corpus(corpus, 60, seed=33)
-    triples = triples_only(build_triples(corpus, concurrency=1))
-    linked = triples.map_batches(
-        EntityLinker,
-        fn_constructor_kwargs={"alias_to_iri": {}},
-        batch_format="pyarrow",
-        concurrency=1,
-    )
+    linked = triples_only(build_triples(corpus, linker_dict_ref=ray.put({})))
     out = canonicalize_bnodes(linked).to_pandas()
     bn = out[out.subj.str.startswith("_:")]
     assert len(bn) > 0  # corpus plants bnodes

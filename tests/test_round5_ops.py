@@ -196,6 +196,31 @@ def test_lsh_exactdup_candidate_pairs_finds_all(ray_session):
     assert list(map(tuple, got.to_numpy())) == want
 
 
+def test_lsh_exactdup_pair_key_unambiguous(ray_session, monkeypatch):
+    """String ids containing the old '|' separator: the candidate pair
+    ('a|b', 'c') must not stand in for the exact-dup pair ('a', 'b|c')."""
+    import ray.data
+    from jsonld_ex_ray.ops import dedup as dd
+
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": ["a", "b|c", "a|b", "c"],
+                "text": ["same text " * 8, "same text " * 8, "other one " * 8, "third " * 8],
+            }
+        )
+    )
+
+    def only(pair):
+        cand = ray.data.from_arrow(pa.table({"doc_a": [pair[0]], "doc_b": [pair[1]]}))
+        monkeypatch.setattr(dd, "_dedup_pairs", lambda *a, **k: cand)
+        out = dd.lsh_exactdup_candidate_pairs(ds, num_buckets=4).take_all()
+        return [(r["doc_a"], r["doc_b"]) for r in out]
+
+    assert only(("a|b", "c")) == []
+    assert only(("a", "b|c")) == [("a", "b|c")]
+
+
 # ---------------------------------------------------------------------------
 # substring-dedup CUT pass
 # ---------------------------------------------------------------------------
@@ -894,3 +919,16 @@ def test_unigram_logprob_unique_ids_fast_path_identical(ray_session):
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a[b.columns.tolist()], b, check_dtype=False)
+
+
+def test_cut_duplicate_spans_rejects_repeated_ids(ray_session):
+    """A repeated doc id would leave all but one copy uncut: refuse it."""
+    import ray.data
+    from jsonld_ex_ray.ops.dedup import cut_duplicate_spans
+
+    text = "REPEATED-BLOCK-" * 6
+    ds = ray.data.from_arrow(
+        pa.table({"doc_id": ["x", "x", "y"], "text": [text, text, text]})
+    )
+    with pytest.raises(ValueError, match="'x' appears more than once"):
+        cut_duplicate_spans(ds, window=16, stride=8, num_buckets=4).to_pandas()

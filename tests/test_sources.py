@@ -104,7 +104,7 @@ def test_kg_export_reimport_roundtrip(ray_session, tmp_path):
 
     corpus = str(tmp_path / "repos.parquet")
     write_corpus(corpus, 120, seed=21)
-    triples = triples_only(build_triples(corpus, concurrency=1)).to_pandas()
+    triples = triples_only(build_triples(corpus)).to_pandas()
     out = str(tmp_path / "nq")
 
     import ray.data
