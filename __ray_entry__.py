@@ -3415,9 +3415,9 @@ def oracle_sql() -> dict[str, str]:
         "user_first_last": """
             SELECT user_id,
                    first(event_type ORDER BY ts, event_id) AS first_event_type,
-                   min(ts) AS first_ts,
+                   first(ts ORDER BY ts, event_id) AS first_ts,
                    last(event_type ORDER BY ts, event_id) AS last_event_type,
-                   max(ts) AS last_ts
+                   last(ts ORDER BY ts, event_id) AS last_ts
             FROM events GROUP BY user_id ORDER BY user_id
         """,
         "user_type_entropy": """

@@ -7,7 +7,7 @@ shuffle entirely — the pattern that matters at 100 TB: each block emits a
 handful of partial rows, and the final combine touches kilobytes.
 
 ``groupby_agg_bucketed``: the high-cardinality path — same map-side arrow
-partials, then ONE bounded shuffle on ``hash(keys) % num_buckets`` with a
+partials, then one bucketed shuffle on the keys (ops/shuffle.py) with a
 vectorized per-bucket final combine. Nothing is materialized on the
 driver; the result stays a distributed Dataset (one row per key).
 
@@ -25,6 +25,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .shuffle import bucketed, key_runs
 
 _SUPPORTED = ("sum", "count", "mean", "min", "max", "var", "std", "covar", "corr")
 # two-column ops take a (x_col, y_col) tuple as the column spec
@@ -269,33 +271,23 @@ def groupby_agg_lowcard(ds, keys: list[str], aggs):
 
 def groupby_agg_bucketed(ds, keys: list[str], aggs, num_buckets: int = 64):
     """High-cardinality groupby that never touches the driver: map-side
-    arrow partials per block, bucket on a deterministic hash of the keys,
-    ONE bounded shuffle (``num_buckets`` groups), vectorized per-bucket
-    combine. → Dataset(keys + aliases), one row per distinct key."""
-    from .hashing import bucket_ids
-
+    arrow partials per block, one bucketed shuffle on the keys
+    (ops/shuffle.py), vectorized per-bucket combine.
+    → Dataset(keys + aliases), one row per distinct key."""
     aggs = _norm_aggs(aggs)
     partials = _plan_partials(aggs)
     derived = _plan_derived(aggs)
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = _partial_table(batch, keys, partials, derived)
-        # version-stable vectorized hash: identical bucket ids on every
-        # worker even in a mixed-version cluster (ops/hashing.py).
-        # '__bucket' (not 'bucket'): a user column named 'bucket' must
-        # not collide with the shuffle key
-        return t.append_column("__bucket", bucket_ids(t, keys, num_buckets, seed=0))
+        return _partial_table(batch, keys, partials, derived)
 
     def combine(group: pa.Table) -> pa.Table:
         # arrow-native combine+finalize: no pandas conversion on the
         # wide path (strings never copied out of arrow)
-        return _finalize_arrow(group.drop_columns(["__bucket"]), keys, aggs, partials)
+        return _finalize_arrow(group, keys, aggs, partials)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(parts, keys, combine, num_buckets=num_buckets)
 
 
 def grouped_string_agg(
@@ -312,26 +304,19 @@ def grouped_string_agg(
     sequence-reconstruction op (per-user event strings for behavioural
     models, per-doc chunk reassembly).
 
-    Ray shape: ONE bounded shuffle on ``hash(key) % num_buckets``; each
+    Ray shape: one bucketed shuffle on the key (ops/shuffle.py); each
     bucket sorts once by (key, *order_cols) and concatenates with a
     vectorized polars ``str.join`` over a maintain-order group_by — zero
-    per-key Python, millions of keys cost ``num_buckets`` tasks. NULL
+    per-key Python. NULL
     values are dropped before joining (SQL string_agg semantics); a key
     whose values are ALL NULL therefore vanishes from the output (SQL
     would keep it with a NULL aggregate) — filter upstream if that
     distinction matters. → Dataset(key_col, out_col)."""
-    from .hashing import bucket_ids
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets)
-        )
 
     def join_bucket(group: pa.Table) -> pa.Table:
         import polars as pl
 
-        g = group.drop_columns(["__bucket"])
-        g = g.filter(pc.is_valid(g.column(value_col)))
+        g = group.filter(pc.is_valid(group.column(value_col)))
         if g.num_rows == 0:
             return pa.table(
                 {key_col: pa.array([], g.schema.field(key_col).type),
@@ -350,11 +335,7 @@ def grouped_string_agg(
             pa.schema([g.schema.field(key_col), pa.field(out_col, pa.string())])
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_col], join_bucket, num_buckets=num_buckets)
 
 
 def unpivot(ds, id_cols: list[str], value_cols: list[str], *, var_col: str = "measure", value_col: str = "value"):
@@ -462,14 +443,13 @@ def grouped_entropy(
     topic spread in a curriculum mix).
 
     Ray shape: per-batch ``(key, value) → count`` partials (polars
-    group_by, so each block leaves pre-aggregated), ONE bounded shuffle
-    on ``hash(key) % num_buckets``, then each bucket merges counts and
+    group_by, so each block leaves pre-aggregated), one bucketed shuffle
+    on the key (ops/shuffle.py), then each bucket merges counts and
     computes ``-Σ p·ln p`` with segmented numpy — zero per-key Python.
     NULL values count as a real category (SQL ``GROUP BY`` keeps a NULL
     value group); the entropy is rounded to ``digits`` on both engine and
     oracle sides because Σ p·ln p is order-sensitive in IEEE arithmetic.
     → Dataset(key_col, out_col:float64)."""
-    from .hashing import bucket_ids
 
     def part(batch: pa.Table) -> pa.Table:
         import polars as pl
@@ -480,7 +460,7 @@ def grouped_entropy(
             .agg(pl.len().cast(pl.Int64).alias("__cnt"))
             .to_arrow()
         )
-        t = t.cast(
+        return t.cast(
             pa.schema(
                 [
                     batch.schema.field(key_col),
@@ -489,21 +469,12 @@ def grouped_entropy(
                 ]
             )
         )
-        return t.append_column("__bucket", bucket_ids(t, [key_col], num_buckets))
 
     def entropy_bucket(group: pa.Table) -> pa.Table:
         import polars as pl
 
-        g = group.drop_columns(["__bucket"])
-        if g.num_rows == 0:
-            return pa.table(
-                {
-                    key_col: pa.array([], g.schema.field(key_col).type),
-                    out_col: pa.array([], pa.float64()),
-                }
-            )
         merged = (
-            pl.from_arrow(g)
+            pl.from_arrow(group)
             .group_by([key_col, value_col])
             .agg(pl.col("__cnt").sum())
             .to_arrow()
@@ -516,43 +487,23 @@ def grouped_entropy(
                 sort_keys=[(key_col, "ascending"), (value_col, "ascending")],
             )
         )
-        keys = merged.column(key_col)
         cnt = merged.column("__cnt").to_numpy(zero_copy_only=False).astype(np.float64)
-        change = _first_of_key_mask(keys)
-        sid = np.cumsum(change) - 1
+        starts, ends = key_runs(merged, [key_col])
+        sid = np.repeat(np.arange(len(starts)), ends - starts)
         totals = np.bincount(sid, weights=cnt)
         p = cnt / totals[sid]
         h = -np.bincount(sid, weights=p * np.log(p))
         # -0.0 from single-category groups → 0.0 for hash parity
         h = np.round(h, digits) + 0.0
-        first_idx = np.nonzero(change)[0]
         return pa.table(
             {
-                key_col: keys.take(pa.array(first_idx)),
+                key_col: merged.column(key_col).take(pa.array(starts)),
                 out_col: pa.array(h, pa.float64()),
             }
         )
 
-    return (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(entropy_bucket, batch_format="pyarrow")
-    )
-
-
-def _first_of_key_mask(keys) -> np.ndarray:
-    """Boolean mask marking the first row of each key run in a sorted
-    column (NULL-safe: a NULL run is its own group)."""
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    n = len(keys)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    cur, prev = keys.slice(1), keys.slice(0, n - 1)
-    neq = pc.fill_null(pc.not_equal(cur, prev), False)
-    null_change = pc.xor(pc.is_null(cur), pc.is_null(prev))
-    change = pc.or_(neq, null_change).to_numpy(zero_copy_only=False)
-    return np.concatenate(([True], change))
+    parts = ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(parts, [key_col], entropy_bucket, num_buckets=num_buckets)
 
 
 def histogram_fixed(ds, col: str, lo: float, hi: float, nbins: int):
@@ -640,14 +591,13 @@ def group_first_last(
 
     Ray shape: a map-side combiner keeps ONE first and ONE last row per
     group per block (``segmented_head`` k=1, ascending and descending),
-    so only 2 × |groups-per-block| tagged rows ride the ONE bounded
-    ``hash(group)`` shuffle; each bucket re-runs the same kernel over
-    its partial rows and zips the two sides into one row per group —
-    zero per-group Python anywhere. NULL group keys form one real group
-    (SQL GROUP BY), courtesy of segmented_head's null-coalescing runs.
+    so only 2 × |groups-per-block| tagged rows ride the one bucketed
+    shuffle on the group (ops/shuffle.py); each bucket re-runs the same
+    kernel over its partial rows and zips the two sides into one row per
+    group — zero per-group Python anywhere. NULL group keys form one real
+    group (SQL GROUP BY), courtesy of segmented_head's null-coalescing
+    runs.
     → Dataset(group_col, first_<v>…, last_<v>…), one row per group."""
-    from .hashing import bucket_ids
-
     keep = [group_col] + [c for c in dict.fromkeys(order_cols + value_cols)]
     asc = [(c, "ascending") for c in order_cols]
     desc = [(c, "descending") for c in order_cols]
@@ -665,13 +615,9 @@ def group_first_last(
                 pa.nulls(lasts.num_rows, pa.int8()).fill_null(1),
             ]
         )
-        both = pa.concat_tables([firsts, lasts]).append_column("__side", side)
-        return both.append_column(
-            "__bucket", bucket_ids(both, [group_col], num_buckets, seed=0)
-        )
+        return pa.concat_tables([firsts, lasts]).append_column("__side", side)
 
-    def zip_bucket(group: pa.Table) -> pa.Table:
-        g = group.drop_columns(["__bucket"])
+    def zip_bucket(g: pa.Table) -> pa.Table:
         side = g.column("__side")
         f = g.filter(pc.equal(side, pa.scalar(0, pa.int8()))).drop_columns(["__side"])
         l = g.filter(pc.equal(side, pa.scalar(1, pa.int8()))).drop_columns(["__side"])
@@ -687,22 +633,17 @@ def group_first_last(
             cols[f"last_{v}"] = l.column(v)
         return pa.table(cols)
 
-    return (
-        ds.map_batches(local_ends, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(zip_bucket, batch_format="pyarrow")
-    )
+    ends = ds.map_batches(local_ends, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(ends, [group_col], zip_bucket, num_buckets=num_buckets)
 
 
 def sample_per_group(ds, group_col: str, id_col: str, n: int, num_buckets: int = 64):
     """Deterministic stratified sampling: keep the ``n`` rows per group
     with the smallest ``md5(id)`` — reproducible across runs/retries and
     oracle-checkable (unlike RNG sampling). Map-side per-group top-n
-    (combiner) → ONE bounded shuffle on ``hash(group) % num_buckets``
-    with a vectorized multi-group final selection per bucket — never one
-    Python call per distinct group, so per-domain sampling over millions
-    of domains stays ≤ ``num_buckets`` tasks."""
-    from .hashing import bucket_ids, md5_hex
+    (combiner) → one bucketed shuffle on the group (ops/shuffle.py) with
+    a vectorized multi-group final selection per bucket."""
+    from .hashing import md5_hex
 
     def add_rank_key(batch: pa.Table) -> pa.Table:
         return batch.append_column("__rk", md5_hex(batch.column(id_col)))
@@ -710,49 +651,33 @@ def sample_per_group(ds, group_col: str, id_col: str, n: int, num_buckets: int =
     def local_topn(batch: pa.Table) -> pa.Table:
         return segmented_head(batch, group_col, [("__rk", "ascending")], n)
 
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [group_col], num_buckets, seed=0)
-        )
-
     def final_topn(group: pa.Table) -> pa.Table:
         # a BUCKET of groups, not one group: same vectorized kernel as
-        # the combiner, then drop the rank/shuffle scaffolding
-        out = local_topn(group.drop_columns(["__bucket"]))
-        return out.drop_columns(["__rk"])
+        # the combiner, then drop the rank column
+        return local_topn(group).drop_columns(["__rk"])
 
-    return (
-        ds.map_batches(add_rank_key, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(final_topn, batch_format="pyarrow")
+    pre = ds.map_batches(add_rank_key, batch_format="pyarrow", zero_copy_batch=True).map_batches(
+        local_topn, batch_format="pyarrow", zero_copy_batch=True
     )
+    return bucketed(pre, [group_col], final_topn, num_buckets=num_buckets)
 
 
 def distinct_count(ds, col: str, num_buckets: int = 64):
     """EXACT count-distinct that never ships raw values twice: per-block
-    arrow ``unique`` (combiner) → ONE bounded shuffle on
-    ``hash(value) % num_buckets`` → per-bucket vectorized unique counts →
-    tiny sum. → pandas DataFrame(n_distinct). SQL oracle:
-    ``count(DISTINCT col)``."""
-    from .hashing import bucket_ids
+    arrow ``unique`` (combiner) → one bucketed shuffle on the value
+    (ops/shuffle.py) → per-bucket vectorized unique counts → tiny sum.
+    → pandas DataFrame(n_distinct). SQL oracle: ``count(DISTINCT col)``."""
 
     def local_unique(batch: pa.Table) -> pa.Table:
         # SQL count(DISTINCT col) ignores NULL — drop it before counting
-        u = pc.drop_null(pc.unique(batch.column(col).combine_chunks()))
-        t = pa.table({col: u})
-        return t.append_column("__bucket", bucket_ids(t, [col], num_buckets, seed=0))
+        return pa.table({col: pc.drop_null(pc.unique(batch.column(col).combine_chunks()))})
 
     def bucket_count(group: pa.Table) -> pa.Table:
-        n = len(pc.unique(group.column(col).combine_chunks()))
+        n = len(pc.unique(group.column(col)))
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    parts = (
-        ds.map_batches(local_unique, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_count, batch_format="pyarrow")
-    )
+    uniq = ds.map_batches(local_unique, batch_format="pyarrow", zero_copy_batch=True)
+    parts = bucketed(uniq, [col], bucket_count, num_buckets=num_buckets)
     import pandas as pd
 
     total = int(parts.to_pandas()["n"].sum())  # ≤ num_buckets tiny rows
@@ -761,25 +686,17 @@ def distinct_count(ds, col: str, num_buckets: int = 64):
 
 def distinct_rows(ds, cols: list[str], num_buckets: int = 64):
     """EXACT ``SELECT DISTINCT cols`` that never ships a value twice:
-    per-block arrow ``group_by(cols)`` dedup (combiner) → ONE bounded
-    shuffle on ``hash(cols) % num_buckets`` → per-bucket vectorized
-    dedup. Result stays a distributed Dataset (one row per distinct key
+    per-block arrow ``group_by(cols)`` dedup (combiner) → one bucketed
+    shuffle on ``cols`` (ops/shuffle.py) → per-bucket vectorized dedup.
+    Result stays a distributed Dataset (one row per distinct key
     combination) — the set-building primitive under anti/semi joins and
     dimension extraction."""
-    from .hashing import bucket_ids
 
-    def local_distinct(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols).group_by(cols).aggregate([])
-        return t.append_column("__bucket", bucket_ids(t, cols, num_buckets, seed=0))
+    def distinct(batch: pa.Table) -> pa.Table:
+        return batch.select(cols).group_by(cols).aggregate([])
 
-    def bucket_distinct(group: pa.Table) -> pa.Table:
-        return group.drop_columns(["__bucket"]).group_by(cols).aggregate([])
-
-    return (
-        ds.map_batches(local_distinct, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_distinct, batch_format="pyarrow")
-    )
+    local = ds.map_batches(distinct, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(local, cols, distinct, num_buckets=num_buckets)
 
 
 def _hll_ranks(h: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
@@ -879,7 +796,7 @@ def grouped_approx_distinct_hll(
     THE BLOCK in a single vectorized pass (groups dictionary-encoded,
     ``np.maximum.at`` over a flattened (group, register) index — zero
     per-group Python), emitting (group, 2^p-byte registers) rows. One
-    bounded shuffle on ``hash(group) % num_buckets`` co-locates each
+    bucketed shuffle on the group (ops/shuffle.py) co-locates each
     group's partials; per bucket the rows stack into a matrix and merge
     by segmented elementwise max (``np.maximum.reduceat``), then the
     HLL estimate (with linear-counting small-range correction) is
@@ -930,40 +847,25 @@ def grouped_approx_distinct_hll(
                 [groups_out, pa.nulls(1, groups_out.type)]
             )
         payload = [regs[g * m : (g + 1) * m].tobytes() for g in range(n_groups)]
-        from .hashing import bucket_ids
-
-        t = pa.table({group_col: groups_out, "regs": pa.array(payload, pa.binary())})
-        return t.append_column("__bucket", bucket_ids(t, [group_col], num_buckets, seed=0))
+        return pa.table({group_col: groups_out, "regs": pa.array(payload, pa.binary())})
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        import polars as pl
-
         g = group.sort_by(group_col)  # nulls last, contiguous
         mat = _binary_matrix(g.column("regs"), m)
-        keys = g.column(group_col)
-        # segment starts: first row of each distinct (incl. the null run)
-        kp = pl.from_arrow(pa.table({"k": keys}))
-        newseg = np.r_[
-            True,
-            (kp["k"].ne_missing(kp["k"].shift(1))).to_numpy()[1:],
-        ]
-        starts = np.flatnonzero(newseg)
+        starts, _ends = key_runs(g, [group_col])
         merged = np.maximum.reduceat(mat, starts, axis=0)
         est = _hll_estimate(merged)
         return pa.table(
             {
-                group_col: keys.take(pa.array(starts, pa.int64())),
+                group_col: g.column(group_col).take(pa.array(starts, pa.int64())),
                 "n_distinct_approx": pa.array(
                     np.rint(est).astype(np.int64), pa.int64()
                 ),
             }
         )
 
-    return (
-        ds.map_batches(local_registers, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    regs = ds.map_batches(local_registers, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(regs, [group_col], merge_bucket, num_buckets=num_buckets)
 
 
 def _q_names(qs: list[float]) -> list[str]:
@@ -1116,11 +1018,9 @@ def grouped_exact_quantiles(
 
     ds = ds.map_batches(nan_to_null, batch_format="pyarrow", zero_copy_batch=True)
 
-    # per-group (count, min, max) via map-side partials + ONE bounded
+    # per-group (count, min, max) via map-side partials + one bucketed
     # shuffle — the driver sees nothing until after the cardinality gate
     # (a driver combine would collect O(groups × blocks) partial rows)
-    from .hashing import bucket_ids
-
     _stat_partials = {
         "__cnt": ((col, "count"), _COMBINE_SUM),
         "__min": ((col, "min"), _COMBINE_MIN),
@@ -1128,23 +1028,21 @@ def grouped_exact_quantiles(
     }
 
     def stat_partial(batch: pa.Table) -> pa.Table:
-        t = _partial_table(batch, [group_col], _stat_partials)
-        return t.append_column("__bucket", bucket_ids(t, [group_col], num_buckets, seed=0))
+        return _partial_table(batch, [group_col], _stat_partials)
 
     def stat_combine(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"])
-        out = t.group_by([group_col]).aggregate(
+        out = group.group_by([group_col]).aggregate(
             [("__cnt", "sum"), ("__min", "min"), ("__max", "max")]
         )
         names = {"__cnt_sum": "n", "__min_min": "lo", "__max_max": "hi"}
         return out.rename_columns([names.get(c, c) for c in out.schema.names])
 
-    stats_ds = (
-        ds.map_batches(stat_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(stat_combine, batch_format="pyarrow")
-        .materialize()
-    )
+    stats_ds = bucketed(
+        ds.map_batches(stat_partial, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col],
+        stat_combine,
+        num_buckets=num_buckets,
+    ).materialize()
     if stats_ds.count() > max_hist_groups:
         return grouped_quantiles_bucketed(
             ds, group_col, col, qs, num_buckets=num_buckets, round_to=round_to
@@ -1240,8 +1138,8 @@ def grouped_quantiles_bucketed(
     round_to: int = 6,
 ):
     """EXACT per-group ``quantile_cont`` at UNBOUNDED group cardinality
-    (the 10⁵+-groups shape the histogram path can't hold): one bounded
-    shuffle of ~16-byte (group, value) rows on ``hash(group)``,
+    (the 10⁵+-groups shape the histogram path can't hold): one bucketed
+    shuffle (ops/shuffle.py) of ~16-byte (group, value) rows on the group,
     vectorized per-group linear interpolation inside each bucket
     (polars group_by.quantile — same (n−1)·q rule as SQL
     ``quantile_cont``). The driver receives only the final
@@ -1251,8 +1149,6 @@ def grouped_quantiles_bucketed(
     group key upstream if one group dominates the corpus."""
     import polars as pl
 
-    from .hashing import bucket_ids
-
     qcols = _q_names(qs)
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -1261,10 +1157,9 @@ def grouped_quantiles_bucketed(
         if pa.types.is_floating(v.type):
             v = pc.if_else(pc.is_nan(v), pa.scalar(None, v.type), v)
             t = t.set_column(t.schema.get_field_index(col), col, v)
-        return t.append_column("__bucket", bucket_ids(t, [group_col], num_buckets, seed=0))
+        return t
 
-    def per_bucket(group: pa.Table) -> pa.Table:
-        t = group.drop_columns(["__bucket"])
+    def per_bucket(t: pa.Table) -> pa.Table:
         aggs = [
             pl.col(col).quantile(q, interpolation="linear").alias(c)
             for q, c in zip(qs, qcols)
@@ -1277,11 +1172,8 @@ def grouped_quantiles_bucketed(
             cols[c] = pa.array(round_half_away(vals, round_to), mask=mask)
         return pa.table(cols)
 
-    res = (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    rows = ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
+    res = bucketed(rows, [group_col], per_bucket, num_buckets=num_buckets)
     return res.to_pandas().sort_values(group_col).reset_index(drop=True)
 
 
@@ -1430,11 +1322,9 @@ def top_per_group(
     pattern.
 
     Ray shape: one bucketed high-cardinality aggregate over (group,
-    key) — map-side partials, ONE bounded shuffle — then a per-block
-    top-k-per-group pre-filter and a final selection bucketed on
-    ``hash(group) % num_buckets`` (≤ ``num_buckets`` Python calls with a
-    vectorized segmented-rank kernel inside — NEVER one call per
-    distinct group, so million-group leaderboards stay bounded).
+    key), then a per-block top-k-per-group pre-filter and a final
+    selection bucketed on the group (ops/shuffle.py) with a vectorized
+    segmented-rank kernel inside.
     Ties broken by ``agg_key`` ascending for determinism; pass
     ``round_digits`` so ranking happens on the ROUNDED aggregate (float
     partial sums add in a different order than a serial oracle — ranking
@@ -1453,23 +1343,9 @@ def top_per_group(
             batch, group_col, [(alias, "descending"), (agg_key, "ascending")], k
         )
 
-    from .hashing import bucket_ids
-
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [group_col], num_buckets, seed=0)
-        )
-
-    def final_head(group: pa.Table) -> pa.Table:
-        # a BUCKET of groups: the same segmented-rank kernel applies
-        return local_head(group.drop_columns(["__bucket"]))
-
+    # a BUCKET of groups: the same segmented-rank kernel applies
     pre = totals.map_batches(local_head, batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        pre.map_batches(tag_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(final_head, batch_format="pyarrow")
-    )
+    return bucketed(pre, [group_col], local_head, num_buckets=num_buckets)
 
 
 def pivot_agg(

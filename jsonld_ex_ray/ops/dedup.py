@@ -2,17 +2,17 @@
 
 Ray-Data-first shapes:
 
-- exact:   hash-key → map-side pre-dedup (combiner) → ONE groupby shuffle
-           on ``hash(key) % num_buckets`` (bounded group count) → keep
-           min-doc_id per key VECTORIZED inside each bucket.
+- exact:   digest key rows → one bucketed shuffle on the digest
+           (ops/shuffle.py) → keep min-doc_id per key VECTORIZED inside
+           each bucket.
 - minhash: shingle → minhash signature (numpy, vectorized) → banding:
            emit ``(band, band_hash, doc_id)`` rows — 20 bytes/row, no
            text and no signature in the shuffle (the signature already
            did its job producing band_hash; verification is exact either
            way, so an estimated-Jaccard prefilter would only re-ship
-           redundant bytes) → ONE bounded groupby on
-           ``band_hash % num_buckets`` (collision runs found vectorized
-           inside each bucket) emits candidate pairs → texts are fetched
+           redundant bytes) → one bucketed shuffle on ``band_hash``
+           (collision runs found inside each bucket) emits candidate
+           pairs → texts are fetched
            ONLY for the candidate ids (a tiny broadcast lookup) and pairs
            are verified with TRUE shingle Jaccard → min-reduce keeps one
            ``dup_of`` per doc (in-hand below ``_DRIVER_VERIFY_MAX``
@@ -20,7 +20,8 @@ Ray-Data-first shapes:
            Partitioning assumption: verified-candidate ids are a small
            fraction of the corpus (the point of LSH banding).
 - simhash: 64-bit signature; pigeonhole banding on (max_hamming+1) chunks
-           → groupby chunk → vectorized Hamming verify inside the group.
+           → bucketed shuffle on the chunk value → vectorized Hamming
+           verify inside the bucket.
 
 All signatures are deterministic (fixed seeds), so retried tasks reproduce
 identical buckets.
@@ -32,6 +33,8 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+
+from .shuffle import bucketed, key_runs
 
 _MERSENNE61 = np.uint64((1 << 61) - 1)
 _GRAM_PRIME = np.uint64(1099511628211)  # FNV prime, wrapping 64-bit mix
@@ -345,31 +348,6 @@ def jaccard(text_a: str, text_b: str, shingle_k: int = 3) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def _id_buckets(ids, num_buckets: int) -> pa.Array:
-    """Deterministic bucket per id (int or string) — Knuth multiplicative
-    hash for ints, the vectorized stable string hash otherwise (both
-    version-independent, see ops/hashing.py)."""
-    from .hashing import hash_strings
-
-    if isinstance(ids, (pa.Array, pa.ChunkedArray)):
-        t = ids.type
-        if pa.types.is_integer(t):
-            arr = ids.to_numpy(zero_copy_only=False)
-        elif pa.types.is_string(t) or pa.types.is_large_string(t):
-            # fully vectorized: no per-row str() materialization
-            h = hash_strings(ids, seed=0)
-            return pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        else:
-            arr = np.asarray(ids.to_pylist())
-    else:
-        arr = np.asarray(ids)
-    if arr.dtype.kind in "iu":
-        h = (arr.astype(np.uint64) * np.uint64(2654435761)) >> np.uint64(16)
-        return pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-    h = hash_strings([str(v) for v in arr], seed=0)
-    return pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-
-
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -392,10 +370,10 @@ def exact_dedup(
 
     Scale shape (all modes): the CORPUS NEVER SHUFFLES. Only fixed-width
     key rows (digest words or hash words, plus the id) take the one
-    bounded shuffle; each bucket emits the ids that LOSE their identity
-    group (id ≠ per-group min). The loser set is broadcast once via
-    ``ray.put`` and the documents stream through a vectorized
-    anti-filter. A mostly-duplicate corpus (losers
+    bucketed shuffle (ops/shuffle.py); each bucket emits the ids that
+    LOSE their identity group (id ≠ per-group min). The loser set is
+    broadcast once via ``ray.put`` and the documents stream through a
+    vectorized anti-filter. A mostly-duplicate corpus (losers
     > ``_DEDUP_LOSER_BROADCAST_MAX``) falls back to shuffling the
     surviving rows themselves — value-exact there too (local and bucket
     min are taken over the text column directly; the key only routes).
@@ -424,17 +402,9 @@ def exact_dedup(
     use_digest = verify == "digest"
     group_cols = ["__d0", "__d1", "__d2", "__d3"] if use_digest else ["__k1", "__k2"]
 
-    def _keys(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        # two polynomial bases over one shared word-gather (hashing.py):
-        # a real 128-bit composite key at half the previous cost
-        return hash_strings_pair(batch.column(text_col), 11, 12)
-
     def key_rows(batch: pa.Table) -> pa.Table:
         if use_digest:
             q = sha256_quads(batch.column(text_col))
-            import pyarrow.compute as pc
-
-            d0 = pc.fill_null(q.column("d0"), 0).combine_chunks().to_numpy()
             t = pa.table(
                 {
                     "__d0": q.column("d0"),
@@ -442,17 +412,17 @@ def exact_dedup(
                     "__d2": q.column("d2"),
                     "__d3": q.column("d3"),
                     id_col: batch.column(id_col),
-                    "__bucket": pa.array((d0 % np.uint64(num_buckets)).astype(np.int32)),
                 }
             )
         else:
-            k1, k2 = _keys(batch)
+            # two polynomial bases over one shared word-gather (hashing.py):
+            # a real 128-bit composite key at half the previous cost
+            k1, k2 = hash_strings_pair(batch.column(text_col), 11, 12)
             t = pa.table(
                 {
                     "__k1": pa.array(k1, pa.uint64()),
                     "__k2": pa.array(k2, pa.uint64()),
                     id_col: batch.column(id_col),
-                    "__bucket": pa.array((k1 % np.uint64(num_buckets)).astype(np.int32)),
                 }
             )
         # every row flows (a block-local loser is already a global loser —
@@ -477,13 +447,10 @@ def exact_dedup(
     # the pair pass scans the corpus a FIRST time (the broadcast path
     # rescans rather than shuffles: a shuffle is read+write+network of
     # every byte, a rescan is a read); prune to the two needed columns
-    pairs = (
-        ds.select_columns([text_col, id_col])
-        .map_batches(key_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-        .materialize()
+    keys = ds.select_columns([text_col, id_col]).map_batches(
+        key_rows, batch_format="pyarrow", zero_copy_batch=True
     )
+    pairs = bucketed(keys, group_cols[:1], bucket_pairs, num_buckets=num_buckets).materialize()
     n_losers = pairs.count()
 
     if n_losers == 0:
@@ -507,30 +474,17 @@ def exact_dedup(
         return ds.map_batches(anti_filter, batch_format="pyarrow", zero_copy_batch=True)
 
     # pathological fallback: most rows are duplicates — shuffle survivors.
-    # Identity is the TEXT VALUE itself (equal texts ⇒ equal keys, so
-    # they co-locate; a key collision between distinct texts merely
-    # shares a bucket and is separated by the value grouping).
-    def _min_id_by_text_mask(tbl: pa.Table) -> pa.Array:
+    # Identity is the TEXT VALUE itself (equal texts co-locate; a routing
+    # collision between distinct texts merely shares a bucket and is
+    # separated by the value grouping).
+    def min_id_rows(tbl: pa.Table) -> pa.Table:
         m = pl.from_arrow(tbl.select([text_col, id_col])).select(
             pl.col(id_col) == pl.col(id_col).min().over([text_col])
         )
-        return m.to_arrow().column(0).cast(pa.bool_())
+        return tbl.filter(m.to_arrow().column(0).cast(pa.bool_()))
 
-    def add_key_and_local_min(batch: pa.Table) -> pa.Table:
-        k1, _k2 = _keys(batch)
-        batch = batch.append_column(
-            "__bucket", pa.array((k1 % np.uint64(num_buckets)).astype(np.int32))
-        )
-        return batch.filter(_min_id_by_text_mask(batch))
-
-    def bucket_min(group: pa.Table) -> pa.Table:
-        return group.filter(_min_id_by_text_mask(group)).drop_columns(["__bucket"])
-
-    return (
-        ds.map_batches(add_key_and_local_min, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_min, batch_format="pyarrow")
-    )
+    local = ds.map_batches(min_id_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(local, [text_col], min_id_rows, num_buckets=num_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +544,14 @@ def _band_rows(ds, *, num_perm: int, bands: int, shingle_k: int, text_col: str, 
 _ALL_PAIRS_RUN_CAP = 32
 
 
-def _candidate_pairs(band_ds, *, id_col: str, num_buckets: int = 64):
-    """Band-bucket collision mining with a BOUNDED shuffle: the groupby
-    key is ``band_hash % num_buckets`` (≤ num_buckets Python group calls —
-    NOT one per distinct band bucket, which is per-document cardinality);
-    inside each bucket a vectorized pandas groupby finds the (band,
-    band_hash) collision runs and emits their pairs — all pairs for runs
-    ≤ ``_ALL_PAIRS_RUN_CAP``, star pairs (min-id vs rest) beyond it.
+def _candidate_pairs(band_ds, *, id_col: str):
+    """Band-bucket collision mining with one bucketed shuffle on
+    ``band_hash`` (ops/shuffle.py); inside each bucket a vectorized
+    pandas groupby finds the (band, band_hash) collision runs and emits
+    their pairs — all pairs for runs ≤ ``_ALL_PAIRS_RUN_CAP``, star pairs
+    (min-id vs rest) beyond it.
     Ids keep their input dtype (int or string).
     → (doc_a, doc_b), doc_a < doc_b."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = batch.column("band_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.append_column(
-            "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
 
     def pairs_in_bucket(group: pa.Table) -> pa.Table:
         import pandas as pd
@@ -662,33 +609,20 @@ def _candidate_pairs(band_ds, *, id_col: str, num_buckets: int = 64):
             }
         )
 
-    return (
-        band_ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow")
-    )
+    return bucketed(band_ds, ["band_hash"], pairs_in_bucket)
 
 
-def _dedup_pairs(pairs_ds, *, num_buckets: int = 32):
+def _dedup_pairs(pairs_ds):
     """Distinct (doc_a, doc_b) rows without driver materialization: one
-    bounded shuffle on ``hash(doc_a) % num_buckets`` (a pair appears with
-    the same doc_a in every band, so all copies co-locate), vectorized
-    drop_duplicates inside each bucket."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", _id_buckets(batch.column("doc_a"), num_buckets)
-        )
+    bucketed shuffle on ``doc_a`` (a pair appears with the same doc_a in
+    every band, so all copies co-locate), vectorized drop_duplicates
+    inside each bucket."""
 
     def bucket_distinct(group: pa.Table) -> pa.Table:
         df = group.to_pandas().drop_duplicates(["doc_a", "doc_b"])
-        return pa.Table.from_pandas(df.drop(columns="__bucket"), preserve_index=False)
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    return (
-        pairs_ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_distinct, batch_format="pyarrow")
-    )
+    return bucketed(pairs_ds, ["doc_a"], bucket_distinct)
 
 
 # at or below this many candidate pairs, exact verification runs in-hand
@@ -805,25 +739,16 @@ def _verify_pairs_joined(ds, pairs_ds, *, shingle_k, threshold, text_col, id_col
     return with_ab.map_batches(verify, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _min_dup_per_doc(pairs_ds, id_col: str, num_buckets: int = 32, keep_cols: list[str] | None = None):
+def _min_dup_per_doc(pairs_ds, id_col: str):
     """(doc_id, dup_of[, …]): per doc keep the row with the smallest
-    dup_of — bucketed min-reduce, vectorized inside ≤ num_buckets groups."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", _id_buckets(batch.column(id_col), num_buckets)
-        )
+    dup_of — bucketed min-reduce on the doc id (ops/shuffle.py)."""
 
     def bucket_min(group: pa.Table) -> pa.Table:
         df = group.to_pandas()
         out = df.sort_values([id_col, "dup_of"]).drop_duplicates(id_col, keep="first")
-        return pa.Table.from_pandas(out.drop(columns="__bucket"), preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        pairs_ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_min, batch_format="pyarrow")
-    )
+    return bucketed(pairs_ds, [id_col], bucket_min)
 
 
 def minhash_lsh_duplicates(
@@ -1081,14 +1006,6 @@ def simhash_duplicates(ds, *, max_hamming: int = 3, text_col: str = "text", id_c
             }
         )
 
-    def add_bucket(batch: pa.Table, num_buckets: int = 64) -> pa.Table:
-        # bounded shuffle key — NOT the raw (chunk, chunk_val), which has
-        # per-document cardinality
-        v = batch.column("chunk_val").to_numpy(zero_copy_only=False).astype(np.uint64)
-        c = batch.column("chunk").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (v * np.uint64(2654435761) + c) % np.uint64(64)
-        return batch.append_column("__bucket", pa.array(h.astype(np.int32)))
-
     def verify_bucket(group: pa.Table) -> pa.Table:
         df = group.to_pandas()
         sizes = df.groupby(["chunk", "chunk_val"])[id_col].transform("size")
@@ -1143,13 +1060,8 @@ def simhash_duplicates(ds, *, max_hamming: int = 3, text_col: str = "text", id_c
             }
         )
 
-    pairs = (
-        ds.map_batches(chunk_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
-    )
-    return _min_dup_per_doc(pairs, id_col)
+    chunks = ds.map_batches(chunk_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return _min_dup_per_doc(bucketed(chunks, ["chunk", "chunk_val"], verify_bucket), id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -1163,13 +1075,12 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id", num_bucke
     line_no) — and documents are rebuilt from their surviving lines
     (documents whose every line lost are dropped).
 
-    Ray shape: explode to line rows → ONE bounded shuffle on
-    ``hash(line) % num_buckets`` (all occurrences of a line co-locate;
-    winners decided by EXACT string compare inside the bucket, the hash
-    only routes) → ONE bounded shuffle back on ``hash(doc) %
-    num_buckets`` reassembling surviving lines in order. Line text rides
-    both shuffles — inherent to line-level dedup (the corpus itself must
-    move); at 100 TB budget this op like a full repartition ×2.
+    Ray shape: explode to line rows → one bucketed shuffle on the line
+    (ops/shuffle.py; winners decided by EXACT string compare inside the
+    bucket) → one bucketed shuffle back on the doc id reassembling
+    surviving lines in order. Line text rides both shuffles — inherent
+    to line-level dedup (the corpus itself must move); at 100 TB budget
+    this op like a full repartition ×2.
     Packing assumption: doc ids and per-doc line counts fit 32 bits each
     (the (doc, line_no) order key is one packed uint64 min).
     → Dataset(doc_id, text) of surviving documents.
@@ -1185,16 +1096,11 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id", num_bucke
         # per-line ordinal within its doc
         starts = np.r_[0, np.cumsum(n_lines)][:-1]
         line_no = np.arange(int(n_lines.sum()), dtype=np.int64) - np.repeat(starts, n_lines)
-        ids = batch.column(id_col).take(parents)
-        from .hashing import hash_strings
-
-        h = hash_strings(flat, seed=7)
         return pa.table(
             {
-                "__doc": ids,
+                "__doc": batch.column(id_col).take(parents),
                 "__line_no": pa.array(line_no, pa.int64()),
                 "__line": flat,
-                "__bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int32)),
             }
         )
 
@@ -1225,28 +1131,19 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id", num_bucke
         winner = df.group_by("line").agg(pl.col("packed").min().alias("w"))
         joined = df.join(winner, on="line", how="left")
         mask = (joined["packed"] == joined["w"]).to_numpy()
-        return group.drop_columns(["__bucket"]).filter(pa.array(mask))
-
-    lines = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    survivors = lines.groupby("__bucket").map_groups(keep_first, batch_format="pyarrow")
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__bucket", _id_buckets(batch.column("__doc"), num_buckets))
+        return group.filter(pa.array(mask))
 
     def rebuild(group: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
             group, sort_keys=[("__doc", "ascending"), ("__line_no", "ascending")]
         )
         t = group.take(idx)
-        doc = t.column("__doc").to_numpy(zero_copy_only=False)
-        newdoc = np.r_[True, doc[1:] != doc[:-1]] if len(doc) else np.zeros(0, bool)
-        starts = np.flatnonzero(newdoc)
-        counts = np.diff(np.r_[starts, len(doc)])
+        starts, _ends = key_runs(t, ["__doc"])
         lines_arr = t.column("__line")
         if isinstance(lines_arr, pa.ChunkedArray):
             lines_arr = lines_arr.combine_chunks()
         lists = pa.ListArray.from_arrays(
-            pa.array(np.r_[starts, len(doc)], pa.int32()), lines_arr
+            pa.array(np.r_[starts, t.num_rows], pa.int32()), lines_arr
         )
         joined = pc.binary_join(lists, "\n")
         return pa.table(
@@ -1256,11 +1153,9 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id", num_bucke
             }
         )
 
-    return (
-        survivors.map_batches(add_doc_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(rebuild, batch_format="pyarrow")
-    )
+    lines = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
+    survivors = bucketed(lines, ["__line"], keep_first, num_buckets=num_buckets)
+    return bucketed(survivors, ["__doc"], rebuild, num_buckets=num_buckets)
 
 
 def _span_schema(id_col: str, id_type, *, with_offset: bool) -> pa.Schema:
@@ -1421,7 +1316,7 @@ def lsh_exactdup_candidate_pairs(
     Ray shape: band rows and candidate mining are the production LSH
     path (``_band_rows`` → ``_candidate_pairs`` → ``_dedup_pairs``,
     bounded shuffles, id-only rows); exact-dup pairs come from a
-    ``hash(md5(text))`` bucketed shuffle of (digest, id) rows with
+    bucketed shuffle on ``md5(text)`` of (digest, id) rows with
     per-run pair emission (dup runs are real duplicate groups — rare by
     nature); the intersection is one bucketed SEMI join on the packed
     pair key. → Dataset(doc_a, doc_b)."""
@@ -1446,29 +1341,18 @@ def lsh_exactdup_candidate_pairs(
             }
         )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from .hashing import bucket_ids
-
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, ["h"], num_buckets, seed=0)
-        )
-
-    def pairs_in_bucket(group: pa.Table) -> pa.Table:
-        g = group.drop_columns(["__bucket"])
+    def pairs_in_bucket(g: pa.Table) -> pa.Table:
         idx = pc.sort_indices(g, sort_keys=[("h", "ascending"), (id_col, "ascending")])
         g = g.take(idx)
         ids = g.column(id_col)
-        h = g.column("h").to_numpy(zero_copy_only=False)
         a_idx: list[int] = []
         b_idx: list[int] = []
-        if len(h):
-            starts = np.r_[0, np.flatnonzero(h[1:] != h[:-1]) + 1, len(h)]
-            for s, e in zip(starts[:-1], starts[1:]):
-                n = e - s
-                if n >= 2:  # a real duplicate group — rare by nature
-                    xs, ys = np.triu_indices(n, k=1)
-                    a_idx.extend((s + xs).tolist())
-                    b_idx.extend((s + ys).tolist())
+        for s, e in zip(*key_runs(g, ["h"])):
+            n = e - s
+            if n >= 2:  # a real duplicate group — rare by nature
+                xs, ys = np.triu_indices(n, k=1)
+                a_idx.extend((s + xs).tolist())
+                b_idx.extend((s + ys).tolist())
         return pa.table(
             {
                 "doc_a": ids.take(pa.array(a_idx, pa.int64())),
@@ -1476,12 +1360,8 @@ def lsh_exactdup_candidate_pairs(
             }
         )
 
-    exact = (
-        ds.map_batches(digest_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow")
-    )
+    digests = ds.map_batches(digest_rows, batch_format="pyarrow", zero_copy_batch=True)
+    exact = bucketed(digests, ["h"], pairs_in_bucket, num_buckets=num_buckets)
 
     def pack(batch: pa.Table) -> pa.Table:
         # "<len(a)>:<a>:<b>" — the length prefix makes the key unambiguous

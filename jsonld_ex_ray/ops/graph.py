@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import bucketed
+
 
 def triples_to_edges(ds):
     """Triple Dataset → (src, dst) edge Dataset (IRI/bnode objects only —
@@ -71,13 +73,6 @@ def connected_components(
         u = pc.unique(batch.column("src").combine_chunks())
         return pa.table({"node": u, "component": u})
 
-    def add_node_bucket(batch: pa.Table) -> pa.Table:
-        from .hashing import bucket_ids
-
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, ["node"], num_buckets, seed=0)
-        )
-
     def bucket_first(group: pa.Table) -> pa.Table:
         import polars as pl2
 
@@ -88,7 +83,7 @@ def connected_components(
             .column(0)
             .cast(pa.bool_())
         )
-        return group.filter(mask).drop_columns(["__bucket"])
+        return group.filter(mask)
 
     def with_zero_changed(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -96,10 +91,12 @@ def connected_components(
         )
 
     labels = (
-        edges.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_node_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_first, batch_format="pyarrow")
+        bucketed(
+            edges.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True),
+            ["node"],
+            bucket_first,
+            num_buckets=num_buckets,
+        )
         .map_batches(with_zero_changed, batch_format="pyarrow", zero_copy_batch=True)
         .materialize()
     )
@@ -266,23 +263,15 @@ def pagerank(
         )
         return pa.table({"node": pc.unique(both)})
 
-    def add_node_bucket(batch: pa.Table) -> pa.Table:
-        from .hashing import bucket_ids
-
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, ["node"], num_buckets, seed=0)
-        )
-
     def bucket_unique(group: pa.Table) -> pa.Table:
-        return pa.table({"node": pc.unique(group.column("node").combine_chunks())})
+        return pa.table({"node": pc.unique(group.column("node"))})
 
-    nodes = (
-        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_node_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(bucket_unique, batch_format="pyarrow")
-        .materialize()
-    )
+    nodes = bucketed(
+        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
+        ["node"],
+        bucket_unique,
+        num_buckets=num_buckets,
+    ).materialize()
     n = nodes.count()
     if n == 0:
         # empty edge set (all-literal objects / empty corpus): empty

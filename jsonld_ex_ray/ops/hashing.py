@@ -188,7 +188,9 @@ def _hash_column(col, seed: int) -> np.ndarray:
     if pa.types.is_string(t) or pa.types.is_large_string(t):
         return hash_strings(col, seed)
     if pa.types.is_integer(t) or pa.types.is_boolean(t):
-        filled = pc.fill_null(pc.cast(col, pa.int64()), -(1 << 62) + 12345)
+        # unsafe cast: a uint64 ≥ 2^63 keeps its bit pattern (hash_int64
+        # hashes bits); every other integer width fits int64 exactly
+        filled = pc.fill_null(pc.cast(col, pa.int64(), safe=False), -(1 << 62) + 12345)
         return hash_int64(filled.to_numpy(zero_copy_only=False), seed)
     if pa.types.is_timestamp(t):
         filled = pc.fill_null(

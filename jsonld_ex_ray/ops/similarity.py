@@ -15,6 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from .agg import round_half_away
+from .shuffle import bucketed
 
 
 def _to_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -160,10 +161,10 @@ def embedding_cosine_duplicates(
 
     def assign(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return batch.append_column("bucket", pa.array([], pa.int32()))
+            return batch.append_column("__centroid", pa.array([], pa.int32()))
         m = _normalize(_to_matrix(batch.column(emb_col)))
         a = np.argmax(m @ cents.T, axis=1)
-        return batch.append_column("bucket", pa.array(a.tolist(), pa.int32()))
+        return batch.append_column("__centroid", pa.array(a.tolist(), pa.int32()))
 
     def verify(group: pa.Table) -> pa.Table:
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
@@ -195,7 +196,7 @@ def embedding_cosine_duplicates(
 
     return (
         ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
+        .groupby("__centroid")
         .map_groups(verify, batch_format="pyarrow")
     )
 
@@ -411,9 +412,8 @@ def knn_join(
     each corpus batch does one (b × d)·(d × q) matmul and emits only its
     per-query top-k survivor rows (``q·k`` rows per block, independent of
     block height); survivors combine in a final head bucketed on
-    ``hash(query_id) % 64`` with a vectorized segmented-rank kernel —
-    never one Python call per query, so a 100k-query batch stays ≤ 64
-    final tasks. The corpus never shuffles. Ranking uses the ROUNDED
+    ``query_id`` (ops/shuffle.py) with a vectorized segmented-rank
+    kernel. The corpus never shuffles. Ranking uses the ROUNDED
     similarity with
     ``neighbor_id`` tiebreak so the selection is reproducible against a
     serial oracle. → Dataset(query_id, neighbor_id, sim)."""
@@ -463,28 +463,14 @@ def knn_join(
             }
         )
 
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        from .hashing import bucket_ids
-
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, ["query_id"], 64, seed=0)
-        )
-
     def final_head(group: pa.Table) -> pa.Table:
         # a BUCKET of queries: segmented per-query rank < k (vectorized,
         # shared kernel — keeps the tie-break identical to top_per_group)
         from .agg import segmented_head
 
         return segmented_head(
-            group.drop_columns(["__bucket"]),
-            "query_id",
-            [("sim", "descending"), ("neighbor_id", "ascending")],
-            k,
+            group, "query_id", [("sim", "descending"), ("neighbor_id", "ascending")], k
         )
 
-    return (
-        ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(final_head, batch_format="pyarrow")
-    )
+    survivors = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(survivors, ["query_id"], final_head)

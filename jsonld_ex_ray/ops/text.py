@@ -13,6 +13,8 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import bucketed
+
 # BPE-ish tokenizer: word pieces, numbers, punctuation runs (GPT-2-style
 # coarse approximation, public pattern family)
 _BPE_RE = re.compile(r"[A-Za-z]+|\d+|[^\sA-Za-z\d]+")
@@ -803,9 +805,10 @@ def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
     bucketed LEFT join against the df Dataset on hash(term) — left, not
     inner, so a term missing from the pass-1 vocabulary raises the same
     loud ValueError as the broadcast variant instead of silently
-    dropping the run — then one bounded shuffle on a per-physical-row
-    tag selects each row's argmax (duplicate ``id_col`` values emit one
-    output row per input row, exactly like the broadcast variant).
+    dropping the run — then one bucketed shuffle (ops/shuffle.py) on a
+    per-physical-row tag selects each row's argmax (duplicate ``id_col``
+    values emit one output row per input row, exactly like the broadcast
+    variant).
     Identical output to the broadcast variant (same kernel, same raw-
     score ranking with lexicographic-term tie-break, same rounding)."""
     import numpy as np
@@ -888,15 +891,12 @@ def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
         tf = batch.column("tf").to_numpy(zero_copy_only=False)
         dfv = dfc.to_numpy(zero_copy_only=False).astype(np.float64)
         s = tf * np.log(n_docs / dfv)
-        rid = batch.column("__rid").to_numpy(zero_copy_only=False)
-        bucket = ((rid * np.uint64(2654435761)) >> np.uint64(16)) % np.uint64(num_buckets)
         return pa.table(
             {
                 id_col: batch.column(id_col),
                 "__rid": batch.column("__rid"),
                 "term": batch.column("term"),
                 "__s": pa.array(s, pa.float64()),
-                "__dbucket": pa.array(bucket.astype(np.int32)),
             }
         )
 
@@ -904,7 +904,7 @@ def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
         import polars as pl
 
         top = (
-            pl.from_arrow(group.select([id_col, "__rid", "term", "__s"]))
+            pl.from_arrow(group)
             .sort(["__rid", "__s", "term"], descending=[False, True, False])
             .unique(subset=["__rid"], keep="first", maintain_order=True)
         ).to_arrow()
@@ -919,11 +919,8 @@ def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
             }
         )
 
-    return (
-        joined.map_batches(score_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__dbucket")
-        .map_groups(pick_top, batch_format="pyarrow")
-    )
+    scored = joined.map_batches(score_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(scored, ["__rid"], pick_top, num_buckets=num_buckets)
 
 
 def chunk_documents(
@@ -1121,18 +1118,14 @@ def weighted_sample_per_group(
     are excluded.
 
     Ray shape (same selection machinery as ops/agg.sample_per_group):
-    per-batch key kernel → map-side per-group top-n combiner → ONE
-    bounded shuffle on ``hash(group) % num_buckets`` with a vectorized
-    multi-group final selection per bucket — never one Python call per
-    distinct group, so per-domain draws over millions of domains stay
-    ≤ ``num_buckets`` tasks.
+    per-batch key kernel → map-side per-group top-n combiner → one
+    bucketed shuffle on the group (ops/shuffle.py) with a vectorized
+    multi-group final selection per bucket.
 
     Oracle-checkable: selection equals SQL ``row_number() OVER
     (PARTITION BY group ORDER BY ln(u)/w DESC, id) <= n``.
 
     → Dataset of the selected rows (input columns only)."""
-    from .hashing import bucket_ids
-
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     kc = "__wk"
@@ -1144,26 +1137,15 @@ def weighted_sample_per_group(
             batch, group_col, [(kc, "descending"), (id_col, "ascending")], n
         )
 
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [group_col], num_buckets, seed=0)
-        )
-
     def final_topn(group: pa.Table) -> pa.Table:
-        out = local_topn(group.drop_columns(["__bucket"]))
-        return out.drop_columns([kc])
+        return local_topn(group).drop_columns([kc])
 
-    return (
-        ds.map_batches(
-            _make_aes_keyer(weight_col, id_col, salt, kc),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(final_topn, batch_format="pyarrow")
-    )
+    pre = ds.map_batches(
+        _make_aes_keyer(weight_col, id_col, salt, kc),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    ).map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(pre, [group_col], final_topn, num_buckets=num_buckets)
 
 
 def _split_single_space(batch: pa.Table, text_col: str):

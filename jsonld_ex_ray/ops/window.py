@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .agg import groupby_agg_lowcard
+from .shuffle import bucketed, key_runs
 
 
 def _epoch_seconds(col: pa.ChunkedArray) -> pa.ChunkedArray:
@@ -64,26 +65,18 @@ def sessionize(
     num_buckets: int = 64,
 ):
     """Session windows: per key, consecutive events whose gap exceeds
-    ``gap_s`` start a new session. One bounded shuffle on
-    ``hash(key) % num_buckets`` (every key's events land whole in one
-    bucket); inside each bucket the session assignment is a vectorized
-    sort + diff + cumsum. → Dataset(key, session_seq, n_events,
+    ``gap_s`` start a new session. One bucketed shuffle on the key
+    (ops/shuffle.py); inside each bucket the session assignment is a
+    vectorized sort + diff + cumsum. → Dataset(key, session_seq, n_events,
     session_start, session_end) with ``session_seq`` numbered per key in
     time order (deterministic, SQL-reproducible via lag/over)."""
     import polars as pl
 
     import numpy as np
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from .hashing import bucket_ids
-
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets, seed=0)
-        )
-
     def sessions_in_bucket(group: pa.Table) -> pa.Table:
         df = (
-            pl.from_arrow(group.drop_columns(["__bucket"]))
+            pl.from_arrow(group)
             .sort([key_col, ts_col])
             .with_columns(
                 (
@@ -116,11 +109,7 @@ def sessionize(
         )
         return out.to_arrow()
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(sessions_in_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_col], sessions_in_bucket, num_buckets=num_buckets)
 
 
 def sliding_window_agg(
@@ -214,7 +203,7 @@ def rolling_time_agg(
     PRECEDING AND CURRENT ROW`` frame (ties at the current timestamp are
     peers and included, matching the SQL frame-end rule).
 
-    Ray shape: ONE bounded shuffle on ``hash(key) % num_buckets``, then a
+    Ray shape: one bucketed shuffle on the key (ops/shuffle.py), then a
     fully vectorized per-bucket kernel — sort by (key, ts, id), build a
     single monotonic combined key ``key_index * base + ts_rel`` so BOTH
     frame boundaries for every row come from two global
@@ -226,20 +215,13 @@ def rolling_time_agg(
     """
     import numpy as np
 
-    from .hashing import bucket_ids
-
     range_us = int(range_s) * 1_000_000
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets)
-        )
 
     def roll_bucket(group: pa.Table) -> pa.Table:
         from .agg import round_half_away
 
         us = pc.cast(pc.cast(group.column(ts_col), pa.timestamp("us"), safe=False), pa.int64())
-        g = group.drop_columns([ts_col, "__bucket"]).append_column("__us", us)
+        g = group.drop_columns([ts_col]).append_column("__us", us)
         idx = pc.sort_indices(
             g,
             sort_keys=[(key_col, "ascending"), ("__us", "ascending"), (id_col, "ascending")],
@@ -262,11 +244,7 @@ def rolling_time_agg(
             .append_column(n_col, pa.array(right - left + 1, pa.int64()))
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(roll_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_col], roll_bucket, num_buckets=num_buckets)
 
 
 def _sort_keyed(group: pa.Table, key_col: str, ts_col: str, id_col: str) -> pa.Table:
@@ -282,7 +260,7 @@ def _sort_keyed(group: pa.Table, key_col: str, ts_col: str, id_col: str) -> pa.T
     us_i = pc.cast(us, pa.int64())
     secs = _floor_div(us_i, 1_000_000)
     g = (
-        group.drop_columns([ts_col, "__bucket"])
+        group.drop_columns([ts_col])
         .append_column("ts_s", pc.cast(secs, pa.int64()))
         .append_column("__us", us_i)
     )
@@ -307,23 +285,15 @@ def keyed_running_sum(
     """Per-key cumulative sum in (ts, id) order — the per-key ordered
     scan (running balances, per-user counters, session progress).
 
-    Ray shape: ONE bounded shuffle on ``hash(key) % num_buckets`` co-
-    locates each key's rows, then a vectorized segmented cumsum per
-    bucket (sort by (key, ts, id), one np.cumsum, subtract per-key run
-    offsets — zero per-key Python). Within a key the addition order is
-    the SAME serial order a SQL window ``sum() OVER (PARTITION BY key
-    ORDER BY ts, id)`` uses, so values match bitwise before the final
-    rounding. Emits ``ts_s`` (epoch-second BIGINT) instead of the raw
+    Ray shape: one bucketed shuffle on the key (ops/shuffle.py), then a
+    vectorized segmented cumsum per bucket (sort by (key, ts, id), polars
+    ``cum_sum().over`` — zero per-key Python). Within a key the addition
+    order is the SAME serial order a SQL window ``sum() OVER (PARTITION
+    BY key ORDER BY ts, id)`` uses, so values match bitwise before the
+    final rounding. Emits ``ts_s`` (epoch-second BIGINT) instead of the raw
     timestamp for representation-stable hashing.
     """
     import numpy as np
-
-    from .hashing import bucket_ids
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets)
-        )
 
     def scan_bucket(group: pa.Table) -> pa.Table:
         from .agg import round_half_away
@@ -347,11 +317,7 @@ def keyed_running_sum(
             out = round_half_away(out, round_to)
         return g.append_column(out_col, pa.array(out, pa.float64()))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(scan_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_col], scan_bucket, num_buckets=num_buckets)
 
 
 def keyed_shift(
@@ -370,20 +336,12 @@ def keyed_shift(
     (``periods`` < 0). Rows without a neighbor get NULL, like SQL.
     Values move verbatim (no arithmetic), so parity needs no rounding.
 
-    Ray shape: the same bounded shuffle as :func:`keyed_running_sum` —
-    ``hash(key) % num_buckets`` co-locates each key's rows, then one
-    vectorized sort + segmented shift per bucket (polars
+    Ray shape: the same bucketed shuffle as :func:`keyed_running_sum`,
+    then one vectorized sort + segmented shift per bucket (polars
     ``shift().over``; zero per-key Python). Emits ``ts_s``
     (epoch-second BIGINT) instead of the raw timestamp for
     representation-stable hashing; ordering uses full µs precision.
     """
-    from .hashing import bucket_ids
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets)
-        )
-
     def shift_bucket(group: pa.Table) -> pa.Table:
         import polars as pl
 
@@ -396,11 +354,7 @@ def keyed_shift(
         )
         return g.append_column(out_col, shifted.cast(g.column(value_col).type))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(shift_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_col], shift_bucket, num_buckets=num_buckets)
 
 
 def funnel_stages(
@@ -420,20 +374,13 @@ def funnel_stages(
     product funnels mean and what a per-step min-timestamp chain in SQL
     reproduces.
 
-    Ray shape: ONE bounded shuffle on ``hash(key) % num_buckets`` (each
-    key's events land whole), then a vectorized per-bucket chain —
+    Ray shape: one bucketed shuffle on the key (ops/shuffle.py), then a
+    vectorized per-bucket chain —
     ``len(steps)`` polars filter+groupby+join rounds over the bucket, no
     per-key Python. Emits epoch-µs BIGINT step times (nullable) for
     representation-stable hashing: Dataset(key, step1_us…stepN_us,
     stage)."""
     import polars as pl
-
-    from .hashing import bucket_ids
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets, seed=0)
-        )
 
     def funnel_bucket(group: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(group.column(ts_col), pa.timestamp("us"), safe=False), pa.int64())
@@ -464,30 +411,7 @@ def funnel_stages(
         out = reached.with_columns(stage.alias("stage")).sort(key_col)
         return out.to_arrow()
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(funnel_bucket, batch_format="pyarrow")
-    )
-
-
-def _neq_prev(arr: pa.ChunkedArray | pa.Array):
-    """Boolean numpy mask: row differs from the previous row (row 0 =
-    True). NULL==NULL counts as equal — SQL window ordering groups NULLs
-    into one tie run."""
-    import numpy as np
-
-    n = len(arr)
-    out = np.ones(n, bool)
-    if n <= 1:
-        return out
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    a, b = arr.slice(1), arr.slice(0, n - 1)
-    both_null = pc.and_(pc.is_null(a), pc.is_null(b))
-    ne = pc.if_else(both_null, False, pc.fill_null(pc.not_equal(a, b), True))
-    out[1:] = ne.to_numpy(zero_copy_only=False)
-    return out
+    return bucketed(ds, [key_col], funnel_bucket, num_buckets=num_buckets)
 
 
 def ranked(
@@ -506,10 +430,9 @@ def ranked(
     training-data surface, e.g. per-domain quality ranks for curriculum
     mixes).
 
-    Ray shape: ONE bounded shuffle on ``hash(key) % num_buckets``
-    co-locates each partition, then each bucket runs one vectorized sort
-    by (key, order, id) + segmented numpy rank kernels — zero per-group
-    Python, so millions of partitions cost ``num_buckets`` tasks.
+    Ray shape: one bucketed shuffle on the key (ops/shuffle.py), then
+    each bucket runs one vectorized sort by (key, order, id) + segmented
+    numpy rank kernels — zero per-group Python.
 
     Tie semantics match SQL: rank/dense_rank/percent_rank/cume_dist see
     ties on ``order_col`` (``OVER (... ORDER BY val [DESC])``);
@@ -519,26 +442,18 @@ def ranked(
     small integers — no rounding needed for oracle parity."""
     import numpy as np
 
-    from .hashing import bucket_ids
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets)
-        )
-
     order_dir = "descending" if descending else "ascending"
 
     def rank_bucket(group: pa.Table) -> pa.Table:
-        g = group.drop_columns(["__bucket"])
         idx = pc.sort_indices(
-            g,
+            group,
             sort_keys=[
                 (key_col, "ascending"),
                 (order_col, order_dir),
                 (id_col, "ascending"),
             ],
         )
-        g = g.take(idx)
+        g = group.take(idx)
         n = g.num_rows
         if n == 0:
             sch = g.schema
@@ -547,8 +462,10 @@ def ranked(
             for name in ("percent_rank", "cume_dist"):
                 sch = sch.append(pa.field(name, pa.float64()))
             return sch.empty_table()
-        key_change = _neq_prev(g.column(key_col))
-        run_change = key_change | _neq_prev(g.column(order_col))
+        key_change = np.zeros(n, bool)
+        key_change[key_runs(g, [key_col])[0]] = True
+        run_change = np.zeros(n, bool)
+        run_change[key_runs(g, [key_col, order_col])[0]] = True
         ar = np.arange(n, dtype=np.int64)
         ss = np.maximum.accumulate(np.where(key_change, ar, 0))  # seg start idx
         rn = ar - ss + 1
@@ -579,11 +496,7 @@ def ranked(
             .append_column("ntile", pa.array(tile.astype(np.int64)))
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(rank_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_col], rank_bucket, num_buckets=num_buckets)
 
 
 def keyed_rolling_rows(
@@ -606,9 +519,8 @@ def keyed_rolling_rows(
     averages. Partial leading windows aggregate over the rows available
     so far, like SQL.
 
-    Ray shape (same as :func:`keyed_running_sum`): ONE bounded shuffle
-    on ``hash(key) % num_buckets``, then a vectorized segmented rolling
-    kernel per bucket (polars ``rolling_*(window_size).over(key)``) —
+    Ray shape (same as :func:`keyed_running_sum`): one bucketed shuffle
+    on the key, then a vectorized segmented rolling kernel per bucket (polars ``rolling_*(window_size).over(key)``) —
     zero per-key Python. Emits ``ts_s`` (epoch-second BIGINT, floor
     division) for representation-stable hashing. ``agg``: ``mean`` |
     ``sum`` | ``min`` | ``max``. Rounded on both sides for the float
@@ -616,18 +528,11 @@ def keyed_rolling_rows(
     oracle's."""
     import numpy as np
 
-    from .hashing import bucket_ids
-
     if agg not in ("mean", "sum", "min", "max"):
         raise ValueError(f"unsupported agg {agg!r}")
     if n_rows <= 0:
         raise ValueError(f"n_rows must be positive, got {n_rows}")
     name = out_col or f"roll_{agg}"
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", bucket_ids(batch, [key_col], num_buckets)
-        )
 
     def scan_bucket(group: pa.Table) -> pa.Table:
         from .agg import round_half_away
@@ -659,8 +564,4 @@ def keyed_rolling_rows(
             name, pa.array(np.asarray(out, np.float64), pa.float64(), mask=null_mask)
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(scan_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, [key_col], scan_bucket, num_buckets=num_buckets)

@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .ops.shuffle import bucketed, key_runs
 from .stages.linker import link_entities
 from .stages.triples import make_triples_batch
 
@@ -108,73 +109,38 @@ def errors_only(ds):
 # ---------------------------------------------------------------------------
 
 
-def _triple_key_cols(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Append a compact 128-bit dedup key (two independently-seeded 64-bit
-    vectorized hashes of the identity columns) + its shuffle bucket, so the
-    shuffle moves 17 bytes/row instead of six wide string columns' worth of
-    group-by state. The hash is the version-stable kernel from
-    ops/hashing.py — identical on every worker of a mixed-version
-    cluster, unlike library (polars/pandas) hashes."""
-    from .ops.hashing import hash_strings_pair
-
-    cols = ["graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
-    # \x00 keeps null distinct from empty string; \x1f guards boundaries
-    joined = pc.binary_join_element_wise(
-        *[pc.fill_null(batch.column(c).cast(pa.string()), "\x00") for c in cols],
-        "\x1f",
-    )
-    # two seeds = two polynomial BASES (ops/hashing.py): a genuine 128-bit
-    # composite key, computed over one shared word-gather pass
-    k1, k2 = hash_strings_pair(joined, 1, 2)
-    bucket = (k1 % np.uint64(num_buckets)).astype(np.int32)
-    batch = batch.append_column("tk1", pa.array(k1, pa.uint64()))
-    batch = batch.append_column("tk2", pa.array(k2, pa.uint64()))
-    return batch.append_column("bucket", pa.array(bucket, pa.int32()))
-
-
 _TRIPLE_ID_COLS = ["graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
 
 
 def dedup_triples(ds, num_buckets: int = 64):
     """Exact global triple dedup (set semantics of RDF.Graph.add,
-    reference decoder.ex:98-99, lifted cross-document): hash the triple
-    for BUCKET ROUTING only, map-side pre-dedup within each block
-    (combiner), then ONE shuffle keyed on ``hash % num_buckets`` — a
-    bounded number of groups, each deduped VECTORIZED inside its
-    map_groups call. (groupby on the raw key spawns one Python call per
-    distinct triple — the wrong shape at any scale.)
+    reference decoder.ex:98-99, lifted cross-document): map-side
+    pre-dedup within each block (combiner), then one bucketed shuffle
+    (ops/shuffle.py) on the six identity columns, each bucket deduped
+    vectorized.
 
     Identity is decided by the ACTUAL column values (polars row-encoded
     first-distinct over the six identity columns — full rows ride the
     shuffle anyway), never by the hash: a hash-only identity would let a
-    crafted 128-bit collision in ingested repo content silently delete a
+    crafted collision in ingested repo content silently delete a
     distinct triple. The hash only routes, where a collision is harmless
     co-location."""
 
     import polars as pl
 
-    def _first_mask(tbl: pa.Table) -> pa.Array:
+    def first_distinct(tbl: pa.Table) -> pa.Table:
         # boolean keep-mask computed in polars (vectorized, row-encoded
         # value equality — null distinct from ""), applied as an arrow
         # filter — zero table conversion, strings never copied
         m = pl.from_arrow(tbl.select(_TRIPLE_ID_COLS)).select(
             pl.struct(_TRIPLE_ID_COLS).is_first_distinct()
         )
-        return m.to_arrow().column(0).cast(pa.bool_())
+        return tbl.filter(m.to_arrow().column(0).cast(pa.bool_()))
 
-    def local_dedup(batch: pa.Table) -> pa.Table:
-        batch = _triple_key_cols(batch, num_buckets)
-        # map-side combine: first VALUE-distinct occurrence in the block
-        return batch.filter(_first_mask(batch))
-
-    ds = triples_only(ds).map_batches(
-        local_dedup, batch_format="pyarrow", zero_copy_batch=True
+    local = triples_only(ds).map_batches(
+        first_distinct, batch_format="pyarrow", zero_copy_batch=True
     )
-
-    def bucket_dedup(group: pa.Table) -> pa.Table:
-        return group.filter(_first_mask(group)).drop_columns(["tk1", "tk2", "bucket"])
-
-    return ds.groupby("bucket").map_groups(bucket_dedup, batch_format="pyarrow")
+    return bucketed(local, _TRIPLE_ID_COLS, first_distinct, num_buckets=num_buckets)
 
 
 def _relabel_doc(group: pa.Table) -> pa.Table:
@@ -245,50 +211,28 @@ def canonicalize_bnodes(ds, num_buckets: int = 64):
     labels that are invariant under any input relabeling; the doc hash
     prefixes them for global uniqueness before cross-document union.
 
-    Shuffle shape: ONE bounded groupby on ``hash(doc_id) % num_buckets``
-    (≤ num_buckets Python group calls), looping documents INSIDE each
-    bucket — never one shuffle group per document (millions of single-doc
-    groups at corpus scale)."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from .ops.hashing import hash_strings
-
-        h = hash_strings(batch.column("doc_id"), seed=0)
-        return batch.append_column(
-            "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
+    Shuffle shape: one bucketed shuffle on ``doc_id`` (ops/shuffle.py),
+    looping documents inside each bucket."""
 
     def relabel_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["__bucket"]).combine_chunks()
         group = group.sort_by([("doc_id", "ascending")])
-        doc_ids = np.asarray(group.column("doc_id").to_pylist())
-        # contiguous per-doc runs after the sort → one slice per document
-        starts = np.flatnonzero(np.r_[True, doc_ids[1:] != doc_ids[:-1]])
-        bounds = np.r_[starts, len(doc_ids)]
-        parts = [
-            _relabel_doc(group.slice(bounds[i], bounds[i + 1] - bounds[i]))
-            for i in range(len(starts))
-        ]
-        return pa.concat_tables(parts)
+        starts, ends = key_runs(group, ["doc_id"])
+        return pa.concat_tables(
+            [_relabel_doc(group.slice(a, b - a)) for a, b in zip(starts, ends)]
+        )
 
-    return (
-        triples_only(ds)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(relabel_bucket, batch_format="pyarrow")
-    )
+    return bucketed(triples_only(ds), ["doc_id"], relabel_bucket, num_buckets=num_buckets)
 
 
 def materialize_graph(ds, num_buckets: int = 64):
     """Graph materialize: adjacency per subject (SURVEY.md §2.5) as a
-    map-side combine + ONE bounded shuffle.
+    map-side combine + one bucketed shuffle (ops/shuffle.py).
 
     Phase 1 is shuffle-free: each input block locally sorts its triples
     and emits one partial-adjacency row per (block, subj) — the classic
     map-side combiner, so the only all-to-all exchange moves the far
     smaller partial rows, never the raw triples. Phase 2 merges partials
-    per subj inside ``hash(subj) % num_buckets`` groups (bounded group
-    count, vectorized in-group merge). A hot subject's phase-1 work is
+    per subj inside the ``subj`` buckets. A hot subject's phase-1 work is
     naturally split across the blocks that contain it, and its phase-2
     merge concatenates pre-built lists — the same skew posture the
     earlier salt-split design had (whose second phase also merged all
@@ -299,70 +243,46 @@ def materialize_graph(ds, num_buckets: int = 64):
     def bucket_partials(group: pa.Table) -> pa.Table:
         # arrow sort + run slicing; only the per-subject JSON dump stays
         # Python (it must escape arbitrary literal content)
-        g = group.select(["subj", "pred", "obj"]).combine_chunks().sort_by(
+        g = group.select(["subj", "pred", "obj"]).sort_by(
             [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
         )
-        subjs_arr = np.asarray(g.column("subj").to_pylist(), dtype=object)
         preds = g.column("pred").to_pylist()
         objs = g.column("obj").to_pylist()
-        starts = np.flatnonzero(np.r_[True, subjs_arr[1:] != subjs_arr[:-1]])
-        bounds = np.r_[starts, len(subjs_arr)]
-        subjs, degrees, adjs = [], [], []
-        for i in range(len(starts)):
-            lo, hi = bounds[i], bounds[i + 1]
-            pairs = [[preds[j], objs[j]] for j in range(lo, hi)]
-            subjs.append(subjs_arr[lo])
-            degrees.append(hi - lo)
-            adjs.append(json.dumps(pairs, separators=(",", ":")))
-        return pa.table(
-            {
-                "subj": pa.array(subjs, pa.string()),
-                "degree": pa.array(degrees, pa.int64()),
-                "adjacency": pa.array(adjs, pa.string()),
-            }
-        )
-
-    def add_merge_bucket(batch: pa.Table) -> pa.Table:
-        from .ops.hashing import hash_strings
-
-        h = hash_strings(batch.column("subj"), seed=0)
-        return batch.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
+        starts, ends = key_runs(g, ["subj"])
+        adjs = [
+            json.dumps([[preds[j], objs[j]] for j in range(lo, hi)], separators=(",", ":"))
+            for lo, hi in zip(starts, ends)
+        ]
+        return _adjacency_rows(g, starts, ends - starts, adjs)
 
     def bucket_merge(group: pa.Table) -> pa.Table:
-        g = group.select(["subj", "adjacency"]).combine_chunks().sort_by(
-            [("subj", "ascending")]
-        )
-        subjs_arr = np.asarray(g.column("subj").to_pylist(), dtype=object)
+        g = group.select(["subj", "adjacency"]).sort_by([("subj", "ascending")])
         blobs = g.column("adjacency").to_pylist()
-        starts = np.flatnonzero(np.r_[True, subjs_arr[1:] != subjs_arr[:-1]])
-        bounds = np.r_[starts, len(subjs_arr)]
-        subjs, degrees, adjs = [], [], []
-        for i in range(len(starts)):
-            lo, hi = bounds[i], bounds[i + 1]
+        starts, ends = key_runs(g, ["subj"])
+        degrees, adjs = [], []
+        for lo, hi in zip(starts, ends):
             merged: list = []
             for j in range(lo, hi):
                 merged.extend(json.loads(blobs[j]))
             merged.sort()
-            subjs.append(subjs_arr[lo])
             degrees.append(len(merged))
             adjs.append(json.dumps(merged, separators=(",", ":")))
-        return pa.table(
-            {
-                "subj": pa.array(subjs, pa.string()),
-                "degree": pa.array(degrees, pa.int64()),
-                "adjacency": pa.array(adjs, pa.string()),
-            }
-        )
+        return _adjacency_rows(g, starts, degrees, adjs)
 
     partials = triples_only(ds).map_batches(
         bucket_partials, batch_format="pyarrow", zero_copy_batch=True
     )
-    partials = partials.map_batches(
-        add_merge_bucket, batch_format="pyarrow", zero_copy_batch=True
+    return bucketed(partials, ["subj"], bucket_merge, num_buckets=num_buckets)
+
+
+def _adjacency_rows(g: pa.Table, starts, degrees, adjs) -> pa.Table:
+    return pa.table(
+        {
+            "subj": g.column("subj").take(pa.array(starts, pa.int64())),
+            "degree": pa.array(degrees, pa.int64()),
+            "adjacency": pa.array(adjs, pa.string()),
+        }
     )
-    return partials.groupby("bucket").map_groups(bucket_merge, batch_format="pyarrow")
 
 
 def _quads_of(group: pa.Table) -> list:
@@ -412,13 +332,10 @@ def triples_to_jsonld(ds, num_shards: int = 32):
     - a final bucketed merge combines the ≤ num_shards node-array parts
       per graph.
 
-    Both shuffles key on a BOUNDED bucket (hash(graph) % num_buckets
-    crossed with the subject shard), never the raw graph name — named
-    graphs have per-document cardinality at corpus scale, and a
-    Python map_groups call per graph is the same anti-pattern as one per
-    document. Graphs are looped INSIDE each bucket. The default graph
-    holding 90%+ of the corpus never lands in a single call either (its
-    subject shards spread across buckets)."""
+    Both shuffles are bucketed (ops/shuffle.py) — on (graph, subject
+    shard), then on graph — with graphs looped inside each bucket. The
+    default graph holding 90%+ of the corpus never lands in a single
+    call (its subject shards spread across buckets)."""
     from .core.options import JsonLdOptions
     from .core.rdf_serialization import serialize_rdf
 
@@ -426,73 +343,49 @@ def triples_to_jsonld(ds, num_shards: int = 32):
     sharded = _sharded_triples(ds, num_shards)
 
     def build_shards(group: pa.Table) -> pa.Table:
-        # loop the distinct (graph, shard) cells INSIDE the bounded bucket
-        group = group.combine_chunks().sort_by(
-            [("__g", "ascending"), ("__shard", "ascending")]
-        )
-        gs = np.asarray(group.column("__g").to_pylist(), dtype=object)
-        sh = group.column("__shard").to_numpy(zero_copy_only=False)
-        change = np.r_[True, (gs[1:] != gs[:-1]) | (sh[1:] != sh[:-1])]
-        starts = np.flatnonzero(change)
-        bounds = np.r_[starts, len(gs)]
-        names, parts_out, counts = [], [], []
-        for i in range(len(starts)):
-            cell = group.slice(bounds[i], bounds[i + 1] - bounds[i])
-            docs = serialize_rdf(_quads_of(cell), JsonLdOptions(ordered=True))
-            names.append(gs[bounds[i]])
+        # loop the distinct (graph, shard) cells INSIDE the bucket
+        group = group.sort_by([("__g", "ascending"), ("__shard", "ascending")])
+        starts, ends = key_runs(group, ["__g", "__shard"])
+        parts_out, counts = [], []
+        for lo, hi in zip(starts, ends):
+            docs = serialize_rdf(_quads_of(group.slice(lo, hi - lo)), JsonLdOptions(ordered=True))
             parts_out.append(json.dumps(docs))
             counts.append(len(docs))
         return pa.table(
             {
-                "graph": pa.array(names, pa.string()),
+                "graph": group.column("__g").take(pa.array(starts, pa.int64())),
                 "part": pa.array(parts_out, pa.string()),
                 "n_nodes": pa.array(counts, pa.int64()),
             }
         )
 
-    def add_merge_bucket(batch: pa.Table) -> pa.Table:
-        from .ops.hashing import hash_strings
-
-        gh = hash_strings(batch.column("graph"), seed=3)
-        return batch.append_column(
-            "__bucket", pa.array((gh % np.uint64(num_buckets)).astype(np.int32))
-        )
-
     def merge_graphs(group: pa.Table) -> pa.Table:
-        group = group.combine_chunks().sort_by([("graph", "ascending")])
-        gs = np.asarray(group.column("graph").to_pylist(), dtype=object)
+        group = group.sort_by([("graph", "ascending")])
         blobs = group.column("part").to_pylist()
-        change = np.r_[True, gs[1:] != gs[:-1]]
-        starts = np.flatnonzero(change)
-        bounds = np.r_[starts, len(gs)]
-        names, docs_out, counts = [], [], []
-        for i in range(len(starts)):
+        starts, ends = key_runs(group, ["graph"])
+        docs_out, counts = [], []
+        for lo, hi in zip(starts, ends):
             nodes: list = []
-            for blob in blobs[bounds[i] : bounds[i + 1]]:
+            for blob in blobs[lo:hi]:
                 nodes.extend(json.loads(blob))
             nodes.sort(key=lambda n: n["@id"])  # same order as sorted node-map keys
-            names.append(gs[bounds[i]])
             docs_out.append(json.dumps(nodes, sort_keys=True))
             counts.append(len(nodes))
         return pa.table(
             {
-                "graph": pa.array(names, pa.string()),
+                "graph": group.column("graph").take(pa.array(starts, pa.int64())),
                 "doc": pa.array(docs_out, pa.string()),
                 "n_nodes": pa.array(counts, pa.int64()),
             }
         )
 
-    parts = sharded.groupby("__bucket").map_groups(build_shards, batch_format="pyarrow")
-    return (
-        parts.map_batches(add_merge_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(merge_graphs, batch_format="pyarrow")
-    )
+    parts = bucketed(sharded, ["__g", "__shard"], build_shards, num_buckets=num_buckets)
+    return bucketed(parts, ["graph"], merge_graphs, num_buckets=num_buckets)
 
 
 def _sharded_triples(ds, num_shards: int):
     """Shard assignment for ``triples_to_jsonld`` (split out for direct
-    testing): → Dataset(triple columns + __g, __shard, __bucket)."""
+    testing): → Dataset(triple columns + __g, __shard)."""
     from .core.rdf_generation import RDF_FIRST, RDF_REST
 
     # three consumers (list-key scan, closure scan, the returned shard
@@ -549,8 +442,6 @@ def _sharded_triples(ds, num_shards: int):
         closure_keys = sorted(set(list_nodes) | set(rf_df["key"]))
         closure_ref = _ray.put(pa.array(closure_keys, pa.string()))
 
-    num_buckets = num_shards * 2
-
     def add_shard(batch: pa.Table) -> pa.Table:
         from .ops.hashing import hash_strings
 
@@ -566,11 +457,8 @@ def _sharded_triples(ds, num_shards: int):
                 value_set=_ray.get(closure_ref),
             )
             shard = np.where(in_closure.to_numpy(zero_copy_only=False), 0, shard)
-        gh = hash_strings(g, seed=3)
-        bucket = ((gh * np.uint64(num_shards) + shard.astype(np.uint64)) % np.uint64(num_buckets)).astype(np.int32)
         batch = batch.append_column("__g", g)
-        batch = batch.append_column("__shard", pa.array(shard.astype(np.int32), pa.int32()))
-        return batch.append_column("__bucket", pa.array(bucket, pa.int32()))
+        return batch.append_column("__shard", pa.array(shard.astype(np.int32), pa.int32()))
 
     return t.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
 

@@ -425,6 +425,27 @@ def test_stable_hash_golden_constants():
     assert [int(x) for x in hash_strings(strs.cast(pa.large_string()), 3)] == base
 
 
+def test_uint64_keys_hash_by_bit_pattern(ray_session):
+    """uint64 keys at or above 2^63 (digest words, band hashes, user ids)
+    route like the int64 with the same bits instead of failing the
+    int64 cast, so a bucketed groupby on such a key runs."""
+    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed
+    from jsonld_ex_ray.ops.hashing import bucket_ids
+    import ray.data
+
+    big = [1, 2**63 + 5, 2**64 - 1, None]
+    u = pa.table({"h": pa.array(big, pa.uint64())})
+    bits = pa.table({"h": pa.array([1, -(2**63) + 5, -1, None], pa.int64())})
+    assert bucket_ids(u, ["h"], 8).to_pylist() == bucket_ids(bits, ["h"], 8).to_pylist()
+
+    tbl = pa.table({"k": pa.array(big * 3, pa.uint64()), "v": pa.array(range(12), pa.int64())})
+    out = groupby_agg_bucketed(
+        ray.data.from_arrow(tbl), ["k"], [("v", "sum", "s")], num_buckets=4
+    ).take_all()
+    got = {r["k"]: r["s"] for r in out}
+    assert len(out) == 4 and got == {1: 12, 2**63 + 5: 15, 2**64 - 1: 18, None: 21}
+
+
 def test_repetition_stats_exact_fractions():
     """Tiny docs with hand-computable word stats (incl. empty + short)."""
     from jsonld_ex_ray.ops.text import repetition_stats_batch

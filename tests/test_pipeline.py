@@ -86,6 +86,20 @@ def test_canonicalize_bnodes_deterministic(ray_session, corpus):
     assert all(s.startswith("_:") is False or "-c" in s for s in a.subj)
 
 
+def test_canonicalize_chunks_bounded_by_blocks(ray_session, tmp_path):
+    """canonicalize_bnodes relabels one slice per document; its output
+    must still leave as one Arrow chunk per block, not one per document,
+    or dedup_triples pays a per-chunk cost for every document."""
+    import ray
+
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 320, seed=7)
+    blocks = ray.get(canonicalize_bnodes(build_triples(corpus)).to_arrow_refs())
+    docs = {d for b in blocks if b.num_rows for d in b.column("doc_id").to_pylist()}
+    assert len(docs) >= 200
+    assert all(c.num_chunks <= 1 for b in blocks for c in b.columns)
+
+
 def test_materialize_graph_merges_hot_subjects(ray_session, corpus):
     adj = materialize_graph(build_triples(corpus), num_buckets=4).to_pandas()
     # one row per subject even for salted hot subjects
