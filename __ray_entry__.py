@@ -1241,11 +1241,11 @@ def _q_events_quantiles_by_type(sf_dir: str):
 
 def _q_orders_no_recent_ship(sf_dir: str):
     """Anti join (NOT EXISTS): orders with no lineitem shipped after the
-    cutoff. The small side is the DISTINCT filtered key set built through
-    one bounded shuffle (ops.agg.distinct_rows), broadcast once, dropped
-    via vectorized is_in — the corpus side never shuffles. A Bloom filter
-    cannot serve anti semantics (false positives would drop valid rows),
-    so the broadcast set is exact."""
+    cutoff. The key side is the DISTINCT filtered key set built through
+    one bounded shuffle (ops.agg.distinct_rows); ``filter_by_keys``
+    broadcasts it and drops matches via vectorized is_in when it fits
+    the one gate's budget (the orders side never shuffles), and runs a
+    bucketed anti join above it. The key set is exact on both paths."""
     from datetime import datetime
 
     import pyarrow as pa
@@ -1253,7 +1253,7 @@ def _q_orders_no_recent_ship(sf_dir: str):
     import ray.data
 
     from jsonld_ex_ray.ops.agg import distinct_rows
-    from jsonld_ex_ray.ops.joins import anti_join_broadcast
+    from jsonld_ex_ray.ops.joins import filter_by_keys
 
     cutoff = datetime(1998, 9, 1)
 
@@ -1275,8 +1275,8 @@ def _q_orders_no_recent_ship(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"),
         columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderstatus"],
     )
-    return anti_join_broadcast(
-        orders, recent_keys, big_on="o_orderkey", small_on="l_orderkey"
+    return filter_by_keys(
+        orders, recent_keys, on="o_orderkey", keys_on="l_orderkey", anti=True
     ).sort("o_orderkey")
 
 
@@ -1299,7 +1299,7 @@ def _q_events_pivot_daily(sf_dir: str):
         ds.map_batches(day_col, batch_format="pyarrow", zero_copy_batch=True),
         "day", "event_type", "value",
         ["click", "error", "purchase", "signup", "view"],
-    )
+    ).sort("day")
 
 
 def _q_events_funnel(sf_dir: str):
@@ -1317,7 +1317,8 @@ def _q_events_funnel(sf_dir: str):
 
 def _q_events_value_zscore(sf_dir: str):
     """Per-type standardization (x−μ)/σ: moments via map-side combiner
-    partials (no shuffle), broadcast, one streaming emit pass."""
+    partials (no shuffle), looked up through the one broadcast-or-bucketed
+    gate (5 groups: broadcast), one streaming emit pass."""
     from jsonld_ex_ray.ops.agg import zscore_by_group
 
     return zscore_by_group(
@@ -2017,8 +2018,9 @@ def _q_user_distinct_types(sf_dir: str):
 def _q_doc_unigram_lp(sf_dir: str):
     """Corpus-trained unigram LM score per doc (the exactly-computable
     CCNet/Gopher perplexity-filter core): global token counts in one
-    bounded hash(token) shuffle, then a vocabulary-gated scoring pass —
-    logprob table broadcast below 100k tokens, exploded + bucket-joined
+    bounded hash(token) shuffle, then a scoring pass through the one
+    broadcast-or-bucketed gate — logprob table broadcast while the
+    token-count table fits its byte budget, exploded + bucket-joined
     back above. Tokenization has SQL string_split parity, so the oracle
     is exact to the 6dp rounding both sides apply."""
     from jsonld_ex_ray.ops.text import unigram_logprob
@@ -2050,9 +2052,9 @@ def _q_lineitem_below_avg(sf_dir: str):
     evaluates membership in cross-multiplied integer form
     (``2·v·n < s``) so the row set is EXACT vs the serial SQL window —
     quantities are integral, no float boundary-flip — then one more
-    bucketed combine aggregates the survivors. Stats are
-    cardinality-gated: broadcast below 100k partkeys, bucketed
-    join-back above."""
+    bucketed combine aggregates the survivors. Stats go through the one
+    broadcast-or-bucketed gate: broadcast while the stats table fits
+    its byte budget, bucketed join-back above."""
     from jsonld_ex_ray.ops.agg import filter_vs_group_mean, groupby_agg_bucketed
 
     lineitem = _read(sf_dir, "lineitem").select_columns(
@@ -2333,8 +2335,8 @@ def _q_events_rolling_rows(sf_dir: str):
 
 def _q_events_share_of_type(sf_dir: str):
     """Ratio-to-report (value / per-type total): map-side combiner sums,
-    driver closes 5 numbers, second streaming pass divides — the corpus
-    never shuffles (same two-pass broadcast shape as the z-score)."""
+    5 per-type sums broadcast through the one gate, second streaming pass
+    divides — the corpus never shuffles (same shape as the z-score)."""
     from jsonld_ex_ray.ops.agg import share_of_group
 
     ds = _read(sf_dir, "events").select_columns(["event_id", "event_type", "value"])

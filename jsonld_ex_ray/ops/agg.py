@@ -1356,7 +1356,6 @@ def pivot_agg(
     pivot_values: list[str],
     *,
     round_to: int = 2,
-    max_broadcast_groups: int = 100_000,
     num_buckets: int = 64,
 ):
     """Pivot/wide aggregate: one ``n_<v>`` count and ``sum_<v>`` sum
@@ -1367,10 +1366,7 @@ def pivot_agg(
     everything rides the map-side combiner into the bucketed groupby —
     no shuffle beyond the tiny partial rows. ``pivot_values`` is
     explicit (schema must be static); values outside the list are
-    ignored. CARDINALITY-GATED: at or below ``max_broadcast_groups``
-    distinct keys the result collects to a pandas DataFrame sorted by
-    key (the crosstab shape callers chart/join locally); above the gate
-    the one-row-per-key result STAYS a distributed Dataset — a
+    ignored. → Dataset with one row per key, in no particular order: a
     per-domain feature table over tens of millions of domains never
     lands in driver memory."""
 
@@ -1393,12 +1389,7 @@ def pivot_agg(
         aggs.append((f"__c_{val}", "sum", f"n_{val}"))
         aggs.append((f"__v_{val}", "sum", f"sum_{val}", round_to))
     wide = ds.map_batches(widen, batch_format="pyarrow", zero_copy_batch=True)
-    res_ds = groupby_agg_bucketed(wide, [key_col], aggs, num_buckets=num_buckets).materialize()
-    if res_ds.count() > max_broadcast_groups:
-        return res_ds
-    return (
-        res_ds.to_pandas().sort_values(key_col).reset_index(drop=True)
-    )
+    return groupby_agg_bucketed(wide, [key_col], aggs, num_buckets=num_buckets)
 
 
 def zscore_by_group(
@@ -1408,22 +1399,17 @@ def zscore_by_group(
     *,
     out_col: str = "z",
     round_to: int = 6,
-    max_broadcast_groups: int = 100_000,
     num_buckets: int = 64,
 ):
     """Per-group standardization: ``(x − mean_g) / stddev_pop_g`` — the
     feature-normalization transform. Group moments (sum, sum-of-squares,
-    count) ride the map-side combiner into the bucketed combine, and the
-    path is CARDINALITY-GATED like share_of_group / grouped quantiles:
-    at or below ``max_broadcast_groups`` the driver closes the moments
-    into (mean, σ) per group and a second streaming pass emits the
-    normalized column (zero corpus shuffle); above it the moments join
-    back via ``hash_join_bucketed`` on the group key — driver state O(1)
-    at any group cardinality. A NULL group key is ONE real partition
-    (SQL parity) whose moments ride as driver scalars on both paths; a
-    constant-valued group emits null (SQL x/0). Assumes non-null values
-    (SQL COUNT(*) semantics in the denominator)."""
-    import pandas as pd
+    count) ride the map-side combiner into the bucketed combine and are
+    looked up per row through the one broadcast-or-bucketed gate
+    (``_with_group_stats``), then closed into (mean, σ) in one streaming
+    pass. A NULL group key is ONE real partition (SQL parity) whose
+    moments ride as driver scalars; a constant-valued group emits null
+    (SQL x/0). Assumes non-null values (SQL COUNT(*) semantics in the
+    denominator)."""
 
     def add_sq(batch: pa.Table) -> pa.Table:
         v = pc.cast(batch.column(value_col), pa.float64())
@@ -1431,73 +1417,41 @@ def zscore_by_group(
             "__sq", pc.multiply(v, v)
         )
 
-    stats, null_row, stats_ds = _group_stats_gated(
+    stat_cols = ["__s", "__s2", "__n"]
+    joined, null_row = _with_group_stats(
+        ds,
         ds.map_batches(add_sq, batch_format="pyarrow", zero_copy_batch=True),
         group_col,
         [(value_col, "sum", "__s"), ("__sq", "sum", "__s2"), (value_col, "count", "__n")],
-        max_broadcast_groups,
+        "zscore_by_group",
         num_buckets,
     )
 
-    def close_moments(s, s2, n):
-        """(sum, sumsq, count) → (mean, stddev_pop); n==0 → (nan, 0)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = np.divide(s, n, out=np.full_like(s, np.nan), where=n > 0)
-            var = np.maximum(np.divide(s2, n, out=np.zeros_like(s2), where=n > 0) - m * m, 0.0)
-        return m, np.sqrt(var)
-
-    if null_row is not None:
-        null_mu, null_sd = close_moments(
-            np.array([float(null_row["__s"])]),
-            np.array([float(null_row["__s2"])]),
-            np.array([float(null_row["__n"])]),
+    def finish(batch: pa.Table) -> pa.Table:
+        s, s2, n = (
+            pc.fill_null(batch.column(c), 0).to_numpy(zero_copy_only=False).astype(np.float64)
+            for c in stat_cols
         )
-        null_mu, null_sd = float(null_mu[0]), float(null_sd[0])
-
-    def finish(batch: pa.Table, mu: np.ndarray, sd: np.ndarray, seen: np.ndarray) -> pa.Table:
-        v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
+        seen = pc.is_valid(batch.column("__n")).to_numpy(zero_copy_only=False)
         if null_row is not None:
             nm = ~pc.is_valid(batch.column(group_col)).to_numpy(zero_copy_only=False)
-            mu = np.where(nm, null_mu, mu)
-            sd = np.where(nm, null_sd, sd)
+            s, s2, n = (np.where(nm, float(null_row[c]), x) for c, x in zip(stat_cols, (s, s2, n)))
             seen = seen | nm
+        # (sum, sumsq, count) → (mean, stddev_pop); n == 0 → (nan, 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mu = np.divide(s, n, out=np.full_like(s, np.nan), where=n > 0)
+            var = np.maximum(np.divide(s2, n, out=np.zeros_like(s2), where=n > 0) - mu * mu, 0.0)
+        sd = np.sqrt(var)
+        v = batch.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
         ok = seen & (sd > 0.0)
         z = np.zeros_like(v)
         np.divide(v - np.where(seen, mu, 0.0), sd, out=z, where=ok)
         # constant-valued group: SQL x/0 is NULL, never inf/nan
         return batch.append_column(
             out_col, pa.array(round_half_away(z, round_to), mask=~ok)
-        )
+        ).drop_columns(stat_cols)
 
-    if stats is not None:
-        groups = pd.Index(stats[group_col])
-        mu_a, sd_a = close_moments(
-            stats["__s"].to_numpy(np.float64),
-            stats["__s2"].to_numpy(np.float64),
-            stats["__n"].to_numpy(np.float64),
-        )
-
-        def emit(batch: pa.Table) -> pa.Table:
-            seen, (mu, sd) = _gated_lookup(
-                groups, [mu_a, sd_a],
-                batch.column(group_col).to_numpy(zero_copy_only=False),
-            )
-            return finish(batch, mu, sd, seen)
-
-        return ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-
-    joined = _stats_join_back(ds, stats_ds, group_col, ["__s", "__s2", "__n"], num_buckets)
-
-    def emit_joined(batch: pa.Table) -> pa.Table:
-        narr = batch.column("__n")
-        seen = pc.is_valid(narr).to_numpy(zero_copy_only=False)
-        n = pc.fill_null(narr, 0).to_numpy(zero_copy_only=False).astype(np.float64)
-        s = pc.fill_null(batch.column("__s"), 0.0).to_numpy(zero_copy_only=False).astype(np.float64)
-        s2 = pc.fill_null(batch.column("__s2"), 0.0).to_numpy(zero_copy_only=False).astype(np.float64)
-        mu, sd = close_moments(s, s2, n)
-        return finish(batch, mu, sd, seen).drop_columns(["__s", "__s2", "__n"])
-
-    return joined.map_batches(emit_joined, batch_format="pyarrow", zero_copy_batch=True)
+    return joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def heavy_hitters(ds, col: str, k: int, *, capacity: int = 2048):
@@ -1662,68 +1616,35 @@ def median_abs_deviation(ds, col: str, *, bins: int = 8192, round_to: int = 6):
     return pd.DataFrame({"median": [m], "mad": [mad]})
 
 
-def _group_stats_gated(ds, group_col: str, stat_aggs, max_broadcast_groups: int, num_buckets: int):
-    """Shared gate for the stats-broadcast window family (share_of_group,
-    zscore_by_group): compute per-group stats with the bucketed combine
-    (driver sees NOTHING until after the count), then either hand back a
-    small pandas stats table for the broadcast fast path, or None plus
-    the distributed stats Dataset for the join-back path. Mirrors the
-    grouped_exact_quantiles gate (same cure for the same driver-memory
-    cliff — a per-domain transform over tens of millions of groups must
-    not land every group's moments in driver memory)."""
-    stats_ds = groupby_agg_bucketed(ds, [group_col], stat_aggs, num_buckets=num_buckets).materialize()
-    # the NULL-key group (SQL GROUP BY keeps one) is handled as explicit
-    # driver-held scalars on BOTH paths: the broadcast Index can't hash
-    # null reliably across key dtypes, and the bucketed hash join never
-    # matches null keys — either would silently drop the NULL partition
+def _with_group_stats(ds, stats_input, group_col: str, stat_aggs, op: str, num_buckets: int):
+    """Shared stats step of the window family (share_of_group,
+    zscore_by_group, filter_vs_group_mean): per-group stats of
+    ``stats_input`` from the bucketed combine (the driver sees nothing
+    of them), looked up onto every row of ``ds`` through
+    ``lookup_by_key`` — broadcast when the stats table fits the one
+    gate's budget, joined back via ``hash_join_bucketed`` above it, so
+    driver state stays bounded at any group cardinality. → (``ds`` with
+    the stat columns, the NULL-key group's stats row or None). The
+    NULL-key group (SQL GROUP BY keeps one) rides as that driver-held
+    row: the lookup reads null for a NULL key on both paths, so callers
+    resolve the NULL partition from it."""
+    from .joins import lookup_by_key
+
+    stats_ds = groupby_agg_bucketed(
+        stats_input, [group_col], stat_aggs, num_buckets=num_buckets
+    ).materialize()
+
     def only_null(b: pa.Table) -> pa.Table:
         return b.filter(pc.is_null(b.column(group_col)))
 
     null_stats = stats_ds.map_batches(
         only_null, batch_format="pyarrow", zero_copy_batch=True
     ).to_pandas()
-    null_row = None if null_stats.empty else null_stats.iloc[0]
-    if stats_ds.count() <= max_broadcast_groups:
-        stats = stats_ds.to_pandas()
-        return stats[stats[group_col].notna()].reset_index(drop=True), null_row, stats_ds
-    return None, null_row, stats_ds
-
-
-def _gated_lookup(groups, stat_arrays, key_arr):
-    """Row-wise lookup into the broadcast per-group stats table shared by
-    the gated family (share_of_group / zscore_by_group /
-    filter_vs_group_mean): returns (seen_mask, [stat per row, ...]).
-    EMPTY-TABLE SAFE — when every group key is NULL the non-null stats
-    table has zero rows but batches don't; indexing stats[gi_safe] would
-    raise, so unseen rows read 0.0 placeholders instead (callers resolve
-    the NULL partition from the separately-held null_row scalars)."""
-    n = len(key_arr)
-    gi = groups.get_indexer(key_arr) if len(groups) else np.full(n, -1)
-    seen = gi >= 0
-    gi_safe = np.where(seen, gi, 0)
-    return seen, [
-        arr[gi_safe] if len(arr) else np.zeros(n, dtype=np.float64)
-        for arr in stat_arrays
-    ]
-
-
-def _stats_join_back(ds, stats_ds, group_col: str, stat_cols: list[str], num_buckets: int):
-    """High-cardinality path: per-group stats joined back onto the rows
-    via the bucketed hash join (ONE bounded shuffle each side), never a
-    driver-held pandas Index. NULL group keys match nothing in the hash
-    join — their stat columns come back null, exactly like the broadcast
-    path's get_indexer(-1) miss."""
-    from .joins import hash_join_bucketed
-
-    return hash_join_bucketed(
-        ds,
-        stats_ds,
-        left_on=group_col,
-        right_on=group_col,
-        right_cols=stat_cols,
-        join_type="left",
-        num_buckets=num_buckets,
+    joined = lookup_by_key(
+        ds, stats_ds, on=group_col, cols=[a[2] for a in stat_aggs],
+        op=op, num_buckets=num_buckets,
     )
+    return joined, None if null_stats.empty else null_stats.iloc[0]
 
 
 def share_of_group(
@@ -1733,7 +1654,6 @@ def share_of_group(
     *,
     out_col: str = "share",
     round_to: int = 6,
-    max_broadcast_groups: int = 100_000,
     num_buckets: int = 64,
 ):
     """Ratio-to-report: each row's ``value / sum(value) OVER (PARTITION
@@ -1742,59 +1662,35 @@ def share_of_group(
 
     Ray shape: group sums ride the map-side combiner into the bucketed
     combine (one tiny partial per block, one bounded shuffle of partial
-    rows), CARDINALITY-GATED like grouped_exact_quantiles: at or below
-    ``max_broadcast_groups`` the driver closes ≤ |groups| numbers and a
-    second streaming pass divides (zero corpus shuffle); above it the
-    stats Dataset is joined back via ``hash_join_bucketed`` on the group
-    key, so driver state stays O(1) at ANY group cardinality. Null
-    values and groups absent from the stats pass (NULL keys) emit null;
-    a zero-sum group emits null (SQL x/0). A NULL group key is ONE real
-    partition (SQL parity) whose sum rides as a driver scalar on both
-    paths. Rounded on both sides: the parallel partial sums reorder
-    float additions vs the oracle's serial windowed sum."""
-    import pandas as pd
-
-    stats, null_row, stats_ds = _group_stats_gated(
-        ds, group_col, [(value_col, "sum", "__s")], max_broadcast_groups, num_buckets
+    rows) and are looked up per row through the one broadcast-or-bucketed
+    gate (``_with_group_stats``); a streaming pass divides. Null values
+    and groups absent from the stats pass emit null; a zero-sum group
+    emits null (SQL x/0). A NULL group key is ONE real partition (SQL
+    parity) whose sum rides as a driver scalar. Rounded on both sides:
+    the parallel partial sums reorder float additions vs the oracle's
+    serial windowed sum."""
+    joined, null_row = _with_group_stats(
+        ds, ds, group_col, [(value_col, "sum", "__s")], "share_of_group", num_buckets
     )
-    null_s = float(null_row["__s"]) if null_row is not None else 0.0
 
-    def finish(batch: pa.Table, denom: np.ndarray, seen: np.ndarray) -> pa.Table:
+    def finish(batch: pa.Table) -> pa.Table:
+        sarr = batch.column("__s")
+        seen = pc.is_valid(sarr).to_numpy(zero_copy_only=False)
+        denom = pc.fill_null(sarr, 0.0).to_numpy(zero_copy_only=False).astype(np.float64)
         varr = batch.column(value_col)
         v = pc.cast(varr, pa.float64()).to_numpy(zero_copy_only=False)
         if null_row is not None:
             nm = ~pc.is_valid(batch.column(group_col)).to_numpy(zero_copy_only=False)
-            denom = np.where(nm, null_s, denom)
+            denom = np.where(nm, float(null_row["__s"]), denom)
             seen = seen | nm
         ok = seen & (denom != 0.0) & pc.is_valid(varr).to_numpy(zero_copy_only=False)
         share = np.zeros_like(v)
         np.divide(v, denom, out=share, where=ok)
         return batch.append_column(
             out_col, pa.array(round_half_away(share, round_to), mask=~ok)
-        )
+        ).drop_columns(["__s"])
 
-    if stats is not None:
-        groups = pd.Index(stats[group_col])
-        sums = stats["__s"].to_numpy(dtype=np.float64)
-
-        def emit(batch: pa.Table) -> pa.Table:
-            seen, (denom,) = _gated_lookup(
-                groups, [sums],
-                batch.column(group_col).to_numpy(zero_copy_only=False),
-            )
-            return finish(batch, denom, seen)
-
-        return ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-
-    joined = _stats_join_back(ds, stats_ds, group_col, ["__s"], num_buckets)
-
-    def emit_joined(batch: pa.Table) -> pa.Table:
-        s = batch.column("__s")
-        seen = pc.is_valid(s).to_numpy(zero_copy_only=False)
-        denom = pc.fill_null(s, 0.0).to_numpy(zero_copy_only=False).astype(np.float64)
-        return finish(batch, denom, seen).drop_columns(["__s"])
-
-    return joined.map_batches(emit_joined, batch_format="pyarrow", zero_copy_batch=True)
+    return joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 _CMP_FNS = {"lt": np.less, "le": np.less_equal, "gt": np.greater, "ge": np.greater_equal}
@@ -1808,7 +1704,6 @@ def filter_vs_group_mean(
     mult_num: int = 1,
     mult_den: int = 1,
     cmp: str = "lt",
-    max_broadcast_groups: int = 100_000,
     num_buckets: int = 64,
 ):
     """Correlated-subquery filter: keep rows where ``value <cmp>
@@ -1829,40 +1724,39 @@ def filter_vs_group_mean(
     parity needs integral values). Requires ``mult_den > 0``.
 
     Ray shape: group (sum, count) partials ride the map-side combiner
-    into the bucketed combine, CARDINALITY-GATED like share_of_group —
-    at or below ``max_broadcast_groups`` the driver broadcasts the stats
-    table and a second streaming pass filters (zero corpus shuffle);
-    above it the stats Dataset joins back via ``hash_join_bucketed`` so
-    driver state stays O(1) at any group cardinality. A NULL group key
-    is ONE real partition (window-function SQL parity) riding as driver
-    scalars on both paths. NULL values never pass (SQL: NULL <cmp> x is
+    into the bucketed combine and are looked up per row through the one
+    broadcast-or-bucketed gate (``_with_group_stats``, as in
+    share_of_group); a streaming pass filters. A NULL group key is ONE
+    real partition (window-function SQL parity) riding as driver
+    scalars. NULL values never pass (SQL: NULL <cmp> x is
     not TRUE). Assumes non-null values inside the mean (COUNT(*)
     denominator — SQL parity via ``sum(v) OVER w / count(*) OVER w``)."""
-    import pandas as pd
-
     if cmp not in _CMP_FNS:
         raise ValueError(f"cmp must be one of {sorted(_CMP_FNS)}, got {cmp!r}")
     if mult_den <= 0:
         raise ValueError("mult_den must be positive")
     cmp_fn = _CMP_FNS[cmp]
 
-    stats, null_row, stats_ds = _group_stats_gated(
+    joined, null_row = _with_group_stats(
+        ds,
         ds,
         group_col,
         [(value_col, "sum", "__s"), (value_col, "count", "__n")],
-        max_broadcast_groups,
+        "filter_vs_group_mean",
         num_buckets,
     )
-    null_s = float(null_row["__s"]) if null_row is not None else 0.0
-    null_n = float(null_row["__n"]) if null_row is not None else 0.0
 
-    def finish(batch: pa.Table, s: np.ndarray, n: np.ndarray, seen: np.ndarray) -> pa.Table:
+    def finish(batch: pa.Table) -> pa.Table:
+        narr = batch.column("__n")
+        seen = pc.is_valid(narr).to_numpy(zero_copy_only=False)
+        n = pc.fill_null(narr, 0).to_numpy(zero_copy_only=False).astype(np.float64)
+        s = pc.fill_null(batch.column("__s"), 0.0).to_numpy(zero_copy_only=False).astype(np.float64)
         varr = batch.column(value_col)
         v = pc.cast(varr, pa.float64()).to_numpy(zero_copy_only=False)
         if null_row is not None:
             nm = ~pc.is_valid(batch.column(group_col)).to_numpy(zero_copy_only=False)
-            s = np.where(nm, null_s, s)
-            n = np.where(nm, null_n, n)
+            s = np.where(nm, float(null_row["__s"]), s)
+            n = np.where(nm, float(null_row["__n"]), n)
             seen = seen | nm
         ok = seen & pc.is_valid(varr).to_numpy(zero_copy_only=False)
         keep = np.zeros(len(v), dtype=bool)
@@ -1871,29 +1765,6 @@ def filter_vs_group_mean(
             cmp_fn(np.where(ok, v, 0.0) * (mult_den * n), mult_num * s),
             where=ok,
         )
-        return batch.filter(pa.array(keep))
+        return batch.filter(pa.array(keep)).drop_columns(["__s", "__n"])
 
-    if stats is not None:
-        groups = pd.Index(stats[group_col])
-        sums = stats["__s"].to_numpy(dtype=np.float64)
-        counts = stats["__n"].to_numpy(dtype=np.float64)
-
-        def emit(batch: pa.Table) -> pa.Table:
-            seen, (s, n) = _gated_lookup(
-                groups, [sums, counts],
-                batch.column(group_col).to_numpy(zero_copy_only=False),
-            )
-            return finish(batch, s, n, seen)
-
-        return ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-
-    joined = _stats_join_back(ds, stats_ds, group_col, ["__s", "__n"], num_buckets)
-
-    def emit_joined(batch: pa.Table) -> pa.Table:
-        narr = batch.column("__n")
-        seen = pc.is_valid(narr).to_numpy(zero_copy_only=False)
-        n = pc.fill_null(narr, 0).to_numpy(zero_copy_only=False).astype(np.float64)
-        s = pc.fill_null(batch.column("__s"), 0.0).to_numpy(zero_copy_only=False).astype(np.float64)
-        return finish(batch, s, n, seen).drop_columns(["__s", "__n"])
-
-    return joined.map_batches(emit_joined, batch_format="pyarrow", zero_copy_batch=True)
+    return joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)

@@ -34,6 +34,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from .joins import filter_by_keys
 from .shuffle import bucketed, key_runs
 
 _MERSENNE61 = np.uint64((1 << 61) - 1)
@@ -353,12 +354,6 @@ def jaccard(text_a: str, text_b: str, shingle_k: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-# above this many LOSER ids the anti-filter falls back to the
-# carry-rows shuffle (a pathological corpus that is mostly duplicates);
-# below it the loser set is broadcast once and the corpus never moves
-_DEDUP_LOSER_BROADCAST_MAX = 2_000_000
-
-
 def exact_dedup(
     ds,
     text_col: str = "text",
@@ -371,12 +366,12 @@ def exact_dedup(
     Scale shape (all modes): the CORPUS NEVER SHUFFLES. Only fixed-width
     key rows (digest words or hash words, plus the id) take the one
     bucketed shuffle (ops/shuffle.py); each bucket emits the ids that
-    LOSE their identity group (id ≠ per-group min). The loser set is
-    broadcast once via ``ray.put`` and the documents stream through a
-    vectorized anti-filter. A mostly-duplicate corpus (losers
-    > ``_DEDUP_LOSER_BROADCAST_MAX``) falls back to shuffling the
-    surviving rows themselves — value-exact there too (local and bucket
-    min are taken over the text column directly; the key only routes).
+    LOSE their identity group (id ≠ per-group min), and the documents
+    pass one ``filter_by_keys`` anti-filter on those ids (ops/joins.py):
+    the loser set is broadcast when it fits the one gate's budget, and
+    a mostly-duplicate corpus takes the bucketed anti join instead. Both
+    paths drop the same loser set, so the survivors never depend on
+    which path ran.
 
     ``verify`` selects how document identity is decided:
 
@@ -444,47 +439,18 @@ def exact_dedup(
         )
         return out.to_arrow()
 
-    # the pair pass scans the corpus a FIRST time (the broadcast path
-    # rescans rather than shuffles: a shuffle is read+write+network of
-    # every byte, a rescan is a read); prune to the two needed columns
+    # the pair pass scans the corpus a FIRST time and a broadcast loser
+    # filter rescans it rather than shuffling it (a shuffle is
+    # read+write+network of every byte, a rescan is a read); prune the
+    # first scan to the two needed columns
     keys = ds.select_columns([text_col, id_col]).map_batches(
         key_rows, batch_format="pyarrow", zero_copy_batch=True
     )
-    pairs = bucketed(keys, group_cols[:1], bucket_pairs, num_buckets=num_buckets).materialize()
-    n_losers = pairs.count()
-
-    if n_losers == 0:
-        return ds
-
-    if n_losers <= _DEDUP_LOSER_BROADCAST_MAX:
-        import pyarrow.compute as pc
-        import ray
-
-        tbls = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
-        ref = ray.put(pa.concat_tables(tbls).column("loser").combine_chunks())
-
-        def anti_filter(batch: pa.Table) -> pa.Table:
-            import ray as _r
-
-            ids = _r.get(ref)
-            return batch.filter(
-                pc.invert(pc.is_in(batch.column(id_col), value_set=ids))
-            )
-
-        return ds.map_batches(anti_filter, batch_format="pyarrow", zero_copy_batch=True)
-
-    # pathological fallback: most rows are duplicates — shuffle survivors.
-    # Identity is the TEXT VALUE itself (equal texts co-locate; a routing
-    # collision between distinct texts merely shares a bucket and is
-    # separated by the value grouping).
-    def min_id_rows(tbl: pa.Table) -> pa.Table:
-        m = pl.from_arrow(tbl.select([text_col, id_col])).select(
-            pl.col(id_col) == pl.col(id_col).min().over([text_col])
-        )
-        return tbl.filter(m.to_arrow().column(0).cast(pa.bool_()))
-
-    local = ds.map_batches(min_id_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(local, [text_col], min_id_rows, num_buckets=num_buckets)
+    losers = bucketed(keys, group_cols[:1], bucket_pairs, num_buckets=num_buckets)
+    return filter_by_keys(
+        ds, losers, on=id_col, keys_on="loser", anti=True,
+        op="exact_dedup", num_buckets=num_buckets,
+    )
 
 
 # ---------------------------------------------------------------------------

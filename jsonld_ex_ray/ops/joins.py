@@ -1,24 +1,42 @@
-"""Join operators Ray Data lacks: equi-join, as-of join, range join.
+"""Join operators Ray Data lacks: equi-join, as-of join, range join —
+and the ONE gate that decides between broadcasting a side and shuffling
+both sides.
 
-Two shapes per join family:
+The gate, :func:`broadcast_side`: materialize the side, read its Arrow
+size from the block metadata, and compare it with one budget,
+``_BROADCAST_MAX_BYTES``. At or below it the side is collected and
+shipped once via ``ray.put`` — zero corpus shuffle; above it the caller
+takes its bucketed path. Every decision is logged as one structured
+event on logger ``jsonld_ex_ray.gate`` (op, side rows, side bytes,
+budget, path), so a run can say which side of each gate it took. The
+keyed ops built on it — :func:`filter_by_keys` (semi / anti) and
+:func:`lookup_by_key` (left lookup) — give the same rows on both paths.
 
-- ``*_broadcast``: the right side is a genuinely small table (dimension /
-  rates / band list) shipped ONCE via ``ray.put`` and probed inside
-  ``map_batches`` — zero shuffle, the 100-TB default when it applies.
-- ``*_bucketed``: BOTH sides are large. Each side is tagged, padded to a
-  shared schema, and bucketed on ``hash(join key) % num_buckets``; one
-  ``union`` + one bounded ``groupby(bucket)`` shuffle co-locates matching
-  keys, and the per-bucket merge is a vectorized ``pyarrow.Table.join`` /
-  ``pandas.merge_asof``. Partitioning assumption: the largest single
-  bucket (both sides) fits in a worker's heap — size ``num_buckets`` to
-  ~data_size / (workers × heap_budget); heavily skewed equi-join keys
-  should be pre-salted by the caller.
+The bucketed shape: BOTH sides are tagged, padded to a shared schema,
+and bucketed on ``hash(join key) % num_buckets``; one ``union`` + one
+bounded ``groupby(bucket)`` shuffle co-locates matching keys, and the
+per-bucket merge is a vectorized ``pyarrow.Table.join`` /
+``pandas.merge_asof``. Partitioning assumption: the largest single
+bucket (both sides) fits in a worker's heap — size ``num_buckets`` to
+~data_size / (workers × heap_budget); heavily skewed equi-join keys
+should be pre-salted by the caller.
 """
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..stages.state import worker_state
+
+# the one broadcast budget: a side whose Arrow size is at most this many
+# bytes ships once to every worker (16 MiB = 2M int64 keys)
+_BROADCAST_MAX_BYTES = 16 << 20
+
+_log = logging.getLogger("jsonld_ex_ray.gate")
 
 
 def _normalize_key_type(t: pa.DataType) -> pa.DataType:
@@ -102,10 +120,9 @@ def hash_join_bucketed(
     hash join. → Dataset(left columns + right_cols).
 
     ``join_type``: ``inner`` | ``left`` (outer) | ``semi`` | ``anti``.
-    The semi/anti modes are the EXACT two-large-sides filter joins for
-    when the filter side's distinct keys do NOT fit worker memory (the
-    broadcast paths — semi_join_bloom, anti_join_broadcast — stay the
-    cheaper choice when they do); their output carries left columns only.
+    The semi/anti modes are the EXACT two-large-sides filter joins that
+    ``filter_by_keys`` takes when the key side is over the broadcast
+    budget; their output carries left columns only.
 
     Pass ``left_schema``/``right_schema`` when the caller knows them:
     ``Dataset.schema()`` on a lazy input triggers execution of its plan,
@@ -145,8 +162,6 @@ def hash_join_bucketed(
     }.get(join_type, join_type)
 
     def join_bucket(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         side = group.column("__side")
         left_tbl = group.filter(pc.equal(side, pa.scalar(0, pa.int8()))).select(left_names)
         right_tbl = group.filter(pc.equal(side, pa.scalar(1, pa.int8()))).select(right_keep)
@@ -194,14 +209,13 @@ def asof_join_broadcast(
     suffix: str = "_right",
     allow_exact_matches: bool = False,
     direction: str = "backward",
-    concurrency=(2, 8),
 ):
     """For each left row, attach the nearest prior (direction='backward')
     right row by ``on`` (within the same ``by`` group). Right-side value
     columns are suffixed. → Dataset(left columns + right value columns).
-    Partitioning assumption: the RIGHT side fits in worker memory.
-    ``concurrency`` sizes the probe actor pool (autoscaling range by
-    default — a fixed tiny cap would idle a large cluster)."""
+    Partitioning assumption: the RIGHT side fits in worker memory; it is
+    shipped once via ``ray.put`` and deserialized once per worker
+    process (``stages/state.py``), and the merge runs as a plain task."""
     import pandas as pd
     import ray
 
@@ -211,33 +225,22 @@ def asof_join_broadcast(
     # broadcast ONLY the requested columns (the whole right table used to
     # ship and merge regardless of right_value_cols)
     keep = [on] + ([by] if by else []) + [c for c in right_value_cols if c not in (on, by)]
-    rdf = rdf[keep]
-    right_ref = ray.put(rdf)
+    right_ref = ray.put(rdf[keep])
 
-    class AsofMerge:
-        def __init__(self, ref):
-            self.right = ray.get(ref)  # broadcast: fetched once per worker
+    def merge(batch: pa.Table) -> pa.Table:
+        right = worker_state("asof_join", right_ref, lambda: ray.get(right_ref))
+        merged = pd.merge_asof(
+            batch.to_pandas().sort_values(on),
+            right,
+            on=on,
+            by=by,
+            direction=direction,
+            allow_exact_matches=allow_exact_matches,
+            suffixes=("", suffix),
+        )
+        return pa.Table.from_pandas(merged, preserve_index=False)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            left = batch.to_pandas().sort_values(on)
-            merged = pd.merge_asof(
-                left,
-                self.right,
-                on=on,
-                by=by,
-                direction=direction,
-                allow_exact_matches=allow_exact_matches,
-                suffixes=("", suffix),
-            )
-            return pa.Table.from_pandas(merged, preserve_index=False)
-
-    return left_ds.map_batches(
-        AsofMerge,
-        fn_constructor_kwargs={"ref": right_ref},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
+    return left_ds.map_batches(merge, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def asof_join_bucketed(
@@ -278,8 +281,6 @@ def asof_join_bucketed(
     out_cols = left_names + [c for c in right_value_cols if c not in left_names]
 
     def merge_bucket(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         side = group.column("__side")
         left_tbl = group.filter(pc.equal(side, pa.scalar(0, pa.int8()))).select(left_names)
         right_tbl = group.filter(pc.equal(side, pa.scalar(1, pa.int8()))).select(right_keep)
@@ -330,34 +331,131 @@ def range_join_broadcast(
     return left_ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def anti_join_broadcast(big_ds, small_ds, *, big_on: str, small_on: str):
-    """Keep big-side rows whose key is NOT in the small side (SQL
-    ``NOT EXISTS`` / anti join). The small side's distinct keys are
-    collected once and broadcast via ``ray.put``; each batch drops
-    matches with one vectorized ``is_in``. Exactness is symmetric to the
-    Bloom path's caveat: a Bloom filter cannot serve anti-join semantics
-    (false positives would DROP valid rows), so the key set is exact —
-    the partitioning assumption is that the small side's distinct keys
-    fit in worker memory (use ``hash_join_bucketed`` + null-filter when
-    they don't)."""
-    import pyarrow.compute as pc
+def broadcast_side(op: str, side_ds) -> pa.Table | None:
+    """THE broadcast-or-bucketed decision. Materializes ``side_ds``,
+    reads its Arrow size from the block metadata, and logs one event on
+    logger ``jsonld_ex_ray.gate`` — ``record.gate`` holds ``op``,
+    ``side_rows``, ``side_bytes``, ``budget`` and ``path``
+    (``broadcast`` | ``bucketed``). → the collected side table when it
+    fits ``_BROADCAST_MAX_BYTES``, else None (take the bucketed path).
+    Pass an already-materialized side when the bucketed path reuses it:
+    materializing it again is free."""
     import ray
 
-    parts = [t for t in ray.get(small_ds.to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return big_ds  # empty small side: NOT EXISTS keeps everything
-    keys = pa.concat_tables(parts).column(small_on).combine_chunks()
-    # SQL NOT EXISTS (l.key = o.key) semantics: a null small-side key
-    # matches nothing (drop it), and a null big-side key survives
-    keys = pc.drop_null(pc.unique(keys))
-    ref = ray.put(keys)
+    side = side_ds.materialize()
+    nbytes = side.size_bytes() or 0
+    event = {
+        "op": op,
+        "side_rows": side.count(),
+        "side_bytes": nbytes,
+        "budget": _BROADCAST_MAX_BYTES,
+        "path": "broadcast" if nbytes <= _BROADCAST_MAX_BYTES else "bucketed",
+    }
+    _log.info(
+        "%(op)s: %(path)s (side %(side_rows)d rows, %(side_bytes)d bytes, budget %(budget)d)",
+        event,
+        extra={"gate": event},
+    )
+    if event["path"] == "bucketed":
+        return None
+    tables = [t for t in ray.get(side.to_arrow_refs()) if t.num_rows]
+    # an empty side may have no schema at all: callers check num_rows
+    return pa.concat_tables(tables) if tables else pa.table({})
 
-    def drop_matches(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        mask = pc.invert(pc.is_in(batch.column(big_on), value_set=ks))
-        return batch.filter(pc.fill_null(mask, True))
 
-    return big_ds.map_batches(drop_matches, batch_format="pyarrow", zero_copy_batch=True)
+def filter_by_keys(
+    ds,
+    keys_ds,
+    *,
+    on: str,
+    keys_on: str,
+    anti: bool = False,
+    op: str = "filter_by_keys",
+    num_buckets: int = 64,
+):
+    """Keep the rows of ``ds`` whose ``on`` value is (semi) or is NOT
+    (``anti=True``, SQL ``NOT EXISTS``) among ``keys_ds[keys_on]``.
+
+    Through :func:`broadcast_side`: a key set within budget is
+    de-duplicated, shipped once, and each batch filters with one
+    vectorized ``is_in`` — ``ds`` never shuffles; a larger key set runs
+    the exact ``hash_join_bucketed`` semi/anti join. The key set is
+    exact on both paths (a Bloom filter cannot serve anti semantics:
+    false positives would drop valid rows). NULLs follow SQL: a NULL key
+    matches nothing, so a NULL ``on`` row survives anti and is dropped
+    by semi. An empty key set keeps everything (anti) or nothing (semi).
+    """
+    import ray
+
+    keys_ds = keys_ds.select_columns([keys_on]).materialize()
+    side = broadcast_side(op, keys_ds)
+    if side is None:
+        return hash_join_bucketed(
+            ds,
+            keys_ds,
+            left_on=on,
+            right_on=keys_on,
+            right_cols=[],
+            join_type="anti" if anti else "semi",
+            num_buckets=num_buckets,
+        )
+    if side.num_rows == 0:
+        return ds if anti else ds.limit(0)
+    ref = ray.put(pc.drop_null(pc.unique(side.column(keys_on).combine_chunks())))
+
+    def keep(batch: pa.Table) -> pa.Table:
+        # is_in never returns NULL: a NULL row reads False (no match)
+        hit = pc.is_in(batch.column(on), value_set=ray.get(ref))
+        return batch.filter(pc.invert(hit) if anti else hit)
+
+    return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def lookup_by_key(
+    ds,
+    side_ds,
+    *,
+    on: str,
+    cols: list[str],
+    op: str = "lookup_by_key",
+    num_buckets: int = 64,
+):
+    """Left lookup: append ``side_ds``'s ``cols`` to every row of ``ds``
+    by equal ``on`` (side keys unique). A missing or NULL key reads null
+    in every looked-up column, on both paths.
+
+    Through :func:`broadcast_side`: a side within budget is shipped once
+    and each worker builds its key index once (``stages/state.py``), so
+    every batch costs one ``get_indexer`` + one ``take`` per column and
+    ``ds`` never shuffles (row order kept); a larger side runs
+    ``hash_join_bucketed(join_type="left")``."""
+    import pandas as pd
+    import ray
+
+    side_ds = side_ds.select_columns([on, *cols]).materialize()
+    side = broadcast_side(op, side_ds)
+    if side is None:
+        return hash_join_bucketed(
+            ds, side_ds, left_on=on, right_on=on, right_cols=cols,
+            join_type="left", num_buckets=num_buckets,
+        )
+    if side.num_rows == 0:
+        side = pa.table({c: pa.nulls(0) for c in [on, *cols]})
+    ref = ray.put(side.filter(pc.is_valid(side.column(on))))
+
+    def build():
+        tbl = ray.get(ref)
+        return pd.Index(tbl.column(on).to_numpy(zero_copy_only=False)), tbl
+
+    def probe(batch: pa.Table) -> pa.Table:
+        index, tbl = worker_state("lookup_by_key", ref, build)
+        gi = index.get_indexer(batch.column(on).to_numpy(zero_copy_only=False))
+        idx = pa.array(gi, mask=gi < 0)
+        for c in cols:
+            batch = batch.append_column(c, tbl.column(c).take(idx))
+        return batch
+
+    return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def interval_join_banded(
@@ -401,8 +499,6 @@ def interval_join_banded(
 
     → Dataset(left columns + [right_lo, right_hi] + right_cols).
     """
-    import pyarrow.compute as pc
-
     from .hashing import hash_int64
 
     if band_width <= 0:

@@ -226,15 +226,18 @@ def brute_force_dup_pairs(
     definition, not an engine limitation."""
     import ray
 
-    side = pa.concat_tables(
-        list(ds.select_columns([id_col, emb_col]).iter_batches(batch_format="pyarrow"))
-    )
-    if side.num_rows > max_broadcast_rows:
+    # refuse BEFORE gathering: the guard exists to keep an oversized
+    # matrix out of driver memory
+    n_rows = ds.count()
+    if n_rows > max_broadcast_rows:
         raise ValueError(
-            f"brute_force_dup_pairs: {side.num_rows} rows exceed the "
+            f"brute_force_dup_pairs: {n_rows} rows exceed the "
             f"broadcast guard ({max_broadcast_rows}); use "
             "embedding_cosine_duplicates for corpora this size"
         )
+    side = pa.concat_tables(
+        list(ds.select_columns([id_col, emb_col]).iter_batches(batch_format="pyarrow"))
+    )
     all_ids = side.column(id_col).to_numpy(zero_copy_only=False)
     all_m = _normalize(_to_matrix(side.column(emb_col)))
     id_type = side.schema.field(id_col).type  # propagate the caller's id dtype

@@ -670,20 +670,19 @@ def doc_top_tfidf(
     text_col: str = "text",
     id_col: str = "doc_id",
     num_buckets: int = 64,
-    max_broadcast_vocab: int = 1_000_000,
 ):
     """Per-document top TF-IDF term: the classic two-pass corpus job.
 
     Pass 1 builds the document-frequency table — per-batch DISTINCT
     (term) sets per doc (combiner) → ``groupby_agg_bucketed`` over terms
     (ONE bounded shuffle) — plus the corpus doc count from the same pass.
-    The variant is then picked by VOCABULARY SIZE:
+    The variant is then picked by the df table's size, through the one
+    broadcast-or-bucketed gate (``ops/joins.broadcast_side``):
 
-    - ≤ ``max_broadcast_vocab`` distinct terms (natural-language
-      corpora): the vocabulary is broadcast once via ``ray.put`` (sorted
-      terms + df, a few MB) and pass 2 streams documents once — tf·idf =
-      (count/n_words)·ln(N/df), per-doc argmax with lexicographic-term
-      tie-break.
+    - within its budget (natural-language corpora): the vocabulary is
+      broadcast once via ``ray.put`` (sorted terms + df, a few MB) and
+      pass 2 streams documents once — tf·idf = (count/n_words)·ln(N/df),
+      per-doc argmax with lexicographic-term tie-break.
     - above it (open vocabularies: code, multilingual, synthetic ids):
       no driver/object-store vocab object is ever built — per-(doc,
       term, tf) run rows take a bucketed equi-join against the df table
@@ -699,6 +698,7 @@ def doc_top_tfidf(
     import ray
 
     from .agg import groupby_agg_bucketed, round_half_away
+    from .joins import broadcast_side
 
     def distinct_terms(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -734,12 +734,13 @@ def doc_top_tfidf(
     df_ds = groupby_agg_bucketed(
         parts, ["term"], [("df", "sum", "df")], num_buckets
     ).materialize()
-    if df_ds.count() > max_broadcast_vocab:
+    vocab = broadcast_side("doc_top_tfidf", df_ds)
+    if vocab is None:
         return _tfidf_bucketed(
             ds, df_ds, text_col=text_col, id_col=id_col, num_buckets=num_buckets
         )
-    tbls = [t for t in ray.get(df_ds.to_arrow_refs()) if t.num_rows]
-    vocab = pa.concat_tables(tbls) if tbls else pa.table({"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())})
+    if vocab.num_rows == 0:
+        vocab = pa.table({"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())})
     terms = vocab.column("term").to_pylist()
     dfs = np.asarray(vocab.column("df").to_pylist(), dtype=np.float64)
     n_docs = 0.0
@@ -1170,7 +1171,6 @@ def unigram_logprob(
     id_col: str = "doc_id",
     alpha: float = 0.5,
     round_to: int = 6,
-    max_broadcast_vocab: int = 100_000,
     num_buckets: int = 64,
     unique_ids: bool = False,
 ):
@@ -1188,13 +1188,13 @@ def unigram_logprob(
     Ray shape: pass 1 builds global token counts — per-block
     ``value_counts`` partials (duplicate tokens never leave the block)
     into ONE bounded ``hash(token)`` shuffle; ``N`` and ``V`` close to
-    two driver scalars. Pass 2 is CARDINALITY-GATED on vocabulary like
-    the group-stats family: at or below ``max_broadcast_vocab`` the
-    (token → logprob) table broadcasts and a second streaming pass
+    two driver scalars. Pass 2 takes the one broadcast-or-bucketed gate
+    (``ops/joins.broadcast_side``) on the token-count table: within its
+    budget the (token → logprob) table broadcasts and a second streaming pass
     scores each batch with one ``get_indexer`` + segmented ``bincount``
     into per-row (Σ lp, n) partials — only ONE tiny row per input doc
     rides the closing ``hash(doc_id)`` combine, never the corpus; above
-    the gate the corpus explodes to (doc, token) rows joined back to
+    the budget the corpus explodes to (doc, token) rows joined back to
     the DISTRIBUTED logprob table via ``hash_join_bucketed`` and
     re-aggregated per doc — driver state stays O(1) at any vocabulary
     size. BOTH paths GROUP BY ``id_col`` (duplicate ids merge exactly
@@ -1212,6 +1212,7 @@ def unigram_logprob(
     import pandas as pd
 
     from .agg import groupby_agg_bucketed, round_half_away
+    from .joins import broadcast_side, hash_join_bucketed
 
     def count_part(batch: pa.Table) -> pa.Table:
         flat, _, _ = _split_single_space(batch, text_col)
@@ -1243,8 +1244,9 @@ def unigram_logprob(
             "mean_logprob", pa.array(round_half_away(mean, round_to))
         )
 
-    if vocab <= max_broadcast_vocab:
-        st = counts_ds.to_pandas()
+    st = broadcast_side("unigram_logprob", counts_ds)
+    if st is not None:
+        st = st.to_pandas()
         toks = pd.Index(st["tok"])
         lp = np.log((st["c"].to_numpy(np.float64) + alpha) / denom)
 
@@ -1281,8 +1283,6 @@ def unigram_logprob(
         return per_doc.map_batches(
             finish_mean, batch_format="pyarrow", zero_copy_batch=True
         )
-
-    from .joins import hash_join_bucketed
 
     def add_lp(batch: pa.Table) -> pa.Table:
         c = pc.cast(batch.column("c"), pa.float64()).to_numpy(zero_copy_only=False)

@@ -3,7 +3,7 @@ what a 100-TB pre-training ingest actually runs over the documents
 table:
 
     read(documents) → quality gate → repetition gate (Gopher rules)
-      → exact dedup (key-only shuffle + loser broadcast)
+      → exact dedup (key-only shuffle + gated loser anti-filter)
       → deterministic split assignment (md5 boundaries)
 
 Every stage is one of the engine's oracled operators, so the WHOLE
@@ -11,7 +11,10 @@ composed pipeline is SQL-checkable (see ``corpus_clean`` in
 ``__ray_entry__.oracle_sql``). The chain stays one lazy Dataset: the
 gates fuse into a single streaming pass, exact_dedup adds its bounded
 key shuffle + anti-filter, splits are another fused map — no driver
-materialization anywhere.
+materialization anywhere. Both drops (exact-dup losers, near-dup ids)
+go through the one broadcast-or-bucketed gate in ``ops/joins.py``, so
+a mostly-duplicate corpus never broadcasts a set larger than its
+budget.
 
 Near-dup (MinHash) and decontamination stages compose the same way —
 ``clean_corpus(..., near_dup=True)`` — but sit behind a flag because
@@ -78,26 +81,15 @@ def clean_corpus(
         else:
             ds = cut
     if near_dup:
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        import ray
+        from ..ops.joins import filter_by_keys
 
         # the near-dup branch consumes the cleaned stream three times
         # (band rows, candidate-text fetch, final drop filter) —
         # checkpoint it once in the object store or the quality +
         # repetition + exact-dedup chain re-executes per consumer
         ds = ds.materialize()
-        dups = minhash_lsh_duplicates(ds).materialize()
-        if dups.count():
-            tbls = [t for t in ray.get(dups.to_arrow_refs()) if t.num_rows]
-            dup_ids = pa.concat_tables(tbls).column("doc_id").combine_chunks()
-            ref = ray.put(dup_ids)
-
-            def drop_dups(batch: pa.Table) -> pa.Table:
-                ids = ray.get(ref)
-                return batch.filter(
-                    pc.invert(pc.is_in(batch.column("doc_id"), value_set=ids))
-                )
-
-            ds = ds.map_batches(drop_dups, batch_format="pyarrow", zero_copy_batch=True)
+        ds = filter_by_keys(
+            ds, minhash_lsh_duplicates(ds), on="doc_id", keys_on="doc_id",
+            anti=True, op="clean_corpus.near_dup",
+        )
     return assign_splits(ds)

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 
@@ -15,3 +17,20 @@ def ray_session():
         )
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def gate_paths(caplog):
+    """The paths the broadcast-or-bucketed gate (ops/joins.py) logged in
+    this test, in call order: ``gate_paths()`` for every op,
+    ``gate_paths("exact_dedup")`` for one."""
+    caplog.set_level(logging.INFO, logger="jsonld_ex_ray.gate")
+
+    def paths(op=None):
+        return [
+            r.gate["path"]
+            for r in caplog.records
+            if hasattr(r, "gate") and op in (None, r.gate["op"])
+        ]
+
+    return paths

@@ -681,12 +681,13 @@ def test_dedup_lines_c4_rule(ray_session):
     assert list(out.text) == ["alpha\nbeta\ngamma", "delta", "epsilon\nzeta"]
 
 
-def test_exact_dedup_loser_paths_equivalent(ray_session, monkeypatch):
+def test_exact_dedup_loser_paths_equivalent(ray_session, monkeypatch, gate_paths):
     """Planted duplicates: the loser-broadcast path (corpus never
-    shuffles) and the carry-rows fallback must select identical
+    shuffles) and the bucketed anti join must select identical
     survivors."""
     import ray.data
     from jsonld_ex_ray.ops import dedup as dd
+    from jsonld_ex_ray.ops import joins
 
     texts = [f"unique text {i}" for i in range(300)] + ["copied boilerplate"] * 50
     ids = list(range(350))
@@ -698,11 +699,12 @@ def test_exact_dedup_loser_paths_equivalent(ray_session, monkeypatch):
         )
 
     got_broadcast = run()  # 49 losers → broadcast path
-    monkeypatch.setattr(dd, "_DEDUP_LOSER_BROADCAST_MAX", 1)
-    got_fallback = run()  # forced carry-rows fallback
+    monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", 0)
+    got_fallback = run()  # forced bucketed anti join
     want = sorted(ids[:300] + [300])  # first copy of the boilerplate wins
     assert got_broadcast == want
     assert got_fallback == want
+    assert gate_paths("exact_dedup") == ["broadcast", "bucketed"]
 
 
 def test_assign_clusters_nearest_centroid(ray_session):
@@ -913,12 +915,13 @@ def test_exact_dedup_value_exact_under_hash_collision(ray_session, monkeypatch):
     """ADVICE r3: a crafted (k1,k2) collision must NOT delete a distinct
     document. Force EVERY text onto one polynomial key and check
     SQL-value-dedup semantics on both identity paths: the default digest
-    mode (identity = SHA-256, poly hashes unused) and the carry-rows
-    fallback — including the key group that mixes a distinct winner text
-    with a duplicated loser text."""
+    mode (identity = SHA-256, poly hashes unused) and the bucketed
+    loser filter — including the key group that mixes a distinct winner
+    text with a duplicated loser text."""
     import ray.data
     from jsonld_ex_ray.ops import dedup as dd
     from jsonld_ex_ray.ops import hashing as hh
+    from jsonld_ex_ray.ops import joins
 
     def all_collide(col, s1, s2):
         n = len(col)
@@ -940,9 +943,9 @@ def test_exact_dedup_value_exact_under_hash_collision(ray_session, monkeypatch):
     # irrelevant, identity is the full SHA-256 carried in the key rows
     assert run() == want
 
-    # path 1: carry-rows fallback (mostly-duplicate corpus) — value
-    # identity regardless of mode; poly keys only route buckets
-    monkeypatch.setattr(dd, "_DEDUP_LOSER_BROADCAST_MAX", 0)
+    # path 1: bucketed loser filter (a zero broadcast budget, as for a
+    # mostly-duplicate corpus) — the same digest identity
+    monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", 0)
     assert run() == want
 
 
@@ -1004,12 +1007,13 @@ def test_floor_div_negative_epochs():
     assert secs == [-1, -3600, -3600, 7200]
 
 
-def test_tfidf_bucketed_matches_broadcast(ray_session):
-    """The open-vocabulary bucketed-join variant (forced via
-    max_broadcast_vocab=0 — no driver/object-store vocab object is
+def test_tfidf_bucketed_matches_broadcast(ray_session, monkeypatch, gate_paths):
+    """The open-vocabulary bucketed-join variant (forced via a zero
+    broadcast budget — no driver/object-store vocab object is
     built) must produce row-identical output to the broadcast variant,
     including raw-score ranking and lexicographic tie-breaks."""
     import ray.data
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.text import doc_top_tfidf
 
     rows = [
@@ -1033,7 +1037,9 @@ def test_tfidf_bucketed_matches_broadcast(ray_session):
         )
 
     a = run()
-    b = run(max_broadcast_vocab=0)
+    monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", 0)
+    b = run()
+    assert gate_paths("doc_top_tfidf") == ["broadcast", "bucketed"]
     assert list(a.doc_id) == list(b.doc_id)
     assert list(a.top_term) == list(b.top_term)
     assert np.allclose(a.tfidf, b.tfidf)
@@ -1043,12 +1049,13 @@ def test_tfidf_bucketed_matches_broadcast(ray_session):
     assert all(t.startswith("uniq") for t in tail.top_term)
 
 
-def test_tfidf_bucketed_duplicate_ids_per_row(ray_session):
+def test_tfidf_bucketed_duplicate_ids_per_row(ray_session, monkeypatch, gate_paths):
     """Duplicate doc_id values: BOTH variants emit one output row per
     physical input row (the bucketed path groups its argmax by an
     internal per-row tag, not by the id value), and each row's top term
     comes from its OWN text."""
     import ray.data
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.text import doc_top_tfidf
 
     rows = [
@@ -1067,7 +1074,9 @@ def test_tfidf_bucketed_duplicate_ids_per_row(ray_session):
         )
 
     a = run()
-    b = run(max_broadcast_vocab=0)
+    monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", 0)
+    b = run()
+    assert gate_paths("doc_top_tfidf") == ["broadcast", "bucketed"]
     assert len(a) == 3 and len(b) == 3
     assert list(a.doc_id) == list(b.doc_id)
     assert list(a.top_term) == list(b.top_term)

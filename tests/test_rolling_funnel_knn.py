@@ -89,7 +89,7 @@ def test_distinct_rows_and_anti_join(ray_session):
     import ray.data
 
     from jsonld_ex_ray.ops.agg import distinct_rows
-    from jsonld_ex_ray.ops.joins import anti_join_broadcast
+    from jsonld_ex_ray.ops.joins import filter_by_keys
 
     events = ray.data.read_parquet(
         f"{SF}/events.parquet", columns=["user_id", "event_type", "value"]
@@ -100,7 +100,7 @@ def test_distinct_rows_and_anti_join(ray_session):
 
     big = ray.data.read_parquet(f"{SF}/events.parquet", columns=["event_id", "user_id", "value"])
     small = events.filter(lambda r: r["event_type"] == "error" and r["value"] > 150.0)
-    got = anti_join_broadcast(big, small, big_on="user_id", small_on="user_id").to_pandas()
+    got = filter_by_keys(big, small, on="user_id", keys_on="user_id", anti=True).to_pandas()
     hot_users = set(df[(df.event_type == "error") & (df.value > 150.0)].user_id)
     want = df[~df.user_id.isin(hot_users)]
     assert 0 < len(want) < len(df)  # non-degenerate on this corpus
@@ -115,7 +115,7 @@ def test_pivot_agg_matches_pandas_crosstab(ray_session):
     ds = ray.data.read_parquet(f"{SF}/events.parquet", columns=["event_type", "user_id", "value"])
     got = pivot_agg(ds, "user_id", "event_type", "value", ["click", "view"], round_to=6)
     df = _events_df()
-    for _, row in got.head(20).iterrows():
+    for _, row in got.to_pandas().head(20).iterrows():
         sub = df[df.user_id == row.user_id]
         for t in ["click", "view"]:
             m = sub[sub.event_type == t]
@@ -421,7 +421,7 @@ def test_review_fixes_edge_cases(ray_session):
     import ray.data
 
     from jsonld_ex_ray.ops.agg import zscore_by_group
-    from jsonld_ex_ray.ops.joins import anti_join_broadcast
+    from jsonld_ex_ray.ops.joins import filter_by_keys
     from jsonld_ex_ray.ops.text import chunk_documents
 
     big = ray.data.from_arrow(
@@ -429,10 +429,10 @@ def test_review_fixes_edge_cases(ray_session):
     )
     # empty small side: NOT EXISTS keeps everything
     empty = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
-    assert anti_join_broadcast(big, empty, big_on="k", small_on="k").count() == 3
+    assert filter_by_keys(big, empty, on="k", keys_on="k", anti=True).count() == 3
     # null keys: a null small-side key matches nothing; null big rows survive
     nulls = ray.data.from_arrow(pa.table({"k": pa.array([2, None], pa.int64())}))
-    out = anti_join_broadcast(big, nulls, big_on="k", small_on="k").to_pandas()
+    out = filter_by_keys(big, nulls, on="k", keys_on="k", anti=True).to_pandas()
     assert sorted(out.x) == [1.0, 3.0]
 
     # constant group: SQL x/0 is NULL, never inf

@@ -352,14 +352,15 @@ def _share_oracle(df):
     return share
 
 
-def test_share_of_group_bucketed_matches_broadcast(ray_session):
-    """120k distinct groups — above the default broadcast gate, so the
-    stats must join back via the bucketed hash join with O(1) driver
-    state — against the pandas windowed-sum oracle; and a tiny-gate run
-    must agree with the broadcast path bit-for-bit."""
+def test_share_of_group_bucketed_matches_broadcast(ray_session, monkeypatch, gate_paths):
+    """120k distinct groups with the broadcast budget forced to zero, so
+    the stats must join back via the bucketed hash join with O(1) driver
+    state — against the pandas windowed-sum oracle."""
     import ray.data
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.agg import share_of_group
 
+    monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", 0)
     rng = np.random.RandomState(3)
     n = 360_000
     df = pd.DataFrame(
@@ -376,17 +377,19 @@ def test_share_of_group_bucketed_matches_broadcast(ray_session):
         .reset_index(drop=True)
     )
     assert len(out) == n
+    assert gate_paths("share_of_group") == ["bucketed"]
     want = np.round(_share_oracle(df), 6)
     got = out["share"].to_numpy()
     assert np.allclose(got, want, atol=1e-6, equal_nan=True)
 
 
-def test_share_and_zscore_paths_agree_with_null_keys(ray_session):
-    """Forcing the join-back path with a tiny gate must give the same
-    rows as the broadcast path — and on BOTH paths the NULL group key is
+def test_share_and_zscore_paths_agree_with_null_keys(ray_session, monkeypatch, gate_paths):
+    """Forcing the join-back path with a zero broadcast budget must give
+    the same rows as the broadcast path — and on BOTH paths the NULL group key is
     ONE real partition (SQL PARTITION BY parity): share over (9, 1) is
     0.9/0.1, z over (9, 1) is ±1."""
     import ray.data
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.agg import share_of_group, zscore_by_group
 
     tbl = pa.table(
@@ -403,12 +406,15 @@ def test_share_and_zscore_paths_agree_with_null_keys(ray_session):
         ds = ray.data.from_arrow(tbl).repartition(3)
         wide = fn(ds, "g", "v").to_pandas().sort_values("rid").reset_index(drop=True)
         ds = ray.data.from_arrow(tbl).repartition(3)
-        narrow = (
-            fn(ds, "g", "v", max_broadcast_groups=1)
-            .to_pandas()
-            .sort_values("rid")
-            .reset_index(drop=True)
-        )
+        with monkeypatch.context() as m:
+            m.setattr(joins, "_BROADCAST_MAX_BYTES", 0)
+            narrow = (
+                fn(ds, "g", "v")
+                .to_pandas()
+                .sort_values("rid")
+                .reset_index(drop=True)
+            )
+        assert gate_paths(fn.__name__) == ["broadcast", "bucketed"]
         assert np.allclose(
             wide[col].to_numpy(np.float64),
             narrow[col].to_numpy(np.float64),
@@ -419,9 +425,12 @@ def test_share_and_zscore_paths_agree_with_null_keys(ray_session):
             assert got == expect_null[col], (col, got)
 
 
-def test_zscore_bucketed_many_groups(ray_session):
+def test_zscore_bucketed_many_groups(ray_session, monkeypatch, gate_paths):
     import ray.data
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.agg import zscore_by_group
+
+    monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", 0)
 
     rng = np.random.RandomState(5)
     n = 330_000
@@ -438,6 +447,7 @@ def test_zscore_bucketed_many_groups(ray_session):
         .sort_values("rid")
         .reset_index(drop=True)
     )
+    assert gate_paths("zscore_by_group") == ["bucketed"]
     grp = df.groupby("g")["v"]
     mu = grp.transform("mean")
     sd = grp.transform(lambda x: x.std(ddof=0))
@@ -448,9 +458,9 @@ def test_zscore_bucketed_many_groups(ray_session):
 
 
 def test_pivot_agg_gate_returns_dataset_above(ray_session):
-    """pivot_agg stays a distributed Dataset above the gate (a
-    per-domain feature table must not land in driver memory) and an
-    identical pandas frame below it."""
+    """pivot_agg returns a distributed Dataset whatever the key count (a
+    per-domain feature table must not land in driver memory), equal to
+    a pandas groupby reference."""
     import ray.data
     from jsonld_ex_ray.ops.agg import pivot_agg
 
@@ -463,23 +473,20 @@ def test_pivot_agg_gate_returns_dataset_above(ray_session):
             "v": rng.uniform(0, 10, n),
         }
     )
-    small = pivot_agg(
-        ray.data.from_pandas(df).repartition(4), "k", "p", "v", ["a", "b"]
-    )
-    assert isinstance(small, pd.DataFrame)
-    big = pivot_agg(
-        ray.data.from_pandas(df).repartition(4),
-        "k",
-        "p",
-        "v",
-        ["a", "b"],
-        max_broadcast_groups=10,
-    )
-    assert not isinstance(big, pd.DataFrame)  # stays a Dataset
-    big_df = big.to_pandas().sort_values("k").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        small, big_df, check_dtype=False, check_exact=False, rtol=1e-9
-    )
+    for part in (df.head(50), df):  # few keys, many keys
+        got = pivot_agg(
+            ray.data.from_pandas(part).repartition(4), "k", "p", "v", ["a", "b"]
+        )
+        assert isinstance(got, ray.data.Dataset)
+        got = got.to_pandas().sort_values("k").reset_index(drop=True)
+        want = pd.DataFrame({"k": np.sort(part["k"].unique())})
+        for val in ("a", "b"):
+            hit = part[part["p"] == val].groupby("k")["v"]
+            want[f"n_{val}"] = want["k"].map(hit.size()).fillna(0).astype("int64")
+            want[f"sum_{val}"] = want["k"].map(hit.sum()).fillna(0.0).round(2)
+        pd.testing.assert_frame_equal(
+            got[want.columns.tolist()], want, check_dtype=False, check_exact=False, atol=1e-9
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +542,25 @@ def test_brute_force_dup_pairs_broadcast_guard(ray_session):
     tbl = pa.table(
         {"vec_id": [1, 2, 3], "embedding": pa.array([[1.0], [2.0], [3.0]], pa.list_(pa.float32()))}
     )
+    with pytest.raises(ValueError, match="broadcast guard"):
+        brute_force_dup_pairs(ray.data.from_arrow(tbl), max_broadcast_rows=2)
+
+
+def test_brute_force_dup_pairs_guard_refuses_before_gathering(ray_session, monkeypatch):
+    """The guard must fire on the row count, before any (id, embedding)
+    batch is pulled into driver memory."""
+    import ray.data
+
+    from jsonld_ex_ray.ops.similarity import brute_force_dup_pairs
+
+    tbl = pa.table(
+        {"vec_id": [1, 2, 3], "embedding": pa.array([[1.0], [2.0], [3.0]], pa.list_(pa.float32()))}
+    )
+
+    def no_gather(self, *a, **kw):
+        raise AssertionError("gathered the embeddings before checking the guard")
+
+    monkeypatch.setattr(ray.data.Dataset, "iter_batches", no_gather)
     with pytest.raises(ValueError, match="broadcast guard"):
         brute_force_dup_pairs(ray.data.from_arrow(tbl), max_broadcast_rows=2)
 
@@ -651,12 +677,13 @@ def test_set_op_union_matches_duckdb_incl_nulls(ray_session):
     )
 
 
-def test_filter_vs_group_mean_both_paths(ray_session):
+def test_filter_vs_group_mean_both_paths(ray_session, monkeypatch, gate_paths):
     """Correlated filter v < (1/2)·avg(v) per group: broadcast and
-    join-back (max_broadcast_groups=1) paths keep the identical row set;
+    join-back (zero broadcast budget) paths keep the identical row set;
     a NULL group key is one real partition; NULL values never pass."""
     import ray.data
 
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.agg import filter_vs_group_mean
 
     tbl = pa.table(
@@ -672,20 +699,22 @@ def test_filter_vs_group_mean_both_paths(ray_session):
         }
     )
     want_v = {("a", 1), ("a", 2), (None, 1)}
-    for mbg in (100_000, 1):
+    for mbg in (joins._BROADCAST_MAX_BYTES, 0):
+        monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", mbg)
         ds = ray.data.from_arrow(tbl).repartition(4)
         out = filter_vs_group_mean(
             ds, "g", "v", mult_num=1, mult_den=2, cmp="lt",
-            max_broadcast_groups=mbg, num_buckets=4,
+            num_buckets=4,
         ).to_pandas()
         got = {(None if pd.isna(g) else g, int(v)) for g, v in zip(out["g"], out["v"])}
         assert got == want_v, (mbg, got)
+    assert gate_paths("filter_vs_group_mean") == ["broadcast", "bucketed"]
 
 
 def test_gated_family_all_null_group_keys(ray_session):
     """Regression (review-found IndexError): when EVERY group key is
     NULL the non-null broadcast stats table is empty but batches aren't —
-    the shared _gated_lookup must fall back to the null_row scalars
+    the shared lookup must fall back to the null_row scalars
     instead of indexing an empty stats array. All three gated consumers
     must treat the NULL partition as one real group."""
     import ray.data
@@ -717,22 +746,24 @@ def test_gated_family_all_null_group_keys(ray_session):
     assert np.allclose(np.sort(z["z"].to_numpy(np.float64)), np.round(want, 6), atol=1e-6)
 
 
-def test_unigram_logprob_both_paths_match_oracle(ray_session):
+def test_unigram_logprob_both_paths_match_oracle(ray_session, monkeypatch, gate_paths):
     """Corpus-trained unigram LM score: broadcast and vocabulary-gated
     join-back paths both equal the DuckDB oracle bit-for-bit at sf0.001
     (single-space string_split tokenization parity, 6dp rounding)."""
     import ray.data
 
     import __ray_entry__ as entry
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.text import unigram_logprob
 
     want = _duckdb_oracle("doc_unigram_lp", SF0001, tables=("documents",))
     docs = ray.data.read_parquet(
         f"{SF0001}/documents.parquet", columns=["doc_id", "text"]
     )
-    for mbv in (100_000, 1):
+    for mbv in (joins._BROADCAST_MAX_BYTES, 0):
+        monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", mbv)
         got = (
-            unigram_logprob(docs, max_broadcast_vocab=mbv)
+            unigram_logprob(docs)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -740,6 +771,7 @@ def test_unigram_logprob_both_paths_match_oracle(ray_session):
         pd.testing.assert_frame_equal(
             got[["doc_id", "n_tokens", "mean_logprob"]], want, check_dtype=False
         )
+    assert gate_paths("unigram_logprob") == ["broadcast", "bucketed"]
 
 
 def test_group_first_last_null_order_keys_match_sql(ray_session):
@@ -870,13 +902,14 @@ def test_filter_vs_group_mean_matches_pandas_transform(ray_session):
         assert set(out["rid"]) == want, (cmp_name, len(out), int(keep.sum()))
 
 
-def test_unigram_logprob_duplicate_ids_merge_on_both_paths(ray_session):
+def test_unigram_logprob_duplicate_ids_merge_on_both_paths(ray_session, monkeypatch, gate_paths):
     """Regression (review-found gate divergence): duplicate doc_ids —
     e.g. md5(text) ids over byte-identical docs — must GROUP BY doc_id
     identically on the broadcast and join-back paths, matching the SQL
     oracle's aggregation."""
     import ray.data
 
+    from jsonld_ex_ray.ops import joins
     from jsonld_ex_ray.ops.text import unigram_logprob
 
     tbl = pa.table(
@@ -886,10 +919,11 @@ def test_unigram_logprob_duplicate_ids_merge_on_both_paths(ray_session):
         }
     )
     outs = []
-    for mbv in (100_000, 1):
+    for mbv in (joins._BROADCAST_MAX_BYTES, 0):
+        monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", mbv)
         ds = ray.data.from_arrow(tbl).repartition(2)
         out = (
-            unigram_logprob(ds, max_broadcast_vocab=mbv)
+            unigram_logprob(ds)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -898,6 +932,7 @@ def test_unigram_logprob_duplicate_ids_merge_on_both_paths(ray_session):
         assert out["n_tokens"].tolist() == [4, 1]
         outs.append(out)
     pd.testing.assert_frame_equal(outs[0], outs[1], check_dtype=False)
+    assert gate_paths("unigram_logprob") == ["broadcast", "bucketed"]
 
 
 def test_unigram_logprob_unique_ids_fast_path_identical(ray_session):

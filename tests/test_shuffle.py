@@ -113,3 +113,35 @@ def test_no_hand_written_bucket_shuffles():
     assert not stray, f"route these through ops/shuffle.bucketed: {stray}"
     # the guard itself still sees the allowed two-sided sites
     assert {f[:2] for f in found} == _TWO_SIDED
+
+
+# The one broadcast-or-bucketed budget lives in ops/joins.py; the only
+# other broadcast knob is a refusal guard, which chooses no path.
+_BROADCAST_GUARDS = {("ops/similarity.py", "brute_force_dup_pairs", "max_broadcast_rows")}
+
+
+def _broadcast_knobs(root: pathlib.Path):
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "ops/joins.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if arg.arg.startswith("max_broadcast_"):
+                        yield rel, node.name, arg.arg
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and "BROADCAST" in t.id:
+                        yield rel, None, t.id
+
+
+def test_one_broadcast_budget():
+    root = pathlib.Path(__file__).resolve().parents[1] / "jsonld_ex_ray"
+    found = set(_broadcast_knobs(root))
+    stray = found - _BROADCAST_GUARDS
+    assert not stray, f"decide broadcast vs bucketed through ops/joins.broadcast_side: {sorted(stray, key=str)}"
+    # the guard itself still sees the allowed refusal guard
+    assert found == _BROADCAST_GUARDS
