@@ -2,10 +2,11 @@
 
 ``entry()`` runs the flagship KG-construction pipeline over a deterministic
 synthetic source-repo corpus (BASELINE.json ``input_hint`` shape) sized for
-sf0.001. ``queries()`` exposes each implemented operator from SURVEY.md §2
-plus the training-data ops; SQL-expressible ones have a DuckDB oracle in
-``oracle_sql()`` with IDENTICAL column names; KG ops that SQL can't express
-are rows-only checks per the driver contract.
+sf0.001. Each ``_q_<name>`` function below is driver query ``<name>``,
+registered by ``@query``; SQL-expressible ones carry their DuckDB oracle in
+``@query(sql=...)`` with IDENTICAL column names, and KG ops that SQL can't
+express are rows-only checks. ``queries()`` and ``oracle_sql()`` are views
+over that one registry; ``_WINDOW`` names the 50 queries the driver checks.
 
 Ray is initialised by the driver BEFORE import: nothing here calls
 ``ray.init()`` / ``ray.shutdown()``.
@@ -14,69 +15,43 @@ Ray is initialised by the driver BEFORE import: nothing here calls
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Callable
 from typing import Any
 
-_CORPUS_CACHE: dict[tuple, str] = {}
+from jsonld_ex_ray import gen
+
+_QUERIES: dict[str, Callable[[str], Any]] = {}
+_ORACLES: dict[str, str | Callable[[], str]] = {}
+
+
+def query(fn: Callable | None = None, *, sql: str | Callable[[], str] | None = None):
+    """Register ``_q_<name>`` as driver query ``<name>``. ``sql`` is its
+    DuckDB oracle: a string, or a function that renders one where the SQL
+    reads a cached fixture (rendering builds the fixture)."""
+
+    def register(f):
+        name = f.__name__.removeprefix("_q_")
+        assert name not in _QUERIES, f"query {name!r} registered twice"
+        _QUERIES[name] = f
+        if sql is not None:
+            _ORACLES[name] = sql
+        return f
+
+    return register if fn is None else register(fn)
 
 
 def _corpus_for(sf_dir: str) -> str:
-    """Deterministic synthetic source-repo corpus sized by the sf of the
-    driver dir (sf0.001→400 files, sf0.01→4000, sf0.1→40000). Cached in
-    /tmp keyed by size; regenerating is seed-stable either way."""
-    import re
-
-    m = re.search(r"sf([0-9.]+)", sf_dir or "")
-    sf = float(m.group(1)) if m else 0.001
-    n = max(200, int(400_000 * sf))
-    key = (n, 42)
-    if key not in _CORPUS_CACHE:
-        # sharded directory: one Ray read task per file — a single-file
-        # corpus serializes the scan behind one reader
-        path = f"/tmp/jsonld_ex_ray_corpus_{n}_42_s16"
-        if not os.path.exists(path):
-            from jsonld_ex_ray.gen import write_corpus
-
-            write_corpus(path, n, seed=42, shards=16)
-        _CORPUS_CACHE[key] = path
-    return _CORPUS_CACHE[key]
+    """The cached synthetic corpus sized by the sf in the driver dir's
+    name (sf0.001 when it names none)."""
+    m = re.search(r"sf([0-9.]+)", sf_dir)
+    return gen.corpus_fixture(float(m.group(1)) if m else 0.001)
 
 
 def _read(sf_dir: str, table: str):
     import ray.data
 
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"))
-
-
-def _triples_parquet() -> str:
-    """Triples-of-the-fixed-corpus parquet (sf-independent, like
-    kg_lineage's input) — the shared input for the kg_dedup_check /
-    kg_subject_degree oracled queries: both their Ray side AND their
-    DuckDB oracle read THIS file, so the driver compares the
-    distributed dedup / materialize machinery against DuckDB's
-    DISTINCT / GROUP BY over the identical triple set (the extraction
-    that produced it is W3C-verified separately). Generated once
-    through the real pipeline (build_triples → triples_only), written
-    atomically (tmp dir + rename) so concurrent runs can't observe a
-    half-written table; ``queries()`` and ``oracle_sql()`` both ensure
-    it, so either driver call order is safe (Ray is initialised by the
-    driver before it calls either)."""
-    out = "/tmp/jsonld_ex_ray_triples_4000"
-    if os.path.exists(os.path.join(out, ".done")):
-        return out
-    from jsonld_ex_ray.pipeline import build_triples, triples_only
-
-    tmp = f"{out}.tmp.{os.getpid()}"
-    triples_only(build_triples(_corpus_for("sf0.01"))).write_parquet(tmp)
-    with open(os.path.join(tmp, ".done"), "w") as fh:
-        fh.write("ok")
-    try:
-        os.rename(tmp, out)
-    except OSError:  # lost the race: the other writer's table wins
-        import shutil
-
-        shutil.rmtree(tmp, ignore_errors=True)
-    return out
 
 
 def _read_spread(sf_dir: str, table: str, blocks: int = 32):
@@ -101,6 +76,85 @@ def entry() -> Any:
 # ---------------------------------------------------------------------------
 
 
+def _text_quality_sql() -> str:
+    """Generated from the SAME constants as ops/text.quality_score_batch
+    (both sides use RE2 regexes and identical float-op ordering)."""
+    from jsonld_ex_ray.ops.text import _STOPWORDS
+
+    stop_re = r"(?i)\b(" + "|".join(sorted(_STOPWORDS)) + r")\b"
+    return f"""
+        WITH f AS (
+          SELECT doc_id,
+                 CAST(length(text) AS DOUBLE) AS nc,
+                 CAST(len(regexp_extract_all(text, '\\S+')) AS DOUBLE) AS nw,
+                 CAST(len(regexp_extract_all(text, '\\S')) AS DOUBLE) AS nonspace,
+                 CAST(len(regexp_extract_all(text, '[^\\w\\s]')) AS DOUBLE) AS punct,
+                 CAST(len(regexp_extract_all(text, '{stop_re}')) AS DOUBLE) AS stops
+          FROM documents
+        ), r AS (
+          SELECT doc_id, nc,
+                 CASE WHEN nc > 0 THEN punct / nc ELSE 0.0 END AS pr,
+                 CASE WHEN nw > 0 THEN stops / nw ELSE 0.0 END AS sr,
+                 CASE WHEN nw > 0 THEN nonspace / nw ELSE 0.0 END AS mwl
+          FROM f
+        )
+        SELECT doc_id,
+               CAST(nc AS BIGINT) AS n_chars,
+               round(pr, 6) AS punct_ratio,
+               round(sr, 6) AS stopword_ratio,
+               round(mwl, 6) AS mean_word_len,
+               round((CASE WHEN nc < 32 OR nc > 100000 THEN 0.3 ELSE 1.0 END)
+                     * (CASE WHEN pr > 0.3 THEN 0.4 ELSE 1.0 END)
+                     * (CASE WHEN mwl < 2 OR mwl > 14 THEN 0.5 ELSE 1.0 END)
+                     * least(1.0, 0.5 + sr), 6) AS quality
+        FROM r
+        ORDER BY doc_id
+    """
+
+
+def _lang_id_sql() -> str:
+    """Generated from the SAME trigram tables as ops/text.lang_id_batch;
+    tie-break mirrors numpy argmax (first language in table order)."""
+    from jsonld_ex_ray.ops.text import _LANG_TRIGRAMS
+
+    langs = list(_LANG_TRIGRAMS)
+    hit_cols = []
+    for lang in langs:
+        terms = " + ".join(
+            f"(CASE WHEN contains(lower(text), '{tri}') THEN 1 ELSE 0 END)"
+            for tri in sorted(_LANG_TRIGRAMS[lang])
+        )
+        hit_cols.append(f"({terms}) AS h_{lang}")
+    h_list = ", ".join(f"h_{lang}" for lang in langs)
+    pred_chain = f"CASE WHEN greatest({h_list}) = 0 THEN 'und' "
+    for i, lang in enumerate(langs):
+        rest = [f"h_{lang} >= h_{o}" for o in langs[i + 1 :]]
+        cond = " AND ".join(rest) if rest else "TRUE"
+        pred_chain += f"WHEN {cond} THEN '{lang}' "
+    pred_chain += "END"
+    return f"""
+        WITH h AS (
+          SELECT doc_id, {", ".join(hit_cols)}
+          FROM documents
+        )
+        SELECT doc_id,
+               {pred_chain} AS lang_pred,
+               round(greatest({h_list}) / 10.0, 6) AS lang_conf
+        FROM h
+        ORDER BY doc_id
+    """
+
+
+@query(sql="""
+    SELECT l_returnflag, l_linestatus,
+           round(sum(l_quantity), 2) AS sum_qty,
+           round(sum(l_extendedprice), 2) AS sum_base_price,
+           round(avg(l_discount), 6) AS avg_disc,
+           count(*) AS count_order
+    FROM lineitem
+    GROUP BY l_returnflag, l_linestatus
+    ORDER BY l_returnflag, l_linestatus
+""")
 def _q_lineitem_agg(sf_dir: str):
     """Low-cardinality groupby: map-side partial aggregation (combiner)
     inside map_batches + tiny final combine — no sort-based shuffle."""
@@ -126,6 +180,12 @@ def _q_lineitem_agg(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT o_orderkey, o_custkey, o_totalprice
+    FROM orders
+    ORDER BY o_totalprice DESC, o_orderkey ASC
+    LIMIT 10
+""")
 def _q_top_orders(sf_dir: str):
     import ray.data
     from jsonld_ex_ray.ops.agg import topk
@@ -137,6 +197,14 @@ def _q_top_orders(sf_dir: str):
     return topk(ds, ["o_totalprice", "o_orderkey"], [True, False], 10)
 
 
+@query(sql="""
+    SELECT c_mktsegment,
+           count(*) AS n_orders,
+           round(sum(o_totalprice), 2) AS sum_price
+    FROM orders JOIN customer ON o_custkey = c_custkey
+    GROUP BY c_mktsegment
+    ORDER BY c_mktsegment
+""")
 def _q_orders_by_segment(sf_dir: str):
     """Broadcast join: small customer side shipped once via ray.put as an
     ARROW table and probed with vectorized ``pc.index_in`` + ``take``
@@ -174,6 +242,13 @@ def _q_orders_by_segment(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT strftime(ts, '%Y-%m-%d') AS day, event_type,
+           count(*) AS n, round(sum(value), 2) AS sum_value
+    FROM events
+    GROUP BY day, event_type
+    ORDER BY day, event_type
+""")
 def _q_events_window(sf_dir: str):
     """Daily per-event-type aggregate (event-stream rollup)."""
     import pyarrow as pa
@@ -197,6 +272,14 @@ def _q_events_window(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT o_orderpriority,
+           round(sum(l_extendedprice * (1 - l_discount)), 2) AS sum_revenue,
+           count(*) AS n_items
+    FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+    GROUP BY o_orderpriority
+    ORDER BY o_orderpriority
+""")
 def _q_revenue_by_priority(sf_dir: str):
     """Two LARGE sides (orders is a fact table, not a dimension): bucketed
     hash join — both sides stream, co-located by hash(orderkey) in one
@@ -241,6 +324,15 @@ def _q_revenue_by_priority(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT lang,
+           avg(n_chars) AS avg_chars,
+           max(n_chars) AS max_chars,
+           count(*) AS n_docs
+    FROM documents
+    GROUP BY lang
+    ORDER BY lang
+""")
 def _q_doc_stats_by_lang(sf_dir: str):
     from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
 
@@ -256,6 +348,13 @@ def _q_doc_stats_by_lang(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT user_id, round(sum(value), 2) AS total_value
+    FROM events
+    GROUP BY user_id
+    ORDER BY total_value DESC, user_id ASC
+    LIMIT 10
+""")
 def _q_events_top_users(sf_dir: str):
     """High-cardinality groupby: map-side arrow partials → ONE bounded
     bucket shuffle → vectorized per-bucket combine (never collects
@@ -272,6 +371,9 @@ def _q_events_top_users(sf_dir: str):
     return topk(per_user, ["total_value", "user_id"], [True, False], 10)
 
 
+@query(sql="""
+    SELECT count(DISTINCT user_id) AS n_distinct FROM events
+""")
 def _q_events_distinct_users(sf_dir: str):
     """Exact count-distinct: per-block unique (combiner) → one bounded
     bucket shuffle → per-bucket unique counts → tiny sum."""
@@ -282,6 +384,7 @@ def _q_events_distinct_users(sf_dir: str):
     return distinct_count(ds, "user_id")
 
 
+@query
 def _q_events_distinct_users_hll(sf_dir: str):
     """HyperLogLog sketch variant (the 100-TB shape: a few KB of
     registers per block, merged by max) — approximate, rows-only; the
@@ -293,6 +396,7 @@ def _q_events_distinct_users_hll(sf_dir: str):
     return approx_distinct_hll(ds, "user_id")
 
 
+@query
 def _q_events_hll_by_type(sf_dir: str):
     """Per-group HLL distinct-user counts (per-event-type audience
     size) — one bounded hash(group) shuffle of 4 KB register rows,
@@ -307,6 +411,11 @@ def _q_events_hll_by_type(sf_dir: str):
     return grouped_approx_distinct_hll(ds, "event_type", "user_id").sort("event_type")
 
 
+@query(sql="""
+    SELECT event_type, COUNT(DISTINCT user_id) AS n_exact,
+           TRUE AS within_bound
+    FROM events GROUP BY event_type ORDER BY event_type
+""")
 def _q_events_hll_check(sf_dir: str):
     """HLL accuracy contract as an ORACLED query: per-type HLL
     distinct-user estimates vs the engine's own exact bucketed distinct
@@ -345,6 +454,12 @@ def _q_events_hll_check(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT event_id,
+           CAST(json_extract_string(props, '$.k') AS BIGINT) AS k
+    FROM events
+    ORDER BY event_id
+""")
 def _q_events_props_extract(sf_dir: str):
     """JSON payload column parsing (vectorized per batch)."""
     import pyarrow as pa
@@ -368,6 +483,13 @@ def _q_events_props_extract(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT CAST(floor(epoch(ts) / 3600) * 3600 AS BIGINT) AS window_start,
+           count(*) AS n, round(sum(value), 2) AS sum_value
+    FROM events
+    GROUP BY window_start
+    ORDER BY window_start
+""")
 def _q_events_tumbling(sf_dir: str):
     """Event-time tumbling window (1h) aggregate."""
     import ray.data
@@ -381,6 +503,18 @@ def _q_events_tumbling(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT ws AS window_start, count(*) AS n, round(sum(value), 2) AS sum_value
+    FROM (
+      SELECT e.value,
+             CAST(floor(epoch(e.ts) / 1800) * 1800 - k.k * 1800 AS BIGINT) AS ws,
+             epoch(e.ts) AS t
+      FROM events e CROSS JOIN (VALUES (0), (1)) k(k)
+    )
+    WHERE t >= ws AND t < ws + 3600
+    GROUP BY ws
+    ORDER BY ws
+""")
 def _q_events_sliding(sf_dir: str):
     """Sliding window (1h window, 30m slide) aggregate — rows-only check
     (not ANSI-SQL-expressible without lateral unnest gymnastics)."""
@@ -395,6 +529,12 @@ def _q_events_sliding(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT round(quantile_cont(value, 0.25), 6) AS q25,
+           round(quantile_cont(value, 0.50), 6) AS q50,
+           round(quantile_cont(value, 0.90), 6) AS q90
+    FROM events
+""")
 def _q_events_value_quantiles(sf_dir: str):
     """Exact quantile_cont without a global sort: histogram-refinement in
     three streaming passes; only the target bins' values reach the
@@ -406,6 +546,34 @@ def _q_events_value_quantiles(sf_dir: str):
     return exact_quantiles(ds, "value", [0.25, 0.5, 0.9])
 
 
+@query(sql="""
+    WITH flags AS (
+      SELECT user_id, ts,
+             CASE WHEN lag(ts) OVER w IS NULL
+                  OR epoch(ts) - epoch(lag(ts) OVER w) > 1800
+                  THEN 1 ELSE 0 END AS new_session
+      FROM events
+      WINDOW w AS (PARTITION BY user_id ORDER BY ts)
+    ), sessions AS (
+      SELECT user_id, ts,
+             sum(new_session) OVER (
+               PARTITION BY user_id ORDER BY ts
+               ROWS UNBOUNDED PRECEDING
+             ) AS session_seq
+      FROM flags
+    )
+    SELECT user_id,
+           -- DuckDB windowed sum over INTEGER is HUGEINT, which
+           -- pandas fetches as float64 (1.0 != 1 under the
+           -- driver's value hash) — cast back to BIGINT.
+           CAST(session_seq AS BIGINT) AS session_seq,
+           count(*) AS n_events,
+           CAST(epoch_us(min(ts)) AS BIGINT) AS session_start_us,
+           CAST(epoch_us(max(ts)) AS BIGINT) AS session_end_us
+    FROM sessions
+    GROUP BY user_id, session_seq
+    ORDER BY user_id, session_seq
+""")
 def _q_events_sessions(sf_dir: str):
     """Gap-based sessionization (30-minute inactivity gap): one bounded
     shuffle on hash(user), vectorized sort+diff+cumsum per bucket.
@@ -439,6 +607,15 @@ def _q_events_sessions(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT e.event_id, l.view_ts
+    FROM events e
+    ASOF LEFT JOIN (
+        SELECT user_id AS u, ts AS view_ts
+        FROM events WHERE event_type = 'view'
+    ) l ON e.user_id = l.u AND e.ts > l.view_ts
+    ORDER BY e.event_id
+""")
 def _q_events_asof_view(sf_dir: str):
     """As-of join with TWO large sides: the right side ('view' events) is
     a filtered subset of the same big table, derived as a streaming Ray
@@ -481,6 +658,14 @@ def _q_events_asof_view(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT e.event_id, b.band
+    FROM events e
+    LEFT JOIN (VALUES (0.0, 5.0, 'low'), (5.0, 20.0, 'mid'), (20.0, 1e9, 'high'))
+         b(lo, hi, band)
+      ON e.value >= b.lo AND e.value < b.hi
+    ORDER BY e.event_id
+""")
 def _q_events_value_bands(sf_dir: str):
     """Range join: event value → [lo, hi) band, broadcast + searchsorted."""
     import pyarrow as pa
@@ -501,6 +686,14 @@ def _q_events_value_bands(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT doc_id,
+           CASE WHEN md5(CAST(doc_id AS VARCHAR)) < 'c0' THEN 'train'
+                WHEN md5(CAST(doc_id AS VARCHAR)) < 'e0' THEN 'val'
+                ELSE 'test' END AS split
+    FROM documents
+    ORDER BY doc_id
+""")
 def _q_doc_splits(sf_dir: str):
     """Deterministic train/val/test assignment by md5(doc_id)."""
     import pyarrow as pa
@@ -516,6 +709,15 @@ def _q_doc_splits(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT doc_id, text, lang, source, n_chars FROM (
+      SELECT *, row_number() OVER (
+          PARTITION BY lang ORDER BY md5(CAST(doc_id AS VARCHAR))
+      ) AS rn
+      FROM documents
+    ) WHERE rn <= 40
+    ORDER BY doc_id
+""")
 def _q_doc_sample_per_lang(sf_dir: str):
     """Deterministic stratified sample: 40 docs per lang by md5(doc_id)."""
     from jsonld_ex_ray.ops.agg import sample_per_group
@@ -525,6 +727,13 @@ def _q_doc_sample_per_lang(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT doc_id, text, lang, source, n_chars FROM (
+      SELECT *, row_number() OVER (PARTITION BY text ORDER BY doc_id) AS rn
+      FROM documents
+    ) WHERE rn = 1
+    ORDER BY doc_id
+""")
 def _q_doc_dedup_exact(sf_dir: str):
     from jsonld_ex_ray.ops.dedup import exact_dedup
 
@@ -532,6 +741,9 @@ def _q_doc_dedup_exact(sf_dir: str):
     return exact_dedup(ds).sort("doc_id")
 
 
+@query(sql="""
+    SELECT doc_id, md5(text) AS fp_md5 FROM documents ORDER BY doc_id
+""")
 def _q_doc_fingerprint(sf_dir: str):
     import pyarrow as pa
     from jsonld_ex_ray.ops.text import fingerprint_batch
@@ -545,6 +757,10 @@ def _q_doc_fingerprint(sf_dir: str):
     return ds.map_batches(md5_only, batch_format="pyarrow", zero_copy_batch=True).sort("doc_id")
 
 
+@query(sql="""
+    SELECT doc_id, len(string_split(text, ' ')) AS n_tokens_ws
+    FROM documents ORDER BY doc_id
+""")
 def _q_token_counts(sf_dir: str):
     import pyarrow as pa
     from jsonld_ex_ray.ops.text import token_count_batch
@@ -557,6 +773,7 @@ def _q_token_counts(sf_dir: str):
     return ds.map_batches(ws_only, batch_format="pyarrow", zero_copy_batch=True).sort("doc_id")
 
 
+@query(sql=_text_quality_sql)
 def _q_text_quality(sf_dir: str):
     from jsonld_ex_ray.ops.text import quality_score_batch
 
@@ -566,6 +783,13 @@ def _q_text_quality(sf_dir: str):
     ).sort("doc_id")
 
 
+@query(sql=lambda: f"""
+    WITH q AS ({_text_quality_sql()})
+    SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
+    FROM documents d JOIN q ON d.doc_id = q.doc_id
+    WHERE q.quality >= 0.51
+    ORDER BY d.doc_id
+""")
 def _q_doc_quality_filter(sf_dir: str):
     """Quality gate: keep documents whose composite quality score clears
     0.51 (the corpus floor is exactly 0.5, so this threshold actually
@@ -576,6 +800,31 @@ def _q_doc_quality_filter(sf_dir: str):
     return filter_quality(_read(sf_dir, "documents"), min_quality=0.51).sort("doc_id")
 
 
+@query(sql="""
+    WITH words AS (
+      SELECT doc_id, w
+      FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
+      WHERE len(w) > 0
+    ),
+    per_word AS (
+      SELECT doc_id, w, count(*) AS cnt FROM words GROUP BY doc_id, w
+    ),
+    agg AS (
+      SELECT doc_id,
+             CAST(sum(cnt) AS BIGINT) AS n_words,
+             CAST(count(*) AS BIGINT) AS n_distinct,
+             CAST(max(cnt) AS BIGINT) AS top_cnt
+      FROM per_word GROUP BY doc_id
+    )
+    SELECT d.doc_id,
+           COALESCE(a.n_words, 0) AS n_words,
+           round((COALESCE(a.n_words, 0) - COALESCE(a.n_distinct, 0))
+                 / GREATEST(COALESCE(a.n_words, 0), 1), 6) AS dup_word_frac,
+           round(COALESCE(a.top_cnt, 0)
+                 / GREATEST(COALESCE(a.n_words, 0), 1), 6) AS top_word_frac
+    FROM documents d LEFT JOIN agg a ON d.doc_id = a.doc_id
+    ORDER BY d.doc_id
+""")
 def _q_doc_repetition(sf_dir: str):
     """Gopher-style repetition signals per document (dup-word and
     top-word fractions), oracle-checked against the same word-frequency
@@ -588,6 +837,30 @@ def _q_doc_repetition(sf_dir: str):
     ).sort("doc_id")
 
 
+@query(sql="""
+    WITH words AS (
+      SELECT doc_id, w
+      FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
+      WHERE len(w) > 0
+    ),
+    per_word AS (
+      SELECT doc_id, w, count(*) AS cnt FROM words GROUP BY doc_id, w
+    ),
+    agg AS (
+      SELECT doc_id,
+             CAST(sum(cnt) AS BIGINT) AS n_words,
+             CAST(count(*) AS BIGINT) AS n_distinct,
+             CAST(max(cnt) AS BIGINT) AS top_cnt
+      FROM per_word GROUP BY doc_id
+    )
+    SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
+    FROM documents d LEFT JOIN agg a ON d.doc_id = a.doc_id
+    WHERE round((COALESCE(a.n_words, 0) - COALESCE(a.n_distinct, 0))
+                / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.62
+      AND round(COALESCE(a.top_cnt, 0)
+                / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.12
+    ORDER BY d.doc_id
+""")
 def _q_doc_repetition_filter(sf_dir: str):
     """Repetition gate (Gopher rules): drop documents whose duplicate-word
     fraction exceeds 0.62 or whose single most frequent word covers more
@@ -600,6 +873,37 @@ def _q_doc_repetition_filter(sf_dir: str):
     ).sort("doc_id")
 
 
+@query(sql="""
+    WITH docs2 AS (
+      SELECT doc_id,
+             CASE WHEN md5(CAST(doc_id AS VARCHAR)) < 'c0' THEN 'train'
+                  WHEN md5(CAST(doc_id AS VARCHAR)) < 'e0' THEN 'val'
+                  ELSE 'test' END AS split,
+             list_filter(string_split_regex(text, '\\s+'),
+                         w -> len(w) > 0) AS ws
+      FROM documents
+    ),
+    grams AS (
+      SELECT doc_id, split,
+             array_to_string(ws[CAST(i.g AS BIGINT):CAST(i.g + 4 AS BIGINT)], ' ') AS gram
+      FROM docs2, unnest(range(1, len(ws) - 3)) AS i(g)
+      WHERE len(ws) >= 5
+    ),
+    test_grams AS (SELECT DISTINCT gram FROM grams WHERE split = 'test'),
+    hits AS (
+      SELECT g.doc_id, CAST(count(*) AS BIGINT) AS n_hits
+      FROM grams g JOIN test_grams t ON g.gram = t.gram
+      WHERE g.split = 'train'
+      GROUP BY g.doc_id
+    )
+    SELECT d.doc_id,
+           CAST(CASE WHEN len(d.ws) >= 5 THEN len(d.ws) - 4 ELSE 0 END AS BIGINT) AS n_ngrams,
+           COALESCE(h.n_hits, CAST(0 AS BIGINT)) AS n_contaminated,
+           COALESCE(h.n_hits, 0) >= 1 AS contaminated
+    FROM docs2 d LEFT JOIN hits h ON d.doc_id = h.doc_id
+    WHERE d.split = 'train'
+    ORDER BY d.doc_id
+""")
 def _q_decontaminate(sf_dir: str):
     """Cross-split decontamination: flag train-split documents sharing any
     word 5-gram with the (deterministically assigned) test split —
@@ -613,6 +917,15 @@ def _q_decontaminate(sf_dir: str):
     return decontaminate(train, test, ngram=5).sort("doc_id")
 
 
+@query(sql="""
+    SELECT event_id, user_id, event_type, value
+    FROM events
+    WHERE user_id IN (
+      SELECT DISTINCT user_id FROM events
+      WHERE event_type = 'error' AND value > 150.0
+    )
+    ORDER BY event_id
+""")
 def _q_events_bloom_semi(sf_dir: str):
     """Semi-join via Bloom prefilter + exact verify (the at-scale
     broadcast pattern: a 10⁹-key side broadcasts ~1.2 GB of bloom bits
@@ -660,6 +973,15 @@ def _q_events_bloom_semi(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT event_id, user_id, value,
+           CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
+           round(sum(value) OVER (
+             PARTITION BY user_id ORDER BY ts, event_id
+           ), 2) AS running_sum
+    FROM events
+    ORDER BY event_id
+""")
 def _q_events_running_total(sf_dir: str):
     """Per-user cumulative value in (ts, event_id) order — the per-key
     ordered scan: one bounded hash(user) shuffle, segmented cumsum per
@@ -673,6 +995,15 @@ def _q_events_running_total(sf_dir: str):
     ).sort("event_id")
 
 
+@query(sql="""
+    SELECT event_id, user_id, value,
+           CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
+           lag(value, 1) OVER (
+             PARTITION BY user_id ORDER BY ts, event_id
+           ) AS prev_value
+    FROM events
+    ORDER BY event_id
+""")
 def _q_events_lag(sf_dir: str):
     """Per-user LAG(value) in (ts, event_id) order — SQL's per-partition
     previous-row fetch: one bounded hash(user) shuffle, vectorized sort
@@ -686,6 +1017,20 @@ def _q_events_lag(sf_dir: str):
     ).sort("event_id")
 
 
+@query(sql="""
+    SELECT l_orderkey,
+           round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
+           CAST(epoch(o_orderdate) AS BIGINT) AS od_s
+    FROM customer
+    JOIN orders ON c_custkey = o_custkey
+    JOIN lineitem ON l_orderkey = o_orderkey
+    WHERE c_mktsegment = 'BUILDING'
+      AND o_orderdate < TIMESTAMP '1998-06-01'
+      AND l_shipdate > TIMESTAMP '1998-06-01'
+    GROUP BY l_orderkey, o_orderdate
+    ORDER BY revenue DESC, l_orderkey
+    LIMIT 10
+""")
 def _q_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape: dimension (filtered customers) broadcast as a
     semi-join set — no shuffle for the small side; the two FACT tables
@@ -751,6 +1096,44 @@ def _q_shipping_priority(sf_dir: str):
     return topk(agg, ["revenue", "l_orderkey"], [True, False], 10)
 
 
+@query(sql=lambda: f"""
+    WITH words AS (
+      SELECT doc_id, w
+      FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
+      WHERE len(w) > 0
+    ),
+    per_word AS (
+      SELECT doc_id, w, count(*) AS cnt FROM words GROUP BY doc_id, w
+    ),
+    rep AS (
+      SELECT doc_id,
+             CAST(sum(cnt) AS BIGINT) AS n_words,
+             CAST(count(*) AS BIGINT) AS n_distinct,
+             CAST(max(cnt) AS BIGINT) AS top_cnt
+      FROM per_word GROUP BY doc_id
+    ),
+    kept AS (
+      SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
+      FROM documents d
+      JOIN ({_text_quality_sql()}) q ON d.doc_id = q.doc_id
+      LEFT JOIN rep a ON d.doc_id = a.doc_id
+      WHERE q.quality >= 0.51
+        AND round((COALESCE(a.n_words, 0) - COALESCE(a.n_distinct, 0))
+                  / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.62
+        AND round(COALESCE(a.top_cnt, 0)
+                  / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.12
+    ),
+    dd AS (
+      SELECT *, row_number() OVER (PARTITION BY text ORDER BY doc_id) AS rn
+      FROM kept
+    )
+    SELECT doc_id, text, lang, source, n_chars,
+           CASE WHEN md5(CAST(doc_id AS VARCHAR)) < 'c0' THEN 'train'
+                WHEN md5(CAST(doc_id AS VARCHAR)) < 'e0' THEN 'val'
+                ELSE 'test' END AS split
+    FROM dd WHERE rn = 1
+    ORDER BY doc_id
+""")
 def _q_corpus_clean(sf_dir: str):
     """Flagship training-data cleaning chain (quality gate → Gopher
     repetition gate → exact dedup → split assignment), one lazy Dataset;
@@ -761,6 +1144,7 @@ def _q_corpus_clean(sf_dir: str):
     return clean_corpus(_read(sf_dir, "documents")).sort("doc_id")
 
 
+@query
 def _q_emb_clusters(sf_dir: str):
     """Corpus clustering over embeddings: centroids fit on a
     deterministic sample, broadcast, one streaming assignment pass.
@@ -774,6 +1158,23 @@ def _q_emb_clusters(sf_dir: str):
     return assign_clusters(ds).sort("vec_id")
 
 
+@query(sql="""
+    WITH lines AS (
+      SELECT doc_id, CAST(i.g AS BIGINT) AS line_no, ws[CAST(i.g AS BIGINT)] AS ln
+      FROM (SELECT doc_id, string_split(text, chr(10)) AS ws FROM documents),
+           unnest(range(1, len(ws) + 1)) AS i(g)
+    ),
+    win AS (
+      SELECT ln, min(doc_id * 4294967296 + line_no) AS w
+      FROM lines GROUP BY ln
+    )
+    SELECT l.doc_id,
+           string_agg(l.ln, chr(10) ORDER BY l.line_no) AS text
+    FROM lines l JOIN win ON l.ln = win.ln
+         AND l.doc_id * 4294967296 + l.line_no = win.w
+    GROUP BY l.doc_id
+    ORDER BY l.doc_id
+""")
 def _q_dedup_lines(sf_dir: str):
     """C4-style corpus-global line dedup: each distinct line survives
     only at its first (doc_id, line_no) occurrence; docs rebuilt from
@@ -783,6 +1184,18 @@ def _q_dedup_lines(sf_dir: str):
     return dedup_lines(_read(sf_dir, "documents")).sort("doc_id")
 
 
+@query(sql="""
+    SELECT event_type, user_id, sum_value FROM (
+      SELECT event_type, user_id,
+             round(sum(value), 2) AS sum_value,
+             row_number() OVER (
+               PARTITION BY event_type
+               ORDER BY round(sum(value), 2) DESC, user_id
+             ) AS rn
+      FROM events GROUP BY event_type, user_id
+    ) WHERE rn <= 3
+    ORDER BY event_type, user_id
+""")
 def _q_events_top_per_type(sf_dir: str):
     """Grouped leaderboard: top-3 users per event_type by total value —
     one bucketed (type,user) aggregate, per-block top-k prefilter, tiny
@@ -795,6 +1208,22 @@ def _q_events_top_per_type(sf_dir: str):
     ).sort(["event_type", "user_id"])
 
 
+@query(sql="""
+    WITH t AS (
+      SELECT doc_id, CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens_ws
+      FROM documents
+    ),
+    s AS (
+      SELECT doc_id, n_tokens_ws,
+             COALESCE(sum(n_tokens_ws) OVER (
+               ORDER BY doc_id
+               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
+             ), 0) AS pre
+      FROM t
+    )
+    SELECT doc_id, n_tokens_ws, CAST(pre // 2048 AS BIGINT) AS pack_id
+    FROM s ORDER BY doc_id
+""")
 def _q_doc_packing(sf_dir: str):
     """Fixed-budget sequence packing: whitespace token counts → one
     distributed exclusive prefix-sum in doc_id order → pack_id =
@@ -809,6 +1238,31 @@ def _q_doc_packing(sf_dir: str):
     return pack_sequences(toks, "n_tokens_ws", "doc_id", budget=2048).sort("doc_id")
 
 
+@query(sql="""
+    WITH words AS (
+      SELECT doc_id, w
+      FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
+      WHERE len(w) > 0
+    ),
+    tf AS (SELECT doc_id, w, count(*) AS c FROM words GROUP BY doc_id, w),
+    nw AS (SELECT doc_id, CAST(sum(c) AS DOUBLE) AS n FROM tf GROUP BY doc_id),
+    df AS (SELECT w, CAST(count(DISTINCT doc_id) AS DOUBLE) AS d
+           FROM words GROUP BY w),
+    nd AS (SELECT CAST(count(*) AS DOUBLE) AS n_docs FROM documents)
+    SELECT doc_id, w AS top_term, round((c / n) * ln(n_docs / d), 6) AS tfidf
+    FROM (
+      SELECT tf.doc_id, tf.w, tf.c, nw.n, df.d, nd.n_docs,
+             row_number() OVER (
+               PARTITION BY tf.doc_id
+               ORDER BY (tf.c / nw.n) * ln(nd.n_docs / df.d) DESC, tf.w
+             ) AS rn
+      FROM tf JOIN nw ON tf.doc_id = nw.doc_id
+              JOIN df ON tf.w = df.w
+              CROSS JOIN nd
+    )
+    WHERE rn = 1
+    ORDER BY doc_id
+""")
 def _q_doc_top_tfidf(sf_dir: str):
     """Per-document top TF-IDF term: DF table via one bounded bucket
     shuffle, vocabulary broadcast once, one scoring stream over docs."""
@@ -817,6 +1271,21 @@ def _q_doc_top_tfidf(sf_dir: str):
     return doc_top_tfidf(_read(sf_dir, "documents")).sort("doc_id")
 
 
+@query(sql="""
+    WITH toks AS (
+      SELECT list_filter(string_split_regex(text, '\\s+'),
+                         w -> len(w) > 0) AS ws
+      FROM documents
+    ),
+    grams AS (
+      SELECT array_to_string(ws[CAST(i.g AS BIGINT):CAST(i.g + 1 AS BIGINT)], ' ') AS gram
+      FROM toks, unnest(range(1, len(ws))) AS i(g)
+      WHERE len(ws) >= 2
+    )
+    SELECT gram, CAST(count(*) AS BIGINT) AS cnt
+    FROM grams GROUP BY gram
+    ORDER BY cnt DESC, gram LIMIT 20
+""")
 def _q_top_bigrams(sf_dir: str):
     """Global top-20 word bigrams of the corpus: per-batch value_counts
     combiner -> one bounded bucket shuffle -> per-block top-k survivors."""
@@ -825,6 +1294,20 @@ def _q_top_bigrams(sf_dir: str):
     return top_ngrams(_read(sf_dir, "documents"), n=2, k=20)
 
 
+@query(sql="""
+    SELECT c_custkey, c_name,
+           regexp_replace(regexp_replace(regexp_replace(
+             'cust ' || CAST(c_custkey AS VARCHAR) || ': user'
+               || CAST(c_custkey AS VARCHAR) || '@mail.example ip 10.'
+               || CAST(c_nationkey AS VARCHAR) || '.0.'
+               || CAST(c_custkey % 256 AS VARCHAR)
+               || ' tel 40-555-'
+               || lpad(CAST(c_custkey % 1000 AS VARCHAR), 3, '0') || '-0042',
+             '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}', '<EMAIL>', 'g'),
+             '\\b\\d{2,4}[- .]\\d{3}[- .]\\d{3}[- .]\\d{4}\\b', '<PHONE>', 'g'),
+             '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b', '<IP>', 'g') AS contact
+    FROM customer ORDER BY c_custkey
+""")
 def _q_customer_redact(sf_dir: str):
     """PII redaction: the synthetic customer table carries no contact
     column, so the query derives one deterministically from the keys
@@ -872,6 +1355,7 @@ def _q_customer_redact(sf_dir: str):
     return redact_pii(ds, ["contact"]).sort("c_custkey").drop_columns(["c_nationkey"])
 
 
+@query(sql=_lang_id_sql)
 def _q_lang_id(sf_dir: str):
     from jsonld_ex_ray.ops.text import lang_id_batch
 
@@ -881,18 +1365,21 @@ def _q_lang_id(sf_dir: str):
     )
 
 
+@query
 def _q_dedup_minhash(sf_dir: str):
     from jsonld_ex_ray.ops.dedup import minhash_lsh_duplicates
 
     return minhash_lsh_duplicates(_read_spread(sf_dir, "documents")).sort("doc_id")
 
 
+@query
 def _q_dedup_simhash(sf_dir: str):
     from jsonld_ex_ray.ops.dedup import simhash_duplicates
 
     return simhash_duplicates(_read_spread(sf_dir, "documents")).sort("doc_id")
 
 
+@query
 def _q_jaccard_pairs(sf_dir: str):
     from jsonld_ex_ray.ops.dedup import ngram_jaccard_pairs
 
@@ -901,6 +1388,14 @@ def _q_jaccard_pairs(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT vec_id,
+           round(list_cosine_similarity(CAST(embedding AS DOUBLE[]),
+                 (SELECT CAST(embedding AS DOUBLE[]) FROM embeddings LIMIT 1)), 4) AS sim
+    FROM embeddings
+    ORDER BY sim DESC, vec_id ASC
+    LIMIT 10
+""")
 def _q_ann_topk(sf_dir: str):
     from jsonld_ex_ray.ops.similarity import brute_force_topk
 
@@ -908,6 +1403,7 @@ def _q_ann_topk(sf_dir: str):
     return brute_force_topk(_read(sf_dir, "embeddings"), q, k=10)
 
 
+@query
 def _q_ann_ivf(sf_dir: str):
     """Centroids are fitted on a BOUNDED ds.limit() sample and broadcast;
     the corpus itself never leaves the Dataset (no driver-side read)."""
@@ -920,6 +1416,7 @@ def _q_ann_ivf(sf_dir: str):
     return ivf_topk(_read(sf_dir, "embeddings"), sample[0], cents, k=10, nprobe=8)
 
 
+@query
 def _q_ann_recall(sf_dir: str):
     """IVF quality metric: recall@10 of the pruned search vs the exact
     brute-force top-10, averaged over 20 query vectors — one streaming
@@ -935,6 +1432,11 @@ def _q_ann_recall(sf_dir: str):
     return ivf_recall_at_k(_read(sf_dir, "embeddings"), queries, cents, k=10, nprobe=8)
 
 
+@query(sql="""
+    SELECT CAST(LEAST(20, (SELECT COUNT(*) FROM embeddings)) AS BIGINT)
+             AS n_queries,
+           TRUE AS recall_ok
+""")
 def _q_ann_recall_check(sf_dir: str):
     """IVF quality contract as an ORACLED query: mean recall@10 of the
     nprobe=8/16 pruned search vs exact brute force over 20 query vectors
@@ -962,12 +1464,22 @@ def _q_ann_recall_check(sf_dir: str):
     )
 
 
+@query
 def _q_emb_dups(sf_dir: str):
     from jsonld_ex_ray.ops.similarity import embedding_cosine_duplicates
 
     return embedding_cosine_duplicates(_read(sf_dir, "embeddings"), threshold=0.99)
 
 
+@query(sql="""
+    WITH e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS emb
+               FROM embeddings)
+    SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b,
+           round(list_cosine_similarity(a.emb, b.emb), 4) AS sim
+    FROM e a JOIN e b ON a.vec_id < b.vec_id
+    WHERE list_cosine_similarity(a.emb, b.emb) >= 0.42
+    ORDER BY vec_id_a, vec_id_b
+""")
 def _q_emb_dup_pairs(sf_dir: str):
     """EXACT all-pairs cosine near-dup baseline (oracled): the recall
     anchor for the centroid-bucketed emb_dups. Broadcast-side contract
@@ -977,6 +1489,7 @@ def _q_emb_dup_pairs(sf_dir: str):
     return brute_force_dup_pairs(_read(sf_dir, "embeddings"), threshold=0.42)
 
 
+@query
 def _q_media_features(sf_dir: str):
     import ray.data
     from jsonld_ex_ray.ops.multimodal import decode_media, synth_media_table
@@ -985,6 +1498,7 @@ def _q_media_features(sf_dir: str):
     return decode_media(ds).sort("media_id")
 
 
+@query
 def _q_media_resize(sf_dir: str):
     """Image resize stage: stdlib PNG decode → numpy bilinear kernel →
     PNG re-encode, actor pool with small binary batches; codec-less
@@ -996,23 +1510,29 @@ def _q_media_resize(sf_dir: str):
     return resize_images(ds, target_size=(32, 32)).sort("media_id")
 
 
+@query(sql=lambda: f"""
+    SELECT repo, path, "commit",
+           sha256(content) AS content_sha256
+    FROM read_parquet('{gen.corpus_fixture(0.01)}/*.parquet')
+    ORDER BY repo, path
+""")
 def _q_kg_lineage(sf_dir: str):
     """Per-file lineage digest audit — the north-rule's per-row
     content-sha256 invariant as a DRIVER-CHECKED oracle. Runs over the
     FIXED 4000-file corpus regardless of sf (like the media queries'
-    synthetic input) so the static SQL oracle can read the same parquet;
-    ``queries()`` / ``oracle_sql()`` both ensure the corpus exists
-    before the driver runs either side. The Ray side uses the engine's
-    vectorized sha kernel (ops/hashing.sha256_hex — DuckDB C kernel per
-    batch); a pytest pins it byte-equal to the hashlib digest the
-    extraction stage mints (stages/extract.py), so this audit checks
-    the pipeline's lineage definition, not a lookalike."""
+    synthetic input) so the SQL oracle can read the same parquet; the
+    query and its oracle each build the corpus when first used. The Ray
+    side uses the engine's vectorized sha kernel (ops/hashing.sha256_hex
+    — DuckDB C kernel per batch); a pytest pins it byte-equal to the
+    hashlib digest the extraction stage mints (stages/extract.py), so
+    this audit checks the pipeline's lineage definition, not a
+    lookalike."""
     import pyarrow as pa
     import ray.data
 
     from jsonld_ex_ray.ops.hashing import sha256_hex
 
-    corpus = _corpus_for("sf0.01")
+    corpus = gen.corpus_fixture(0.01)
 
     def lineage(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1029,6 +1549,10 @@ def _q_kg_lineage(sf_dir: str):
     ).map_batches(lineage, batch_format="pyarrow", zero_copy_batch=True)
 
 
+@query(sql=lambda: f"""
+    SELECT DISTINCT graph, subj, pred, obj, obj_datatype, obj_lang
+    FROM read_parquet('{gen.triples_fixture()}/*.parquet')
+""")
 def _q_kg_dedup_check(sf_dir: str):
     """The distributed exact-dedup machinery (map-side combine + ONE
     hash(triple)-bucketed shuffle + vectorized value-exact first
@@ -1040,12 +1564,17 @@ def _q_kg_dedup_check(sf_dir: str):
 
     from jsonld_ex_ray.pipeline import dedup_triples
 
-    ds = ray.data.read_parquet(_triples_parquet())
+    ds = ray.data.read_parquet(gen.triples_fixture())
     return dedup_triples(ds).select_columns(
         ["graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
     )
 
 
+@query(sql=lambda: f"""
+    SELECT subj, count(*) AS degree
+    FROM read_parquet('{gen.triples_fixture()}/*.parquet')
+    GROUP BY subj
+""")
 def _q_kg_subject_degree(sf_dir: str):
     """materialize_graph's per-subject degree vs DuckDB GROUP BY count
     over the same triples parquet (VERDICT r4's 'degree table is
@@ -1056,7 +1585,7 @@ def _q_kg_subject_degree(sf_dir: str):
 
     from jsonld_ex_ray.pipeline import materialize_graph
 
-    ds = ray.data.read_parquet(_triples_parquet())
+    ds = ray.data.read_parquet(gen.triples_fixture())
     return materialize_graph(ds).select_columns(["subj", "degree"])
 
 
@@ -1066,6 +1595,27 @@ _LINK_CHECK_MAPPING = {
 }
 
 
+@query(sql=lambda: f"""
+    WITH m(alias, iri) AS (VALUES
+      ('https://kg.example/hot/0', 'https://kg.example/canonical/hot-0'),
+      ('https://kg.example/hot/1', 'https://kg.example/canonical/hot-1'),
+      ('https://kg.example/hot/2', 'https://kg.example/canonical/hot-2'),
+      ('https://kg.example/hot/3', 'https://kg.example/canonical/hot-3')),
+    t AS (SELECT * FROM read_parquet('{gen.triples_fixture()}/*.parquet'))
+    SELECT t.*,
+           coalesce(ms1.iri, ms2.iri, t.subj) AS subj_canon,
+           CASE WHEN t.obj_kind = 'iri'
+                THEN coalesce(mo1.iri, mo2.iri, t.obj)
+                ELSE t.obj END AS obj_canon
+    FROM t
+    LEFT JOIN m ms1 ON t.subj = ms1.alias
+    LEFT JOIN m ms2 ON replace(rtrim(lower(t.subj), '/'), 'https://', 'http://')
+                     = replace(rtrim(lower(ms2.alias), '/'), 'https://', 'http://')
+    LEFT JOIN m mo1 ON t.obj_kind = 'iri' AND t.obj = mo1.alias
+    LEFT JOIN m mo2 ON t.obj_kind = 'iri'
+                   AND replace(rtrim(lower(t.obj), '/'), 'https://', 'http://')
+                     = replace(rtrim(lower(mo2.alias), '/'), 'https://', 'http://')
+""")
 def _q_kg_link_check(sf_dir: str):
     """The entity-linker task stage (canonical dictionary broadcast via
     ray.put, indexed once per worker process) vs a SQL VALUES
@@ -1077,11 +1627,18 @@ def _q_kg_link_check(sf_dir: str):
 
     from jsonld_ex_ray.stages.linker import link_entities
 
-    return ray.data.read_parquet(_triples_parquet()).map_batches(
+    return ray.data.read_parquet(gen.triples_fixture()).map_batches(
         link_entities(ray.put(_LINK_CHECK_MAPPING)), batch_format="pyarrow"
     )
 
 
+@query(sql=lambda: f"""
+    SELECT graph, subj, pred, obj, obj_datatype, obj_lang, doc_id
+    FROM read_parquet('{gen.triples_fixture()}/*.parquet')
+    WHERE subj NOT LIKE '\\_:%' ESCAPE '\\'
+      AND obj_kind <> 'bnode'
+      AND (graph IS NULL OR graph NOT LIKE '\\_:%' ESCAPE '\\')
+""")
 def _q_kg_canon_passthrough(sf_dir: str):
     """URDNA2015 canonicalization must relabel ONLY blank nodes: the
     non-bnode subset of its output (subj/obj/graph all non-bnode) equals
@@ -1095,7 +1652,7 @@ def _q_kg_canon_passthrough(sf_dir: str):
 
     from jsonld_ex_ray.pipeline import canonicalize_bnodes
 
-    out = canonicalize_bnodes(ray.data.read_parquet(_triples_parquet()))
+    out = canonicalize_bnodes(ray.data.read_parquet(gen.triples_fixture()))
 
     def non_bnode(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -1117,36 +1674,42 @@ def _q_kg_canon_passthrough(sf_dir: str):
     return out.map_batches(non_bnode, batch_format="pyarrow", zero_copy_batch=True)
 
 
+@query
 def _q_kg_triples(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, triples_only
 
     return triples_only(build_triples(_corpus_for(sf_dir)))
 
 
+@query
 def _q_kg_errors(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, errors_only
 
     return errors_only(build_triples(_corpus_for(sf_dir)))
 
 
+@query
 def _q_kg_dedup(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, dedup_triples
 
     return dedup_triples(build_triples(_corpus_for(sf_dir)))
 
 
+@query
 def _q_kg_canonicalize(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, canonicalize_bnodes
 
     return canonicalize_bnodes(build_triples(_corpus_for(sf_dir)))
 
 
+@query
 def _q_kg_materialize(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, materialize_graph
 
     return materialize_graph(build_triples(_corpus_for(sf_dir)))
 
 
+@query
 def _q_kg_error_stats(sf_dir: str):
     """Per-code error-rate rollup over the extraction/expansion errors."""
     from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
@@ -1156,6 +1719,7 @@ def _q_kg_error_stats(sf_dir: str):
     return groupby_agg_lowcard(errs, ["error_code"], [("doc_id", "count", "n")])
 
 
+@query
 def _q_kg_mentions(sf_dir: str):
     """Mention-detect + scored entity linking over name-like literals."""
     import ray
@@ -1170,6 +1734,7 @@ def _q_kg_mentions(sf_dir: str):
     return detect_and_link_mentions(triples, ref).sort(["doc_id", "subj"])
 
 
+@query
 def _q_kg_from_rdf(sf_dir: str):
     """Inverse direction: triples → expanded JSON-LD docs per graph."""
     from jsonld_ex_ray.pipeline import build_triples, triples_to_jsonld
@@ -1177,6 +1742,7 @@ def _q_kg_from_rdf(sf_dir: str):
     return triples_to_jsonld(build_triples(_corpus_for(sf_dir)))
 
 
+@query
 def _q_kg_frame(sf_dir: str):
     """JSON-LD 1.1 Framing as a pipeline stage: frame each reconstructed
     graph document by @type (the one API member the reference lacks)."""
@@ -1190,6 +1756,7 @@ def _q_kg_frame(sf_dir: str):
     return frame_docs(docs, frame).sort("graph")
 
 
+@query
 def _q_kg_pagerank(sf_dir: str):
     """Iterative PageRank over the KG's entity graph — each iteration is
     two bounded bucketed shuffles (join + aggregate) built from the same
@@ -1203,6 +1770,7 @@ def _q_kg_pagerank(sf_dir: str):
     return ranks.sort("node")
 
 
+@query
 def _q_kg_entity_link(sf_dir: str):
     import ray
 
@@ -1214,6 +1782,16 @@ def _q_kg_entity_link(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT event_id, user_id, value,
+           CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
+           round(sum(value) OVER w, 2) AS rolling_sum,
+           count(*) OVER w AS rolling_n
+    FROM events
+    WINDOW w AS (PARTITION BY user_id ORDER BY ts
+                 RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)
+    ORDER BY event_id
+""")
 def _q_events_rolling_1h(sf_dir: str):
     """Per-user TIME-RANGE rolling sum/count over the trailing hour —
     SQL's RANGE-frame window, executed as one bounded hash(user) shuffle
@@ -1227,6 +1805,15 @@ def _q_events_rolling_1h(sf_dir: str):
     ).sort("event_id")
 
 
+@query(sql="""
+    SELECT event_type,
+           round(quantile_cont(value, 0.25), 6) AS q25,
+           round(quantile_cont(value, 0.50), 6) AS q50,
+           round(quantile_cont(value, 0.90), 6) AS q90
+    FROM events
+    GROUP BY event_type
+    ORDER BY event_type
+""")
 def _q_events_quantiles_by_type(sf_dir: str):
     """EXACT per-group quantile_cont without a global sort: keyed 3-pass
     histogram refinement — per-block (group × bins) bincount partials,
@@ -1239,6 +1826,16 @@ def _q_events_quantiles_by_type(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT o_orderkey, o_custkey, o_totalprice, o_orderstatus
+    FROM orders o
+    WHERE NOT EXISTS (
+      SELECT 1 FROM lineitem l
+      WHERE l.l_orderkey = o.o_orderkey
+        AND l.l_shipdate > TIMESTAMP '1998-09-01'
+    )
+    ORDER BY o_orderkey
+""")
 def _q_orders_no_recent_ship(sf_dir: str):
     """Anti join (NOT EXISTS): orders with no lineitem shipped after the
     cutoff. The key side is the DISTINCT filtered key set built through
@@ -1280,6 +1877,22 @@ def _q_orders_no_recent_ship(sf_dir: str):
     ).sort("o_orderkey")
 
 
+@query(sql="""
+    SELECT strftime(ts, '%Y-%m-%d') AS day,
+           count(*) FILTER (event_type = 'click') AS n_click,
+           round(coalesce(sum(value) FILTER (event_type = 'click'), 0), 2) AS sum_click,
+           count(*) FILTER (event_type = 'error') AS n_error,
+           round(coalesce(sum(value) FILTER (event_type = 'error'), 0), 2) AS sum_error,
+           count(*) FILTER (event_type = 'purchase') AS n_purchase,
+           round(coalesce(sum(value) FILTER (event_type = 'purchase'), 0), 2) AS sum_purchase,
+           count(*) FILTER (event_type = 'signup') AS n_signup,
+           round(coalesce(sum(value) FILTER (event_type = 'signup'), 0), 2) AS sum_signup,
+           count(*) FILTER (event_type = 'view') AS n_view,
+           round(coalesce(sum(value) FILTER (event_type = 'view'), 0), 2) AS sum_view
+    FROM events
+    GROUP BY day
+    ORDER BY day
+""")
 def _q_events_pivot_daily(sf_dir: str):
     """Pivot/crosstab: one (n_<type>, sum_<type>) column pair per event
     type, keyed by day — indicator columns materialized vectorized in
@@ -1302,6 +1915,32 @@ def _q_events_pivot_daily(sf_dir: str):
     ).sort("day")
 
 
+@query(sql="""
+    WITH t1 AS (
+      SELECT user_id, min(ts) AS ts1 FROM events
+      WHERE event_type = 'view' GROUP BY user_id
+    ), t2 AS (
+      SELECT e.user_id, min(e.ts) AS ts2 FROM events e
+      JOIN t1 USING (user_id)
+      WHERE e.event_type = 'click' AND e.ts > t1.ts1 GROUP BY e.user_id
+    ), t3 AS (
+      SELECT e.user_id, min(e.ts) AS ts3 FROM events e
+      JOIN t2 USING (user_id)
+      WHERE e.event_type = 'purchase' AND e.ts > t2.ts2 GROUP BY e.user_id
+    )
+    SELECT u.user_id,
+           CAST(epoch_us(t1.ts1) AS BIGINT) AS step1_us,
+           CAST(epoch_us(t2.ts2) AS BIGINT) AS step2_us,
+           CAST(epoch_us(t3.ts3) AS BIGINT) AS step3_us,
+           (CASE WHEN ts1 IS NULL THEN 0 ELSE 1 END
+            + CASE WHEN ts2 IS NULL THEN 0 ELSE 1 END
+            + CASE WHEN ts3 IS NULL THEN 0 ELSE 1 END) AS stage
+    FROM (SELECT DISTINCT user_id FROM events) u
+    LEFT JOIN t1 ON u.user_id = t1.user_id
+    LEFT JOIN t2 ON u.user_id = t2.user_id
+    LEFT JOIN t3 ON u.user_id = t3.user_id
+    ORDER BY u.user_id
+""")
 def _q_events_funnel(sf_dir: str):
     """Ordered funnel view→click→purchase: per user, earliest step-1
     event, earliest step-2 strictly after it, earliest step-3 strictly
@@ -1315,6 +1954,13 @@ def _q_events_funnel(sf_dir: str):
     ).sort("user_id")
 
 
+@query(sql="""
+    SELECT event_id, event_type, value,
+           round((value - avg(value) OVER (PARTITION BY event_type))
+                 / stddev_pop(value) OVER (PARTITION BY event_type), 6) AS z
+    FROM events
+    ORDER BY event_id
+""")
 def _q_events_value_zscore(sf_dir: str):
     """Per-type standardization (x−μ)/σ: moments via map-side combiner
     partials (no shuffle), looked up through the one broadcast-or-bucketed
@@ -1327,6 +1973,27 @@ def _q_events_value_zscore(sf_dir: str):
     ).sort("event_id")
 
 
+@query(sql="""
+    WITH q AS (
+      SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS e
+      FROM embeddings WHERE vec_id < 100
+    ), c AS (
+      SELECT vec_id AS nid, CAST(embedding AS DOUBLE[]) AS e
+      FROM embeddings
+    ), sims AS (
+      SELECT q.qid, c.nid,
+             round(list_cosine_similarity(q.e, c.e), 4) AS sim
+      FROM q, c WHERE q.qid != c.nid
+    ), r AS (
+      SELECT *, row_number() OVER (
+        PARTITION BY qid ORDER BY sim DESC, nid ASC
+      ) AS rn
+      FROM sims
+    )
+    SELECT qid AS query_id, nid AS neighbor_id, sim
+    FROM r WHERE rn <= 5
+    ORDER BY query_id, sim DESC, neighbor_id
+""")
 def _q_knn_join(sf_dir: str):
     """Batch kNN join: top-5 cosine neighbors for each of the first 100
     vectors — query matrix broadcast once, one matmul + per-query top-k
@@ -1347,6 +2014,13 @@ def _q_knn_join(sf_dir: str):
     return knn_join(ds, qt, k=5).sort(["query_id", "sim", "neighbor_id"], descending=[False, True, False])
 
 
+@query(sql="""
+    SELECT user_id, count(*) AS n
+    FROM events
+    GROUP BY user_id
+    ORDER BY n DESC, user_id ASC
+    LIMIT 10
+""")
 def _q_user_hitters(sf_dir: str):
     """Heavy hitters: exact global top-10 users by event count in two
     streaming passes with O(capacity) state and ZERO shuffle (per-block
@@ -1359,6 +2033,16 @@ def _q_user_hitters(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT o.o_orderkey,
+           COALESCE(o.o_custkey, c.c_custkey) AS o_custkey,
+           o.o_totalprice, c.c_acctbal
+    FROM (SELECT * FROM orders
+          WHERE o_orderdate >= TIMESTAMP '1998-06-01') o
+    FULL OUTER JOIN (SELECT * FROM customer
+                     WHERE c_mktsegment = 'BUILDING') c
+      ON o.o_custkey = c.c_custkey
+""")
 def _q_orders_customers_full(sf_dir: str):
     """FULL OUTER two-large-sides join: recent orders × BUILDING-segment
     customers on custkey — matched rows join, recent orders of other
@@ -1420,6 +2104,16 @@ def _q_orders_customers_full(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT o.o_orderkey, o.o_totalprice,
+           CAST(epoch(max(l.l_shipdate)) AS BIGINT) AS last_ship_s
+    FROM orders o
+    LEFT JOIN lineitem l
+      ON l.l_orderkey = o.o_orderkey
+     AND l.l_shipdate > TIMESTAMP '1998-09-01'
+    GROUP BY o.o_orderkey, o.o_totalprice
+    ORDER BY o.o_orderkey
+""")
 def _q_orders_last_ship(sf_dir: str):
     """LEFT OUTER two-large-sides join: every order with the epoch-second
     of its latest post-cutoff shipment (null when none) — bucketed
@@ -1459,6 +2153,15 @@ def _q_orders_last_ship(sf_dir: str):
     ).sort("o_orderkey")
 
 
+@query(sql="""
+    SELECT p_partkey, p_name, p_retailprice
+    FROM part p
+    WHERE NOT EXISTS (
+      SELECT 1 FROM lineitem l
+      WHERE l.l_partkey = p.p_partkey AND l.l_quantity >= 45
+    )
+    ORDER BY p_partkey
+""")
 def _q_parts_never_heavy(sf_dir: str):
     """BUCKETED anti join (two large sides, no broadcast): parts never
     shipped in quantity ≥ 45 — both tables co-locate by hash(partkey) in
@@ -1493,6 +2196,13 @@ def _q_parts_never_heavy(sf_dir: str):
     ).sort("p_partkey")
 
 
+@query(sql="""
+    SELECT CAST(floor(epoch(ts) / 3600) * 3600 AS BIGINT) AS window_start,
+           count(DISTINCT user_id) AS n_users
+    FROM events
+    GROUP BY window_start
+    ORDER BY window_start
+""")
 def _q_events_window_users(sf_dir: str):
     """Distinct count per tumbling window: (window, user) pairs dedup
     through the bounded distinct-rows shuffle, then the map-side-combiner
@@ -1523,6 +2233,17 @@ def _q_events_window_users(sf_dir: str):
     return groupby_agg_lowcard(pairs, ["window_start"], [("user_id", "count", "n_users")])
 
 
+@query(sql="""
+    SELECT doc_id,
+           CAST(i.g AS BIGINT) AS chunk_id,
+           substr(text, CAST(i.g * 384 + 1 AS BIGINT), 512) AS chunk_text,
+           CAST(length(substr(text, CAST(i.g * 384 + 1 AS BIGINT), 512)) AS BIGINT)
+             AS n_chunk_chars
+    FROM documents,
+         unnest(range(0, GREATEST(CAST(ceil(length(text) / 384.0) AS BIGINT), 1)))
+           AS i(g)
+    ORDER BY doc_id, chunk_id
+""")
 def _q_doc_chunks(sf_dir: str):
     """Chunk-for-embedding: 512-char windows, stride 384 (overlapping) —
     vectorized over the chunk index (one arrow slice per index across the
@@ -1534,6 +2255,18 @@ def _q_doc_chunks(sf_dir: str):
     ).sort(["doc_id", "chunk_id"])
 
 
+@query(sql="""
+    SELECT n_name, round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
+    FROM customer, orders, lineitem, supplier, nation, region
+    WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
+      AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
+      AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+      AND r_name = 'ASIA'
+      AND o_orderdate >= TIMESTAMP '1996-01-01'
+      AND o_orderdate < TIMESTAMP '1998-01-01'
+    GROUP BY n_name
+    ORDER BY revenue DESC, n_name
+""")
 def _q_local_supplier_volume(sf_dir: str):
     """TPC-H Q5 shape (6 tables): revenue by nation where customer and
     supplier share the nation, region-filtered, date-windowed. Ray plan:
@@ -1650,6 +2383,19 @@ def _q_local_supplier_volume(sf_dir: str):
     return out.sort_values(["revenue", "n_name"], ascending=[False, True]).reset_index(drop=True)
 
 
+@query(sql=r"""
+    SELECT doc_id, text,
+           lower(trim(regexp_replace(
+             regexp_replace(nfc_normalize(text),
+                            '[\x00-\x08\x0B\x0C\x0E-\x1F\x7F]', '', 'g'),
+             '\s+', ' ', 'g'))) AS text_norm,
+           CAST(length(lower(trim(regexp_replace(
+             regexp_replace(nfc_normalize(text),
+                            '[\x00-\x08\x0B\x0C\x0E-\x1F\x7F]', '', 'g'),
+             '\s+', ' ', 'g')))) AS BIGINT) AS n_chars_norm
+    FROM documents
+    ORDER BY doc_id
+""")
 def _q_doc_normalize(sf_dir: str):
     """Canonical text normalization (NFC → control strip → whitespace
     collapse → trim → lowercase) — pure arrow utf8proc/RE2 kernels in one
@@ -1661,6 +2407,7 @@ def _q_doc_normalize(sf_dir: str):
     ).sort("doc_id")
 
 
+@query
 def _q_dedup_clusters(sf_dir: str):
     """Transitive near-dup CLUSTERS: minhash star pairs → symmetric
     edges → pointer-doubling connected components → (doc_id, cluster_id
@@ -1731,6 +2478,19 @@ def _chain_edges(sf_dir: str, etype: str, mod: int, *, symmetric: bool):
     return distinct_rows(e, ["src", "dst"])
 
 
+@query(sql="""
+    WITH RECURSIVE
+    e AS (SELECT DISTINCT user_id AS src, user_id + 1 AS dst
+          FROM events WHERE event_type = 'click' AND user_id % 10 <> 9),
+    sym AS (SELECT src, dst FROM e UNION SELECT dst, src FROM e),
+    walk (node, lbl) AS (
+      SELECT DISTINCT src AS node, src AS lbl FROM sym
+      UNION
+      SELECT s.dst, w.lbl FROM walk w JOIN sym s ON s.src = w.node
+    )
+    SELECT node, MIN(lbl) AS component FROM walk
+    GROUP BY node ORDER BY node
+""")
 def _q_events_click_cc(sf_dir: str):
     """Connected components with a REAL SQL oracle: pointer-doubling
     min-label CC (ops/graph.py) over the SQL-derivable click-user chain
@@ -1756,6 +2516,28 @@ def _q_events_click_cc(sf_dir: str):
     return comps.map_batches(unpad, batch_format="pyarrow", zero_copy_batch=True).sort("node")
 
 
+@query(sql="""
+    WITH RECURSIVE
+    e AS (SELECT DISTINCT user_id AS src, user_id + 1 AS dst
+          FROM events WHERE event_type = 'view' AND user_id % 7 <> 6),
+    sym AS (SELECT src, dst FROM e UNION SELECT dst, src FROM e),
+    outdeg AS (SELECT src, COUNT(*) AS od FROM sym GROUP BY src),
+    nn AS (SELECT CAST(COUNT(DISTINCT src) AS DOUBLE) AS n FROM sym),
+    pr (iter, node, rank) AS (
+      SELECT 0, src, 1.0 / (SELECT n FROM nn)
+      FROM (SELECT DISTINCT src FROM sym)
+      UNION ALL
+      SELECT p.iter + 1, s.dst,
+             0.15 / (SELECT n FROM nn) + 0.85 * SUM(p.rank / o.od)
+      FROM pr p
+      JOIN sym s ON s.src = p.node
+      JOIN outdeg o ON o.src = p.node
+      WHERE p.iter < 5
+      GROUP BY p.iter, s.dst
+    )
+    SELECT node, ROUND(rank, 6) AS rank FROM pr
+    WHERE iter = 5 ORDER BY node
+""")
 def _q_events_pagerank(sf_dir: str):
     """Damped PageRank with a REAL SQL oracle: 5 iterations of the exact
     recurrence rank' = (1-d)/n + d·Σ rank/out_degree over the symmetric
@@ -1788,6 +2570,14 @@ def _q_events_pagerank(sf_dir: str):
     return ranks.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True).sort("node")
 
 
+@query(sql="""
+    SELECT event_type,
+           count(*) AS n,
+           round(avg(value), 6) AS mean_value,
+           round(stddev_samp(value), 4) AS std_value,
+           round(var_samp(value), 2) AS var_value
+    FROM events GROUP BY event_type ORDER BY event_type
+""")
 def _q_events_value_stats(sf_dir: str):
     """Second-moment aggregates (stddev/variance) from MERGEABLE sum-of-
     squares partials — same map-side-combiner shape as lineitem_agg, no
@@ -1808,6 +2598,12 @@ def _q_events_value_stats(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT l_returnflag,
+           round(corr(l_quantity, l_extendedprice), 6) AS corr_qty_price,
+           round(covar_samp(l_quantity, l_extendedprice), 2) AS covar_qty_price
+    FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag
+""")
 def _q_lineitem_corr(sf_dir: str):
     """Per-group Pearson correlation + sample covariance from the five
     pair-masked moment sums (rows where EITHER side is NULL are dropped,
@@ -1827,6 +2623,14 @@ def _q_lineitem_corr(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT l_returnflag, l_linestatus,
+           round(sum(l_quantity), 2) AS sum_qty,
+           count(*) AS n
+    FROM lineitem
+    GROUP BY ROLLUP(l_returnflag, l_linestatus)
+    ORDER BY l_returnflag, l_linestatus
+""")
 def _q_lineitem_rollup(sf_dir: str):
     """GROUP BY ROLLUP: one partial scan at the finest level; subtotal
     and grand-total levels re-aggregate the tiny mergeable partial table
@@ -1843,6 +2647,14 @@ def _q_lineitem_rollup(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT o_orderpriority, o_orderstatus,
+           round(sum(o_totalprice), 2) AS sum_price,
+           count(*) AS n
+    FROM orders
+    GROUP BY CUBE(o_orderpriority, o_orderstatus)
+    ORDER BY o_orderpriority, o_orderstatus
+""")
 def _q_orders_cube(sf_dir: str):
     """GROUP BY CUBE: every subset of the key set re-aggregates the same
     finest mergeable partial table — 2^k levels, still one data pass."""
@@ -1858,6 +2670,22 @@ def _q_orders_cube(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT o_orderkey, o_orderpriority, o_totalprice,
+           row_number() OVER (PARTITION BY o_orderpriority
+               ORDER BY o_totalprice DESC, o_orderkey) AS "row_number",
+           rank() OVER (PARTITION BY o_orderpriority
+               ORDER BY o_totalprice DESC) AS "rank",
+           dense_rank() OVER (PARTITION BY o_orderpriority
+               ORDER BY o_totalprice DESC) AS "dense_rank",
+           percent_rank() OVER (PARTITION BY o_orderpriority
+               ORDER BY o_totalprice DESC) AS "percent_rank",
+           cume_dist() OVER (PARTITION BY o_orderpriority
+               ORDER BY o_totalprice DESC) AS "cume_dist",
+           ntile(4) OVER (PARTITION BY o_orderpriority
+               ORDER BY o_totalprice DESC, o_orderkey) AS "ntile"
+    FROM orders ORDER BY o_orderpriority, o_orderkey
+""")
 def _q_orders_ranked(sf_dir: str):
     """Full SQL ranking family (row_number/rank/dense_rank/percent_rank/
     cume_dist/ntile) per partition in ONE bounded shuffle + segmented
@@ -1872,6 +2700,11 @@ def _q_orders_ranked(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT user_id FROM events
+    INTERSECT
+    SELECT c_custkey FROM customer
+""")
 def _q_users_customers_intersect(sf_dir: str):
     """SQL INTERSECT as one bounded value-hash shuffle (per-block
     distinct combiner → per-bucket arrow semi join)."""
@@ -1886,6 +2719,11 @@ def _q_users_customers_intersect(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT c_custkey FROM customer
+    EXCEPT
+    SELECT user_id FROM events
+""")
 def _q_customers_no_events(sf_dir: str):
     """SQL EXCEPT — same machinery, per-bucket arrow anti join."""
     from jsonld_ex_ray.ops.setops import set_op
@@ -1903,6 +2741,12 @@ _HASH_SAMPLE_FRACTION = 0.2
 _HASH_SAMPLE_SALT = "s1"
 
 
+@query(sql=f"""
+    SELECT doc_id, lang FROM documents
+    WHERE substr(md5('{_HASH_SAMPLE_SALT}' || CAST(doc_id AS VARCHAR)), 1, 8)
+          < '{format(int(_HASH_SAMPLE_FRACTION * 16**8), "08x")}'
+    ORDER BY doc_id
+""")
 def _q_doc_hash_sample(sf_dir: str):
     """Deterministic md5-threshold subsampling — resumable (re-selects
     the identical sample on retry), salt-independent draws, pure
@@ -1915,6 +2759,14 @@ def _q_doc_hash_sample(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT CAST(floor((o_totalprice - 0.0) / 10000.0) AS BIGINT) AS bin,
+           0.0 + floor((o_totalprice - 0.0) / 10000.0) * 10000.0 AS lo_edge,
+           count(*) AS n
+    FROM orders
+    WHERE o_totalprice >= 0.0 AND o_totalprice < 600000.0
+    GROUP BY 1, 2 ORDER BY 1
+""")
 def _q_price_histogram(sf_dir: str):
     """Fixed-width histogram: per-block np.bincount partials + tiny
     driver sum — zero shuffle at any scale."""
@@ -1924,6 +2776,15 @@ def _q_price_histogram(sf_dir: str):
     return histogram_fixed(ds, "o_totalprice", 0.0, 600_000.0, 60)
 
 
+@query(sql="""
+    SELECT user_id, event_type, count_event_id FROM (
+      SELECT user_id, event_type,
+             count(event_id) AS count_event_id,
+             row_number() OVER (PARTITION BY user_id
+                 ORDER BY count(event_id) DESC, event_type) AS rn
+      FROM events GROUP BY user_id, event_type
+    ) WHERE rn = 1 ORDER BY user_id
+""")
 def _q_user_top_event_type(sf_dir: str):
     """Per-user modal event type (grouped argmax): bucketed (user, type)
     count + per-bucket vectorized top-1 selection — composition of two
@@ -1934,6 +2795,18 @@ def _q_user_top_event_type(sf_dir: str):
     return top_per_group(ds, "user_id", "event_type", "event_id", 1, agg="count")
 
 
+@query(sql="""
+    WITH firsts AS (
+      SELECT user_id, min(ts) AS first_ts FROM events GROUP BY user_id
+    ), d AS (
+      SELECT strftime(first_ts, '%Y-%m-%d') AS day,
+             count(*) AS n_new
+      FROM firsts GROUP BY 1
+    )
+    SELECT day, n_new,
+           CAST(sum(n_new) OVER (ORDER BY day) AS BIGINT) AS cum_users
+    FROM d ORDER BY day
+""")
 def _q_daily_new_users(sf_dir: str):
     """Cumulative new-user curve: bucketed per-user min(ts) (high-card
     groupby, ONE bounded shuffle) → tiny daily rollup → cumsum on the
@@ -1965,6 +2838,11 @@ def _q_daily_new_users(sf_dir: str):
     return daily
 
 
+@query(sql="""
+    SELECT user_id,
+           string_agg(event_type, ',' ORDER BY ts, event_id) AS event_seq
+    FROM events GROUP BY user_id ORDER BY user_id
+""")
 def _q_user_event_seq(sf_dir: str):
     """Ordered per-key string aggregation (SQL string_agg ... ORDER BY):
     one bounded shuffle + per-bucket vectorized sort + polars str.join —
@@ -1977,6 +2855,14 @@ def _q_user_event_seq(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT user_id,
+           first(event_type ORDER BY ts, event_id) AS first_event_type,
+           first(ts ORDER BY ts, event_id) AS first_ts,
+           last(event_type ORDER BY ts, event_id) AS last_event_type,
+           last(ts ORDER BY ts, event_id) AS last_ts
+    FROM events GROUP BY user_id ORDER BY user_id
+""")
 def _q_user_first_last(sf_dir: str):
     """Arg-extreme aggregate (the user's first/last event): map-side
     per-block first+last rows per user (segmented top-1 combiner), ONE
@@ -1990,6 +2876,16 @@ def _q_user_first_last(sf_dir: str):
     )
 
 
+@query(sql="""
+    WITH c AS (
+      SELECT user_id, event_type, CAST(count(*) AS DOUBLE) AS n
+      FROM events GROUP BY user_id, event_type
+    ),
+    t AS (SELECT user_id, sum(n) AS s FROM c GROUP BY user_id)
+    SELECT c.user_id, round(-sum((n / s) * ln(n / s)), 6) AS entropy
+    FROM c JOIN t USING (user_id)
+    GROUP BY c.user_id ORDER BY c.user_id
+""")
 def _q_user_type_entropy(sf_dir: str):
     """Per-user Shannon entropy of the event-type distribution
     (behavioural diversity): per-batch (user, type) count partials, ONE
@@ -2000,6 +2896,10 @@ def _q_user_type_entropy(sf_dir: str):
     return grouped_entropy(ds, "user_id", "event_type")
 
 
+@query(sql="""
+    SELECT user_id, count(DISTINCT event_type) AS n_types
+    FROM events GROUP BY user_id ORDER BY user_id
+""")
 def _q_user_distinct_types(sf_dir: str):
     """Per-user COUNT(DISTINCT event_type): bucketed distinct of
     (user, type) pairs → bucketed per-user count — two bounded shuffles
@@ -2015,6 +2915,20 @@ def _q_user_distinct_types(sf_dir: str):
     )
 
 
+@query(sql="""
+    WITH toks AS (
+      SELECT doc_id, unnest(string_split(coalesce(text, ''), ' ')) AS tok
+      FROM documents
+    ),
+    cnt AS (SELECT tok, count(*) AS c FROM toks GROUP BY tok),
+    tot AS (SELECT sum(c) AS n, count(*) AS v FROM cnt)
+    SELECT doc_id,
+           count(*) AS n_tokens,
+           round(avg(ln((c + 0.5) / (n + 0.5 * v))), 6) AS mean_logprob
+    FROM toks JOIN cnt USING (tok) CROSS JOIN tot
+    GROUP BY doc_id
+    ORDER BY doc_id
+""")
 def _q_doc_unigram_lp(sf_dir: str):
     """Corpus-trained unigram LM score per doc (the exactly-computable
     CCNet/Gopher perplexity-filter core): global token counts in one
@@ -2030,6 +2944,11 @@ def _q_doc_unigram_lp(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT user_id FROM events
+    UNION
+    SELECT c_custkey FROM customer
+""")
 def _q_users_customers_union(sf_dir: str):
     """SQL UNION (distinct) — the setops machinery's third op: per-block
     distinct combiner on both sides, one value-hash shuffle, per-bucket
@@ -2045,6 +2964,21 @@ def _q_users_customers_union(sf_dir: str):
     )
 
 
+@query(sql="""
+    WITH w AS (
+      SELECT l_partkey, l_quantity, l_extendedprice,
+             sum(l_quantity) OVER (PARTITION BY l_partkey) AS s,
+             count(*) OVER (PARTITION BY l_partkey) AS n
+      FROM lineitem
+    )
+    SELECT l_partkey,
+           count(*) AS n_below,
+           round(sum(l_extendedprice), 2) AS sum_price
+    FROM w
+    WHERE l_quantity * 2 * n < s
+    GROUP BY l_partkey
+    ORDER BY l_partkey
+""")
 def _q_lineitem_below_avg(sf_dir: str):
     """Correlated-subquery filter + re-aggregate (the TPC-H Q17 shape):
     per partkey, the count and revenue of lineitems whose quantity is
@@ -2088,6 +3022,18 @@ def _clone_docs(ds, n: int = 50, shift: int = 1_000_000):
     return ds.union(ds.map_batches(clone, batch_format="pyarrow", zero_copy_batch=True))
 
 
+@query(sql="""
+    WITH aug AS (
+      SELECT doc_id, text FROM documents
+      UNION ALL
+      SELECT doc_id + 1000000 AS doc_id, text FROM documents
+      WHERE doc_id < 50
+    ),
+    h AS (SELECT doc_id, md5(text) AS h FROM aug)
+    SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
+    FROM h a JOIN h b ON a.h = b.h AND a.doc_id < b.doc_id
+    ORDER BY doc_a, doc_b
+""")
 def _q_lsh_candidate_recall(sf_dir: str):
     """LSH candidate-superset invariant as an oracled query: clone the
     first 50 docs under shifted ids, then return the exact-duplicate
@@ -2101,6 +3047,18 @@ def _q_lsh_candidate_recall(sf_dir: str):
     return lsh_exactdup_candidate_pairs(_clone_docs(ds))
 
 
+@query(sql="""
+    WITH aug AS (
+      SELECT doc_id, text FROM documents
+      UNION ALL
+      SELECT doc_id + 1000000 AS doc_id, text FROM documents
+      WHERE doc_id < 50
+    ),
+    h AS (SELECT doc_id, md5(text) AS h FROM aug)
+    SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, 1.0 AS jaccard
+    FROM h a JOIN h b ON a.h = b.h AND a.doc_id < b.doc_id
+    ORDER BY doc_a, doc_b
+""")
 def _q_jaccard_clone_recall(sf_dir: str):
     """Exact-Jaccard invariant as an oracled query: clone the first 50
     docs under shifted ids; byte-identical texts have identical
@@ -2122,6 +3080,10 @@ def _q_jaccard_clone_recall(sf_dir: str):
     return ngram_jaccard_pairs(_clone_docs(ds), threshold=1.0)
 
 
+@query(sql="""
+    SELECT doc_id + 1000000 AS doc_id FROM documents
+    WHERE doc_id < 50 ORDER BY doc_id
+""")
 def _q_simhash_clone_recall(sf_dir: str):
     """SimHash pigeonhole-recall invariant: every cloned doc has a
     byte-identical origin, hence an identical 64-bit signature, hence a
@@ -2148,6 +3110,13 @@ def _q_simhash_clone_recall(sf_dir: str):
     return out.map_batches(planted_only, batch_format="pyarrow", zero_copy_batch=True)
 
 
+@query(sql="""
+    WITH d AS (SELECT doc_id, string_split(text, chr(10)) AS ls FROM documents)
+    SELECT doc_id, CAST(i.g AS BIGINT) AS line_no,
+           ls[CAST(i.g AS BIGINT)] AS line
+    FROM d, unnest(range(1, len(ls) + 1)) AS i(g)
+    ORDER BY doc_id, line_no
+""")
 def _q_doc_lines(sf_dir: str):
     """UNNEST with ordinality (flat-map): vectorized newline explode with
     segmented-arange line numbers — no shuffle."""
@@ -2156,6 +3125,15 @@ def _q_doc_lines(sf_dir: str):
     return explode_lines(_read(sf_dir, "documents").select_columns(["doc_id", "text"]))
 
 
+@query(sql="""
+    SELECT l_orderkey, l_linenumber,
+           'l_quantity' AS measure, CAST(l_quantity AS DOUBLE) AS value
+    FROM lineitem
+    UNION ALL
+    SELECT l_orderkey, l_linenumber, 'l_discount', l_discount FROM lineitem
+    UNION ALL
+    SELECT l_orderkey, l_linenumber, 'l_tax', l_tax FROM lineitem
+""")
 def _q_lineitem_unpivot(sf_dir: str):
     """Wide→long reshape (SQL UNPIVOT): per-batch column-slice concat,
     embarrassingly parallel."""
@@ -2167,6 +3145,14 @@ def _q_lineitem_unpivot(sf_dir: str):
     return unpivot(ds, ["l_orderkey", "l_linenumber"], ["l_quantity", "l_discount", "l_tax"])
 
 
+@query(sql="""
+    SELECT p_partkey, p_name, c AS best_type, d AS dist FROM (
+      SELECT p.p_partkey, p.p_name, c.c, levenshtein(p.p_name, c.c) AS d,
+             row_number() OVER (PARTITION BY p.p_partkey
+                 ORDER BY levenshtein(p.p_name, c.c), c.c) AS rn
+      FROM part p CROSS JOIN (SELECT DISTINCT p_type AS c FROM part) c
+    ) WHERE rn = 1 ORDER BY p_partkey
+""")
 def _q_part_type_fuzzy(sf_dir: str):
     """Entity canonicalization by edit distance: map each part name onto
     the nearest controlled-vocabulary type (small side read once on the
@@ -2183,6 +3169,20 @@ def _q_part_type_fuzzy(sf_dir: str):
     return fuzzy_nearest(ds, "p_name", candidates, out_col="best_type", dist_col="dist")
 
 
+@query(sql="""
+    WITH iv AS (
+      SELECT event_type AS ivl_type, user_id % 8 AS ivl_gid,
+             min(value) AS lo,
+             min(value) + (max(value) - min(value)) * 0.1 AS hi
+      FROM events GROUP BY 1, 2
+    )
+    SELECT iv.ivl_type, iv.ivl_gid,
+           count(*) AS n_matched,
+           round(sum(e.value), 2) AS sum_matched
+    FROM events e JOIN iv ON e.value BETWEEN iv.lo AND iv.hi
+    GROUP BY 1, 2
+    ORDER BY 1, 2
+""")
 def _q_events_interval_match(sf_dir: str):
     """OVERLAPPING-interval join with two large sides (banded replication,
     ops/joins.interval_join_banded) — the join class neither the equi-key
@@ -2250,6 +3250,20 @@ def _q_events_interval_match(sf_dir: str):
     )
 
 
+@query(sql="""
+    WITH q AS (
+      SELECT round(quantile_cont(value, 0.05), 6) AS qlo,
+             round(quantile_cont(value, 0.95), 6) AS qhi
+      FROM events
+    )
+    SELECT event_type,
+           count(value) AS n,
+           round(avg(least(greatest(value, qlo), qhi)), 6) AS mean_w,
+           min(least(greatest(value, qlo), qhi)) AS min_w,
+           max(least(greatest(value, qlo), qhi)) AS max_w
+    FROM events, q
+    GROUP BY event_type ORDER BY event_type
+""")
 def _q_events_winsorized(sf_dir: str):
     """Winsorize (p05/p95 quantile clamp — robust-stats preprocessing)
     then per-type rollup. Bounds via the 3-pass streaming exact-quantile
@@ -2272,6 +3286,14 @@ def _q_events_winsorized(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT doc_id, n_chars FROM documents
+    WHERE n_chars > 0
+    ORDER BY ln((CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8) AS BIGINT) + 0.5)
+                / 4294967296.0) / n_chars DESC,
+             doc_id
+    LIMIT 100
+""")
 def _q_doc_weighted_sample(sf_dir: str):
     """Deterministic weighted sampling without replacement (Efraimidis–
     Spirakis A-ES, hash-derived uniforms — ops/text.weighted_hash_sample):
@@ -2285,6 +3307,16 @@ def _q_doc_weighted_sample(sf_dir: str):
     return weighted_hash_sample(ds, 100, weight_col="n_chars", id_col="doc_id")
 
 
+@query(sql="""
+    SELECT doc_id, lang, n_chars FROM (
+      SELECT doc_id, lang, n_chars,
+             row_number() OVER (PARTITION BY lang
+                 ORDER BY ln((CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)
+                                   AS BIGINT) + 0.5) / 4294967296.0) / n_chars DESC,
+                          doc_id) AS rn
+      FROM documents WHERE n_chars > 0
+    ) WHERE rn <= 20
+""")
 def _q_doc_weighted_per_lang(sf_dir: str):
     """Per-stratum weighted draw (20 docs per language, proportional to
     n_chars): A-ES keys + the bounded-shuffle multi-group selection —
@@ -2297,6 +3329,23 @@ def _q_doc_weighted_per_lang(sf_dir: str):
     )
 
 
+@query(sql="""
+    WITH pos AS (
+      SELECT doc_id, text,
+             unnest(generate_series(1, greatest(length(text) - 63, 0), 32)) AS i
+      FROM documents
+    ),
+    spans AS (
+      SELECT doc_id, md5(substr(text, CAST(i AS INTEGER), 64)) AS h FROM pos
+    ),
+    duph AS (
+      SELECT h FROM (SELECT DISTINCT h, doc_id FROM spans)
+      GROUP BY h HAVING count(*) >= 2
+    )
+    SELECT s.doc_id, count(*) AS n_dup_spans
+    FROM spans s JOIN duph USING (h)
+    GROUP BY s.doc_id
+""")
 def _q_doc_dup_spans(sf_dir: str):
     """Exact duplicated-substring spans (64-char windows, stride 32 —
     the Lee-et-al substring-dedup signal): per-doc count of spans whose
@@ -2309,6 +3358,48 @@ def _q_doc_dup_spans(sf_dir: str):
     return duplicate_spans(ds, window=64, stride=32)
 
 
+@query(sql="""
+    WITH pos AS (
+      SELECT doc_id, text,
+             unnest(generate_series(1, greatest(length(text) - 63, 0), 32)) AS i
+      FROM documents
+    ),
+    spans AS (
+      SELECT doc_id, CAST(i AS BIGINT) AS i,
+             md5(substr(text, CAST(i AS INTEGER), 64)) AS h
+      FROM pos
+    ),
+    duph AS (
+      SELECT h FROM (SELECT DISTINCT h, doc_id FROM spans)
+      GROUP BY h HAVING count(*) >= 2
+    ),
+    flagged AS (
+      SELECT DISTINCT s.doc_id, s.i FROM spans s JOIN duph USING (h)
+    ),
+    chars AS (
+      SELECT doc_id,
+             unnest(generate_series(1, length(text), 1)) AS i
+      FROM documents
+    ),
+    kept AS (
+      SELECT c.doc_id, c.i
+      FROM chars c
+      ANTI JOIN (
+        SELECT DISTINCT c2.doc_id, c2.i
+        FROM chars c2 JOIN flagged f
+          ON c2.doc_id = f.doc_id AND c2.i BETWEEN f.i AND f.i + 63
+      ) cut USING (doc_id, i)
+    ),
+    rebuilt AS (
+      SELECT k.doc_id,
+             string_agg(substr(d.text, CAST(k.i AS INTEGER), 1), '' ORDER BY k.i) AS text
+      FROM kept k JOIN documents d USING (doc_id)
+      GROUP BY k.doc_id
+    )
+    SELECT d.doc_id, coalesce(r.text, '') AS text
+    FROM documents d LEFT JOIN rebuilt r USING (doc_id)
+    ORDER BY d.doc_id
+""")
 def _q_doc_dedup_cut(sf_dir: str):
     """Substring-dedup CUT pass (Lee et al. 2022's intervention): every
     doc rewritten with the union of flagged 64-char/stride-32 duplicated
@@ -2321,6 +3412,15 @@ def _q_doc_dedup_cut(sf_dir: str):
     return cut_duplicate_spans(ds, window=64, stride=32)
 
 
+@query(sql="""
+    SELECT user_id, event_id, value,
+           CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
+           round(avg(value) OVER (
+             PARTITION BY user_id ORDER BY ts, event_id
+             ROWS BETWEEN 4 PRECEDING AND CURRENT ROW
+           ), 6) AS roll_mean
+    FROM events
+""")
 def _q_events_rolling_rows(sf_dir: str):
     """ROWS-frame rolling mean (last 5 events per user): one bounded
     hash(user) shuffle + segmented polars rolling kernel per bucket —
@@ -2333,6 +3433,11 @@ def _q_events_rolling_rows(sf_dir: str):
     )
 
 
+@query(sql="""
+    SELECT event_id, event_type, value,
+           round(value / sum(value) OVER (PARTITION BY event_type), 6) AS share
+    FROM events
+""")
 def _q_events_share_of_type(sf_dir: str):
     """Ratio-to-report (value / per-type total): map-side combiner sums,
     5 per-type sums broadcast through the one gate, second streaming pass
@@ -2343,6 +3448,12 @@ def _q_events_share_of_type(sf_dir: str):
     return share_of_group(ds, "event_type", "value", out_col="share")
 
 
+@query(sql="""
+    WITH m AS (SELECT round(quantile_cont(value, 0.5), 6) AS med FROM events)
+    SELECT m.med AS "median",
+           round(quantile_cont(abs(e.value - m.med), 0.5), 6) AS mad
+    FROM events e, m GROUP BY m.med
+""")
 def _q_events_value_mad(sf_dir: str):
     """Median absolute deviation of event values (robust scale): two
     streaming exact-quantile phases, driver holds one histogram each."""
@@ -2352,1355 +3463,72 @@ def _q_events_value_mad(sf_dir: str):
     return median_abs_deviation(ds, "value")
 
 
+# The driver checks the first 50 queries against their oracles, so the
+# window holds 50 oracled queries.
+_WINDOW = (
+    "doc_repetition_filter",
+    "events_window",
+    "events_window_users",
+    "events_top_users",
+    "orders_by_segment",
+    "doc_stats_by_lang",
+    "parts_never_heavy",
+    "orders_no_recent_ship",
+    "doc_sample_per_lang",
+    "events_running_total",
+    "doc_splits",
+    "events_value_bands",
+    "events_value_quantiles",
+    "shipping_priority",
+    "local_supplier_volume",
+    "events_sliding",
+    "doc_fingerprint",
+    "corpus_clean",
+    "knn_join",
+    "doc_chunks",
+    "events_distinct_users",
+    "events_top_per_type",
+    "doc_quality_filter",
+    "events_rolling_1h",
+    "events_value_zscore",
+    "orders_cube",
+    "doc_dedup_cut",
+    "user_first_last",
+    "user_type_entropy",
+    "user_distinct_types",
+    "lsh_candidate_recall",
+    "emb_dup_pairs",
+    "kg_lineage",
+    "kg_dedup_check",
+    "kg_subject_degree",
+    "jaccard_clone_recall",
+    "simhash_clone_recall",
+    "kg_link_check",
+    "kg_canon_passthrough",
+    "events_click_cc",
+    "events_pagerank",
+    "events_hll_check",
+    "ann_recall_check",
+    "users_customers_union",
+    "lineitem_below_avg",
+    "doc_unigram_lp",
+    "events_share_of_type",
+    "events_interval_match",
+    "orders_last_ship",
+    "events_sessions",
+)
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
-    """Ordered so the driver's 50-query correctness window re-proves the
-    queries that need it most: oracled queries first, rows-only /
-    no_oracle queries last. There are more oracled queries (96) than
-    window slots (50); the ``window_priority`` tuple below picks the 50 —
-    never-driver-checked queries, queries whose last driver row is stale,
-    and queries whose kernels changed this round — and every ceded query
-    carries a green CORRECTNESS_r04 row and stays driver_sim- and
-    pytest-verified at sf0.01 against the same DuckDB oracles the driver
-    runs."""
-    # kg_lineage's / kg_dedup_check's / kg_subject_degree's SQL oracles
-    # read these parquets directly — ensure they exist first
-    _corpus_for("sf0.01")
-    _triples_parquet()
-    base = {
-        "lineitem_agg": _q_lineitem_agg,
-        "top_orders": _q_top_orders,
-        "orders_by_segment": _q_orders_by_segment,
-        "events_window": _q_events_window,
-        "revenue_by_priority": _q_revenue_by_priority,
-        "doc_stats_by_lang": _q_doc_stats_by_lang,
-        "events_top_users": _q_events_top_users,
-        "events_distinct_users": _q_events_distinct_users,
-        "events_distinct_users_hll": _q_events_distinct_users_hll,
-        "events_hll_by_type": _q_events_hll_by_type,
-        "events_hll_check": _q_events_hll_check,
-        "events_click_cc": _q_events_click_cc,
-        "events_pagerank": _q_events_pagerank,
-        "ann_recall_check": _q_ann_recall_check,
-        "events_props_extract": _q_events_props_extract,
-        "events_tumbling": _q_events_tumbling,
-        "events_sliding": _q_events_sliding,
-        "events_value_quantiles": _q_events_value_quantiles,
-        "events_sessions": _q_events_sessions,
-        "events_asof_view": _q_events_asof_view,
-        "events_value_bands": _q_events_value_bands,
-        "doc_dedup_exact": _q_doc_dedup_exact,
-        "doc_sample_per_lang": _q_doc_sample_per_lang,
-        "doc_splits": _q_doc_splits,
-        "doc_fingerprint": _q_doc_fingerprint,
-        "token_counts": _q_token_counts,
-        "text_quality": _q_text_quality,
-        "doc_quality_filter": _q_doc_quality_filter,
-        "doc_repetition": _q_doc_repetition,
-        "doc_repetition_filter": _q_doc_repetition_filter,
-        "decontaminate": _q_decontaminate,
-        "events_bloom_semi": _q_events_bloom_semi,
-        "events_running_total": _q_events_running_total,
-        "events_lag": _q_events_lag,
-        "shipping_priority": _q_shipping_priority,
-        "corpus_clean": _q_corpus_clean,
-        "emb_clusters": _q_emb_clusters,
-        "dedup_lines": _q_dedup_lines,
-        "events_top_per_type": _q_events_top_per_type,
-        "events_rolling_1h": _q_events_rolling_1h,
-        "events_quantiles_by_type": _q_events_quantiles_by_type,
-        "orders_no_recent_ship": _q_orders_no_recent_ship,
-        "events_pivot_daily": _q_events_pivot_daily,
-        "events_funnel": _q_events_funnel,
-        "events_value_zscore": _q_events_value_zscore,
-        "knn_join": _q_knn_join,
-        "user_hitters": _q_user_hitters,
-        "orders_last_ship": _q_orders_last_ship,
-        "orders_customers_full": _q_orders_customers_full,
-        "parts_never_heavy": _q_parts_never_heavy,
-        "events_window_users": _q_events_window_users,
-        "doc_chunks": _q_doc_chunks,
-        "dedup_clusters": _q_dedup_clusters,
-        "local_supplier_volume": _q_local_supplier_volume,
-        "doc_normalize": _q_doc_normalize,
-        "doc_packing": _q_doc_packing,
-        "doc_top_tfidf": _q_doc_top_tfidf,
-        "top_bigrams": _q_top_bigrams,
-        "customer_redact": _q_customer_redact,
-        "lang_id": _q_lang_id,
-        "dedup_minhash": _q_dedup_minhash,
-        "dedup_simhash": _q_dedup_simhash,
-        "jaccard_pairs": _q_jaccard_pairs,
-        "ann_topk": _q_ann_topk,
-        "ann_ivf": _q_ann_ivf,
-        "ann_recall": _q_ann_recall,
-        "emb_dups": _q_emb_dups,
-        "emb_dup_pairs": _q_emb_dup_pairs,
-        "media_features": _q_media_features,
-        "media_resize": _q_media_resize,
-        "kg_lineage": _q_kg_lineage,
-        "kg_dedup_check": _q_kg_dedup_check,
-        "kg_subject_degree": _q_kg_subject_degree,
-        "kg_link_check": _q_kg_link_check,
-        "kg_canon_passthrough": _q_kg_canon_passthrough,
-        "kg_triples": _q_kg_triples,
-        "kg_errors": _q_kg_errors,
-        "kg_dedup": _q_kg_dedup,
-        "kg_canonicalize": _q_kg_canonicalize,
-        "kg_materialize": _q_kg_materialize,
-        "kg_entity_link": _q_kg_entity_link,
-        "kg_from_rdf": _q_kg_from_rdf,
-        "kg_frame": _q_kg_frame,
-        "kg_pagerank": _q_kg_pagerank,
-        "kg_mentions": _q_kg_mentions,
-        "kg_error_stats": _q_kg_error_stats,
-        # round-4 additions: oracled but appended AFTER the stable
-        # 50-query driver window (driver_sim/pytest-verified instead)
-        "events_value_stats": _q_events_value_stats,
-        "lineitem_corr": _q_lineitem_corr,
-        "lineitem_rollup": _q_lineitem_rollup,
-        "orders_ranked": _q_orders_ranked,
-        "users_customers_intersect": _q_users_customers_intersect,
-        "customers_no_events": _q_customers_no_events,
-        "doc_hash_sample": _q_doc_hash_sample,
-        "price_histogram": _q_price_histogram,
-        "user_top_event_type": _q_user_top_event_type,
-        "daily_new_users": _q_daily_new_users,
-        "user_event_seq": _q_user_event_seq,
-        "doc_lines": _q_doc_lines,
-        "lineitem_unpivot": _q_lineitem_unpivot,
-        "part_type_fuzzy": _q_part_type_fuzzy,
-        "events_interval_match": _q_events_interval_match,
-        "events_winsorized": _q_events_winsorized,
-        "doc_weighted_sample": _q_doc_weighted_sample,
-        "events_value_mad": _q_events_value_mad,
-        "doc_weighted_per_lang": _q_doc_weighted_per_lang,
-        "doc_dup_spans": _q_doc_dup_spans,
-        "events_rolling_rows": _q_events_rolling_rows,
-        "events_share_of_type": _q_events_share_of_type,
-        "orders_cube": _q_orders_cube,
-        # round-5 additions
-        "doc_dedup_cut": _q_doc_dedup_cut,
-        "user_first_last": _q_user_first_last,
-        "user_type_entropy": _q_user_type_entropy,
-        "user_distinct_types": _q_user_distinct_types,
-        "lsh_candidate_recall": _q_lsh_candidate_recall,
-        "jaccard_clone_recall": _q_jaccard_clone_recall,
-        "simhash_clone_recall": _q_simhash_clone_recall,
-        "users_customers_union": _q_users_customers_union,
-        "lineitem_below_avg": _q_lineitem_below_avg,
-        "doc_unigram_lp": _q_doc_unigram_lp,
-    }
-    oracled = set(oracle_sql())
-    # 96 oracled queries, 50 driver slots — ROUND-5 ROTATION: the 26
-    # queries that ceded their slot in round 4 (all green in
-    # CORRECTNESS_r03 / judge driver_sim but without a fresh driver row)
-    # plus the 20 round-5 additions take the window, followed by 4
-    # round-4 greens whose kernels CHANGED this round (segmented_head
-    # null fix, group-stats gates, interval-join probe, span-emitter
-    # refactor, the r3-red events_sessions kept under watch) — one
-    # representative per changed family; the ceded siblings
-    # (events_quantiles_by_type, user_top_event_type,
-    # doc_weighted_sample, orders_customers_full, events_pivot_daily,
-    # doc_weighted_per_lang, doc_dup_spans) carry green
-    # CORRECTNESS_r04 rows, as do all other ceding queries, and every
-    # query stays driver_sim-/pytest-verified (tests/driver_sim.py runs
-    # ALL queries at num_cpus=32); with this rotation every oracled
-    # query has a driver row dated r4-or-r5.
-    window_priority = (
-        # — the 26 stale-row queries rotated back in —
-        "doc_repetition_filter",
-        "events_window",
-        "events_window_users",
-        "events_top_users",
-        "orders_by_segment",
-        "doc_stats_by_lang",
-        "parts_never_heavy",
-        "orders_no_recent_ship",
-        "doc_sample_per_lang",      # segmented_head consumer (r5 null fix)
-        "events_running_total",
-        "doc_splits",
-        "events_value_bands",
-        "events_value_quantiles",
-        "shipping_priority",
-        "local_supplier_volume",
-        "events_sliding",
-        "doc_fingerprint",
-        "corpus_clean",             # gained optional cut_spans stage r5
-        "knn_join",                 # segmented_head consumer
-        "doc_chunks",
-        "events_distinct_users",
-        "events_top_per_type",      # segmented_head consumer
-        "doc_quality_filter",
-        "events_rolling_1h",
-        "events_value_zscore",      # r5 cardinality gate
-        "orders_cube",              # never driver-checked before
-        # — round-5 additions (never driver-checked) —
-        "doc_dedup_cut",
-        "user_first_last",
-        "user_type_entropy",
-        "user_distinct_types",
-        "lsh_candidate_recall",
-        "emb_dup_pairs",
-        "kg_lineage",
-        "kg_dedup_check",
-        "kg_subject_degree",
-        "jaccard_clone_recall",
-        "simhash_clone_recall",
-        "kg_link_check",
-        "kg_canon_passthrough",
-        "events_click_cc",          # recursive-CTE CC oracle (new)
-        "events_pagerank",          # recursive-CTE PageRank oracle (new)
-        "events_hll_check",         # HLL error-bound invariant (new)
-        "ann_recall_check",         # IVF recall invariant (new)
-        # — late-round-5 additions (never driver-checked; they displace
-        #   events_pivot_daily / doc_weighted_per_lang, whose changed
-        #   kernels keep in-window family representatives —
-        #   events_share_of_type for the cardinality gate,
-        #   doc_sample_per_lang/knn_join/events_top_per_type for the
-        #   segmented selection — and whose own green CORRECTNESS_r04
-        #   rows stand) —
-        "users_customers_union",    # UNION distinct (new)
-        "lineitem_below_avg",       # correlated-subquery filter (new)
-        "doc_unigram_lp",           # unigram-LM quality score (new; cedes
-                                    # doc_dup_spans, green r4 row + pytest)
-        # — r4 greens whose kernels changed this round (one per family) —
-        "events_share_of_type",     # r5 cardinality gate
-        "events_interval_match",    # r5 vectorized probe
-        "orders_last_ship",         # bucketed join family
-        "events_sessions",          # the r3 red — keep under driver watch
-    )
-    assert len(window_priority) == 50 and set(window_priority) <= set(base)
-    ordered: dict[str, Callable[[str], Any]] = {}
-    for name in window_priority:
-        ordered[name] = base[name]
-    for name in base:  # ceded oracled queries next, original order kept
-        if name in oracled and name not in ordered:
-            ordered[name] = base[name]
-    for name in base:  # rows-only queries last
-        if name not in ordered:
-            ordered[name] = base[name]
-    return ordered
-
-
-def _text_quality_sql() -> str:
-    """Generated from the SAME constants as ops/text.quality_score_batch
-    (both sides use RE2 regexes and identical float-op ordering)."""
-    from jsonld_ex_ray.ops.text import _STOPWORDS
-
-    stop_re = r"(?i)\b(" + "|".join(sorted(_STOPWORDS)) + r")\b"
-    return f"""
-        WITH f AS (
-          SELECT doc_id,
-                 CAST(length(text) AS DOUBLE) AS nc,
-                 CAST(len(regexp_extract_all(text, '\\S+')) AS DOUBLE) AS nw,
-                 CAST(len(regexp_extract_all(text, '\\S')) AS DOUBLE) AS nonspace,
-                 CAST(len(regexp_extract_all(text, '[^\\w\\s]')) AS DOUBLE) AS punct,
-                 CAST(len(regexp_extract_all(text, '{stop_re}')) AS DOUBLE) AS stops
-          FROM documents
-        ), r AS (
-          SELECT doc_id, nc,
-                 CASE WHEN nc > 0 THEN punct / nc ELSE 0.0 END AS pr,
-                 CASE WHEN nw > 0 THEN stops / nw ELSE 0.0 END AS sr,
-                 CASE WHEN nw > 0 THEN nonspace / nw ELSE 0.0 END AS mwl
-          FROM f
-        )
-        SELECT doc_id,
-               CAST(nc AS BIGINT) AS n_chars,
-               round(pr, 6) AS punct_ratio,
-               round(sr, 6) AS stopword_ratio,
-               round(mwl, 6) AS mean_word_len,
-               round((CASE WHEN nc < 32 OR nc > 100000 THEN 0.3 ELSE 1.0 END)
-                     * (CASE WHEN pr > 0.3 THEN 0.4 ELSE 1.0 END)
-                     * (CASE WHEN mwl < 2 OR mwl > 14 THEN 0.5 ELSE 1.0 END)
-                     * least(1.0, 0.5 + sr), 6) AS quality
-        FROM r
-        ORDER BY doc_id
-    """
-
-
-def _lang_id_sql() -> str:
-    """Generated from the SAME trigram tables as ops/text.lang_id_batch;
-    tie-break mirrors numpy argmax (first language in table order)."""
-    from jsonld_ex_ray.ops.text import _LANG_TRIGRAMS
-
-    langs = list(_LANG_TRIGRAMS)
-    hit_cols = []
-    for lang in langs:
-        terms = " + ".join(
-            f"(CASE WHEN contains(lower(text), '{tri}') THEN 1 ELSE 0 END)"
-            for tri in sorted(_LANG_TRIGRAMS[lang])
-        )
-        hit_cols.append(f"({terms}) AS h_{lang}")
-    h_list = ", ".join(f"h_{lang}" for lang in langs)
-    pred_chain = f"CASE WHEN greatest({h_list}) = 0 THEN 'und' "
-    for i, lang in enumerate(langs):
-        rest = [f"h_{lang} >= h_{o}" for o in langs[i + 1 :]]
-        cond = " AND ".join(rest) if rest else "TRUE"
-        pred_chain += f"WHEN {cond} THEN '{lang}' "
-    pred_chain += "END"
-    return f"""
-        WITH h AS (
-          SELECT doc_id, {", ".join(hit_cols)}
-          FROM documents
-        )
-        SELECT doc_id,
-               {pred_chain} AS lang_pred,
-               round(greatest({h_list}) / 10.0, 6) AS lang_conf
-        FROM h
-        ORDER BY doc_id
-    """
+    """Every driver query by name: the window first, then the other
+    oracled queries, then the rows-only ones. Builds nothing."""
+    rest = [name for name in _QUERIES if name not in _WINDOW]
+    oracled = [name for name in rest if name in _ORACLES]
+    rows_only = [name for name in rest if name not in _ORACLES]
+    return {name: _QUERIES[name] for name in (*_WINDOW, *oracled, *rows_only)}
 
 
 def oracle_sql() -> dict[str, str]:
-    # kg_lineage's oracle reads the fixed corpus parquet directly, and
-    # kg_dedup_check / kg_subject_degree read the derived triples
-    # parquet; ensure both exist BEFORE the driver can run the SQL side
-    # (queries() does the same, so either call order is safe)
-    _corpus_for("sf0.01")
-    _triples_parquet()
-    return {
-        "lineitem_agg": """
-            SELECT l_returnflag, l_linestatus,
-                   round(sum(l_quantity), 2) AS sum_qty,
-                   round(sum(l_extendedprice), 2) AS sum_base_price,
-                   round(avg(l_discount), 6) AS avg_disc,
-                   count(*) AS count_order
-            FROM lineitem
-            GROUP BY l_returnflag, l_linestatus
-            ORDER BY l_returnflag, l_linestatus
-        """,
-        "top_orders": """
-            SELECT o_orderkey, o_custkey, o_totalprice
-            FROM orders
-            ORDER BY o_totalprice DESC, o_orderkey ASC
-            LIMIT 10
-        """,
-        "orders_by_segment": """
-            SELECT c_mktsegment,
-                   count(*) AS n_orders,
-                   round(sum(o_totalprice), 2) AS sum_price
-            FROM orders JOIN customer ON o_custkey = c_custkey
-            GROUP BY c_mktsegment
-            ORDER BY c_mktsegment
-        """,
-        "events_window": """
-            SELECT strftime(ts, '%Y-%m-%d') AS day, event_type,
-                   count(*) AS n, round(sum(value), 2) AS sum_value
-            FROM events
-            GROUP BY day, event_type
-            ORDER BY day, event_type
-        """,
-        "revenue_by_priority": """
-            SELECT o_orderpriority,
-                   round(sum(l_extendedprice * (1 - l_discount)), 2) AS sum_revenue,
-                   count(*) AS n_items
-            FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
-            ORDER BY o_orderpriority
-        """,
-        "doc_stats_by_lang": """
-            SELECT lang,
-                   avg(n_chars) AS avg_chars,
-                   max(n_chars) AS max_chars,
-                   count(*) AS n_docs
-            FROM documents
-            GROUP BY lang
-            ORDER BY lang
-        """,
-        "events_top_users": """
-            SELECT user_id, round(sum(value), 2) AS total_value
-            FROM events
-            GROUP BY user_id
-            ORDER BY total_value DESC, user_id ASC
-            LIMIT 10
-        """,
-        "events_distinct_users": """
-            SELECT count(DISTINCT user_id) AS n_distinct FROM events
-        """,
-        "events_props_extract": """
-            SELECT event_id,
-                   CAST(json_extract_string(props, '$.k') AS BIGINT) AS k
-            FROM events
-            ORDER BY event_id
-        """,
-        "events_tumbling": """
-            SELECT CAST(floor(epoch(ts) / 3600) * 3600 AS BIGINT) AS window_start,
-                   count(*) AS n, round(sum(value), 2) AS sum_value
-            FROM events
-            GROUP BY window_start
-            ORDER BY window_start
-        """,
-        "events_value_quantiles": """
-            SELECT round(quantile_cont(value, 0.25), 6) AS q25,
-                   round(quantile_cont(value, 0.50), 6) AS q50,
-                   round(quantile_cont(value, 0.90), 6) AS q90
-            FROM events
-        """,
-        "events_sessions": """
-            WITH flags AS (
-              SELECT user_id, ts,
-                     CASE WHEN lag(ts) OVER w IS NULL
-                          OR epoch(ts) - epoch(lag(ts) OVER w) > 1800
-                          THEN 1 ELSE 0 END AS new_session
-              FROM events
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-            ), sessions AS (
-              SELECT user_id, ts,
-                     sum(new_session) OVER (
-                       PARTITION BY user_id ORDER BY ts
-                       ROWS UNBOUNDED PRECEDING
-                     ) AS session_seq
-              FROM flags
-            )
-            SELECT user_id,
-                   -- DuckDB windowed sum over INTEGER is HUGEINT, which
-                   -- pandas fetches as float64 (1.0 != 1 under the
-                   -- driver's value hash) — cast back to BIGINT.
-                   CAST(session_seq AS BIGINT) AS session_seq,
-                   count(*) AS n_events,
-                   CAST(epoch_us(min(ts)) AS BIGINT) AS session_start_us,
-                   CAST(epoch_us(max(ts)) AS BIGINT) AS session_end_us
-            FROM sessions
-            GROUP BY user_id, session_seq
-            ORDER BY user_id, session_seq
-        """,
-        "events_asof_view": """
-            SELECT e.event_id, l.view_ts
-            FROM events e
-            ASOF LEFT JOIN (
-                SELECT user_id AS u, ts AS view_ts
-                FROM events WHERE event_type = 'view'
-            ) l ON e.user_id = l.u AND e.ts > l.view_ts
-            ORDER BY e.event_id
-        """,
-        "events_value_bands": """
-            SELECT e.event_id, b.band
-            FROM events e
-            LEFT JOIN (VALUES (0.0, 5.0, 'low'), (5.0, 20.0, 'mid'), (20.0, 1e9, 'high'))
-                 b(lo, hi, band)
-              ON e.value >= b.lo AND e.value < b.hi
-            ORDER BY e.event_id
-        """,
-        "events_sliding": """
-            SELECT ws AS window_start, count(*) AS n, round(sum(value), 2) AS sum_value
-            FROM (
-              SELECT e.value,
-                     CAST(floor(epoch(e.ts) / 1800) * 1800 - k.k * 1800 AS BIGINT) AS ws,
-                     epoch(e.ts) AS t
-              FROM events e CROSS JOIN (VALUES (0), (1)) k(k)
-            )
-            WHERE t >= ws AND t < ws + 3600
-            GROUP BY ws
-            ORDER BY ws
-        """,
-        "kg_lineage": """
-            SELECT repo, path, "commit",
-                   sha256(content) AS content_sha256
-            FROM read_parquet('/tmp/jsonld_ex_ray_corpus_4000_42_s16/*.parquet')
-            ORDER BY repo, path
-        """,
-        "kg_dedup_check": """
-            SELECT DISTINCT graph, subj, pred, obj, obj_datatype, obj_lang
-            FROM read_parquet('/tmp/jsonld_ex_ray_triples_4000/*.parquet')
-        """,
-        "kg_subject_degree": """
-            SELECT subj, count(*) AS degree
-            FROM read_parquet('/tmp/jsonld_ex_ray_triples_4000/*.parquet')
-            GROUP BY subj
-        """,
-        "kg_link_check": """
-            WITH m(alias, iri) AS (VALUES
-              ('https://kg.example/hot/0', 'https://kg.example/canonical/hot-0'),
-              ('https://kg.example/hot/1', 'https://kg.example/canonical/hot-1'),
-              ('https://kg.example/hot/2', 'https://kg.example/canonical/hot-2'),
-              ('https://kg.example/hot/3', 'https://kg.example/canonical/hot-3')),
-            t AS (SELECT * FROM read_parquet('/tmp/jsonld_ex_ray_triples_4000/*.parquet'))
-            SELECT t.*,
-                   coalesce(ms1.iri, ms2.iri, t.subj) AS subj_canon,
-                   CASE WHEN t.obj_kind = 'iri'
-                        THEN coalesce(mo1.iri, mo2.iri, t.obj)
-                        ELSE t.obj END AS obj_canon
-            FROM t
-            LEFT JOIN m ms1 ON t.subj = ms1.alias
-            LEFT JOIN m ms2 ON replace(rtrim(lower(t.subj), '/'), 'https://', 'http://')
-                             = replace(rtrim(lower(ms2.alias), '/'), 'https://', 'http://')
-            LEFT JOIN m mo1 ON t.obj_kind = 'iri' AND t.obj = mo1.alias
-            LEFT JOIN m mo2 ON t.obj_kind = 'iri'
-                           AND replace(rtrim(lower(t.obj), '/'), 'https://', 'http://')
-                             = replace(rtrim(lower(mo2.alias), '/'), 'https://', 'http://')
-        """,
-        "kg_canon_passthrough": """
-            SELECT graph, subj, pred, obj, obj_datatype, obj_lang, doc_id
-            FROM read_parquet('/tmp/jsonld_ex_ray_triples_4000/*.parquet')
-            WHERE subj NOT LIKE '\\_:%' ESCAPE '\\'
-              AND obj_kind <> 'bnode'
-              AND (graph IS NULL OR graph NOT LIKE '\\_:%' ESCAPE '\\')
-        """,
-        "emb_dup_pairs": """
-            WITH e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS emb
-                       FROM embeddings)
-            SELECT a.vec_id AS vec_id_a, b.vec_id AS vec_id_b,
-                   round(list_cosine_similarity(a.emb, b.emb), 4) AS sim
-            FROM e a JOIN e b ON a.vec_id < b.vec_id
-            WHERE list_cosine_similarity(a.emb, b.emb) >= 0.42
-            ORDER BY vec_id_a, vec_id_b
-        """,
-        "ann_topk": """
-            SELECT vec_id,
-                   round(list_cosine_similarity(CAST(embedding AS DOUBLE[]),
-                         (SELECT CAST(embedding AS DOUBLE[]) FROM embeddings LIMIT 1)), 4) AS sim
-            FROM embeddings
-            ORDER BY sim DESC, vec_id ASC
-            LIMIT 10
-        """,
-        "text_quality": _text_quality_sql(),
-        "doc_quality_filter": f"""
-            WITH q AS ({_text_quality_sql()})
-            SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
-            FROM documents d JOIN q ON d.doc_id = q.doc_id
-            WHERE q.quality >= 0.51
-            ORDER BY d.doc_id
-        """,
-        "lang_id": _lang_id_sql(),
-        "events_bloom_semi": """
-            SELECT event_id, user_id, event_type, value
-            FROM events
-            WHERE user_id IN (
-              SELECT DISTINCT user_id FROM events
-              WHERE event_type = 'error' AND value > 150.0
-            )
-            ORDER BY event_id
-        """,
-        "events_running_total": """
-            SELECT event_id, user_id, value,
-                   CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-                   round(sum(value) OVER (
-                     PARTITION BY user_id ORDER BY ts, event_id
-                   ), 2) AS running_sum
-            FROM events
-            ORDER BY event_id
-        """,
-        "events_lag": """
-            SELECT event_id, user_id, value,
-                   CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-                   lag(value, 1) OVER (
-                     PARTITION BY user_id ORDER BY ts, event_id
-                   ) AS prev_value
-            FROM events
-            ORDER BY event_id
-        """,
-        "shipping_priority": """
-            SELECT l_orderkey,
-                   round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-                   CAST(epoch(o_orderdate) AS BIGINT) AS od_s
-            FROM customer
-            JOIN orders ON c_custkey = o_custkey
-            JOIN lineitem ON l_orderkey = o_orderkey
-            WHERE c_mktsegment = 'BUILDING'
-              AND o_orderdate < TIMESTAMP '1998-06-01'
-              AND l_shipdate > TIMESTAMP '1998-06-01'
-            GROUP BY l_orderkey, o_orderdate
-            ORDER BY revenue DESC, l_orderkey
-            LIMIT 10
-        """,
-        "corpus_clean": f"""
-            WITH words AS (
-              SELECT doc_id, w
-              FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
-              WHERE len(w) > 0
-            ),
-            per_word AS (
-              SELECT doc_id, w, count(*) AS cnt FROM words GROUP BY doc_id, w
-            ),
-            rep AS (
-              SELECT doc_id,
-                     CAST(sum(cnt) AS BIGINT) AS n_words,
-                     CAST(count(*) AS BIGINT) AS n_distinct,
-                     CAST(max(cnt) AS BIGINT) AS top_cnt
-              FROM per_word GROUP BY doc_id
-            ),
-            kept AS (
-              SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
-              FROM documents d
-              JOIN ({_text_quality_sql()}) q ON d.doc_id = q.doc_id
-              LEFT JOIN rep a ON d.doc_id = a.doc_id
-              WHERE q.quality >= 0.51
-                AND round((COALESCE(a.n_words, 0) - COALESCE(a.n_distinct, 0))
-                          / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.62
-                AND round(COALESCE(a.top_cnt, 0)
-                          / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.12
-            ),
-            dd AS (
-              SELECT *, row_number() OVER (PARTITION BY text ORDER BY doc_id) AS rn
-              FROM kept
-            )
-            SELECT doc_id, text, lang, source, n_chars,
-                   CASE WHEN md5(CAST(doc_id AS VARCHAR)) < 'c0' THEN 'train'
-                        WHEN md5(CAST(doc_id AS VARCHAR)) < 'e0' THEN 'val'
-                        ELSE 'test' END AS split
-            FROM dd WHERE rn = 1
-            ORDER BY doc_id
-        """,
-        "dedup_lines": """
-            WITH lines AS (
-              SELECT doc_id, CAST(i.g AS BIGINT) AS line_no, ws[CAST(i.g AS BIGINT)] AS ln
-              FROM (SELECT doc_id, string_split(text, chr(10)) AS ws FROM documents),
-                   unnest(range(1, len(ws) + 1)) AS i(g)
-            ),
-            win AS (
-              SELECT ln, min(doc_id * 4294967296 + line_no) AS w
-              FROM lines GROUP BY ln
-            )
-            SELECT l.doc_id,
-                   string_agg(l.ln, chr(10) ORDER BY l.line_no) AS text
-            FROM lines l JOIN win ON l.ln = win.ln
-                 AND l.doc_id * 4294967296 + l.line_no = win.w
-            GROUP BY l.doc_id
-            ORDER BY l.doc_id
-        """,
-        "events_rolling_1h": """
-            SELECT event_id, user_id, value,
-                   CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-                   round(sum(value) OVER w, 2) AS rolling_sum,
-                   count(*) OVER w AS rolling_n
-            FROM events
-            WINDOW w AS (PARTITION BY user_id ORDER BY ts
-                         RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)
-            ORDER BY event_id
-        """,
-        "events_quantiles_by_type": """
-            SELECT event_type,
-                   round(quantile_cont(value, 0.25), 6) AS q25,
-                   round(quantile_cont(value, 0.50), 6) AS q50,
-                   round(quantile_cont(value, 0.90), 6) AS q90
-            FROM events
-            GROUP BY event_type
-            ORDER BY event_type
-        """,
-        "orders_no_recent_ship": """
-            SELECT o_orderkey, o_custkey, o_totalprice, o_orderstatus
-            FROM orders o
-            WHERE NOT EXISTS (
-              SELECT 1 FROM lineitem l
-              WHERE l.l_orderkey = o.o_orderkey
-                AND l.l_shipdate > TIMESTAMP '1998-09-01'
-            )
-            ORDER BY o_orderkey
-        """,
-        "events_pivot_daily": """
-            SELECT strftime(ts, '%Y-%m-%d') AS day,
-                   count(*) FILTER (event_type = 'click') AS n_click,
-                   round(coalesce(sum(value) FILTER (event_type = 'click'), 0), 2) AS sum_click,
-                   count(*) FILTER (event_type = 'error') AS n_error,
-                   round(coalesce(sum(value) FILTER (event_type = 'error'), 0), 2) AS sum_error,
-                   count(*) FILTER (event_type = 'purchase') AS n_purchase,
-                   round(coalesce(sum(value) FILTER (event_type = 'purchase'), 0), 2) AS sum_purchase,
-                   count(*) FILTER (event_type = 'signup') AS n_signup,
-                   round(coalesce(sum(value) FILTER (event_type = 'signup'), 0), 2) AS sum_signup,
-                   count(*) FILTER (event_type = 'view') AS n_view,
-                   round(coalesce(sum(value) FILTER (event_type = 'view'), 0), 2) AS sum_view
-            FROM events
-            GROUP BY day
-            ORDER BY day
-        """,
-        "events_funnel": """
-            WITH t1 AS (
-              SELECT user_id, min(ts) AS ts1 FROM events
-              WHERE event_type = 'view' GROUP BY user_id
-            ), t2 AS (
-              SELECT e.user_id, min(e.ts) AS ts2 FROM events e
-              JOIN t1 USING (user_id)
-              WHERE e.event_type = 'click' AND e.ts > t1.ts1 GROUP BY e.user_id
-            ), t3 AS (
-              SELECT e.user_id, min(e.ts) AS ts3 FROM events e
-              JOIN t2 USING (user_id)
-              WHERE e.event_type = 'purchase' AND e.ts > t2.ts2 GROUP BY e.user_id
-            )
-            SELECT u.user_id,
-                   CAST(epoch_us(t1.ts1) AS BIGINT) AS step1_us,
-                   CAST(epoch_us(t2.ts2) AS BIGINT) AS step2_us,
-                   CAST(epoch_us(t3.ts3) AS BIGINT) AS step3_us,
-                   (CASE WHEN ts1 IS NULL THEN 0 ELSE 1 END
-                    + CASE WHEN ts2 IS NULL THEN 0 ELSE 1 END
-                    + CASE WHEN ts3 IS NULL THEN 0 ELSE 1 END) AS stage
-            FROM (SELECT DISTINCT user_id FROM events) u
-            LEFT JOIN t1 ON u.user_id = t1.user_id
-            LEFT JOIN t2 ON u.user_id = t2.user_id
-            LEFT JOIN t3 ON u.user_id = t3.user_id
-            ORDER BY u.user_id
-        """,
-        "events_value_zscore": """
-            SELECT event_id, event_type, value,
-                   round((value - avg(value) OVER (PARTITION BY event_type))
-                         / stddev_pop(value) OVER (PARTITION BY event_type), 6) AS z
-            FROM events
-            ORDER BY event_id
-        """,
-        "knn_join": """
-            WITH q AS (
-              SELECT vec_id AS qid, CAST(embedding AS DOUBLE[]) AS e
-              FROM embeddings WHERE vec_id < 100
-            ), c AS (
-              SELECT vec_id AS nid, CAST(embedding AS DOUBLE[]) AS e
-              FROM embeddings
-            ), sims AS (
-              SELECT q.qid, c.nid,
-                     round(list_cosine_similarity(q.e, c.e), 4) AS sim
-              FROM q, c WHERE q.qid != c.nid
-            ), r AS (
-              SELECT *, row_number() OVER (
-                PARTITION BY qid ORDER BY sim DESC, nid ASC
-              ) AS rn
-              FROM sims
-            )
-            SELECT qid AS query_id, nid AS neighbor_id, sim
-            FROM r WHERE rn <= 5
-            ORDER BY query_id, sim DESC, neighbor_id
-        """,
-        "user_hitters": """
-            SELECT user_id, count(*) AS n
-            FROM events
-            GROUP BY user_id
-            ORDER BY n DESC, user_id ASC
-            LIMIT 10
-        """,
-        "orders_last_ship": """
-            SELECT o.o_orderkey, o.o_totalprice,
-                   CAST(epoch(max(l.l_shipdate)) AS BIGINT) AS last_ship_s
-            FROM orders o
-            LEFT JOIN lineitem l
-              ON l.l_orderkey = o.o_orderkey
-             AND l.l_shipdate > TIMESTAMP '1998-09-01'
-            GROUP BY o.o_orderkey, o.o_totalprice
-            ORDER BY o.o_orderkey
-        """,
-        "orders_customers_full": """
-            SELECT o.o_orderkey,
-                   COALESCE(o.o_custkey, c.c_custkey) AS o_custkey,
-                   o.o_totalprice, c.c_acctbal
-            FROM (SELECT * FROM orders
-                  WHERE o_orderdate >= TIMESTAMP '1998-06-01') o
-            FULL OUTER JOIN (SELECT * FROM customer
-                             WHERE c_mktsegment = 'BUILDING') c
-              ON o.o_custkey = c.c_custkey
-        """,
-        "doc_normalize": r"""
-            SELECT doc_id, text,
-                   lower(trim(regexp_replace(
-                     regexp_replace(nfc_normalize(text),
-                                    '[\x00-\x08\x0B\x0C\x0E-\x1F\x7F]', '', 'g'),
-                     '\s+', ' ', 'g'))) AS text_norm,
-                   CAST(length(lower(trim(regexp_replace(
-                     regexp_replace(nfc_normalize(text),
-                                    '[\x00-\x08\x0B\x0C\x0E-\x1F\x7F]', '', 'g'),
-                     '\s+', ' ', 'g')))) AS BIGINT) AS n_chars_norm
-            FROM documents
-            ORDER BY doc_id
-        """,
-        "local_supplier_volume": """
-            SELECT n_name, round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
-            FROM customer, orders, lineitem, supplier, nation, region
-            WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-              AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-              AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-              AND r_name = 'ASIA'
-              AND o_orderdate >= TIMESTAMP '1996-01-01'
-              AND o_orderdate < TIMESTAMP '1998-01-01'
-            GROUP BY n_name
-            ORDER BY revenue DESC, n_name
-        """,
-        "parts_never_heavy": """
-            SELECT p_partkey, p_name, p_retailprice
-            FROM part p
-            WHERE NOT EXISTS (
-              SELECT 1 FROM lineitem l
-              WHERE l.l_partkey = p.p_partkey AND l.l_quantity >= 45
-            )
-            ORDER BY p_partkey
-        """,
-        "events_window_users": """
-            SELECT CAST(floor(epoch(ts) / 3600) * 3600 AS BIGINT) AS window_start,
-                   count(DISTINCT user_id) AS n_users
-            FROM events
-            GROUP BY window_start
-            ORDER BY window_start
-        """,
-        "doc_chunks": """
-            SELECT doc_id,
-                   CAST(i.g AS BIGINT) AS chunk_id,
-                   substr(text, CAST(i.g * 384 + 1 AS BIGINT), 512) AS chunk_text,
-                   CAST(length(substr(text, CAST(i.g * 384 + 1 AS BIGINT), 512)) AS BIGINT)
-                     AS n_chunk_chars
-            FROM documents,
-                 unnest(range(0, GREATEST(CAST(ceil(length(text) / 384.0) AS BIGINT), 1)))
-                   AS i(g)
-            ORDER BY doc_id, chunk_id
-        """,
-        "events_top_per_type": """
-            SELECT event_type, user_id, sum_value FROM (
-              SELECT event_type, user_id,
-                     round(sum(value), 2) AS sum_value,
-                     row_number() OVER (
-                       PARTITION BY event_type
-                       ORDER BY round(sum(value), 2) DESC, user_id
-                     ) AS rn
-              FROM events GROUP BY event_type, user_id
-            ) WHERE rn <= 3
-            ORDER BY event_type, user_id
-        """,
-        "doc_packing": """
-            WITH t AS (
-              SELECT doc_id, CAST(len(string_split(text, ' ')) AS BIGINT) AS n_tokens_ws
-              FROM documents
-            ),
-            s AS (
-              SELECT doc_id, n_tokens_ws,
-                     COALESCE(sum(n_tokens_ws) OVER (
-                       ORDER BY doc_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
-                     ), 0) AS pre
-              FROM t
-            )
-            SELECT doc_id, n_tokens_ws, CAST(pre // 2048 AS BIGINT) AS pack_id
-            FROM s ORDER BY doc_id
-        """,
-        "doc_top_tfidf": """
-            WITH words AS (
-              SELECT doc_id, w
-              FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
-              WHERE len(w) > 0
-            ),
-            tf AS (SELECT doc_id, w, count(*) AS c FROM words GROUP BY doc_id, w),
-            nw AS (SELECT doc_id, CAST(sum(c) AS DOUBLE) AS n FROM tf GROUP BY doc_id),
-            df AS (SELECT w, CAST(count(DISTINCT doc_id) AS DOUBLE) AS d
-                   FROM words GROUP BY w),
-            nd AS (SELECT CAST(count(*) AS DOUBLE) AS n_docs FROM documents)
-            SELECT doc_id, w AS top_term, round((c / n) * ln(n_docs / d), 6) AS tfidf
-            FROM (
-              SELECT tf.doc_id, tf.w, tf.c, nw.n, df.d, nd.n_docs,
-                     row_number() OVER (
-                       PARTITION BY tf.doc_id
-                       ORDER BY (tf.c / nw.n) * ln(nd.n_docs / df.d) DESC, tf.w
-                     ) AS rn
-              FROM tf JOIN nw ON tf.doc_id = nw.doc_id
-                      JOIN df ON tf.w = df.w
-                      CROSS JOIN nd
-            )
-            WHERE rn = 1
-            ORDER BY doc_id
-        """,
-        "top_bigrams": """
-            WITH toks AS (
-              SELECT list_filter(string_split_regex(text, '\\s+'),
-                                 w -> len(w) > 0) AS ws
-              FROM documents
-            ),
-            grams AS (
-              SELECT array_to_string(ws[CAST(i.g AS BIGINT):CAST(i.g + 1 AS BIGINT)], ' ') AS gram
-              FROM toks, unnest(range(1, len(ws))) AS i(g)
-              WHERE len(ws) >= 2
-            )
-            SELECT gram, CAST(count(*) AS BIGINT) AS cnt
-            FROM grams GROUP BY gram
-            ORDER BY cnt DESC, gram LIMIT 20
-        """,
-        "customer_redact": """
-            SELECT c_custkey, c_name,
-                   regexp_replace(regexp_replace(regexp_replace(
-                     'cust ' || CAST(c_custkey AS VARCHAR) || ': user'
-                       || CAST(c_custkey AS VARCHAR) || '@mail.example ip 10.'
-                       || CAST(c_nationkey AS VARCHAR) || '.0.'
-                       || CAST(c_custkey % 256 AS VARCHAR)
-                       || ' tel 40-555-'
-                       || lpad(CAST(c_custkey % 1000 AS VARCHAR), 3, '0') || '-0042',
-                     '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}', '<EMAIL>', 'g'),
-                     '\\b\\d{2,4}[- .]\\d{3}[- .]\\d{3}[- .]\\d{4}\\b', '<PHONE>', 'g'),
-                     '\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b', '<IP>', 'g') AS contact
-            FROM customer ORDER BY c_custkey
-        """,
-        "doc_repetition": """
-            WITH words AS (
-              SELECT doc_id, w
-              FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
-              WHERE len(w) > 0
-            ),
-            per_word AS (
-              SELECT doc_id, w, count(*) AS cnt FROM words GROUP BY doc_id, w
-            ),
-            agg AS (
-              SELECT doc_id,
-                     CAST(sum(cnt) AS BIGINT) AS n_words,
-                     CAST(count(*) AS BIGINT) AS n_distinct,
-                     CAST(max(cnt) AS BIGINT) AS top_cnt
-              FROM per_word GROUP BY doc_id
-            )
-            SELECT d.doc_id,
-                   COALESCE(a.n_words, 0) AS n_words,
-                   round((COALESCE(a.n_words, 0) - COALESCE(a.n_distinct, 0))
-                         / GREATEST(COALESCE(a.n_words, 0), 1), 6) AS dup_word_frac,
-                   round(COALESCE(a.top_cnt, 0)
-                         / GREATEST(COALESCE(a.n_words, 0), 1), 6) AS top_word_frac
-            FROM documents d LEFT JOIN agg a ON d.doc_id = a.doc_id
-            ORDER BY d.doc_id
-        """,
-        "doc_repetition_filter": """
-            WITH words AS (
-              SELECT doc_id, w
-              FROM documents, unnest(string_split_regex(text, '\\s+')) AS t(w)
-              WHERE len(w) > 0
-            ),
-            per_word AS (
-              SELECT doc_id, w, count(*) AS cnt FROM words GROUP BY doc_id, w
-            ),
-            agg AS (
-              SELECT doc_id,
-                     CAST(sum(cnt) AS BIGINT) AS n_words,
-                     CAST(count(*) AS BIGINT) AS n_distinct,
-                     CAST(max(cnt) AS BIGINT) AS top_cnt
-              FROM per_word GROUP BY doc_id
-            )
-            SELECT d.doc_id, d.text, d.lang, d.source, d.n_chars
-            FROM documents d LEFT JOIN agg a ON d.doc_id = a.doc_id
-            WHERE round((COALESCE(a.n_words, 0) - COALESCE(a.n_distinct, 0))
-                        / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.62
-              AND round(COALESCE(a.top_cnt, 0)
-                        / GREATEST(COALESCE(a.n_words, 0), 1), 6) <= 0.12
-            ORDER BY d.doc_id
-        """,
-        "decontaminate": """
-            WITH docs2 AS (
-              SELECT doc_id,
-                     CASE WHEN md5(CAST(doc_id AS VARCHAR)) < 'c0' THEN 'train'
-                          WHEN md5(CAST(doc_id AS VARCHAR)) < 'e0' THEN 'val'
-                          ELSE 'test' END AS split,
-                     list_filter(string_split_regex(text, '\\s+'),
-                                 w -> len(w) > 0) AS ws
-              FROM documents
-            ),
-            grams AS (
-              SELECT doc_id, split,
-                     array_to_string(ws[CAST(i.g AS BIGINT):CAST(i.g + 4 AS BIGINT)], ' ') AS gram
-              FROM docs2, unnest(range(1, len(ws) - 3)) AS i(g)
-              WHERE len(ws) >= 5
-            ),
-            test_grams AS (SELECT DISTINCT gram FROM grams WHERE split = 'test'),
-            hits AS (
-              SELECT g.doc_id, CAST(count(*) AS BIGINT) AS n_hits
-              FROM grams g JOIN test_grams t ON g.gram = t.gram
-              WHERE g.split = 'train'
-              GROUP BY g.doc_id
-            )
-            SELECT d.doc_id,
-                   CAST(CASE WHEN len(d.ws) >= 5 THEN len(d.ws) - 4 ELSE 0 END AS BIGINT) AS n_ngrams,
-                   COALESCE(h.n_hits, CAST(0 AS BIGINT)) AS n_contaminated,
-                   COALESCE(h.n_hits, 0) >= 1 AS contaminated
-            FROM docs2 d LEFT JOIN hits h ON d.doc_id = h.doc_id
-            WHERE d.split = 'train'
-            ORDER BY d.doc_id
-        """,
-        "doc_splits": """
-            SELECT doc_id,
-                   CASE WHEN md5(CAST(doc_id AS VARCHAR)) < 'c0' THEN 'train'
-                        WHEN md5(CAST(doc_id AS VARCHAR)) < 'e0' THEN 'val'
-                        ELSE 'test' END AS split
-            FROM documents
-            ORDER BY doc_id
-        """,
-        "doc_sample_per_lang": """
-            SELECT doc_id, text, lang, source, n_chars FROM (
-              SELECT *, row_number() OVER (
-                  PARTITION BY lang ORDER BY md5(CAST(doc_id AS VARCHAR))
-              ) AS rn
-              FROM documents
-            ) WHERE rn <= 40
-            ORDER BY doc_id
-        """,
-        "doc_dedup_exact": """
-            SELECT doc_id, text, lang, source, n_chars FROM (
-              SELECT *, row_number() OVER (PARTITION BY text ORDER BY doc_id) AS rn
-              FROM documents
-            ) WHERE rn = 1
-            ORDER BY doc_id
-        """,
-        "doc_fingerprint": """
-            SELECT doc_id, md5(text) AS fp_md5 FROM documents ORDER BY doc_id
-        """,
-        "token_counts": """
-            SELECT doc_id, len(string_split(text, ' ')) AS n_tokens_ws
-            FROM documents ORDER BY doc_id
-        """,
-        "events_value_stats": """
-            SELECT event_type,
-                   count(*) AS n,
-                   round(avg(value), 6) AS mean_value,
-                   round(stddev_samp(value), 4) AS std_value,
-                   round(var_samp(value), 2) AS var_value
-            FROM events GROUP BY event_type ORDER BY event_type
-        """,
-        "doc_weighted_sample": """
-            SELECT doc_id, n_chars FROM documents
-            WHERE n_chars > 0
-            ORDER BY ln((CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8) AS BIGINT) + 0.5)
-                        / 4294967296.0) / n_chars DESC,
-                     doc_id
-            LIMIT 100
-        """,
-        "doc_weighted_per_lang": """
-            SELECT doc_id, lang, n_chars FROM (
-              SELECT doc_id, lang, n_chars,
-                     row_number() OVER (PARTITION BY lang
-                         ORDER BY ln((CAST('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)
-                                           AS BIGINT) + 0.5) / 4294967296.0) / n_chars DESC,
-                                  doc_id) AS rn
-              FROM documents WHERE n_chars > 0
-            ) WHERE rn <= 20
-        """,
-        "doc_dup_spans": """
-            WITH pos AS (
-              SELECT doc_id, text,
-                     unnest(generate_series(1, greatest(length(text) - 63, 0), 32)) AS i
-              FROM documents
-            ),
-            spans AS (
-              SELECT doc_id, md5(substr(text, CAST(i AS INTEGER), 64)) AS h FROM pos
-            ),
-            duph AS (
-              SELECT h FROM (SELECT DISTINCT h, doc_id FROM spans)
-              GROUP BY h HAVING count(*) >= 2
-            )
-            SELECT s.doc_id, count(*) AS n_dup_spans
-            FROM spans s JOIN duph USING (h)
-            GROUP BY s.doc_id
-        """,
-        "doc_dedup_cut": """
-            WITH pos AS (
-              SELECT doc_id, text,
-                     unnest(generate_series(1, greatest(length(text) - 63, 0), 32)) AS i
-              FROM documents
-            ),
-            spans AS (
-              SELECT doc_id, CAST(i AS BIGINT) AS i,
-                     md5(substr(text, CAST(i AS INTEGER), 64)) AS h
-              FROM pos
-            ),
-            duph AS (
-              SELECT h FROM (SELECT DISTINCT h, doc_id FROM spans)
-              GROUP BY h HAVING count(*) >= 2
-            ),
-            flagged AS (
-              SELECT DISTINCT s.doc_id, s.i FROM spans s JOIN duph USING (h)
-            ),
-            chars AS (
-              SELECT doc_id,
-                     unnest(generate_series(1, length(text), 1)) AS i
-              FROM documents
-            ),
-            kept AS (
-              SELECT c.doc_id, c.i
-              FROM chars c
-              ANTI JOIN (
-                SELECT DISTINCT c2.doc_id, c2.i
-                FROM chars c2 JOIN flagged f
-                  ON c2.doc_id = f.doc_id AND c2.i BETWEEN f.i AND f.i + 63
-              ) cut USING (doc_id, i)
-            ),
-            rebuilt AS (
-              SELECT k.doc_id,
-                     string_agg(substr(d.text, CAST(k.i AS INTEGER), 1), '' ORDER BY k.i) AS text
-              FROM kept k JOIN documents d USING (doc_id)
-              GROUP BY k.doc_id
-            )
-            SELECT d.doc_id, coalesce(r.text, '') AS text
-            FROM documents d LEFT JOIN rebuilt r USING (doc_id)
-            ORDER BY d.doc_id
-        """,
-        "user_first_last": """
-            SELECT user_id,
-                   first(event_type ORDER BY ts, event_id) AS first_event_type,
-                   first(ts ORDER BY ts, event_id) AS first_ts,
-                   last(event_type ORDER BY ts, event_id) AS last_event_type,
-                   last(ts ORDER BY ts, event_id) AS last_ts
-            FROM events GROUP BY user_id ORDER BY user_id
-        """,
-        "user_type_entropy": """
-            WITH c AS (
-              SELECT user_id, event_type, CAST(count(*) AS DOUBLE) AS n
-              FROM events GROUP BY user_id, event_type
-            ),
-            t AS (SELECT user_id, sum(n) AS s FROM c GROUP BY user_id)
-            SELECT c.user_id, round(-sum((n / s) * ln(n / s)), 6) AS entropy
-            FROM c JOIN t USING (user_id)
-            GROUP BY c.user_id ORDER BY c.user_id
-        """,
-        "user_distinct_types": """
-            SELECT user_id, count(DISTINCT event_type) AS n_types
-            FROM events GROUP BY user_id ORDER BY user_id
-        """,
-        "users_customers_union": """
-            SELECT user_id FROM events
-            UNION
-            SELECT c_custkey FROM customer
-        """,
-        "doc_unigram_lp": """
-            WITH toks AS (
-              SELECT doc_id, unnest(string_split(coalesce(text, ''), ' ')) AS tok
-              FROM documents
-            ),
-            cnt AS (SELECT tok, count(*) AS c FROM toks GROUP BY tok),
-            tot AS (SELECT sum(c) AS n, count(*) AS v FROM cnt)
-            SELECT doc_id,
-                   count(*) AS n_tokens,
-                   round(avg(ln((c + 0.5) / (n + 0.5 * v))), 6) AS mean_logprob
-            FROM toks JOIN cnt USING (tok) CROSS JOIN tot
-            GROUP BY doc_id
-            ORDER BY doc_id
-        """,
-        "lineitem_below_avg": """
-            WITH w AS (
-              SELECT l_partkey, l_quantity, l_extendedprice,
-                     sum(l_quantity) OVER (PARTITION BY l_partkey) AS s,
-                     count(*) OVER (PARTITION BY l_partkey) AS n
-              FROM lineitem
-            )
-            SELECT l_partkey,
-                   count(*) AS n_below,
-                   round(sum(l_extendedprice), 2) AS sum_price
-            FROM w
-            WHERE l_quantity * 2 * n < s
-            GROUP BY l_partkey
-            ORDER BY l_partkey
-        """,
-        "lsh_candidate_recall": """
-            WITH aug AS (
-              SELECT doc_id, text FROM documents
-              UNION ALL
-              SELECT doc_id + 1000000 AS doc_id, text FROM documents
-              WHERE doc_id < 50
-            ),
-            h AS (SELECT doc_id, md5(text) AS h FROM aug)
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-            FROM h a JOIN h b ON a.h = b.h AND a.doc_id < b.doc_id
-            ORDER BY doc_a, doc_b
-        """,
-        "jaccard_clone_recall": """
-            WITH aug AS (
-              SELECT doc_id, text FROM documents
-              UNION ALL
-              SELECT doc_id + 1000000 AS doc_id, text FROM documents
-              WHERE doc_id < 50
-            ),
-            h AS (SELECT doc_id, md5(text) AS h FROM aug)
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, 1.0 AS jaccard
-            FROM h a JOIN h b ON a.h = b.h AND a.doc_id < b.doc_id
-            ORDER BY doc_a, doc_b
-        """,
-        "simhash_clone_recall": """
-            SELECT doc_id + 1000000 AS doc_id FROM documents
-            WHERE doc_id < 50 ORDER BY doc_id
-        """,
-        "events_click_cc": """
-            WITH RECURSIVE
-            e AS (SELECT DISTINCT user_id AS src, user_id + 1 AS dst
-                  FROM events WHERE event_type = 'click' AND user_id % 10 <> 9),
-            sym AS (SELECT src, dst FROM e UNION SELECT dst, src FROM e),
-            walk (node, lbl) AS (
-              SELECT DISTINCT src AS node, src AS lbl FROM sym
-              UNION
-              SELECT s.dst, w.lbl FROM walk w JOIN sym s ON s.src = w.node
-            )
-            SELECT node, MIN(lbl) AS component FROM walk
-            GROUP BY node ORDER BY node
-        """,
-        "events_pagerank": """
-            WITH RECURSIVE
-            e AS (SELECT DISTINCT user_id AS src, user_id + 1 AS dst
-                  FROM events WHERE event_type = 'view' AND user_id % 7 <> 6),
-            sym AS (SELECT src, dst FROM e UNION SELECT dst, src FROM e),
-            outdeg AS (SELECT src, COUNT(*) AS od FROM sym GROUP BY src),
-            nn AS (SELECT CAST(COUNT(DISTINCT src) AS DOUBLE) AS n FROM sym),
-            pr (iter, node, rank) AS (
-              SELECT 0, src, 1.0 / (SELECT n FROM nn)
-              FROM (SELECT DISTINCT src FROM sym)
-              UNION ALL
-              SELECT p.iter + 1, s.dst,
-                     0.15 / (SELECT n FROM nn) + 0.85 * SUM(p.rank / o.od)
-              FROM pr p
-              JOIN sym s ON s.src = p.node
-              JOIN outdeg o ON o.src = p.node
-              WHERE p.iter < 5
-              GROUP BY p.iter, s.dst
-            )
-            SELECT node, ROUND(rank, 6) AS rank FROM pr
-            WHERE iter = 5 ORDER BY node
-        """,
-        "events_hll_check": """
-            SELECT event_type, COUNT(DISTINCT user_id) AS n_exact,
-                   TRUE AS within_bound
-            FROM events GROUP BY event_type ORDER BY event_type
-        """,
-        "ann_recall_check": """
-            SELECT CAST(LEAST(20, (SELECT COUNT(*) FROM embeddings)) AS BIGINT)
-                     AS n_queries,
-                   TRUE AS recall_ok
-        """,
-        "events_rolling_rows": """
-            SELECT user_id, event_id, value,
-                   CAST(floor(epoch(ts)) AS BIGINT) AS ts_s,
-                   round(avg(value) OVER (
-                     PARTITION BY user_id ORDER BY ts, event_id
-                     ROWS BETWEEN 4 PRECEDING AND CURRENT ROW
-                   ), 6) AS roll_mean
-            FROM events
-        """,
-        "events_share_of_type": """
-            SELECT event_id, event_type, value,
-                   round(value / sum(value) OVER (PARTITION BY event_type), 6) AS share
-            FROM events
-        """,
-        "events_value_mad": """
-            WITH m AS (SELECT round(quantile_cont(value, 0.5), 6) AS med FROM events)
-            SELECT m.med AS "median",
-                   round(quantile_cont(abs(e.value - m.med), 0.5), 6) AS mad
-            FROM events e, m GROUP BY m.med
-        """,
-        "events_interval_match": """
-            WITH iv AS (
-              SELECT event_type AS ivl_type, user_id % 8 AS ivl_gid,
-                     min(value) AS lo,
-                     min(value) + (max(value) - min(value)) * 0.1 AS hi
-              FROM events GROUP BY 1, 2
-            )
-            SELECT iv.ivl_type, iv.ivl_gid,
-                   count(*) AS n_matched,
-                   round(sum(e.value), 2) AS sum_matched
-            FROM events e JOIN iv ON e.value BETWEEN iv.lo AND iv.hi
-            GROUP BY 1, 2
-            ORDER BY 1, 2
-        """,
-        "events_winsorized": """
-            WITH q AS (
-              SELECT round(quantile_cont(value, 0.05), 6) AS qlo,
-                     round(quantile_cont(value, 0.95), 6) AS qhi
-              FROM events
-            )
-            SELECT event_type,
-                   count(value) AS n,
-                   round(avg(least(greatest(value, qlo), qhi)), 6) AS mean_w,
-                   min(least(greatest(value, qlo), qhi)) AS min_w,
-                   max(least(greatest(value, qlo), qhi)) AS max_w
-            FROM events, q
-            GROUP BY event_type ORDER BY event_type
-        """,
-        "lineitem_corr": """
-            SELECT l_returnflag,
-                   round(corr(l_quantity, l_extendedprice), 6) AS corr_qty_price,
-                   round(covar_samp(l_quantity, l_extendedprice), 2) AS covar_qty_price
-            FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag
-        """,
-        "lineitem_rollup": """
-            SELECT l_returnflag, l_linestatus,
-                   round(sum(l_quantity), 2) AS sum_qty,
-                   count(*) AS n
-            FROM lineitem
-            GROUP BY ROLLUP(l_returnflag, l_linestatus)
-            ORDER BY l_returnflag, l_linestatus
-        """,
-        "orders_cube": """
-            SELECT o_orderpriority, o_orderstatus,
-                   round(sum(o_totalprice), 2) AS sum_price,
-                   count(*) AS n
-            FROM orders
-            GROUP BY CUBE(o_orderpriority, o_orderstatus)
-            ORDER BY o_orderpriority, o_orderstatus
-        """,
-        "orders_ranked": """
-            SELECT o_orderkey, o_orderpriority, o_totalprice,
-                   row_number() OVER (PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice DESC, o_orderkey) AS "row_number",
-                   rank() OVER (PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice DESC) AS "rank",
-                   dense_rank() OVER (PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice DESC) AS "dense_rank",
-                   percent_rank() OVER (PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice DESC) AS "percent_rank",
-                   cume_dist() OVER (PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice DESC) AS "cume_dist",
-                   ntile(4) OVER (PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice DESC, o_orderkey) AS "ntile"
-            FROM orders ORDER BY o_orderpriority, o_orderkey
-        """,
-        "users_customers_intersect": """
-            SELECT user_id FROM events
-            INTERSECT
-            SELECT c_custkey FROM customer
-        """,
-        "customers_no_events": """
-            SELECT c_custkey FROM customer
-            EXCEPT
-            SELECT user_id FROM events
-        """,
-        "doc_hash_sample": f"""
-            SELECT doc_id, lang FROM documents
-            WHERE substr(md5('{_HASH_SAMPLE_SALT}' || CAST(doc_id AS VARCHAR)), 1, 8)
-                  < '{format(int(_HASH_SAMPLE_FRACTION * 16**8), "08x")}'
-            ORDER BY doc_id
-        """,
-        "price_histogram": """
-            SELECT CAST(floor((o_totalprice - 0.0) / 10000.0) AS BIGINT) AS bin,
-                   0.0 + floor((o_totalprice - 0.0) / 10000.0) * 10000.0 AS lo_edge,
-                   count(*) AS n
-            FROM orders
-            WHERE o_totalprice >= 0.0 AND o_totalprice < 600000.0
-            GROUP BY 1, 2 ORDER BY 1
-        """,
-        "user_top_event_type": """
-            SELECT user_id, event_type, count_event_id FROM (
-              SELECT user_id, event_type,
-                     count(event_id) AS count_event_id,
-                     row_number() OVER (PARTITION BY user_id
-                         ORDER BY count(event_id) DESC, event_type) AS rn
-              FROM events GROUP BY user_id, event_type
-            ) WHERE rn = 1 ORDER BY user_id
-        """,
-        "daily_new_users": """
-            WITH firsts AS (
-              SELECT user_id, min(ts) AS first_ts FROM events GROUP BY user_id
-            ), d AS (
-              SELECT strftime(first_ts, '%Y-%m-%d') AS day,
-                     count(*) AS n_new
-              FROM firsts GROUP BY 1
-            )
-            SELECT day, n_new,
-                   CAST(sum(n_new) OVER (ORDER BY day) AS BIGINT) AS cum_users
-            FROM d ORDER BY day
-        """,
-        "user_event_seq": """
-            SELECT user_id,
-                   string_agg(event_type, ',' ORDER BY ts, event_id) AS event_seq
-            FROM events GROUP BY user_id ORDER BY user_id
-        """,
-        "doc_lines": """
-            WITH d AS (SELECT doc_id, string_split(text, chr(10)) AS ls FROM documents)
-            SELECT doc_id, CAST(i.g AS BIGINT) AS line_no,
-                   ls[CAST(i.g AS BIGINT)] AS line
-            FROM d, unnest(range(1, len(ls) + 1)) AS i(g)
-            ORDER BY doc_id, line_no
-        """,
-        "lineitem_unpivot": """
-            SELECT l_orderkey, l_linenumber,
-                   'l_quantity' AS measure, CAST(l_quantity AS DOUBLE) AS value
-            FROM lineitem
-            UNION ALL
-            SELECT l_orderkey, l_linenumber, 'l_discount', l_discount FROM lineitem
-            UNION ALL
-            SELECT l_orderkey, l_linenumber, 'l_tax', l_tax FROM lineitem
-        """,
-        "part_type_fuzzy": """
-            SELECT p_partkey, p_name, c AS best_type, d AS dist FROM (
-              SELECT p.p_partkey, p.p_name, c.c, levenshtein(p.p_name, c.c) AS d,
-                     row_number() OVER (PARTITION BY p.p_partkey
-                         ORDER BY levenshtein(p.p_name, c.c), c.c) AS rn
-              FROM part p CROSS JOIN (SELECT DISTINCT p_type AS c FROM part) c
-            ) WHERE rn = 1 ORDER BY p_partkey
-        """,
-    }
+    """Each oracled query's DuckDB SQL, with the query's column names.
+    Rendering the kg_* oracles builds the fixtures they read."""
+    return {name: sql() if callable(sql) else sql for name, sql in _ORACLES.items()}

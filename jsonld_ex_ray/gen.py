@@ -4,14 +4,20 @@ Implements FIXTURES.md §1: seeded rows ``(repo, path, commit, lang,
 content)`` whose content embeds JSON-LD per archetypes A1-A12, with skew
 knobs (mega-repos, hot subject IRIs). Used by tests and by ``bench.py``
 at larger scale factors. No external data; everything derives from the seed.
+``cached_dir`` builds the cached fixtures (corpora, the triples parquet)
+that the driver queries, their oracles and ``bench.py`` read.
 """
 
 from __future__ import annotations
 
+import functools
+import glob
 import hashlib
 import json
 import os
 import random
+import shutil
+from collections.abc import Callable
 
 # Offline remote-context registry (archetype A7). The resolver actor uses a
 # StaticLoader over this dict — the sandbox stand-in for HTTP contexts.
@@ -337,3 +343,111 @@ def write_corpus(
 
 def sha256_hex(content: str) -> str:
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# cached fixtures
+# ---------------------------------------------------------------------------
+
+# Where cached fixtures live; tests point it at a temporary directory.
+FIXTURE_ROOT = "/tmp"
+
+
+def _stamp_of(path: str) -> str | None:
+    try:
+        with open(os.path.join(path, ".done")) as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def cached_dir(name: str, stamp: str, build: Callable[[str], object]) -> str:
+    """``FIXTURE_ROOT/name``, rebuilt by ``build(dir)`` unless its ``.done``
+    holds ``stamp``. The build fills a private temporary directory that is
+    renamed into place only after ``.done`` is written, so a killed or
+    failed build leaves nothing a later call could adopt. The stamp is
+    taken before the build: inputs that change during it are caught by
+    the next call's stamp."""
+    out = os.path.join(FIXTURE_ROOT, name)
+    if _stamp_of(out) == stamp:
+        return out
+    shutil.rmtree(out, ignore_errors=True)  # partial, or built from another stamp
+    tmp = f"{out}.tmp.{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    try:
+        build(tmp)
+        with open(os.path.join(tmp, ".done"), "w") as fh:
+            fh.write(stamp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    try:
+        os.rename(tmp, out)
+    except OSError:
+        # rename collision: a concurrent builder installed a dir, or a
+        # stale `out` survived the rmtree above. Adopt theirs iff it holds
+        # our stamp, else replace it.
+        if _stamp_of(out) == stamp:
+            shutil.rmtree(tmp, ignore_errors=True)
+        else:
+            shutil.rmtree(out, ignore_errors=True)
+            try:
+                os.rename(tmp, out)
+            except OSError:
+                # three-way race: a third process just installed — adopt
+                # theirs iff current, else this host is genuinely broken
+                if _stamp_of(out) != stamp:
+                    raise
+                shutil.rmtree(tmp, ignore_errors=True)
+    return out
+
+
+@functools.cache  # the code this process runs: fixed at first use
+def _source_digest(pattern: str) -> str:
+    """sha256 over this package's ``pattern`` files (paths and bytes)."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(root, pattern), recursive=True)):
+        h.update(os.path.relpath(path, root).encode() + b"\0")
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def files_for_sf(sf: float, heavy: float = 0.0) -> int:
+    """Corpus size for a scale factor: sf0.001→400 files, sf0.01→4000,
+    sf0.1→40000. Heavy corpora are 5x larger, so that compute dominates."""
+    return max(2000, int(2_000_000 * sf)) if heavy else max(200, int(400_000 * sf))
+
+
+def corpus_fixture(sf: float, heavy: float = 0.0, shards: int = 16) -> str:
+    """The cached seed-42 corpus for ``sf`` as a directory of ``shards``
+    files (Ray reads one task per file). ``heavy`` is the share of large
+    multi-entity documents. Rebuilt when the generator changes."""
+    n = files_for_sf(sf, heavy)
+    tag = f"{n}_42" + (f"_h{int(heavy * 100)}" if heavy else "") + f"_s{shards}"
+    return cached_dir(
+        f"jsonld_ex_ray_corpus_{tag}",
+        f"{tag} gen:{_source_digest('gen.py')}",
+        lambda d: write_corpus(d, n, seed=42, heavy_fraction=heavy, shards=shards),
+    )
+
+
+def triples_fixture() -> str:
+    """The sf0.01 corpus's triples through the real pipeline
+    (``build_triples`` → ``triples_only``): the shared input of the kg_*
+    queries whose DuckDB oracle reads the same parquet. Rebuilt when the
+    corpus or any engine module changes. Needs a Ray session."""
+    corpus = corpus_fixture(0.01)
+
+    def build(d: str) -> None:
+        from .pipeline import build_triples, triples_only
+
+        triples_only(build_triples(corpus)).write_parquet(d)
+
+    return cached_dir(
+        "jsonld_ex_ray_triples_4000",
+        f"{_stamp_of(corpus)} engine:{_source_digest('**/*.py')}",
+        build,
+    )

@@ -59,7 +59,7 @@ def main():
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
-    failures = 0
+    failures = n_ok = n_rows_only = 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -71,6 +71,7 @@ def main():
             continue
         if name not in oracles:
             print(f"{name}: rows-only ({len(got)} rows)")
+            n_rows_only += 1
             continue
         want = normalize(con.execute(oracles[name]).fetchdf())
         status = []
@@ -100,10 +101,13 @@ def main():
                     status.append(f"VALUES[{c}]")
             if ok:
                 status = ["OK"]
-        if status != ["OK"]:
+        if status == ["OK"]:
+            n_ok += 1
+        else:
             failures += 1
         print(f"{name}: {' '.join(status)} ({len(got)} rows)")
     ray.shutdown()
+    print(f"OK {n_ok} / rows-only {n_rows_only} / failed {failures}")
     sys.exit(1 if failures else 0)
 
 
