@@ -1697,9 +1697,9 @@ def _q_kg_dedup(sf_dir: str):
 
 @query
 def _q_kg_canonicalize(sf_dir: str):
-    from jsonld_ex_ray.pipeline import build_triples, canonicalize_bnodes
+    from jsonld_ex_ray.pipeline import build_triples, triples_only
 
-    return canonicalize_bnodes(build_triples(_corpus_for(sf_dir)))
+    return triples_only(build_triples(_corpus_for(sf_dir), canonical=True))
 
 
 @query

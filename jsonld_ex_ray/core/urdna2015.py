@@ -64,9 +64,12 @@ def _serialize_quad_for_hash(quad: tuple, bnode: str) -> str:
 
 
 def canonicalize(quads: list[tuple], max_permutations: int = 40320) -> dict[str, str]:
-    """→ mapping original bnode label → canonical ``c14n<n>`` label."""
+    """→ mapping original bnode label → canonical ``c14n<n>`` label.
+    ``quads`` is read as a set (an RDF dataset): a repeated quad counts
+    once, so the labels do not depend on how often a document was
+    ingested."""
     bnode_quads: dict[str, list[tuple]] = {}
-    for q in quads:
+    for q in dict.fromkeys(quads):
         for term in q:
             if term is not None and term[0] == "bnode":
                 bnode_quads.setdefault(term[1], []).append(q)

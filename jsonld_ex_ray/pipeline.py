@@ -4,6 +4,7 @@
       → map_batches(extract_batch)                 # file → payload rows
       → map_batches(triples_batch)                 # resolve+expand+
                                                    # node-map+toRdf
+                                                   # [+URDNA2015 relabel]
       → [map_batches(link_batch)]                  # broadcast dictionary
       → [dedup / canonicalize / materialize]       # explicit shuffles
       → write_parquet(out, partitioned)            # resumable shards
@@ -27,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .core.rdf_generation import RDF_LANGSTRING, XSD_STRING
 from .ops.shuffle import bucketed, key_runs
 from .stages.linker import link_entities
 from .stages.triples import make_triples_batch
@@ -41,6 +43,7 @@ def build_triples(
     batch_size: int = 256,
     linker_dict_ref=None,
     override_num_blocks: int | None = None,
+    canonical: bool = False,
 ):
     """source: path(s) to the source-repo Parquet table, or a Dataset.
 
@@ -48,8 +51,11 @@ def build_triples(
     distinguished by ``pred IS NULL``). ``context_registry`` / ``options``
     replace the offline context registry and the JSON-LD options of the
     kernel; ``linker_dict_ref`` (``ray.put(alias_to_iri)``) adds the
-    entity-linker columns. ``concurrency`` is accepted and ignored:
-    ``perfbench/workloads.py`` still passes it.
+    entity-linker columns. ``canonical=True`` URDNA2015-relabels blank
+    nodes inside the kernel task (see :func:`canonicalize_bnodes`);
+    otherwise they keep the kernel's ``_:{doc_hash}-b<n>`` labels.
+    ``concurrency`` is accepted and ignored: ``perfbench/workloads.py``
+    still passes it.
     """
     import ray.data
 
@@ -71,8 +77,16 @@ def build_triples(
     state_ref = None
     if context_registry is not None or options is not None:
         state_ref = ray.put((context_registry, options))
+    kernel = make_triples_batch(state_ref)
+
+    def canonical_triples_batch(batch: pa.Table) -> pa.Table:
+        # exact map-side: a kernel call holds whole payloads, a doc_id
+        # names one payload, and a repeated payload keeps its labels
+        # (canonicalize treats its quads as a set)
+        return _relabel_docs(kernel(batch))
+
     ds = ds.map_batches(
-        make_triples_batch(state_ref),
+        canonical_triples_batch if canonical else kernel,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
@@ -143,66 +157,55 @@ def dedup_triples(ds, num_buckets: int = 64):
     return bucketed(local, _TRIPLE_ID_COLS, first_distinct, num_buckets=num_buckets)
 
 
-def _relabel_doc(group: pa.Table) -> pa.Table:
-    """URDNA2015-relabel the triples of ONE document (rows of a single
-    doc_id)."""
-    from .core.rdf_generation import RDF_LANGSTRING, XSD_STRING
+_QUAD_COLS = ("subj", "pred", "obj", "obj_kind", "obj_datatype", "obj_lang")
+
+
+def _term(v, kind=None, dt=None, lang=None):
+    """A triple-table value → the core's term tuple."""
+    if v is None:
+        return None
+    if kind == "literal":
+        return ("lit", v, dt or (RDF_LANGSTRING if lang else XSD_STRING), lang)
+    return ("bnode", v[2:]) if v.startswith("_:") else ("iri", v)
+
+
+def _relabel_docs(table: pa.Table) -> pa.Table:
+    """URDNA2015-relabel every document of ``table``, which holds all rows
+    of each of its doc_ids: a blank node in subj, graph, a bnode-kind obj,
+    or passed through to the linker's subj_canon/obj_canon becomes
+    ``_:{sha1(doc_id)[:16]}-c14n<n>``. Only documents holding one run the
+    algorithm, and only columns holding one are rebuilt. Rows leave
+    sorted on (doc_id, graph, subj, pred, obj)."""
     from .core.urdna2015 import canonicalize
 
-    doc_id = group.column("doc_id")[0].as_py()
-    dh = hashlib.sha1(doc_id.encode()).hexdigest()[:16]
-    subs = group.column("subj").to_pylist()
-    preds = group.column("pred").to_pylist()
-    objs = group.column("obj").to_pylist()
-    kinds = group.column("obj_kind").to_pylist()
-    dts = group.column("obj_datatype").to_pylist()
-    lgs = group.column("obj_lang").to_pylist()
-    graphs = group.column("graph").to_pylist()
-
-    def term(v, kind=None, dt=None, lang=None):
-        if v is None:
-            return None
-        if kind == "literal":
-            return ("lit", v, dt or (RDF_LANGSTRING if lang else XSD_STRING), lang)
-        if v.startswith("_:"):
-            return ("bnode", v[2:])
-        return ("iri", v)
-
-    quads = [
-        (term(s), term(p), term(o, k, dt, lg), term(g))
-        for s, p, o, k, dt, lg, g in zip(subs, preds, objs, kinds, dts, lgs, graphs)
-    ]
-    mapping = canonicalize(quads)
-
-    def canon(v: str | None, is_bnode: bool) -> str | None:
-        if v is None or not is_bnode or not v.startswith("_:"):
-            return v
-        return f"_:{dh}-{mapping.get(v[2:], v[2:])}"
-
-    new_sub = [canon(v, True) for v in subs]
-    new_obj = [canon(v, k == "bnode") for v, k in zip(objs, kinds)]
-    new_graph = [canon(v, True) for v in graphs]
-    rows = group
-    for col, vals in (("subj", new_sub), ("obj", new_obj), ("graph", new_graph)):
-        rows = rows.set_column(
-            rows.schema.get_field_index(col), col, pa.array(vals, pa.string())
+    table = table.sort_by([("doc_id", "ascending")])
+    bnode_obj = pc.equal(table.column("obj_kind"), "bnode")
+    hits = {}  # column → mask of the rows whose value is relabeled
+    for c in ("subj", "obj", "graph", "subj_canon", "obj_canon"):
+        if c in table.schema.names:
+            m = pc.starts_with(table.column(c), "_:")
+            m = pc.and_(m, bnode_obj) if c.startswith("obj") else m
+            hits[c] = pc.fill_null(m, False).to_numpy(zero_copy_only=False)
+    any_hit = np.logical_or.reduce(list(hits.values()))
+    starts, ends = key_runs(table, ["doc_id"])
+    docs = [(a, b) for a, b in zip(starts.tolist(), ends.tolist()) if any_hit[a:b].any()]
+    names = ["doc_id", "pred", "obj_kind", "obj_datatype", "obj_lang", *hits]
+    cols = {c: table.column(c).to_pylist() for c in names} if docs else {}
+    for a, b in docs:
+        rows = zip(*(cols[c][a:b] for c in (*_QUAD_COLS, "graph")))
+        mapping = canonicalize(
+            [(_term(s), _term(p), _term(o, k, dt, lg), _term(g)) for s, p, o, k, dt, lg, g in rows]
         )
-    # linker-produced canon columns (EntityLinker runs BEFORE this stage)
-    # carry pass-through bnode labels — rewrite them too, or they dangle
-    # against the relabeled subj/obj
-    for col, is_obj in (("subj_canon", False), ("obj_canon", True)):
-        if col in rows.schema.names:
-            old = rows.column(col).to_pylist()
-            vals = [
-                canon(v, True if not is_obj else k == "bnode")
-                for v, k in zip(old, kinds)
-            ]
-            rows = rows.set_column(
-                rows.schema.get_field_index(col), col, pa.array(vals, pa.string())
-            )
-    return rows.sort_by(
-        [("graph", "ascending"), ("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
-    )
+        dh = hashlib.sha1(cols["doc_id"][a].encode()).hexdigest()[:16]
+        for c, m in hits.items():
+            vals = cols[c]
+            for i in (np.flatnonzero(m[a:b]) + a).tolist():
+                vals[i] = f"_:{dh}-{mapping.get(vals[i][2:], vals[i][2:])}"
+    for c, m in hits.items():
+        if m.any():
+            f = table.schema.field(c)
+            table = table.set_column(table.schema.get_field_index(c), f, pa.array(cols[c], f.type))
+    return table.sort_by([(c, "ascending") for c in ("doc_id", "graph", "subj", "pred", "obj")])
 
 
 def canonicalize_bnodes(ds, num_buckets: int = 64):
@@ -211,17 +214,14 @@ def canonicalize_bnodes(ds, num_buckets: int = 64):
     labels that are invariant under any input relabeling; the doc hash
     prefixes them for global uniqueness before cross-document union.
 
-    Shuffle shape: one bucketed shuffle on ``doc_id`` (ops/shuffle.py),
-    looping documents inside each bucket."""
-
-    def relabel_bucket(group: pa.Table) -> pa.Table:
-        group = group.sort_by([("doc_id", "ascending")])
-        starts, ends = key_runs(group, ["doc_id"])
-        return pa.concat_tables(
-            [_relabel_doc(group.slice(a, b - a)) for a, b in zip(starts, ends)]
-        )
-
-    return bucketed(triples_only(ds), ["doc_id"], relabel_bucket, num_buckets=num_buckets)
+    Two placements run the same :func:`_relabel_docs`. Fresh emission
+    should use ``build_triples(..., canonical=True)``: each kernel call
+    holds whole documents, so it relabels map-side with no shuffle. This
+    function is for inputs without document locality, such as triples
+    read back from parquet: one bucketed shuffle on ``doc_id``
+    (ops/shuffle.py) gathers each document first. Error records are
+    dropped."""
+    return bucketed(triples_only(ds), ["doc_id"], _relabel_docs, num_buckets=num_buckets)
 
 
 def materialize_graph(ds, num_buckets: int = 64):
@@ -286,25 +286,9 @@ def _adjacency_rows(g: pa.Table, starts, degrees, adjs) -> pa.Table:
 
 
 def _quads_of(group: pa.Table) -> list:
-    from .core.rdf_generation import RDF_LANGSTRING, XSD_STRING
-
-    def term(v, kind=None, dtype=None, lang=None):
-        if kind == "literal":
-            return ("lit", v, dtype or (RDF_LANGSTRING if lang else XSD_STRING), lang)
-        if v.startswith("_:"):
-            return ("bnode", v[2:])
-        return ("iri", v)
-
     return [
-        (term(s), term(p), term(o, k, dt, lg), None)
-        for s, p, o, k, dt, lg in zip(
-            group.column("subj").to_pylist(),
-            group.column("pred").to_pylist(),
-            group.column("obj").to_pylist(),
-            group.column("obj_kind").to_pylist(),
-            group.column("obj_datatype").to_pylist(),
-            group.column("obj_lang").to_pylist(),
-        )
+        (_term(s), _term(p), _term(o, k, dt, lg), None)
+        for s, p, o, k, dt, lg in zip(*(group.column(c).to_pylist() for c in _QUAD_COLS))
     ]
 
 

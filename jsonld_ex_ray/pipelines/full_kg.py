@@ -1,10 +1,11 @@
 """The complete north-star KG-construction run, chained end-to-end:
 
-    read(source repos) → extract → expand/node-map/toRdf (+ entity link)
-      → URDNA2015 canonicalize (groupby doc)        [shuffle 1]
-      → exact dedup (bucketed hash)                 [shuffle 2]
+    read(source repos) → extract → expand/node-map/toRdf
+      → URDNA2015 canonicalize (in the kernel task, no shuffle)
+      (+ entity link) → write raw (triples + error records)
+      → exact dedup (bucketed hash)                 [shuffle 1]
       → write triples (partitioned parquet)
-      → graph materialize (salted, two-phase)       [shuffle 3+4, on the
+      → graph materialize (salted, two-phase)       [shuffle 2+3, on the
         deduped triples read back from the partitioned output]
       → write adjacency + mentions + metrics
 
@@ -57,7 +58,6 @@ def full_kg_run(
 
     from ..pipeline import (
         build_triples,
-        canonicalize_bnodes,
         dedup_triples,
         materialize_graph,
         triples_only,
@@ -81,6 +81,7 @@ def full_kg_run(
             source,
             linker_dict_ref=linker_ref,
             override_num_blocks=override_num_blocks,
+            canonical=True,
         )
         triples.write_parquet(raw_dir)
         _mark_done(raw_dir)
@@ -91,10 +92,10 @@ def full_kg_run(
     t1 = time.monotonic()
     triples_dir, triples_done = _stage_dir(out_dir, "triples")
     if not triples_done:
-        deduped = dedup_triples(canonicalize_bnodes(raw))
+        deduped = dedup_triples(raw)
         deduped.write_parquet(triples_dir)
         _mark_done(triples_dir)
-    metrics["canonicalize_dedup_wall_s"] = round(time.monotonic() - t1, 2)
+    metrics["dedup_wall_s"] = round(time.monotonic() - t1, 2)
 
     persisted = ray.data.read_parquet(triples_dir)
     metrics["n_triples"] = persisted.count()

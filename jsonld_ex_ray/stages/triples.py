@@ -5,12 +5,14 @@ One kernel (resolver + expand + node-map + toRdf fused per SURVEY.md §3.1
 loader cache is built ONCE per worker process (``stages/state.py``) and
 reused across batches; everything else is pure per-document CPU.
 
-Blank-node determinism: the kernel relabels each document's ``_:b{n}`` to
-``_:{doc_hash}-b{n}`` (doc_hash = sha1(doc_id)[:16]) — the URDNA2015-style
-per-document canonicalization of the north rule executed WITHOUT a shuffle,
-possible because extraction keeps one payload per row (SURVEY.md §2.3).
-A shuffle-based equivalent lives in pipeline.canonicalize_bnodes for
-multi-payload-namespace cases.
+Blank-node labels: the kernel prefixes the node-map issuer's ``_:b{n}``
+as ``_:{doc_hash}-b{n}`` (doc_hash = sha1(doc_id)[:16]). That makes them
+unique across documents and deterministic for one input, but they are
+issuer labels, not canonical ones: the same graph written another way gets
+other labels. ``pipeline.build_triples(..., canonical=True)`` adds real
+URDNA2015 in the same task, with no shuffle, because extraction keeps one
+payload per row (SURVEY.md §2.3); ``pipeline.canonicalize_bnodes`` does the
+same through a doc_id shuffle for triples without document locality.
 """
 
 from __future__ import annotations

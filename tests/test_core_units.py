@@ -283,6 +283,32 @@ def test_urdna2015_adversarial_symmetric_graphs():
             assert canonical_quads(shuffled) == canon
 
 
+def test_urdna2015_reads_quads_as_a_set():
+    """An RDF dataset is a set: the quads of a document given twice (one
+    file ingested from two inputs) must canonicalize like one copy."""
+    import json
+
+    from jsonld_ex_ray.core import to_rdf
+    from jsonld_ex_ray.core.urdna2015 import canonicalize
+    from jsonld_ex_ray.extract import extract_payloads
+    from jsonld_ex_ray.gen import CONTEXT_REGISTRY, generate_rows
+
+    opts = JsonLdOptions(document_loader=StaticLoader(CONTEXT_REGISTRY))
+    rows = generate_rows(100, seed=3)
+    docs = []
+    for content, lang, path in zip(rows["content"], rows["lang"], rows["path"]):
+        for payload in extract_payloads(content, lang, path)[0]:
+            try:
+                quads = to_rdf(json.loads(payload), opts)
+            except (JsonLdError, ValueError, RecursionError):
+                continue
+            if any(t is not None and t[0] == "bnode" for q in quads for t in q):
+                docs.append(quads)
+    assert len(docs) >= 10
+    for quads in docs:
+        assert canonicalize(quads + quads) == canonicalize(quads)
+
+
 def test_urdna_same_triple_in_default_and_named_graph():
     """Regression (review-found): sorting quads whose graph slot mixes
     None (default graph) and tuples (named graphs) raised TypeError when

@@ -43,6 +43,25 @@ def test_full_kg_run(ray_session, tmp_path):
     assert adjacency.subj.is_unique and adjacency.degree.sum() == len(triples)
 
 
+def test_full_kg_run_repeated_input_same_triples(ray_session, tmp_path):
+    """The same files read twice yield the triples of one read: canonical
+    labels do not depend on how often a document was ingested, and dedup
+    folds the copies."""
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 150, seed=77)
+
+    def triples(source, name):
+        out = str(tmp_path / name)
+        metrics = full_kg_run(source, out, linker_dict=LINKER)
+        assert "dedup_wall_s" in metrics
+        rows = pads.dataset(os.path.join(out, "triples")).to_table().to_pylist()
+        return {tuple(sorted(r.items())) for r in rows}
+
+    once = triples(corpus, "once")
+    assert any(isinstance(v, str) and "-c14n" in v for row in once for _, v in row)
+    assert triples([corpus, corpus], "twice") == once
+
+
 def test_full_kg_run_resume_skips_and_never_double_counts(ray_session, tmp_path):
     """Rerun semantics: completed stages (sibling _SUCCESS markers) are
     skipped; a torn stage (marker missing) is cleared and rewritten —

@@ -6,7 +6,9 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -28,6 +30,20 @@ def corpus(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("corpus") / "repos.parquet")
     write_corpus(path, 200, seed=7)
     return path
+
+
+@pytest.fixture(scope="module")
+def corpus320(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("corpus320") / "repos.parquet")
+    write_corpus(path, 320, seed=7)
+    return path
+
+
+LINKER = {"https://kg.example/hot/0": "https://kg.example/canonical/hot-0"}
+
+
+def _row_multiset(rows) -> Counter:
+    return Counter(tuple(sorted(r.items())) for r in rows)
 
 
 def test_generator_deterministic():
@@ -78,26 +94,109 @@ def test_dedup_idempotent(ray_session, corpus):
 def test_canonicalize_bnodes_deterministic(ray_session, corpus):
     a = canonicalize_bnodes(build_triples(corpus)).to_pandas()
     b = canonicalize_bnodes(build_triples(corpus)).to_pandas()
+    # the same relabel placed inside the kernel task
+    c = triples_only(build_triples(corpus, canonical=True)).to_pandas()
     cols = ["doc_id", "graph", "subj", "pred", "obj"]
     sa = sorted(map(tuple, a[cols].fillna("").values.tolist()))
     sb = sorted(map(tuple, b[cols].fillna("").values.tolist()))
+    sc = sorted(map(tuple, c[cols].fillna("").values.tolist()))
     assert sa == sb
+    assert sc == sa
     # every relabeled bnode is namespaced by the doc hash
-    assert all(s.startswith("_:") is False or "-c" in s for s in a.subj)
+    for df in (a, c):
+        assert all(s.startswith("_:") is False or "-c" in s for s in df.subj)
 
 
-def test_canonicalize_chunks_bounded_by_blocks(ray_session, tmp_path):
-    """canonicalize_bnodes relabels one slice per document; its output
+def test_canonicalize_chunks_bounded_by_blocks(ray_session, corpus320):
+    """canonicalize_bnodes relabels many documents per bucket; its output
     must still leave as one Arrow chunk per block, not one per document,
     or dedup_triples pays a per-chunk cost for every document."""
     import ray
 
-    corpus = str(tmp_path / "repos.parquet")
-    write_corpus(corpus, 320, seed=7)
-    blocks = ray.get(canonicalize_bnodes(build_triples(corpus)).to_arrow_refs())
+    blocks = ray.get(canonicalize_bnodes(build_triples(corpus320)).to_arrow_refs())
     docs = {d for b in blocks if b.num_rows for d in b.column("doc_id").to_pylist()}
     assert len(docs) >= 200
     assert all(c.num_chunks <= 1 for b in blocks for c in b.columns)
+
+
+@pytest.mark.parametrize("kw", [{"batch_size": 1}, {}], ids=["batch1", "default"])
+def test_map_side_canonical_matches_shuffle(ray_session, corpus320, kw):
+    """Both placements of the URDNA2015 relabel give the same rows, every
+    column included: inside the kernel task (``canonical=True``, before
+    the linker) and in the doc_id shuffle (after it)."""
+    import ray
+
+    ref = ray.put(LINKER)
+    map_side = triples_only(build_triples(corpus320, canonical=True, linker_dict_ref=ref, **kw))
+    shuffled = canonicalize_bnodes(build_triples(corpus320, linker_dict_ref=ref, **kw))
+    got, want = map_side.take_all(), shuffled.take_all()
+    assert sum(r["subj"].startswith("_:") and "-c14n" in r["subj"] for r in want) >= 50
+    assert sum(r["subj_canon"] != r["subj"] for r in want) > 0
+    assert _row_multiset(got) == _row_multiset(want)
+
+
+def test_relabel_docs_matches_per_document_urdna2015(corpus320):
+    """One _relabel_docs call over a table of many documents equals core
+    URDNA2015 run document by document, with the labels
+    ``_:{sha1(doc_id)[:16]}-c14n<n>`` also in the linker's canon
+    columns; rows leave sorted on (doc_id, graph, subj, pred, obj)."""
+    import pyarrow as pa
+
+    from jsonld_ex_ray.core.rdf_generation import RDF_LANGSTRING, XSD_STRING
+    from jsonld_ex_ray.core.urdna2015 import canonicalize
+    from jsonld_ex_ray.pipeline import _relabel_docs
+    from jsonld_ex_ray.stages.extract import extract_batch
+    from jsonld_ex_ray.stages.linker import EntityLinker
+    from jsonld_ex_ray.stages.triples import triples_batch
+
+    raw = EntityLinker(LINKER)(triples_batch(extract_batch(pq.read_table(corpus320))))
+    raw = raw.filter(pc.is_valid(raw.column("pred")))
+    # a literal that merely looks like a blank node keeps its value
+    row = next(r for r in raw.to_pylist() if r["subj"].startswith("_:"))
+    lit = dict(row, obj="_:lit", obj_kind="literal", obj_datatype=XSD_STRING, obj_canon="_:lit")
+    raw = pa.concat_tables([raw, pa.Table.from_pylist([lit], schema=raw.schema)])
+    got = _relabel_docs(raw)
+
+    def term(v, kind=None, dt=None, lang=None):
+        if v is None:
+            return None
+        if kind == "literal":
+            return ("lit", v, dt or (RDF_LANGSTRING if lang else XSD_STRING), lang)
+        return ("bnode", v[2:]) if v.startswith("_:") else ("iri", v)
+
+    by_doc: dict[str, list[dict]] = {}
+    for r in raw.to_pylist():
+        by_doc.setdefault(r["doc_id"], []).append(r)
+    want, relabeled = [], 0
+    for doc_id, rows in by_doc.items():
+        dh = hashlib.sha1(doc_id.encode()).hexdigest()[:16]
+        mapping = canonicalize(
+            [
+                (term(r["subj"]), term(r["pred"]), term(r["obj"], r["obj_kind"], r["obj_datatype"], r["obj_lang"]), term(r["graph"]))
+                for r in rows
+            ]
+        )
+        relabeled += bool(mapping)
+
+        def canon(v, bnode):
+            return f"_:{dh}-{mapping[v[2:]]}" if bnode and v and v.startswith("_:") else v
+
+        for r in rows:
+            ob = r["obj_kind"] == "bnode"
+            want.append(
+                dict(
+                    r,
+                    subj=canon(r["subj"], True),
+                    obj=canon(r["obj"], ob),
+                    graph=canon(r["graph"], True),
+                    subj_canon=canon(r["subj_canon"], True),
+                    obj_canon=canon(r["obj_canon"], ob),
+                )
+            )
+    assert relabeled >= 20
+    assert _row_multiset(got.to_pylist()) == _row_multiset(want)
+    keys = ["doc_id", "graph", "subj", "pred", "obj"]
+    assert got.select(keys).equals(got.sort_by([(k, "ascending") for k in keys]).select(keys))
 
 
 def test_materialize_graph_merges_hot_subjects(ray_session, corpus):
@@ -436,12 +535,19 @@ def test_linker_canon_columns_follow_bnode_relabeling(ray_session, tmp_path):
 
     corpus = str(tmp_path / "repos.parquet")
     write_corpus(corpus, 60, seed=33)
-    linked = triples_only(build_triples(corpus, linker_dict_ref=ray.put({})))
-    out = canonicalize_bnodes(linked).to_pandas()
-    bn = out[out.subj.str.startswith("_:")]
-    assert len(bn) > 0  # corpus plants bnodes
-    assert (bn.subj == bn.subj_canon).all()
-    ob = out[(out.obj_kind == "bnode") & out.obj.str.startswith("_:")]
-    if len(ob):
-        assert (ob.obj == ob.obj_canon).all()
-    assert bn.subj.str.contains("-c14n").all()  # actually relabeled
+    ref = ray.put({})
+    linked = triples_only(build_triples(corpus, linker_dict_ref=ref))
+    # relabeled in the shuffle after the linker, or in the kernel task
+    # before it (the linker then passes the canonical labels through)
+    for ds in (
+        canonicalize_bnodes(linked),
+        triples_only(build_triples(corpus, linker_dict_ref=ref, canonical=True)),
+    ):
+        out = ds.to_pandas()
+        bn = out[out.subj.str.startswith("_:")]
+        assert len(bn) > 0  # corpus plants bnodes
+        assert (bn.subj == bn.subj_canon).all()
+        ob = out[(out.obj_kind == "bnode") & out.obj.str.startswith("_:")]
+        if len(ob):
+            assert (ob.obj == ob.obj_canon).all()
+        assert bn.subj.str.contains("-c14n").all()  # actually relabeled
