@@ -92,12 +92,6 @@ def is_blank_node_id(value: object) -> bool:
     return isinstance(value, str) and value.startswith("_:")
 
 
-def is_relative_iri(value: object) -> bool:
-    return isinstance(value, str) and not (
-        is_keyword(value) or is_absolute_iri(value) or is_blank_node_id(value)
-    )
-
-
 def compact_iri_parts(value: str) -> tuple[str, str] | None:
     """Split ``prefix:suffix`` unless blank node or ``//`` suffix.
 

@@ -1405,7 +1405,6 @@ def cut_duplicate_spans(
     """
     import pyarrow.compute as pc
 
-    from .hashing import bucket_ids
     from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg_bucketed
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
@@ -1446,48 +1445,13 @@ def cut_duplicate_spans(
         right_schema=pa.schema([("h", pa.string()), ("n_docs", pa.int64())]),
     )
 
-    # tag-union: docs (side 0, full text) + flagged offsets (side 1) meet
-    # bucketed on hash(doc_id) — the only shuffle the corpus text rides
-    union_schema = pa.schema(
-        [
-            (id_col, id_type),
-            (text_col, pa.string()),
-            ("off", pa.int64()),
-            ("__side", pa.int8()),
-            ("__bucket", pa.int32()),
-        ]
-    )
+    # docs (full text) and their flagged offsets meet bucketed on
+    # hash(doc_id) — the only shuffle the corpus text rides
     out_schema = pa.schema([(id_col, id_type), (text_col, pa.string())])
 
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                text_col: pc.fill_null(pc.cast(batch.column(text_col), pa.string()), ""),
-                "off": pa.nulls(n, pa.int64()),
-                "__side": pa.nulls(n, pa.int8()).fill_null(0),
-                "__bucket": bucket_ids(batch, [id_col], num_buckets, seed=0),
-            },
-            schema=union_schema,
-        )
-
-    def tag_flags(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                text_col: pa.nulls(n, pa.string()),
-                "off": batch.column("off"),
-                "__side": pa.nulls(n, pa.int8()).fill_null(1),
-                "__bucket": bucket_ids(batch, [id_col], num_buckets, seed=0),
-            },
-            schema=union_schema,
-        )
-
-    both = ds.map_batches(tag_docs, batch_format="pyarrow", zero_copy_batch=True).union(
-        flagged.map_batches(tag_flags, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    def canon_docs(batch: pa.Table) -> pa.Table:
+        text = pc.fill_null(pc.cast(batch.column(text_col), pa.string()), "")
+        return pa.table({id_col: batch.column(id_col), text_col: text}, schema=out_schema)
 
     def _cut_ascii(texts: pa.Array, starts_idx: np.ndarray, offs: np.ndarray, window: int) -> pa.Array:
         """Vectorized byte surgery over the bucket's ASCII docs: texts is
@@ -1513,10 +1477,7 @@ def cut_duplicate_spans(
             [None, pa.py_buffer(new_offsets.tobytes()), pa.py_buffer(seg.tobytes())],
         )
 
-    def cut_bucket(group: pa.Table) -> pa.Table:
-        side = group.column("__side")
-        docs = group.filter(pc.equal(side, pa.scalar(0, pa.int8()))).select([id_col, text_col])
-        flags = group.filter(pc.equal(side, pa.scalar(1, pa.int8()))).select([id_col, "off"])
+    def cut_bucket(docs: pa.Table, flags: pa.Table) -> pa.Table:
         if docs.num_rows == 0:
             return out_schema.empty_table()
         if flags.num_rows == 0:
@@ -1586,4 +1547,8 @@ def cut_duplicate_spans(
             )
         return pa.concat_tables(parts)
 
-    return both.groupby("__bucket").map_groups(cut_bucket, batch_format="pyarrow")
+    sides = [
+        (ds.map_batches(canon_docs, batch_format="pyarrow", zero_copy_batch=True), [id_col], out_schema),
+        (flagged, [id_col], pa.schema([(id_col, id_type), ("off", pa.int64())])),
+    ]
+    return bucketed(sides, None, cut_bucket, num_buckets=num_buckets)

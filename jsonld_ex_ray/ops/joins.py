@@ -12,14 +12,14 @@ budget, path), so a run can say which side of each gate it took. The
 keyed ops built on it — :func:`filter_by_keys` (semi / anti) and
 :func:`lookup_by_key` (left lookup) — give the same rows on both paths.
 
-The bucketed shape: BOTH sides are tagged, padded to a shared schema,
-and bucketed on ``hash(join key) % num_buckets``; one ``union`` + one
-bounded ``groupby(bucket)`` shuffle co-locates matching keys, and the
-per-bucket merge is a vectorized ``pyarrow.Table.join`` /
-``pandas.merge_asof``. Partitioning assumption: the largest single
-bucket (both sides) fits in a worker's heap — size ``num_buckets`` to
-~data_size / (workers × heap_budget); heavily skewed equi-join keys
-should be pre-salted by the caller.
+The bucketed shape: both sides go to the several-input
+``ops/shuffle.bucketed``, each routed on ``hash(its join key) %
+num_buckets``; one bounded shuffle co-locates matching keys and hands
+each bucket's merge one table per side — a vectorized
+``pyarrow.Table.join`` / ``pandas.merge_asof``. Partitioning
+assumption: the largest single bucket (both sides) fits in a worker's
+heap — size ``num_buckets`` to ~data_size / (workers × heap_budget);
+heavily skewed equi-join keys should be pre-salted by the caller.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.state import worker_state
+from .shuffle import bucketed
 
 # the one broadcast budget: a side whose Arrow size is at most this many
 # bytes ships once to every worker (16 MiB = 2M int64 keys)
@@ -53,54 +54,23 @@ def _normalize_key_type(t: pa.DataType) -> pa.DataType:
     return t
 
 
-def _bucket_array(tbl: pa.Table, key_cols: list[str], num_buckets: int) -> pa.Array:
-    """Deterministic per-row bucket id from the join key columns — the
-    version-stable vectorized hash (ops/hashing.py), identical on every
-    worker of a mixed-version cluster; key types are canonicalized inside
-    ``hash_columns`` so both join sides bucket the same."""
-    from .hashing import bucket_ids
-
-    return bucket_ids(tbl, key_cols, num_buckets, seed=0)
+def _narrow(schema, names: list[str]) -> pa.Schema:
+    """``names``' fields of a ``pa.Schema`` or ``ray.data.Schema``."""
+    types = dict(zip(schema.names, schema.types))
+    return pa.schema([(n, types[n]) for n in names])
 
 
-def _pad_to_schema(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
-    cols = []
-    for field in schema:
-        if field.name in tbl.schema.names:
-            cols.append(tbl.column(field.name).cast(field.type))
-        else:
-            cols.append(pa.nulls(tbl.num_rows, field.type))
-    return pa.Table.from_arrays(cols, schema=schema)
+def _cast_cols(tbl: pa.Table, types: dict) -> pa.Table:
+    for name, t in types.items():
+        tbl = tbl.set_column(tbl.schema.get_field_index(name), name, tbl.column(name).cast(t))
+    return tbl
 
 
-def _union_schema(left_schema, right_schema, right_cols: list[str]) -> pa.Schema:
-    fields = [pa.field(n, t) for n, t in zip(left_schema.names, left_schema.types)]
-    have = set(left_schema.names)
-    rtypes = dict(zip(right_schema.names, right_schema.types))
-    for name in right_cols:
-        if name not in have:
-            fields.append(pa.field(name, rtypes[name]))
-    fields.append(pa.field("__side", pa.int8()))
-    fields.append(pa.field("__bucket", pa.int32()))
-    return pa.schema(fields)
-
-
-def _make_tagger(schema: pa.Schema, side: int, key_cols: list[str], num_buckets: int):
-    """Tag-union kernel shared by the bucketed joins: pad to the union
-    schema, stamp the side, bucket on the join key."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        out = _pad_to_schema(batch, schema)
-        idx_side = schema.get_field_index("__side")
-        idx_bucket = schema.get_field_index("__bucket")
-        out = out.set_column(
-            idx_side, "__side", pa.nulls(batch.num_rows, pa.int8()).fill_null(side)
-        )
-        return out.set_column(
-            idx_bucket, "__bucket", _bucket_array(batch, key_cols, num_buckets)
-        )
-
-    return fn
+def _empty_join(left: pa.Table, right: pa.Table, names: list[str]) -> pa.Table:
+    """No rows; ``names`` typed as in ``left``, else as in ``right``."""
+    types = dict(zip(right.column_names, right.schema.types))
+    types.update(zip(left.column_names, left.schema.types))
+    return pa.schema([(c, types[c]) for c in names]).empty_table()
 
 
 def hash_join_bucketed(
@@ -115,9 +85,9 @@ def hash_join_bucketed(
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ):
-    """Two-large-sides equi-join: tag-union both datasets, bucket by the
-    hashed join key, join inside each bucket with the vectorized arrow
-    hash join. → Dataset(left columns + right_cols).
+    """Two-large-sides equi-join: bucket both datasets by the hashed join
+    key, join inside each bucket with the vectorized arrow hash join.
+    → Dataset(left columns + right_cols).
 
     ``join_type``: ``inner`` | ``left`` (outer) | ``semi`` | ``anti``.
     The semi/anti modes are the EXACT two-large-sides filter joins that
@@ -128,32 +98,10 @@ def hash_join_bucketed(
     ``Dataset.schema()`` on a lazy input triggers execution of its plan,
     which iterative callers (connected_components, pagerank) would pay
     once per loop step."""
-    if left_schema is None:
-        left_schema = left_ds.schema()
     if right_schema is None:
         right_schema = right_ds.schema()
-    left_names = list(left_schema.names)
-    schema = _union_schema(left_schema, right_schema, [right_on, *right_cols])
-
-    tagged_left = left_ds.map_batches(
-        _make_tagger(schema, 0, [left_on], num_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    tagged_right = right_ds.map_batches(
-        _make_tagger(schema, 1, [right_on], num_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    both = tagged_left.union(tagged_right)
-
     right_keep = [right_on] + [c for c in right_cols if c != right_on]
     filter_join = join_type in ("semi", "anti")
-    out_cols = (
-        left_names
-        if filter_join
-        else left_names + [c for c in right_cols if c not in left_names]
-    )
     arrow_join = {
         "left": "left outer",
         "full": "full outer",
@@ -161,29 +109,18 @@ def hash_join_bucketed(
         "anti": "left anti",
     }.get(join_type, join_type)
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        side = group.column("__side")
-        left_tbl = group.filter(pc.equal(side, pa.scalar(0, pa.int8()))).select(left_names)
-        right_tbl = group.filter(pc.equal(side, pa.scalar(1, pa.int8()))).select(right_keep)
+    def join_bucket(left_tbl: pa.Table, right_tbl: pa.Table) -> pa.Table:
+        left_names = left_tbl.column_names
+        out_cols = left_names if filter_join else left_names + [c for c in right_cols if c not in left_names]
         # arrow's hash join requires identical key types on both sides
         kt = _normalize_key_type(left_tbl.schema.field(left_on).type)
-        left_tbl = left_tbl.set_column(
-            left_tbl.schema.get_field_index(left_on), left_on, left_tbl.column(left_on).cast(kt)
-        )
-        right_tbl = right_tbl.set_column(
-            right_tbl.schema.get_field_index(right_on), right_on, right_tbl.column(right_on).cast(kt)
-        )
+        left_tbl = _cast_cols(left_tbl, {left_on: kt})
+        right_tbl = _cast_cols(right_tbl, {right_on: kt})
         if left_tbl.num_rows == 0 and join_type != "full":
             # full outer must NOT early-return here: arrow's full outer
             # join of an empty left correctly emits the right-only rows
             # (null left columns, key coalesced into left_on)
-            return pa.Table.from_arrays(
-                [
-                    pa.nulls(0, kt if c == left_on else schema.field(c).type)
-                    for c in out_cols
-                ],
-                names=out_cols,
-            )
+            return _empty_join(left_tbl, right_tbl, out_cols)
         joined = left_tbl.join(
             right_tbl,
             keys=[left_on],
@@ -196,7 +133,11 @@ def hash_join_bucketed(
         )
         return joined.select(out_cols)
 
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    sides = [
+        (left_ds, [left_on], left_schema),
+        (right_ds, [right_on], _narrow(right_schema, right_keep)),
+    ]
+    return bucketed(sides, None, join_bucket, num_buckets=num_buckets)
 
 
 def asof_join_broadcast(
@@ -260,39 +201,18 @@ def asof_join_bucketed(
     right_value_cols)."""
     import pandas as pd
 
-    left_schema = left_ds.schema()
-    right_schema = right_ds.schema()
-    left_names = list(left_schema.names)
-    schema = _union_schema(left_schema, right_schema, [on, by, *right_value_cols])
-
-    tagged_left = left_ds.map_batches(
-        _make_tagger(schema, 0, [by], num_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    tagged_right = right_ds.map_batches(
-        _make_tagger(schema, 1, [by], num_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    both = tagged_left.union(tagged_right)
-
     right_keep = [by, on] + [c for c in right_value_cols if c not in (by, on)]
-    out_cols = left_names + [c for c in right_value_cols if c not in left_names]
 
-    def merge_bucket(group: pa.Table) -> pa.Table:
-        side = group.column("__side")
-        left_tbl = group.filter(pc.equal(side, pa.scalar(0, pa.int8()))).select(left_names)
-        right_tbl = group.filter(pc.equal(side, pa.scalar(1, pa.int8()))).select(right_keep)
-        left = left_tbl.to_pandas().sort_values(on)
-        right = right_tbl.to_pandas().sort_values(on)
-        if len(left) == 0:
-            return pa.Table.from_arrays(
-                [pa.nulls(0, schema.field(c).type) for c in out_cols], names=out_cols
-            )
+    def merge_bucket(left_tbl: pa.Table, right_tbl: pa.Table) -> pa.Table:
+        left_names = left_tbl.column_names
+        out_cols = left_names + [c for c in right_value_cols if c not in left_names]
+        if left_tbl.num_rows == 0:
+            return _empty_join(left_tbl, right_tbl, out_cols)
+        # merge_asof needs the right side's keys in the left side's types
+        right_tbl = _cast_cols(right_tbl, {c: left_tbl.schema.field(c).type for c in (by, on)})
         merged = pd.merge_asof(
-            left,
-            right,
+            left_tbl.to_pandas().sort_values(on),
+            right_tbl.to_pandas().sort_values(on),
             on=on,
             by=by,
             direction=direction,
@@ -301,7 +221,8 @@ def asof_join_bucketed(
         )
         return pa.Table.from_pandas(merged[out_cols], preserve_index=False)
 
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    sides = [(left_ds, [by]), (right_ds, [by], _narrow(right_ds.schema(), right_keep))]
+    return bucketed(sides, None, merge_bucket, num_buckets=num_buckets)
 
 
 def range_join_broadcast(
@@ -481,8 +402,8 @@ def interval_join_banded(
     Ray shape (banded replication — the standard distributed interval
     join): the value domain is cut into fixed bands of ``band_width``;
     a left row goes to the ONE band containing its value, a right
-    interval is replicated to EVERY band it overlaps, and the banded
-    tag-union is bucketed on ``hash(band) % num_buckets`` — one bounded
+    interval is replicated to EVERY band it overlaps, and both banded
+    sides are bucketed on ``hash(band) % num_buckets`` — one bounded
     shuffle, no global sort. Each (row, interval) pair meets in exactly
     one band (the row's), so no output dedup pass is needed. Inside a
     bucket the match is vectorized: left rows are sorted by band once,
@@ -499,8 +420,6 @@ def interval_join_banded(
 
     → Dataset(left columns + [right_lo, right_hi] + right_cols).
     """
-    from .hashing import hash_int64
-
     if band_width <= 0:
         raise ValueError(f"band_width must be positive, got {band_width}")
     if left_schema is None:
@@ -514,28 +433,11 @@ def interval_join_banded(
     clash = set(left_names) & set(right_keep)
     if clash:
         raise ValueError(f"left/right column names must be disjoint, both have {sorted(clash)}")
-    schema = _union_schema(left_schema, right_schema, right_keep)
-    fields = list(schema)
-    fields.insert(len(fields) - 2, pa.field("__band", pa.int64()))
-    schema = pa.schema(fields)
-    out_names = left_names + right_keep
-    out_schema = pa.schema([schema.field(n) for n in out_names])
+    left_side = _narrow(left_schema, left_names)
+    right_side = _narrow(right_schema, right_keep)
+    out_schema = pa.schema([*left_side, *right_side])
+    band = pa.field("__band", pa.int64())
     w = float(band_width)
-
-    def _stamp(tbl: pa.Table, side: int, band: np.ndarray) -> pa.Table:
-        out = _pad_to_schema(tbl, schema)
-        out = out.set_column(
-            schema.get_field_index("__band"), "__band", pa.array(band, pa.int64())
-        )
-        out = out.set_column(
-            schema.get_field_index("__side"),
-            "__side",
-            pa.nulls(tbl.num_rows, pa.int8()).fill_null(side),
-        )
-        bucket = (hash_int64(band) % np.uint64(num_buckets)).astype(np.int32)
-        return out.set_column(
-            schema.get_field_index("__bucket"), "__bucket", pa.array(bucket, pa.int32())
-        )
 
     def tag_left(batch: pa.Table) -> pa.Table:
         v = batch.column(left_val).to_numpy(zero_copy_only=False).astype(np.float64)
@@ -545,8 +447,7 @@ def interval_join_banded(
         if not keep.all():
             batch = batch.filter(pa.array(keep))
             v = v[keep]
-        band = np.floor(v / w).astype(np.int64)
-        return _stamp(batch, 0, band)
+        return batch.append_column(band, pa.array(np.floor(v / w).astype(np.int64)))
 
     def expand_right(batch: pa.Table) -> pa.Table:
         lo = batch.column(right_lo).to_numpy(zero_copy_only=False).astype(np.float64)
@@ -570,19 +471,11 @@ def interval_join_banded(
         idx = np.repeat(np.arange(len(blo), dtype=np.int64), reps)
         total = int(reps.sum())
         starts = np.r_[np.int64(0), np.cumsum(reps)[:-1]] if len(reps) else reps
-        band = np.arange(total, dtype=np.int64) - np.repeat(starts, reps) + np.repeat(blo, reps)
-        return _stamp(batch.take(pa.array(idx, pa.int64())), 1, band)
+        bands = np.arange(total, dtype=np.int64) - np.repeat(starts, reps) + np.repeat(blo, reps)
+        out = batch.select(right_keep).take(pa.array(idx, pa.int64()))
+        return out.append_column(band, pa.array(bands, pa.int64()))
 
-    tagged_left = left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
-    tagged_right = right_ds.map_batches(
-        expand_right, batch_format="pyarrow", zero_copy_batch=True
-    )
-    both = tagged_left.union(tagged_right)
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        side = group.column("__side")
-        left_tbl = group.filter(pc.equal(side, pa.scalar(0, pa.int8())))
-        right_tbl = group.filter(pc.equal(side, pa.scalar(1, pa.int8())))
+    def join_bucket(left_tbl: pa.Table, right_tbl: pa.Table) -> pa.Table:
         if left_tbl.num_rows == 0 or right_tbl.num_rows == 0:
             return out_schema.empty_table()
         v = left_tbl.column(left_val).to_numpy(zero_copy_only=False).astype(np.float64)
@@ -631,8 +524,10 @@ def interval_join_banded(
         ridx = pa.array(np.concatenate(ri), pa.int64())
         lt = left_tbl.select(left_names).take(lidx)
         rt = right_tbl.select(right_keep).take(ridx)
-        return pa.Table.from_arrays(
-            [*lt.columns, *rt.columns], schema=out_schema
-        )
+        return pa.Table.from_arrays([*lt.columns, *rt.columns], schema=out_schema)
 
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    sides = [
+        (left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True), ["__band"], left_side.append(band)),
+        (right_ds.map_batches(expand_right, batch_format="pyarrow", zero_copy_batch=True), ["__band"], right_side.append(band)),
+    ]
+    return bucketed(sides, None, join_bucket, num_buckets=num_buckets)

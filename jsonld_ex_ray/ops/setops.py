@@ -8,9 +8,10 @@ training-data-pipeline surface this engine adds on top.
 
 Shape at scale: each side is reduced to per-block DISTINCT rows inside
 ``map_batches`` (combiner — duplicate values never leave the block), both
-sides are tagged and bucketed by a version-stable hash of the VALUE
-columns, and each bucket resolves membership with the vectorized arrow
-semi/anti join. Nothing lands on the driver; the result stays a
+sides meet in the several-input ``ops/shuffle.bucketed``, routed by a
+version-stable hash of the VALUE columns, and each bucket resolves
+membership from its two side tables with the vectorized arrow semi/anti
+join. Nothing lands on the driver; the result stays a
 distributed Dataset. Duplicate-preserving INTERSECT ALL is out of scope
 (SQL's multiset semantics need per-value counts — ``groupby_agg_bucketed``
 covers that shape if ever needed).
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .hashing import bucket_ids
+from .shuffle import bucketed
 
 
 def set_op(
@@ -35,30 +36,27 @@ def set_op(
     """``op``: ``union`` | ``intersect`` | ``except``. Output columns
     carry the LEFT side's names (SQL convention: the first SELECT names
     the result). ``right_cols`` defaults to ``left_cols`` (same names on
-    both sides). ``union`` is SQL UNION (distinct): both sides ride the
-    same per-block-distinct combiner and value-hash shuffle, and each
-    bucket resolves to one arrow hash-distinct over the concatenated
-    sides — no join probe at all, and NULL rows collapse to one because
-    arrow group_by hashes a null key as its own single group."""
+    both sides); the right side's values are cast to the left side's
+    types inside each bucket. ``union`` is SQL UNION (distinct): both
+    sides ride the same per-block-distinct combiner and value-hash
+    shuffle, and each bucket resolves to one arrow hash-distinct over the
+    concatenated side tables — no join probe at all, and NULL rows
+    collapse to one because arrow group_by hashes a null key as its own
+    single group."""
     if op not in ("union", "intersect", "except"):
         raise ValueError(f"op must be union|intersect|except, got {op!r}")
     right_cols = right_cols or left_cols
     if len(right_cols) != len(left_cols):
         raise ValueError("left_cols and right_cols must have equal length")
 
-    def make_side(cols: list[str], side: int):
+    def side(ds, cols: list[str]):
+        # per-block DISTINCT (combiner), renamed to the result's names
         def prep(batch: pa.Table) -> pa.Table:
-            t = batch.select(cols).group_by(cols).aggregate([])
-            t = t.rename_columns(left_cols)  # unified names for the union
-            t = t.append_column("__side", pa.array([side] * t.num_rows, pa.int8()))
-            return t.append_column(
-                "__bucket", bucket_ids(t, left_cols, num_buckets, seed=0)
-            )
+            return batch.select(cols).group_by(cols).aggregate([]).rename_columns(left_cols)
 
-        return prep
+        return ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True), left_cols
 
-    def resolve(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["__bucket"])
+    def resolve(left: pa.Table, right: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         def fill_value(typ):
@@ -86,13 +84,10 @@ def set_op(
                 keys += [f"__k{i}", f"__v{i}"]
             return t, keys
 
+        right = right.cast(left.schema)
         if op == "union":
-            both = group.drop_columns(["__side"])
-            return both.group_by(left_cols).aggregate([])
+            return pa.concat_tables([left, right]).group_by(left_cols).aggregate([])
 
-        side = group.column("__side")
-        left = group.filter(pc.equal(side, 0)).drop_columns(["__side"])
-        right = group.filter(pc.equal(side, 1)).drop_columns(["__side"])
         # per-block distinct can still collide across blocks of one side
         left = left.group_by(left_cols).aggregate([])
         right = right.group_by(left_cols).aggregate([])
@@ -104,11 +99,5 @@ def set_op(
         out = left_e.join(right_e.select(keys), keys=keys, join_type=join_type)
         return out.select(left_cols)
 
-    tagged = left_ds.map_batches(
-        make_side(left_cols, 0), batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right_ds.map_batches(
-            make_side(right_cols, 1), batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-    return tagged.groupby("__bucket").map_groups(resolve, batch_format="pyarrow")
+    sides = [side(left_ds, left_cols), side(right_ds, right_cols)]
+    return bucketed(sides, None, resolve, num_buckets=num_buckets)

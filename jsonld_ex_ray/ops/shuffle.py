@@ -1,4 +1,5 @@
-"""The one bucketed shuffle every single-input keyed op runs on.
+"""The one bucketed shuffle every keyed op runs on, with one input or
+several.
 
 Shape: route each row to ``hash(keys) % num_buckets`` with the
 version-stable :func:`~jsonld_ex_ray.ops.hashing.bucket_ids` (identical
@@ -15,17 +16,27 @@ Engine: Ray's default sort-based shuffle. ``HASH_SHUFFLE`` (Ray 2.49,
 materialize chain at 1 or 2 Ray CPUs where the sort shuffle took
 13–15 s, so the choice lives here and a later Ray is a one-line trial.
 
-Chunk policy: ``fn`` receives each bucket as ONE contiguous table
-(``combine_chunks``) without the routing column, and every output block
+Chunk policy: ``fn`` receives each bucket as ONE contiguous table per
+input (``combine_chunks``) without the routing column, and every output block
 is combined again before it leaves the task. An op that concatenates
 one slice per key (per document, per graph) therefore cannot hand
 downstream stages one Arrow chunk per key: chunks are bounded by
 blocks.
 
-A map-side combine stays an ordinary ``map_batches`` placed before
-:func:`bucketed`; Ray fuses it with the routing step into one task.
-Two-sided shuffles (joins, set ops, span cutting) tag each side and
-group on their own bucket column — see ops/joins.py.
+Several inputs (joins, set ops, span cutting): pass a list of sides,
+each ``(dataset, keys)`` or ``(dataset, keys, schema)``. Every side is
+routed on its own key columns with the same ``bucket_ids`` seed — key
+types are canonicalized in the hash, so int32 meets int64 and NULL
+meets NULL — and ``fn(*tables)`` receives one table per side, in input
+order, holding only that side's own columns with its own types (empty
+when the bucket holds none of its rows). A side's schema names the
+columns it carries; pass it when known, because ``Dataset.schema()``
+executes part of a lazy plan. Inside, the sides travel as one union
+padded to a shared schema with a side tag; callers never see either.
+
+A map-side combine or any per-side preparation stays an ordinary
+``map_batches`` placed before :func:`bucketed`; Ray fuses it with the
+routing step into one task.
 """
 
 from __future__ import annotations
@@ -39,27 +50,80 @@ import pyarrow.compute as pc
 from .hashing import bucket_ids
 
 _BUCKET = "__bucket"
+_SIDE = "__side"
 
 
-def bucketed(ds, keys: list[str], fn: Callable[[pa.Table], pa.Table], *, num_buckets: int = 64):
+def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buckets: int = 64):
     """Apply ``fn`` to every bucket of ``ds`` routed on ``keys``: all rows
     sharing a key value reach the same ``fn`` call, together with the
-    other keys of their bucket. → Dataset of ``fn``'s outputs."""
+    other keys of their bucket. → Dataset of ``fn``'s outputs.
 
-    def route(batch: pa.Table) -> pa.Table:
-        return batch.append_column(_BUCKET, bucket_ids(batch, keys, num_buckets))
+    Several inputs: ``ds`` is a list of sides ``(dataset, keys)`` or
+    ``(dataset, keys, schema)`` and ``keys`` is None; the rows of every
+    side sharing a key value reach the same ``fn(*tables)`` call."""
+    if keys is not None:
 
-    def call(group: pa.Table) -> pa.Table:
-        return fn(group.drop_columns([_BUCKET]).combine_chunks())
+        def route(batch: pa.Table) -> pa.Table:
+            return batch.append_column(_BUCKET, bucket_ids(batch, keys, num_buckets))
+
+        routed = ds.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
+
+        def call(group: pa.Table) -> pa.Table:
+            return fn(group.drop_columns([_BUCKET]).combine_chunks())
+
+    else:
+        sides = [_side(*s) for s in ds]
+        # one slot per (side, column), named apart so equal names on two
+        # sides never meet; a row fills its own side's slots, NULL elsewhere
+        slots = [(i, f) for i, (_, _, sch) in enumerate(sides) for f in sch]
+        union = pa.schema(
+            [pa.field(f"__{n}", f.type) for n, (_, f) in enumerate(slots)]
+            + [pa.field(_SIDE, pa.int8()), pa.field(_BUCKET, pa.int32())]
+        )
+
+        def router(side: int, side_keys: list[str]):
+            def route(batch: pa.Table) -> pa.Table:
+                n = batch.num_rows
+                cols = [batch.column(f.name).cast(f.type) if i == side else pa.nulls(n, f.type) for i, f in slots]
+                tag = pa.nulls(n, pa.int8()).fill_null(side)
+                return pa.Table.from_arrays([*cols, tag, bucket_ids(batch, side_keys, num_buckets)], schema=union)
+
+            return route
+
+        parts = [
+            d.map_batches(router(i, k), batch_format="pyarrow", zero_copy_batch=True)
+            for i, (d, k, _) in enumerate(sides)
+        ]
+        routed = parts[0].union(*parts[1:])
+        names = [sch.names for _, _, sch in sides]  # not the sides: a UDF must not capture a Dataset
+
+        def call(group: pa.Table) -> pa.Table:
+            tag = group.column(_SIDE)
+            return fn(
+                *(
+                    group.filter(pc.equal(tag, pa.scalar(side, pa.int8())))
+                    .select([n for n, (i, _) in enumerate(slots) if i == side])
+                    .rename_columns(own)
+                    .combine_chunks()
+                    for side, own in enumerate(names)
+                )
+            )
 
     # an output block holds several buckets, concatenated by Ray: combine
     # each whole block (fused into the same task) so it leaves as one chunk
     return (
-        ds.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(_BUCKET)
+        routed.groupby(_BUCKET)
         .map_groups(call, batch_format="pyarrow")
         .map_batches(_combine, batch_format="pyarrow", batch_size=None)
     )
+
+
+def _side(ds, keys: list[str], schema=None):
+    """One input of a several-input :func:`bucketed`, its schema (a
+    ``pa.Schema`` or ``ray.data.Schema``; None reads it) as arrow."""
+    if schema is None:
+        schema = ds.schema()
+    return ds, keys, pa.schema(zip(schema.names, schema.types))
 
 
 def _combine(block: pa.Table) -> pa.Table:

@@ -279,127 +279,6 @@ def stratified_sample(
     return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def pmi_ngrams(
-    ds,
-    k: int = 20,
-    min_count: int = 5,
-    text_col: str = "text",
-    num_buckets: int = 64,
-    digits: int = 6,
-):
-    """Top-``k`` bigrams by pointwise mutual information — the
-    phrase-mining / collocation pass of a corpus-statistics pipeline
-    (PMI finds "San Francisco", raw counts find "of the").
-
-    ``PMI(x,y) = ln( (c_xy / Nb) / ((c_x/Nu) · (c_y/Nu)) )`` with ``Nb``
-    = total bigram windows and ``Nu`` = total tokens, over the same
-    whitespace tokenization as :func:`top_ngrams` (grams never cross a
-    document boundary).
-
-    Ray shape: two count passes share the corpus scan pattern of
-    ``top_ngrams`` (per-batch value_counts combiner → ONE bounded bucket
-    shuffle each); bigrams surviving ``min_count`` join their word
-    marginals through the engine's bucketed hash join on the word key
-    (NOT a vocabulary broadcast — the unigram table can be unbounded);
-    Nb/Nu are two scalar sums of already-tiny count tables. Ties broken
-    by gram ascending; PMI rounded to ``digits`` for oracle parity.
-    → Dataset(gram, cnt, pmi) — top-k, descending PMI."""
-    from .agg import groupby_agg_bucketed, topk
-    from .joins import hash_join_bucketed
-
-    def grams_of(n: int):
-        parts = ds.map_batches(
-            lambda b, n=n: ngram_count_batch(b, n, text_col),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        return groupby_agg_bucketed(parts, ["gram"], [("cnt", "sum", "cnt")], num_buckets)
-
-    # count tables are vocab-sized and used twice each (scalar total +
-    # join side) — materialize keeps them as distributed blocks in the
-    # object store, NOT a driver object or a vocabulary broadcast
-    uni = grams_of(1).materialize()
-    bi = grams_of(2).materialize()
-    n_tokens = uni.sum("cnt") or 0  # scalar aggs — driver-safe at any scale
-    n_windows = bi.sum("cnt") or 0
-    if not n_tokens or not n_windows:
-        import pandas as pd
-
-        import ray.data
-
-        return ray.data.from_pandas(
-            pd.DataFrame({"gram": pd.Series([], dtype=str),
-                          "cnt": pd.Series([], dtype="int64"),
-                          "pmi": pd.Series([], dtype="float64")})
-        )
-
-    def split_words(batch: pa.Table) -> pa.Table:
-        keep = pc.greater_equal(batch.column("cnt"), pa.scalar(int(min_count)))
-        batch = batch.filter(keep)
-        g = batch.column("gram")
-        if isinstance(g, pa.ChunkedArray):
-            g = g.combine_chunks()
-        # tokens contain no spaces (whitespace tokenization), so a bigram
-        # splits into exactly its two words
-        parts = pc.split_pattern(g, pattern=" ", max_splits=1)
-        return pa.table(
-            {
-                "gram": g,
-                "cnt": batch.column("cnt"),
-                "w1": pc.list_element(parts, 0),
-                "w2": pc.list_element(parts, 1),
-            }
-        )
-
-    survivors = bi.map_batches(split_words, batch_format="pyarrow", zero_copy_batch=True)
-
-    def rename(col: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table({"word": batch.column("gram"), col: batch.column("cnt")})
-
-        return fn
-
-    u1 = uni.map_batches(rename("c1"), batch_format="pyarrow", zero_copy_batch=True)
-    u2 = uni.map_batches(rename("c2"), batch_format="pyarrow", zero_copy_batch=True)
-    # schemas are statically known constants — passing them saves
-    # Dataset.schema() from executing each lazy plan an extra time (the
-    # second join's left side is the FIRST join's whole bucketed shuffle)
-    s, i64 = pa.string(), pa.int64()
-    surv_schema = pa.schema([("gram", s), ("cnt", i64), ("w1", s), ("w2", s)])
-    uni_schema = lambda c: pa.schema([("word", s), (c, i64)])  # noqa: E731
-    j = hash_join_bucketed(
-        survivors, u1, left_on="w1", right_on="word", right_cols=["c1"],
-        num_buckets=num_buckets,
-        left_schema=surv_schema, right_schema=uni_schema("c1"),
-    )
-    j = hash_join_bucketed(
-        j, u2, left_on="w2", right_on="word", right_cols=["c2"],
-        num_buckets=num_buckets,
-        left_schema=surv_schema.append(pa.field("c1", i64)),
-        right_schema=uni_schema("c2"),
-    )
-
-    nb, nu = float(n_windows), float(n_tokens)
-
-    def score(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        cxy = batch.column("cnt").to_numpy(zero_copy_only=False).astype(np.float64)
-        c1 = batch.column("c1").to_numpy(zero_copy_only=False).astype(np.float64)
-        c2 = batch.column("c2").to_numpy(zero_copy_only=False).astype(np.float64)
-        pmi = np.round(np.log((cxy / nb) / ((c1 / nu) * (c2 / nu))), digits) + 0.0
-        return pa.table(
-            {
-                "gram": batch.column("gram"),
-                "cnt": batch.column("cnt"),
-                "pmi": pa.array(pmi, pa.float64()),
-            }
-        )
-
-    scored = j.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-    return topk(scored, ["pmi", "gram"], [True, False], k)
-
-
 def explode_lines(ds, id_col: str = "doc_id", text_col: str = "text"):
     """UNNEST-with-ordinality over newline splits: one output row per
     line, carrying ``(id, line_no, line)`` with 1-based line numbers —

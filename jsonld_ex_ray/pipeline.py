@@ -492,6 +492,32 @@ def frame_docs(ds, frame_doc: dict, *, doc_col: str = "doc", options=None):
 # ---------------------------------------------------------------------------
 
 
+def run_stamp(source, *options) -> str | None:
+    """What a checkpoint was built from: every source file's absolute
+    path, size and ``mtime_ns`` (directories walked, in source order),
+    ``options``' ``repr``, and the engine digest. None for a
+    Dataset source: its rows cannot be stamped, so nothing built from
+    one is ever reused."""
+    if not isinstance(source, (str, list)):
+        return None
+    from .gen import _source_digest
+
+    h = hashlib.sha256()
+    for top in [source] if isinstance(source, str) else source:
+        top = os.path.abspath(top)
+        paths = [top]
+        if os.path.isdir(top):
+            paths = sorted(os.path.join(d, f) for d, _, fs in os.walk(top) for f in fs)
+        for path in paths:
+            st = os.stat(path)
+            h.update(f"{path}\0{st.st_size}\0{st.st_mtime_ns}\n".encode())
+    # a dict's repr follows insertion order: an equal dict built in
+    # another order only costs a rebuild
+    h.update(repr(options).encode())
+    h.update(_source_digest("**/*.py").encode())
+    return h.hexdigest()
+
+
 def _manifest_records(manifest_path: str) -> list[dict]:
     """Parse manifest lines, SKIPPING torn/partial ones: a writer killed
     mid-append leaves a truncated JSON line, and crashing on it would
@@ -687,7 +713,11 @@ def run_checkpointed(
     resumes by skipping shards already marked done (partial shard dirs
     from a kill -9 are cleared before rewrite, so rows never double
     count); concurrent writers on the same out_dir coordinate through
-    per-shard claim files. ``max_error_rate`` is the errors-budget gate:
+    per-shard claim files. Resume needs the same run: ``_state/stamp``
+    holds the :func:`run_stamp` of the inputs, ``shard_size`` and
+    ``context_registry``, and a call with another stamp clears
+    ``triples/`` and the manifest before any shard runs.
+    ``max_error_rate`` is the errors-budget gate:
     when the cumulative error-row fraction exceeds it, the run raises
     after recording the finished shard — a corrupted input corpus fails
     fast instead of burning the cluster. Returns run metrics."""
@@ -700,6 +730,7 @@ def run_checkpointed(
     # disambiguation) + uuid (thread disambiguation within one process)
     token = f"{os.getpid()}:{_proc_start(os.getpid())}:{uuid.uuid4().hex}"
     _sweep_stale_claims(state_dir)
+    _adopt_or_clear(out_dir, run_stamp(input_files, shard_size, context_registry))
     done = _read_done_shards(manifest_path)
 
     shards = [
@@ -775,6 +806,27 @@ def run_checkpointed(
             )
     _write_metrics_parquet(manifest_path, state_dir)
     return metrics
+
+
+def _adopt_or_clear(out_dir: str, stamp: str) -> None:
+    """Keep ``out_dir``'s shards only when ``_state/stamp`` is ``stamp``;
+    otherwise clear them and write it. Under the claims mutex, so
+    concurrent writers of one run check and write it once."""
+    import shutil
+
+    state_dir = os.path.join(out_dir, "_state")
+    path = os.path.join(state_dir, "stamp")
+    with _claims_mutex(state_dir):
+        if _read_claim(path) == stamp:
+            return
+        shutil.rmtree(os.path.join(out_dir, "triples"), ignore_errors=True)
+        for name in ("manifest.jsonl", "metrics.parquet"):
+            try:
+                os.unlink(os.path.join(state_dir, name))
+            except FileNotFoundError:
+                pass
+        with open(path, "w") as f:
+            f.write(stamp)
 
 
 def _write_metrics_parquet(manifest_path: str, state_dir: str) -> None:

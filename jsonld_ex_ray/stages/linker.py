@@ -12,7 +12,6 @@ scorer.
 from __future__ import annotations
 
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from .state import worker_state
 
@@ -67,14 +66,6 @@ def link_entities(dict_ref):
         return worker_state("entity_linker", dict_ref, build)(batch)
 
     return link_batch
-
-
-def linked_fraction(batch: pa.Table) -> pa.Table:
-    """Per-batch partial metric: how many identifiers were rewritten."""
-    changed = pc.sum(
-        pc.cast(pc.not_equal(batch.column("subj"), batch.column("subj_canon")), pa.int64())
-    ).as_py() or 0
-    return pa.table({"changed": [changed], "rows": [batch.num_rows]})
 
 
 _NAME_PREDICATE_SUFFIXES = ("/name", "#name", "/label", "#label", "/title")

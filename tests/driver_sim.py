@@ -46,7 +46,7 @@ def main():
         num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
         include_dashboard=False,
     )
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry
 
     qs = entry.queries()

@@ -48,7 +48,7 @@ def test_kill9_mid_run_resume_no_double_counts(ray_session, tmp_path):
     m_clean = run_checkpointed(files, clean_out, shard_size=1)
 
     script = _CHILD_SCRIPT.format(
-        repo="/root/repo", files=files, out=out
+        repo=os.path.dirname(os.path.dirname(os.path.abspath(__file__))), files=files, out=out
     )
     env = dict(os.environ)
     env.pop("RAY_ADDRESS", None)  # child owns its own local Ray instance

@@ -87,6 +87,34 @@ def test_full_kg_run_resume_skips_and_never_double_counts(ray_session, tmp_path)
     key_cols = ["graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
     assert not triples[key_cols].fillna("").duplicated().any()
 
+def test_full_kg_run_never_adopts_stages_built_from_other_inputs(ray_session, tmp_path):
+    """Stage markers carry a stamp of what built them: another corpus or
+    another linker dictionary in the same directory rebuilds every stage
+    and gives the rows of a fresh directory; the same inputs skip all."""
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    write_corpus(a, 30, seed=1)
+    write_corpus(b, 60, seed=2)
+
+    def rows(out):
+        tbl = pads.dataset(os.path.join(out, "triples")).to_table()
+        return {tuple(sorted(r.items())) for r in tbl.to_pylist()}
+
+    out = str(tmp_path / "kg")
+    full_kg_run(a, out)
+    m = full_kg_run(b, out)
+    assert rows(out) == rows(_fresh(tmp_path, "b", b)) and m["reused"] == []
+    m = full_kg_run(b, out, linker_dict=LINKER)
+    assert rows(out) == rows(_fresh(tmp_path, "b_linked", b, linker_dict=LINKER)) and m["reused"] == []
+    m = full_kg_run(b, out, linker_dict=LINKER)
+    assert m["raw_skipped"] is True and m["reused"] == ["raw", "triples", "adjacency"]
+
+
+def _fresh(tmp_path, name, source, **kw):
+    out = str(tmp_path / f"fresh_{name}")
+    full_kg_run(source, out, **kw)
+    return out
+
+
 _ONE_CPU_CHILD = """
 import json, sys
 sys.path.insert(0, {repo!r})

@@ -374,6 +374,31 @@ def test_checkpoint_resume(ray_session, tmp_path):
     assert read_triples(out).count() == total  # no double counting
 
 
+def test_checkpoint_never_resumes_another_runs_shards(ray_session, tmp_path):
+    """The resume manifest belongs to one run: other input files in the
+    same directory clear it and give the triples of a fresh directory;
+    the same inputs again skip every shard."""
+
+    def corpus(name, n_files, n_docs, seed):
+        files = [str(tmp_path / f"{name}_{i}.parquet") for i in range(n_files)]
+        for i, f in enumerate(files):
+            write_corpus(f, n_docs, seed=seed + i)
+        return files
+
+    def rows(out):
+        return sorted(map(tuple, read_triples(out).to_pandas().astype(str).values.tolist()))
+
+    a, b = corpus("a", 2, 20, 30), corpus("b", 3, 30, 40)
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    run_checkpointed(a, out, shard_size=1)
+    m = run_checkpointed(b, out, shard_size=1)
+    want = run_checkpointed(b, fresh, shard_size=1)
+    assert m["shards_skipped"] == 0 and m["triples"] == want["triples"]
+    assert rows(out) == rows(fresh)
+    m = run_checkpointed(b, out, shard_size=1)
+    assert m["shards_skipped"] == 3 and m["triples"] == want["triples"]
+
+
 def test_triples_to_jsonld_default_graph_sharded(ray_session):
     """A corpus where the default graph holds >90% of triples must NOT
     collapse into one serializer call: shard assignment spreads it, the

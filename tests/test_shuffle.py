@@ -1,6 +1,6 @@
-"""The bucketed-shuffle helper (ops/shuffle.py): its contract, and a
-structural guard that keeps hand-written single-input bucket shuffles
-from growing back in the package."""
+"""The bucketed-shuffle helper (ops/shuffle.py): its one- and two-input
+contracts, and a structural guard that keeps hand-written bucket
+shuffles from growing back in the package."""
 
 import ast
 import pathlib
@@ -61,6 +61,73 @@ def test_bucketed_contract(ray_session, kind, num_buckets):
     assert bucketed(empty, ["k"], _one_row_per_key_run, num_buckets=num_buckets).count() == 0
 
 
+def _per_side_key_runs(left: pa.Table, right: pa.Table) -> pa.Table:
+    """What a two-input bucket call saw: one row per (side, key)."""
+    import uuid
+
+    call, parts = uuid.uuid4().hex, []
+    cols = "|".join(",".join(t.column_names) for t in (left, right))
+    for side, t, key in (("L", left, "k"), ("R", right, "key")):
+        g = t.sort_by(key)
+        starts, ends = key_runs(g, [key])
+        n = len(starts)
+        parts.append(
+            pa.table(
+                {
+                    "side": pa.array([side] * n, pa.string()),
+                    "k": g.column(key).take(pa.array(starts)).cast(pa.int64()),
+                    "n": pa.array(ends - starts, pa.int64()),
+                    "call": pa.array([call] * n, pa.string()),
+                    "chunks": pa.array([max(c.num_chunks for c in t.columns)] * n, pa.int64()),
+                    "cols": pa.array([cols] * n, pa.string()),
+                }
+            )
+        )
+    return pa.concat_tables(parts)
+
+
+@pytest.mark.parametrize("num_buckets", [1, 7])
+def test_bucketed_two_inputs_contract(ray_session, num_buckets):
+    import ray
+    import ray.data
+
+    lk = pa.array([1, 2, None, 3, 1, None, 5] * 20, pa.int32())
+    rk = pa.array([2, None, 3, 3, 4, 2**40] * 15, pa.int64())
+    left = pa.table({"k": lk, "a": pa.array([str(i) for i in range(len(lk))])})
+    right = pa.table({"key": rk, "b": pa.array(range(len(rk)), pa.float64()), "extra": pa.array([0] * len(rk))})
+    right_schema = pa.schema([("key", pa.int64()), ("b", pa.float64())])  # names the columns it carries
+    lds = ray.data.from_arrow(left).repartition(4)
+    rds = ray.data.from_arrow(right).repartition(3)
+
+    def run(lds, rds):
+        sides = [(lds, ["k"]), (rds, ["key"], right_schema)]
+        blocks = ray.get(bucketed(sides, None, _per_side_key_runs, num_buckets=num_buckets).to_arrow_refs())
+        assert all(c.num_chunks <= 1 for b in blocks for c in b.columns)  # one chunk per block
+        return pa.concat_tables([b for b in blocks if b.num_rows]).to_pylist()
+
+    out = run(lds, rds)
+    assert {r["cols"] for r in out} == {"k,a|key,b"}  # each side only its own columns
+    assert {r["chunks"] for r in out} == {1}  # each side one contiguous table
+    for side, keys in (("L", lk), ("R", rk)):
+        seen = [(r["k"], r["n"]) for r in out if r["side"] == side]
+        # every key — NULL included — arrives whole in exactly one call
+        assert len(seen) == len(set(keys.to_pylist()))
+        assert dict(seen) == Counter(keys.to_pylist())
+    # both sides' rows of a key (int32 against int64, NULL against NULL)
+    # reach the same call
+    calls = {}
+    for r in out:
+        calls.setdefault(r["k"], set()).add(r["call"])
+    assert set(lk.to_pylist()) & set(rk.to_pylist()) == {2, 3, None}
+    assert all(len(c) == 1 for c in calls.values())
+    assert len({r["call"] for r in out}) <= num_buckets
+
+    # an empty side still reaches fn, as an empty table with its columns
+    out = run(lds, ray.data.from_arrow(right.slice(0, 0)))
+    assert {r["side"] for r in out} == {"L"} and {r["cols"] for r in out} == {"k,a|key,b"}
+    assert dict((r["k"], r["n"]) for r in out) == Counter(lk.to_pylist())
+
+
 def test_key_runs_splits_at_key_changes():
     t = pa.table(
         {
@@ -78,41 +145,43 @@ def test_key_runs_splits_at_key_changes():
     assert len(starts) == 0 and len(ends) == 0
 
 
-# Two-sided shuffles tag each input with a side and group on their own
-# bucket column; they are the only hand-written bucket groupbys allowed.
-_TWO_SIDED = {
-    ("ops/joins.py", "hash_join_bucketed"),
-    ("ops/joins.py", "asof_join_bucketed"),
-    ("ops/joins.py", "interval_join_banded"),
-    ("ops/setops.py", "set_op"),
-    ("ops/dedup.py", "cut_duplicate_spans"),
-}
 _BUCKET_COLS = {"__bucket", "bucket", "__dbucket"}
 
 
 def _bucket_groupbys(root: pathlib.Path):
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "groupby"
-                ):
-                    continue
-                args = list(node.args) + [k.value for k in node.keywords if k.arg == "key"]
-                if any(isinstance(a, ast.Constant) and a.value in _BUCKET_COLS for a in args):
-                    yield rel, getattr(top, "name", None), node.lineno
+        for site in _bucket_groupbys_in(path.read_text()):
+            yield (rel, *site)
+
+
+def _bucket_groupbys_in(source: str):
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "groupby"
+            ):
+                continue
+            args = list(node.args) + [k.value for k in node.keywords if k.arg == "key"]
+            if any(isinstance(a, ast.Constant) and a.value in _BUCKET_COLS for a in args):
+                yield getattr(top, "name", None), node.lineno
+
+
+_HAND_WRITTEN = """
+def join(left, right, fn):
+    both = left.union(right)
+    return both.groupby("__bucket").map_groups(fn, batch_format="pyarrow")
+"""
 
 
 def test_no_hand_written_bucket_shuffles():
     root = pathlib.Path(__file__).resolve().parents[1] / "jsonld_ex_ray"
-    found = list(_bucket_groupbys(root))
-    stray = [f for f in found if f[0] != "ops/shuffle.py" and f[:2] not in _TWO_SIDED]
+    stray = [f for f in _bucket_groupbys(root) if f[0] != "ops/shuffle.py"]
     assert not stray, f"route these through ops/shuffle.bucketed: {stray}"
-    # the guard itself still sees the allowed two-sided sites
-    assert {f[:2] for f in found} == _TWO_SIDED
+    # the guard itself still flags a hand-written bucket shuffle
+    assert list(_bucket_groupbys_in(_HAND_WRITTEN)) == [("join", 4)]
 
 
 # The one broadcast-or-bucketed budget lives in ops/joins.py; the only
