@@ -3350,8 +3350,8 @@ def _q_doc_dup_spans(sf_dir: str):
     """Exact duplicated-substring spans (64-char windows, stride 32 —
     the Lee-et-al substring-dedup signal): per-doc count of spans whose
     text occurs in >= 2 distinct docs. Only (doc_id, span-hash) rows
-    shuffle; the corpus streams twice (cheap md5 re-scan) instead of
-    materializing the span table."""
+    shuffle, twice: once on the hash to flag it, once on the doc to
+    count; the corpus streams once."""
     from jsonld_ex_ray.ops.dedup import duplicate_spans
 
     ds = _read(sf_dir, "documents").select_columns(["doc_id", "text"])

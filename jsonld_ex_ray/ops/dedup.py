@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 
 from .joins import filter_by_keys
-from .shuffle import bucketed, key_runs
+from .shuffle import arrow_schema, bucketed, key_runs
 
 _MERSENNE61 = np.uint64((1 << 61) - 1)
 _GRAM_PRIME = np.uint64(1099511628211)  # FNV prime, wrapping 64-bit mix
@@ -1135,7 +1135,8 @@ def _span_schema(id_col: str, id_type, *, with_offset: bool) -> pa.Schema:
 def _make_span_emitter(window: int, stride: int, text_col: str, id_col: str, span_schema: pa.Schema, *, with_offset: bool):
     """Span-hash emission shared by duplicate_spans and the cut pass: a
     per-batch loop over STRIDE OFFSETS — each iteration one vectorized
-    arrow slice + md5 over the whole batch, never per-row Python."""
+    arrow slice + md5 over the whole batch, never per-row Python. The
+    per-offset parts leave as one chunk per column."""
     import pyarrow.compute as pc
 
     from .hashing import md5_hex
@@ -1156,9 +1157,42 @@ def _make_span_emitter(window: int, stride: int, text_col: str, id_col: str, spa
             parts.append(pa.table(cols, schema=span_schema))
         if not parts:
             return span_schema.empty_table()
-        return pa.concat_tables(parts)
+        return pa.concat_tables(parts).combine_chunks()
 
     return spans
+
+
+def _flagged_spans(ds, *, window, stride, min_docs, text_col, id_col, num_buckets, with_offset):
+    """The span rows (``id_col``[, ``off``], ``h``) of ``ds`` whose hash
+    ``h`` occurs in at least ``min_docs`` distinct documents: one md5
+    span scan, ONE bucketed shuffle on ``h``, and inside each bucket one
+    arrow ``count_distinct`` of ids per hash (a NULL id counts as one
+    document, like SQL's ``SELECT DISTINCT h, doc_id``).
+    → (Dataset, its schema)."""
+    import pyarrow.compute as pc
+
+    if window <= 0 or stride <= 0:
+        raise ValueError(f"window and stride must be positive, got {window}, {stride}")
+    if min_docs < 2:
+        raise ValueError(f"min_docs must be >= 2, got {min_docs}")
+    # the input's schema is metadata-cheap (parquet read / in-memory
+    # source); the lazy span dataset's would execute the whole extraction
+    id_type = arrow_schema(ds).field(id_col).type
+    span_schema = _span_schema(id_col, id_type, with_offset=with_offset)
+    span_ds = ds.map_batches(
+        _make_span_emitter(window, stride, text_col, id_col, span_schema, with_offset=with_offset),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+
+    def flag(group: pa.Table) -> pa.Table:
+        n = group.group_by("h").aggregate(
+            [(id_col, "count_distinct", pc.CountOptions(mode="all"))]
+        )
+        dup_h = n.column("h").filter(pc.greater_equal(n.column(f"{id_col}_count_distinct"), min_docs))
+        return group.filter(pc.is_in(group.column("h"), value_set=dup_h))
+
+    return bucketed(span_ds, ["h"], flag, num_buckets=num_buckets), span_schema
 
 
 def duplicate_spans(
@@ -1185,11 +1219,10 @@ def duplicate_spans(
     kernel) over the whole batch, so total work is O(total chars /
     stride × window) with never a per-row Python loop. Only
     ``(doc_id, span_hash)`` rows shuffle; the corpus text never does.
-    Duplicate discovery: distinct (hash, doc) rows → per-hash doc count
-    ≥ ``min_docs`` (bounded hash shuffles) → bucketed SEMI join of span
-    rows against the dup hashes → per-doc count. The span stream is
-    recomputed for its two consumers (cheap md5 re-scan) instead of
-    materializing ~chars/stride hash rows to the object store.
+    Two bounded shuffles: the span rows meet bucketed on the hash, where
+    each bucket keeps the rows whose hash has ≥ ``min_docs`` distinct
+    docs (one arrow ``count_distinct``), then a per-doc count. The
+    corpus is scanned once.
 
     Hash caveat (same contract as the minhash family): md5 identity is
     a FLAGGING signal, not a deletion decision — a caller deleting
@@ -1202,47 +1235,11 @@ def duplicate_spans(
     → Dataset(``id_col``, ``n_dup_spans``); docs with zero duplicated
     spans are omitted.
     """
-    import pyarrow.compute as pc
+    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed
 
-    from .hashing import md5_hex
-    from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg_bucketed
-    from jsonld_ex_ray.ops.joins import hash_join_bucketed
-
-    if window <= 0 or stride <= 0:
-        raise ValueError(f"window and stride must be positive, got {window}, {stride}")
-    if min_docs < 2:
-        raise ValueError(f"min_docs must be >= 2, got {min_docs}")
-
-    # input schema is metadata-cheap (parquet read / in-memory source);
-    # the SPAN datasets are lazy map_batches whose .schema() would
-    # execute the whole extraction just to read two column types
-    in_schema = ds.schema()
-    id_type = dict(zip(in_schema.names, in_schema.types))[id_col]
-    span_schema = _span_schema(id_col, id_type, with_offset=False)
-    span_ds = ds.map_batches(
-        _make_span_emitter(window, stride, text_col, id_col, span_schema, with_offset=False),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    per_doc = distinct_rows(span_ds, ["h", id_col], num_buckets=num_buckets)
-    counts = groupby_agg_bucketed(
-        per_doc, ["h"], [(id_col, "count", "n_docs")], num_buckets=num_buckets
-    )
-    dup_h = counts.map_batches(
-        lambda b: b.filter(pc.greater_equal(b.column("n_docs"), min_docs)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    flagged = hash_join_bucketed(
-        span_ds,
-        dup_h,
-        left_on="h",
-        right_on="h",
-        right_cols=[],
-        join_type="semi",
-        num_buckets=num_buckets,
-        left_schema=span_schema,
-        right_schema=pa.schema([("h", pa.string()), ("n_docs", pa.int64())]),
+    flagged, _ = _flagged_spans(
+        ds, window=window, stride=stride, min_docs=min_docs, text_col=text_col,
+        id_col=id_col, num_buckets=num_buckets, with_offset=False,
     )
     return groupby_agg_bucketed(
         flagged, [id_col], [("h", "count", "n_dup_spans")], num_buckets=num_buckets
@@ -1378,15 +1375,14 @@ def cut_duplicate_spans(
     duplicated runs REMOVED (the union of all flagged
     ``[off, off+window)`` codepoint ranges), not just scored.
 
-    Ray shape: the same span-hash stream as ``duplicate_spans`` (one
-    vectorized md5 scan per stride offset), dup-hash discovery over
-    distinct ``(hash, doc)`` rows (bounded shuffles), then a bucketed
-    SEMI join keeps the flagged ``(doc_id, off)`` rows — only 16-byte
-    offset rows shuffle — and docs + their flagged offsets meet in ONE
-    ``hash(doc_id)`` bucketed shuffle where the rewrite happens. The
-    rewrite is fully vectorized for ASCII documents (one numpy +1/−1
-    interval counter over the bucket's concatenated text bytes, one
-    boolean gather, arrow offsets rebuilt from cumulative kept counts);
+    Ray shape: two bounded shuffles. The same span-hash stream as
+    ``duplicate_spans`` (one vectorized md5 scan per stride offset) meets
+    bucketed on the hash, which keeps the flagged ``(doc_id, off)`` rows;
+    then docs + their flagged offsets meet in ONE ``hash(doc_id)``
+    bucketed shuffle where the rewrite happens. The rewrite is fully
+    vectorized for ASCII documents (one numpy +1/−1 interval counter
+    over the bucket's concatenated text bytes, one boolean gather,
+    arrow offsets rebuilt from cumulative kept counts);
     non-ASCII documents — where codepoint ≠ byte — fall back to per-doc
     Python slicing, bounded to the flagged non-ASCII docs in the bucket.
 
@@ -1405,45 +1401,11 @@ def cut_duplicate_spans(
     """
     import pyarrow.compute as pc
 
-    from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg_bucketed
-    from jsonld_ex_ray.ops.joins import hash_join_bucketed
-
-    if window <= 0 or stride <= 0:
-        raise ValueError(f"window and stride must be positive, got {window}, {stride}")
-    if min_docs < 2:
-        raise ValueError(f"min_docs must be >= 2, got {min_docs}")
-
-    in_schema = ds.schema()
-    id_type = dict(zip(in_schema.names, in_schema.types))[id_col]
-    span_schema = _span_schema(id_col, id_type, with_offset=True)
-    span_ds = ds.map_batches(
-        _make_span_emitter(window, stride, text_col, id_col, span_schema, with_offset=True),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    flagged, span_schema = _flagged_spans(
+        ds, window=window, stride=stride, min_docs=min_docs, text_col=text_col,
+        id_col=id_col, num_buckets=num_buckets, with_offset=True,
     )
-    hash_only = span_ds.map_batches(
-        lambda b: b.drop_columns(["off"]), batch_format="pyarrow", zero_copy_batch=True
-    )
-    per_doc = distinct_rows(hash_only, ["h", id_col], num_buckets=num_buckets)
-    counts = groupby_agg_bucketed(
-        per_doc, ["h"], [(id_col, "count", "n_docs")], num_buckets=num_buckets
-    )
-    dup_h = counts.map_batches(
-        lambda b: b.filter(pc.greater_equal(b.column("n_docs"), min_docs)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    flagged = hash_join_bucketed(
-        span_ds,
-        dup_h,
-        left_on="h",
-        right_on="h",
-        right_cols=[],
-        join_type="semi",
-        num_buckets=num_buckets,
-        left_schema=span_schema,
-        right_schema=pa.schema([("h", pa.string()), ("n_docs", pa.int64())]),
-    )
+    id_type = span_schema.field(id_col).type
 
     # docs (full text) and their flagged offsets meet bucketed on
     # hash(doc_id) — the only shuffle the corpus text rides
@@ -1549,6 +1511,6 @@ def cut_duplicate_spans(
 
     sides = [
         (ds.map_batches(canon_docs, batch_format="pyarrow", zero_copy_batch=True), [id_col], out_schema),
-        (flagged, [id_col], pa.schema([(id_col, id_type), ("off", pa.int64())])),
+        (flagged, [id_col], span_schema.remove(span_schema.get_field_index("h"))),
     ]
     return bucketed(sides, None, cut_bucket, num_buckets=num_buckets)

@@ -31,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.state import worker_state
-from .shuffle import bucketed
+from .shuffle import arrow_schema, bucketed
 
 # the one broadcast budget: a side whose Arrow size is at most this many
 # bytes ships once to every worker (16 MiB = 2M int64 keys)
@@ -54,10 +54,8 @@ def _normalize_key_type(t: pa.DataType) -> pa.DataType:
     return t
 
 
-def _narrow(schema, names: list[str]) -> pa.Schema:
-    """``names``' fields of a ``pa.Schema`` or ``ray.data.Schema``."""
-    types = dict(zip(schema.names, schema.types))
-    return pa.schema([(n, types[n]) for n in names])
+def _narrow(schema: pa.Schema, names: list[str]) -> pa.Schema:
+    return pa.schema([schema.field(n) for n in names])
 
 
 def _cast_cols(tbl: pa.Table, types: dict) -> pa.Table:
@@ -98,8 +96,7 @@ def hash_join_bucketed(
     ``Dataset.schema()`` on a lazy input triggers execution of its plan,
     which iterative callers (connected_components, pagerank) would pay
     once per loop step."""
-    if right_schema is None:
-        right_schema = right_ds.schema()
+    right_schema = arrow_schema(right_ds, right_schema)
     right_keep = [right_on] + [c for c in right_cols if c != right_on]
     filter_join = join_type in ("semi", "anti")
     arrow_join = {
@@ -221,7 +218,7 @@ def asof_join_bucketed(
         )
         return pa.Table.from_pandas(merged[out_cols], preserve_index=False)
 
-    sides = [(left_ds, [by]), (right_ds, [by], _narrow(right_ds.schema(), right_keep))]
+    sides = [(left_ds, [by]), (right_ds, [by], _narrow(arrow_schema(right_ds), right_keep))]
     return bucketed(sides, None, merge_bucket, num_buckets=num_buckets)
 
 
@@ -422,10 +419,8 @@ def interval_join_banded(
     """
     if band_width <= 0:
         raise ValueError(f"band_width must be positive, got {band_width}")
-    if left_schema is None:
-        left_schema = left_ds.schema()
-    if right_schema is None:
-        right_schema = right_ds.schema()
+    left_schema = arrow_schema(left_ds, left_schema)
+    right_schema = arrow_schema(right_ds, right_schema)
     left_names = list(left_schema.names)
     right_keep = [right_lo, right_hi] + [
         c for c in right_cols if c not in (right_lo, right_hi)

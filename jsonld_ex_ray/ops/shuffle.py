@@ -72,7 +72,7 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buc
             return fn(group.drop_columns([_BUCKET]).combine_chunks())
 
     else:
-        sides = [_side(*s) for s in ds]
+        sides = [(d, k, arrow_schema(d, *schema)) for d, k, *schema in ds]
         # one slot per (side, column), named apart so equal names on two
         # sides never meet; a row fills its own side's slots, NULL elsewhere
         slots = [(i, f) for i, (_, _, sch) in enumerate(sides) for f in sch]
@@ -118,12 +118,18 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buc
     )
 
 
-def _side(ds, keys: list[str], schema=None):
-    """One input of a several-input :func:`bucketed`, its schema (a
-    ``pa.Schema`` or ``ray.data.Schema``; None reads it) as arrow."""
+def arrow_schema(ds, schema=None) -> pa.Schema:
+    """``ds``' schema as a ``pa.Schema`` (``schema``, a ``pa.Schema`` or
+    ``ray.data.Schema``, when the caller knows it; None reads it). A
+    pandas-backed block types its text columns as Python ``object``, so
+    such a schema is read again from one Arrow batch."""
     if schema is None:
         schema = ds.schema()
-    return ds, keys, pa.schema(zip(schema.names, schema.types))
+    if isinstance(schema, pa.Schema):
+        return schema
+    if not all(isinstance(t, pa.DataType) for t in schema.types):
+        schema = ds.map_batches(_combine, batch_format="pyarrow").schema()
+    return pa.schema(zip(schema.names, schema.types))
 
 
 def _combine(block: pa.Table) -> pa.Table:

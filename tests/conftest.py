@@ -34,3 +34,16 @@ def gate_paths(caplog):
         ]
 
     return paths
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Say it loudly when the W3C conformance tests skipped: the JSON-LD
+    core then ran without its spec suite."""
+    skipped = terminalreporter.stats.get("skipped", [])
+    if any("test_w3c.py::" in r.nodeid for r in skipped):
+        terminalreporter.write_line(
+            "W3C JSON-LD suite not vendored: the JSON-LD core is unguarded "
+            "by W3C tests on this run (tests/test_w3c.py skipped)",
+            yellow=True,
+            bold=True,
+        )

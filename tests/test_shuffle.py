@@ -128,6 +128,37 @@ def test_bucketed_two_inputs_contract(ray_session, num_buckets):
     assert dict((r["k"], r["n"]) for r in out) == Counter(lk.to_pylist())
 
 
+def test_two_sided_joins_accept_pandas_backed_sides(ray_session):
+    """A ``from_pandas`` side types its text columns as Python ``object``
+    in ``Dataset.schema()``; the joins read its Arrow schema instead when
+    no schema is passed."""
+    import pandas as pd
+    import ray.data
+
+    from jsonld_ex_ray.ops.joins import asof_join_bucketed, hash_join_bucketed, interval_join_banded
+
+    left = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, 3], "s": ["a", "b", "c"], "v": [1.0, 2.0, 3.0]}))
+    right = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, 4], "t": ["x", "y", "z"], "w": [0.5, 2.0, 9.0]}))
+    bands = ray.data.from_pandas(pd.DataFrame({"lo": [0.5, 2.5], "hi": [1.5, 9.0], "t": ["p", "q"]}))
+
+    def rows(ds):
+        return sorted(ds.take_all(), key=lambda r: r["k"])
+
+    assert rows(hash_join_bucketed(left, right, left_on="k", right_on="k", right_cols=["t"], num_buckets=2)) == [
+        {"k": 1, "s": "a", "v": 1.0, "t": "x"},
+        {"k": 2, "s": "b", "v": 2.0, "t": "y"},
+    ]
+    probes = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, 3], "s": ["a", "b", "c"], "w": [1.0, 2.0, 3.0]}))
+    asof = asof_join_bucketed(
+        probes, right, on="w", by="k", right_value_cols=["t"], allow_exact_matches=True, num_buckets=2
+    )
+    assert [(r["k"], r["t"]) for r in rows(asof)] == [(1, "x"), (2, "y"), (3, None)]
+    banded = interval_join_banded(
+        left, bands, left_val="v", right_lo="lo", right_hi="hi", right_cols=["t"], band_width=1.0, num_buckets=2
+    )
+    assert [(r["k"], r["t"]) for r in rows(banded)] == [(1, "p"), (3, "q")]
+
+
 def test_key_runs_splits_at_key_changes():
     t = pa.table(
         {
