@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 
+from .rdf_generation import RDF_LANGSTRING, XSD_STRING
+
 _ESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -78,25 +80,20 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+_IRI_ESCAPE_RE = re.compile(r'[<>"{}|^`\\\x00-\x20]')
+
+
 def _escape_iri(s: str) -> str:
     """IRIREF escaping (N-Triples grammar): characters that terminate or
     corrupt a <...> token become \\uXXXX. Plain IRIs pass through
     untouched (the common case allocates nothing new)."""
-    if not any(c in '<>"{}|^`\\' or ord(c) <= 0x20 for c in s):
+    if _IRI_ESCAPE_RE.search(s) is None:
         return s
-    out = []
-    for c in s:
-        if c in '<>"{}|^`\\' or ord(c) <= 0x20:
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return _IRI_ESCAPE_RE.sub(lambda m: f"\\u{ord(m.group()):04X}", s)
 
 
 def parse_nquads(text: str) -> list[tuple]:
     """Parse N-Quads text → list of (subj, pred, obj, graph|None) term tuples."""
-    from .rdf_generation import XSD_STRING
-
     quads = []
     # split on real newlines only — str.splitlines also breaks on \f/\v/
     #   etc., which are legal raw inside literals
@@ -124,8 +121,6 @@ def parse_nquads(text: str) -> list[tuple]:
                 dt = m.group("dt")
                 lang = m.group("lang")
                 if lang:
-                    from .rdf_generation import RDF_LANGSTRING
-
                     terms.append(("lit", lex, RDF_LANGSTRING, lang))
                 else:
                     terms.append(("lit", lex, dt or XSD_STRING, None))
@@ -146,8 +141,6 @@ def parse_nquads(text: str) -> list[tuple]:
 
 
 def term_to_nquads(term: tuple) -> str:
-    from .rdf_generation import RDF_LANGSTRING, XSD_STRING
-
     kind = term[0]
     if kind == "iri":
         # IRIs need escaping too (parse unescapes them): a raw '>' or

@@ -49,18 +49,14 @@ class IdentifierIssuer:
         return c
 
 
-def _serialize_quad_for_hash(quad: tuple, bnode: str) -> str:
-    """First-degree serialization: the reference bnode → ``_:a``, every
-    other bnode → ``_:z`` (spec §4.6 step 3.1)."""
-    parts = []
-    for i, term in enumerate(quad):
-        if term is None:
-            continue
-        if term[0] == "bnode":
-            parts.append("_:a" if term[1] == bnode else "_:z")
-        else:
-            parts.append(term_to_nquads(term))
-    return " ".join(parts) + " ."
+def _serialize_quad_for_hash(parts: list, bnode: str) -> str:
+    """First-degree serialization of one quad whose non-blank terms are
+    already N-Quads text (``parts`` keeps blank nodes as term tuples): the
+    reference bnode → ``_:a``, every other bnode → ``_:z`` (spec §4.6
+    step 3.1)."""
+    return " ".join(
+        p if type(p) is str else ("_:a" if p[1] == bnode else "_:z") for p in parts
+    ) + " ."
 
 
 def canonicalize(quads: list[tuple], max_permutations: int = 40320) -> dict[str, str]:
@@ -69,17 +65,22 @@ def canonicalize(quads: list[tuple], max_permutations: int = 40320) -> dict[str,
     once, so the labels do not depend on how often a document was
     ingested."""
     bnode_quads: dict[str, list[tuple]] = {}
+    serials: dict[str, list[list]] = {}  # parallel to bnode_quads
     for q in dict.fromkeys(quads):
+        parts = None
         for term in q:
             if term is not None and term[0] == "bnode":
+                if parts is None:  # each non-blank term serialized once
+                    parts = [t if t[0] == "bnode" else term_to_nquads(t) for t in q if t is not None]
                 bnode_quads.setdefault(term[1], []).append(q)
+                serials.setdefault(term[1], []).append(parts)
     if not bnode_quads:
         return {}
 
     # 1. hash first-degree quads
     h1: dict[str, str] = {}
-    for b, qs in bnode_quads.items():
-        lines = sorted(_serialize_quad_for_hash(q, b) for q in qs)
+    for b, ps in serials.items():
+        lines = sorted(_serialize_quad_for_hash(parts, b) for parts in ps)
         h1[b] = _sha256("\n".join(lines))
 
     canonical = IdentifierIssuer()

@@ -317,3 +317,59 @@ def test_bloom_position_and_bitmap_encodings_agree(seed):
             rebuilt.bits, pos >> np.uint64(6), np.uint64(1) << (pos & np.uint64(63))
         )
     assert np.array_equal(rebuilt.bits, bf.bits)
+
+
+# --- URDNA2015 invariance (core/urdna2015.py) -----------------------------
+
+_P = [("iri", f"https://p.example/{i}") for i in range(2)]
+_OBJ = [("iri", "https://e.example/0"), ("lit", "v", "http://www.w3.org/2001/XMLSchema#string", None)]
+
+
+@st.composite
+def bnode_graphs(draw):
+    """Small datasets over blank nodes: random edges plus 0-2 rings
+    (optionally anchored to one IRI). Rings tie every first-degree hash,
+    so their labels come from the n-degree path."""
+    quads = []
+    n = draw(st.integers(min_value=1, max_value=4))
+    node = st.integers(min_value=0, max_value=n - 1).map(lambda i: ("bnode", f"r{i}"))
+    graph = st.sampled_from([None, ("iri", "https://g.example/0"), ("bnode", "g0")])
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        obj = draw(st.one_of(node, st.sampled_from(_OBJ)))
+        quads.append((draw(node), draw(st.sampled_from(_P)), obj, draw(graph)))
+    for k, size in enumerate(draw(st.lists(st.integers(min_value=2, max_value=5), max_size=2))):
+        ring = [("bnode", f"k{k}_{i}") for i in range(size)]
+        quads += [(ring[i], _P[0], ring[(i + 1) % size], None) for i in range(size)]
+        if draw(st.booleans()):
+            quads.append((("iri", "https://e.example/anchor"), _P[1], ring[0], None))
+    return quads
+
+
+def _canon_text(quads) -> str:
+    from jsonld_ex_ray.core.urdna2015 import canonical_quads
+
+    return serialize_nquads(canonical_quads(quads))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bnode_graphs(), st.randoms(use_true_random=False))
+def test_urdna2015_invariant_under_relabel_shuffle_and_repeats(quads, rng):
+    from jsonld_ex_ray.core.urdna2015 import canonical_quads
+
+    expected = _canon_text(quads)
+    names = sorted({t[1] for q in quads for t in q if t is not None and t[0] == "bnode"})
+    fresh = rng.sample(range(10**6), len(names))
+    new = {b: f"x{v}" for b, v in zip(names, fresh)}
+
+    def m(t):
+        return ("bnode", new[t[1]]) if t is not None and t[0] == "bnode" else t
+
+    relabeled = [tuple(m(t) for t in q) for q in quads]
+    shuffled = list(quads)
+    rng.shuffle(shuffled)
+    repeated = quads + rng.sample(quads, rng.randrange(1, len(quads) + 1))
+    assert _canon_text(relabeled) == expected
+    assert _canon_text(shuffled) == expected
+    assert _canon_text(repeated) == expected
+    # an independent check that relabeling kept the graph
+    assert isomorphic(canonical_quads(quads), quads)
