@@ -74,21 +74,33 @@ def register_detector(name: str, fn, prepend: bool = False) -> None:
 def extract_payloads(
     content: str, lang: str, path: str, detectors: list | None = None
 ) -> tuple[list[str], list[str]]:
-    """→ (payload_json_strings, errors). Deterministic, bounded.
-    ``detectors`` overrides the module registry (pipelines snapshot the
-    DRIVER's registry and ship it to workers — a bare module global never
-    leaves the driver process)."""
+    """→ (payload_json_strings, errors): :func:`extract_documents` with
+    every parsed document written as compact JSON."""
+    docs, errors, parsed = extract_documents(content, lang, path, detectors)
+    return ([json.dumps(d, separators=(",", ":")) for d in docs] if parsed else docs), errors
+
+
+def extract_documents(
+    content: str, lang: str, path: str, detectors: list | None = None
+) -> tuple[list, list[str], bool]:
+    """→ (documents, errors, parsed). Deterministic, bounded. The built-in
+    scanners return parsed JSON values (``parsed`` True). A registered
+    detector's payloads are JSON text and come back as they are
+    (``parsed`` False): the emit task parses them inside its per-document
+    error handling. ``detectors`` overrides the module registry (pipelines
+    snapshot the DRIVER's registry and ship it to workers — a bare module
+    global never leaves the driver process)."""
     errors: list[str] = []
     if content is None:
         # a null content cell is data loss the lineage must record, not
         # silently skip (per-row errors must never vanish)
-        return [], ["missing content (null cell or undecodable source)"]
+        return [], ["missing content (null cell or undecodable source)"], True
     if len(content) > MAX_CONTENT_BYTES:
         # the cap counts CHARACTERS (UTF-8 byte length would cost an
         # extra full encode on the hot path; multibyte content may reach
         # ~4x this in bytes — the bound exists to catch pathological
         # inputs, not to be a precise byte quota)
-        return [], [f"content exceeds {MAX_CONTENT_BYTES} characters; skipped"]
+        return [], [f"content exceeds {MAX_CONTENT_BYTES} characters; skipped"], True
 
     lang = (lang or "").lower()
     path = path or ""
@@ -97,19 +109,20 @@ def extract_payloads(
     for _, detector in DETECTORS if detectors is None else detectors:
         result = detector(content, lang, ext)
         if result is not None:
-            return result
+            payloads, detector_errors = result
+            return payloads, detector_errors, False
 
     # 1. whole-file JSON / JSON-LD
     if lang in _WHOLE_FILE_LANGS or ext in ("jsonld", "json"):
         try:
             doc = json.loads(content)
         except ValueError as e:
-            return [], [f"invalid JSON: {e}"]
+            return [], [f"invalid JSON: {e}"], True
         if _jsonld_like(doc):
-            return [json.dumps(doc, separators=(",", ":"))], errors
-        return [], errors  # plain JSON without JSON-LD markers: noise
+            return [doc], errors, True
+        return [], errors, True  # plain JSON without JSON-LD markers: noise
 
-    payloads: list[str] = []
+    docs: list = []
 
     # 2. HTML script blocks
     # gate: bounded-prefix check, then a compiled IGNORECASE search — never
@@ -130,9 +143,9 @@ def extract_payloads(
             except ValueError as e:
                 errors.append(f"invalid script JSON at {m.start()}: {e}")
                 continue
-            payloads.append(json.dumps(doc, separators=(",", ":")))
-        if payloads or errors:
-            return payloads, errors
+            docs.append(doc)
+        if docs or errors:
+            return docs, errors, True
 
     # 3. fenced code blocks (markdown-ish)
     if lang in _FENCE_LANGS or ext in ("md", "markdown", "rst"):
@@ -143,9 +156,9 @@ def extract_payloads(
             except ValueError:
                 continue  # fences legitimately hold non-JSON; not an error
             if _jsonld_like(doc):
-                payloads.append(json.dumps(doc, separators=(",", ":")))
-        if payloads:
-            return payloads, errors
+                docs.append(doc)
+        if docs:
+            return docs, errors, True
 
     # 4. @context-bearing objects embedded in source text
     spans: list[tuple[int, int]] = []
@@ -165,8 +178,8 @@ def extract_payloads(
         start, end, doc = span
         if _jsonld_like(doc):
             spans.append((start, end))
-            payloads.append(json.dumps(doc, separators=(",", ":")))
-    return payloads, errors
+            docs.append(doc)
+    return docs, errors, True
 
 
 def _enclosing_json_object(content: str, pos: int) -> tuple[int, int, Any] | None:

@@ -28,10 +28,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .columns import pylist
 from .core.rdf_generation import RDF_LANGSTRING, XSD_STRING
 from .ops.shuffle import bucketed, key_runs
 from .stages.linker import link_entities
-from .stages.triples import make_triples_batch
+from .stages.extract import SOURCE_COLS
+from .stages.triples import canonical_labels, doc_hash, make_emit_batch
 
 
 def build_triples(
@@ -48,45 +50,34 @@ def build_triples(
     """source: path(s) to the source-repo Parquet table, or a Dataset.
 
     Returns a lazy Dataset of TRIPLE_SCHEMA rows (triples + error records,
-    distinguished by ``pred IS NULL``). ``context_registry`` / ``options``
+    distinguished by ``pred IS NULL``) from one task per ``batch_size``
+    source rows (``stages/triples.make_emit_batch``: extract → expand →
+    node-map → toRdf → Arrow). ``context_registry`` / ``options``
     replace the offline context registry and the JSON-LD options of the
     kernel; ``linker_dict_ref`` (``ray.put(alias_to_iri)``) adds the
-    entity-linker columns. ``canonical=True`` URDNA2015-relabels blank
-    nodes inside the kernel task (see :func:`canonicalize_bnodes`);
-    otherwise they keep the kernel's ``_:{doc_hash}-b<n>`` labels.
-    ``concurrency`` is accepted and ignored: ``perfbench/workloads.py``
-    still passes it.
+    entity-linker columns. ``canonical=True`` gives blank nodes their
+    URDNA2015 labels inside the emit task (see
+    :func:`canonicalize_bnodes`); otherwise they keep the kernel's
+    ``_:{doc_hash}-b<n>`` labels. ``concurrency`` is accepted and
+    ignored: ``perfbench/workloads.py`` still passes it.
     """
     import ray.data
 
     if isinstance(source, (str, list)):
         ds = ray.data.read_parquet(
             source,
-            columns=["repo", "path", "commit", "lang", "content"],
+            columns=list(SOURCE_COLS),
             override_num_blocks=override_num_blocks,
         )
     else:
         ds = source
-    # snapshot the DRIVER's detector registry into the task closure —
-    # register_detector mutations never reach worker processes otherwise
-    from .stages.extract import make_extract_batch
-
-    ds = ds.map_batches(
-        make_extract_batch(), batch_format="pyarrow", zero_copy_batch=True
-    )
     state_ref = None
     if context_registry is not None or options is not None:
         state_ref = ray.put((context_registry, options))
-    kernel = make_triples_batch(state_ref)
-
-    def canonical_triples_batch(batch: pa.Table) -> pa.Table:
-        # exact map-side: a kernel call holds whole payloads, a doc_id
-        # names one payload, and a repeated payload keeps its labels
-        # (canonicalize treats its quads as a set)
-        return _relabel_docs(kernel(batch))
-
+    # the detector registry is snapshotted here, on the driver:
+    # register_detector mutations never reach worker processes otherwise
     ds = ds.map_batches(
-        canonical_triples_batch if canonical else kernel,
+        make_emit_batch(state_ref, canonical=canonical),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
@@ -171,17 +162,16 @@ def _term(v, kind=None, dt=None, lang=None):
 
 def _relabel_docs(table: pa.Table) -> pa.Table:
     """URDNA2015-relabel every document of ``table``, which holds all rows
-    of each of its doc_ids: a blank node in subj, graph, a bnode-kind obj,
-    or passed through to the linker's subj_canon/obj_canon becomes
-    ``_:{sha1(doc_id)[:16]}-c14n<n>``. Only documents holding one run the
-    algorithm, and only columns holding one are rebuilt. Rows leave
+    of each of its doc_ids: a blank node in subj, pred, graph, a
+    bnode-kind obj, or passed through to the linker's subj_canon/obj_canon
+    becomes ``_:{sha1(doc_id)[:16]}-c14n<n>`` (``stages/triples
+    .canonical_labels``, as in the emit task). Only documents holding one
+    run the algorithm, and only columns holding one are rebuilt. Rows leave
     sorted on (doc_id, graph, subj, pred, obj)."""
-    from .core.urdna2015 import canonicalize
-
     table = table.sort_by([("doc_id", "ascending")])
     bnode_obj = pc.equal(table.column("obj_kind"), "bnode")
     hits = {}  # column → mask of the rows whose value is relabeled
-    for c in ("subj", "obj", "graph", "subj_canon", "obj_canon"):
+    for c in ("subj", "pred", "obj", "graph", "subj_canon", "obj_canon"):
         if c in table.schema.names:
             m = pc.starts_with(table.column(c), "_:")
             m = pc.and_(m, bnode_obj) if c.startswith("obj") else m
@@ -189,18 +179,18 @@ def _relabel_docs(table: pa.Table) -> pa.Table:
     any_hit = np.logical_or.reduce(list(hits.values()))
     starts, ends = key_runs(table, ["doc_id"])
     docs = [(a, b) for a, b in zip(starts.tolist(), ends.tolist()) if any_hit[a:b].any()]
-    names = ["doc_id", "pred", "obj_kind", "obj_datatype", "obj_lang", *hits]
-    cols = {c: table.column(c).to_pylist() for c in names} if docs else {}
+    names = dict.fromkeys(["doc_id", *_QUAD_COLS, "graph", *hits])
+    cols = {c: pylist(table.column(c)) for c in names} if docs else {}
     for a, b in docs:
         rows = zip(*(cols[c][a:b] for c in (*_QUAD_COLS, "graph")))
-        mapping = canonicalize(
-            [(_term(s), _term(p), _term(o, k, dt, lg), _term(g)) for s, p, o, k, dt, lg, g in rows]
+        dh = doc_hash(cols["doc_id"][a])
+        labels = canonical_labels(
+            [(_term(s), _term(p), _term(o, k, dt, lg), _term(g)) for s, p, o, k, dt, lg, g in rows], dh
         )
-        dh = hashlib.sha1(cols["doc_id"][a].encode()).hexdigest()[:16]
         for c, m in hits.items():
             vals = cols[c]
             for i in (np.flatnonzero(m[a:b]) + a).tolist():
-                vals[i] = f"_:{dh}-{mapping.get(vals[i][2:], vals[i][2:])}"
+                vals[i] = labels.get(vals[i][2:]) or f"_:{dh}-{vals[i][2:]}"
     for c, m in hits.items():
         if m.any():
             f = table.schema.field(c)
@@ -214,13 +204,14 @@ def canonicalize_bnodes(ds, num_buckets: int = 64):
     labels that are invariant under any input relabeling; the doc hash
     prefixes them for global uniqueness before cross-document union.
 
-    Two placements run the same :func:`_relabel_docs`. Fresh emission
-    should use ``build_triples(..., canonical=True)``: each kernel call
-    holds whole documents, so it relabels map-side with no shuffle. This
+    Two placements give the same labels (``stages/triples
+    .canonical_labels``). Fresh emission should use
+    ``build_triples(..., canonical=True)``: the emit task labels each
+    document's quads before it writes them, with no shuffle. This
     function is for inputs without document locality, such as triples
     read back from parquet: one bucketed shuffle on ``doc_id``
-    (ops/shuffle.py) gathers each document first. Error records are
-    dropped."""
+    (ops/shuffle.py) gathers each document for :func:`_relabel_docs`.
+    Error records are dropped."""
     return bucketed(triples_only(ds), ["doc_id"], _relabel_docs, num_buckets=num_buckets)
 
 
@@ -246,8 +237,8 @@ def materialize_graph(ds, num_buckets: int = 64):
         g = group.select(["subj", "pred", "obj"]).sort_by(
             [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
         )
-        preds = g.column("pred").to_pylist()
-        objs = g.column("obj").to_pylist()
+        preds = pylist(g.column("pred"))
+        objs = pylist(g.column("obj"))
         starts, ends = key_runs(g, ["subj"])
         adjs = [
             json.dumps([[preds[j], objs[j]] for j in range(lo, hi)], separators=(",", ":"))
@@ -257,7 +248,7 @@ def materialize_graph(ds, num_buckets: int = 64):
 
     def bucket_merge(group: pa.Table) -> pa.Table:
         g = group.select(["subj", "adjacency"]).sort_by([("subj", "ascending")])
-        blobs = g.column("adjacency").to_pylist()
+        blobs = pylist(g.column("adjacency"))
         starts, ends = key_runs(g, ["subj"])
         degrees, adjs = [], []
         for lo, hi in zip(starts, ends):
@@ -288,7 +279,7 @@ def _adjacency_rows(g: pa.Table, starts, degrees, adjs) -> pa.Table:
 def _quads_of(group: pa.Table) -> list:
     return [
         (_term(s), _term(p), _term(o, k, dt, lg), None)
-        for s, p, o, k, dt, lg in zip(*(group.column(c).to_pylist() for c in _QUAD_COLS))
+        for s, p, o, k, dt, lg in zip(*(pylist(group.column(c)) for c in _QUAD_COLS))
     ]
 
 
@@ -345,7 +336,7 @@ def triples_to_jsonld(ds, num_shards: int = 32):
 
     def merge_graphs(group: pa.Table) -> pa.Table:
         group = group.sort_by([("graph", "ascending")])
-        blobs = group.column("part").to_pylist()
+        blobs = pylist(group.column("part"))
         starts, ends = key_runs(group, ["graph"])
         docs_out, counts = [], []
         for lo, hi in zip(starts, ends):
@@ -459,7 +450,7 @@ def compact_docs(ds, context: dict, *, doc_col: str = "doc", options=None):
 
     def apply(batch: pa.Table) -> pa.Table:
         out = []
-        for blob in batch.column(doc_col).to_pylist():
+        for blob in pylist(batch.column(doc_col)):
             doc = json.loads(blob)
             out.append(json.dumps(compact_api(doc, context, opts), sort_keys=True))
         return batch.append_column("compacted", pa.array(out, pa.string()))
@@ -479,7 +470,7 @@ def frame_docs(ds, frame_doc: dict, *, doc_col: str = "doc", options=None):
 
     def apply(batch: pa.Table) -> pa.Table:
         framed = []
-        for blob in batch.column(doc_col).to_pylist():
+        for blob in pylist(batch.column(doc_col)):
             doc = json.loads(blob)
             framed.append(json.dumps(frame_api(doc, frame_doc, opts), sort_keys=True))
         return batch.append_column("framed", pa.array(framed, pa.string()))

@@ -1,18 +1,25 @@
-"""Extraction stage: source-repo rows → JSON-LD payload rows.
+"""Extraction stage: one source-repo file → its JSON-LD documents.
 
-Vectorized ``map_batches`` kernel over zero-copy Arrow batches. One input
-row (a file) yields 0..n payload rows plus 0..n error rows; lineage columns
-(``doc_id``, ``content_sha256``) are minted here and carried verbatim to the
-triple table (BASELINE.json per-row invariant).
+:func:`extract_file` is the per-file step. It mints the lineage every
+triple row carries (``doc_id``, ``content_sha256``, computed once per file;
+BASELINE.json per-row invariant) and returns the file's documents as
+parsed JSON values. ``pipeline.build_triples`` runs it inside the one emit
+task (``stages/triples.make_emit_batch``), which hands the parsed
+documents straight to the kernel. :func:`make_extract_batch` is the same
+step as a task of its own, writing each document as compact JSON into a
+``PAYLOAD_SCHEMA`` table for ``stages/triples.triples_batch``: the
+two-step form perfbench's kernel probe and the tests call.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pyarrow as pa
 
-from ..extract import extract_payloads
+from ..columns import pylist
+from ..extract import extract_documents
 
 PAYLOAD_SCHEMA = pa.schema(
     [
@@ -27,48 +34,57 @@ PAYLOAD_SCHEMA = pa.schema(
     ]
 )
 
+SOURCE_COLS = ("repo", "path", "commit", "lang", "content")
 
-def make_extract_batch(detectors: list | None = None):
-    """Build the extraction kernel with the detector registry SNAPSHOT
-    taken on the driver (a module-global registry mutated by
-    register_detector never reaches Ray worker processes on its own —
-    the snapshot rides the task closure instead)."""
+
+def detector_snapshot(detectors: list | None = None) -> list:
+    """The detector registry as the DRIVER sees it now (a module-global
+    registry mutated by register_detector never reaches Ray worker
+    processes on its own — the snapshot rides the task closure instead)."""
     from ..extract import DETECTORS
 
-    snapshot = list(DETECTORS) if detectors is None else list(detectors)
+    return list(DETECTORS) if detectors is None else list(detectors)
+
+
+def extract_file(repo, path, commit, lang, content, detectors: list):
+    """One file → ``(content_sha256, docs, errors, parsed)``: ``docs`` is a
+    list of ``(doc_id, document)``, ``errors`` of ``(doc_id, message)``,
+    and ``parsed`` says whether the documents are parsed JSON values or a
+    detector's JSON text (see ``extract.extract_documents``)."""
+    sha = hashlib.sha256((content or "").encode("utf-8")).hexdigest()
+    docs, errors, parsed = extract_documents(content, lang, path, detectors=detectors)
+    base = f"{repo}@{commit}:{path}"
+    return (
+        sha,
+        [(f"{base}#{i}", doc) for i, doc in enumerate(docs)],
+        # '#!{i}' keeps error lineage unique per file (a shared '#!' id
+        # conflated multiple errors from one file)
+        [(f"{base}#!{i}", msg[:500]) for i, msg in enumerate(errors)],
+        parsed,
+    )
+
+
+def make_extract_batch(detectors: list | None = None):
+    """The extraction step as a ``map_batches`` task: source rows →
+    ``PAYLOAD_SCHEMA`` rows, with the detector registry snapshotted on the
+    caller's side (:func:`detector_snapshot`)."""
+    snapshot = detector_snapshot(detectors)
 
     def extract_batch(batch: pa.Table) -> pa.Table:
-        repos = batch.column("repo").to_pylist()
-        paths = batch.column("path").to_pylist()
-        commits = batch.column("commit").to_pylist()
-        langs = batch.column("lang").to_pylist()
-        contents = batch.column("content").to_pylist()
-
         out: dict[str, list] = {name: [] for name in PAYLOAD_SCHEMA.names}
-        for repo, path, commit, lang, content in zip(repos, paths, commits, langs, contents):
-            sha = hashlib.sha256((content or "").encode("utf-8")).hexdigest()
-            payloads, errors = extract_payloads(content, lang, path, detectors=snapshot)
-            base = f"{repo}@{commit}:{path}"
-            for i, payload in enumerate(payloads):
-                out["doc_id"].append(f"{base}#{i}")
-                out["repo"].append(repo)
-                out["path"].append(path)
-                out["commit"].append(commit)
-                out["content_sha256"].append(sha)
-                out["payload"].append(payload)
-                out["error_code"].append(None)
-                out["error_message"].append(None)
-            for i, msg in enumerate(errors):
-                # '#!{i}' keeps error lineage unique per file (a shared
-                # '#!' id conflated multiple errors from one file)
-                out["doc_id"].append(f"{base}#!{i}")
-                out["repo"].append(repo)
-                out["path"].append(path)
-                out["commit"].append(commit)
-                out["content_sha256"].append(sha)
-                out["payload"].append(None)
-                out["error_code"].append("extraction failed")
-                out["error_message"].append(msg[:500])
+
+        def add(doc_id, repo, path, commit, sha, payload, code, msg):
+            for name, value in zip(PAYLOAD_SCHEMA.names, (doc_id, repo, path, commit, sha, payload, code, msg)):
+                out[name].append(value)
+
+        for row in zip(*(pylist(batch.column(c)) for c in SOURCE_COLS)):
+            repo, path, commit = row[:3]
+            sha, docs, errors, parsed = extract_file(*row, snapshot)
+            for doc_id, doc in docs:
+                payload = json.dumps(doc, separators=(",", ":")) if parsed else doc
+                add(doc_id, repo, path, commit, sha, payload, None, None)
+            for doc_id, msg in errors:
+                add(doc_id, repo, path, commit, sha, None, "extraction failed", msg)
         return pa.Table.from_pydict(out, schema=PAYLOAD_SCHEMA)
 
     return extract_batch

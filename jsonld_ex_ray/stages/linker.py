@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..columns import pylist
 from .state import worker_state
 
 
@@ -41,9 +42,9 @@ class EntityLinker:
         return self.norm_index.get(self._norm(value), value)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        subjs = batch.column("subj").to_pylist()
-        objs = batch.column("obj").to_pylist()
-        kinds = batch.column("obj_kind").to_pylist()
+        subjs = pylist(batch.column("subj"))
+        objs = pylist(batch.column("obj"))
+        kinds = pylist(batch.column("obj_kind"))
         subj_canon = [self._link_one(s) for s in subjs]
         obj_canon = [
             self._link_one(o) if k == "iri" else o for o, k in zip(objs, kinds)
@@ -114,11 +115,11 @@ class MentionLinker:
         return None, 0.0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_pylist()
-        subjs = batch.column("subj").to_pylist()
-        preds = batch.column("pred").to_pylist()
-        objs = batch.column("obj").to_pylist()
-        kinds = batch.column("obj_kind").to_pylist()
+        doc_ids = pylist(batch.column("doc_id"))
+        subjs = pylist(batch.column("subj"))
+        preds = pylist(batch.column("pred"))
+        objs = pylist(batch.column("obj"))
+        kinds = pylist(batch.column("obj_kind"))
         out = {"doc_id": [], "subj": [], "mention": [], "candidate_iri": [], "link_score": []}
         for d, s, p, o, k in zip(doc_ids, subjs, preds, objs, kinds):
             if k != "literal" or p is None or not p.endswith(_NAME_PREDICATE_SUFFIXES):
@@ -165,7 +166,7 @@ def distinct_subject_iris(triples_ds):
     def local(batch: pa.Table) -> pa.Table:
         vals = {
             s
-            for s in batch.column("subj").to_pylist()
+            for s in pylist(batch.column("subj"))
             if s is not None and not s.startswith("_:")
         }
         return pa.table({"subj": pa.array(sorted(vals), pa.string())})
