@@ -3387,17 +3387,18 @@ def _q_doc_dup_spans(sf_dir: str):
       ANTI JOIN (
         SELECT DISTINCT c2.doc_id, c2.i
         FROM chars c2 JOIN flagged f
-          ON c2.doc_id = f.doc_id AND c2.i BETWEEN f.i AND f.i + 63
-      ) cut USING (doc_id, i)
+          ON c2.doc_id IS NOT DISTINCT FROM f.doc_id
+         AND c2.i BETWEEN f.i AND f.i + 63
+      ) cut ON c.doc_id IS NOT DISTINCT FROM cut.doc_id AND c.i = cut.i
     ),
     rebuilt AS (
       SELECT k.doc_id,
              string_agg(substr(d.text, CAST(k.i AS INTEGER), 1), '' ORDER BY k.i) AS text
-      FROM kept k JOIN documents d USING (doc_id)
+      FROM kept k JOIN documents d ON k.doc_id IS NOT DISTINCT FROM d.doc_id
       GROUP BY k.doc_id
     )
     SELECT d.doc_id, coalesce(r.text, '') AS text
-    FROM documents d LEFT JOIN rebuilt r USING (doc_id)
+    FROM documents d LEFT JOIN rebuilt r ON d.doc_id IS NOT DISTINCT FROM r.doc_id
     ORDER BY d.doc_id
 """)
 def _q_doc_dedup_cut(sf_dir: str):

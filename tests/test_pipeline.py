@@ -576,3 +576,161 @@ def test_linker_canon_columns_follow_bnode_relabeling(ray_session, tmp_path):
         if len(ob):
             assert (ob.obj == ob.obj_canon).all()
         assert bn.subj.str.contains("-c14n").all()  # actually relabeled
+
+
+# --- the one emit task (stages/triples.make_emit_batch) --------------------
+
+_CORPORA = {"plain": dict(num_files=240, seed=5), "heavy": dict(num_files=30, seed=5, heavy_fraction=1.0)}
+
+
+def _two_step(table, canonical: bool):
+    from jsonld_ex_ray.pipeline import _relabel_docs
+    from jsonld_ex_ray.stages.extract import make_extract_batch
+    from jsonld_ex_ray.stages.triples import triples_batch
+
+    out = triples_batch(make_extract_batch()(table))
+    return _relabel_docs(out) if canonical else out
+
+
+@pytest.mark.parametrize("canonical", [False, True], ids=["issuer", "canonical"])
+@pytest.mark.parametrize("corpus_name", sorted(_CORPORA))
+def test_emit_task_matches_two_step(ray_session, tmp_path, corpus_name, canonical):
+    """build_triples' one emit task gives the rows of extract → payload
+    table → triples_batch (→ _relabel_docs when canonical), as a multiset
+    over every column; in process, without canonical, the very same table."""
+    import pyarrow as pa
+
+    from jsonld_ex_ray.stages.triples import make_emit_batch
+
+    path = str(tmp_path / "repos.parquet")
+    write_corpus(path, **_CORPORA[corpus_name])
+    table = pq.read_table(path)
+    want = _two_step(table, canonical)
+    got = build_triples(path, canonical=canonical, batch_size=16).take_all()
+    assert len(got) == want.num_rows > 0
+    assert _row_multiset(got) == _row_multiset(want.to_pylist())
+    if canonical:
+        assert any("-c14n" in r["subj"] for r in got if r["subj"])
+    else:
+        assert make_emit_batch()(table).equals(want)
+        assert make_emit_batch()(table.slice(0, 0)).equals(want.slice(0, 0))
+    assert pa.Table.from_pylist(got).schema.names == want.schema.names
+
+
+def _notebook_detector(payload: str):
+    def detect(content, lang, ext):
+        return ([payload], []) if ext == "ipynb" else None
+
+    return detect
+
+
+_NOTEBOOK = {"repo": ["r"], "path": ["nb.ipynb"], "commit": ["c"], "lang": ["json"], "content": ["{}"]}
+
+
+def test_driver_detector_reaches_emit_task(ray_session):
+    """build_triples snapshots the driver's detector registry into the emit
+    task: the Ray workers never see the module global."""
+    import pyarrow as pa
+    import ray.data
+
+    from jsonld_ex_ray.extract import DETECTORS, register_detector
+
+    register_detector("notebook", _notebook_detector('{"@id":"http://ex/nb","http://ex/p":"v"}'))
+    try:
+        ds = build_triples(ray.data.from_arrow(pa.table(_NOTEBOOK)))
+    finally:
+        DETECTORS.clear()
+    rows = ds.take_all()
+    assert [(r["subj"], r["pred"], r["obj"]) for r in rows] == [("http://ex/nb", "http://ex/p", "v")]
+    assert rows[0]["doc_id"] == "r@c:nb.ipynb#0"
+
+
+def test_invalid_detector_payload_is_an_error_row(ray_session):
+    """A detector's payload is JSON text, parsed inside the per-document
+    error handling: invalid text gives a ``processing failed`` row on both
+    entry points."""
+    import pyarrow as pa
+    import ray.data
+
+    from jsonld_ex_ray.stages.extract import make_extract_batch
+    from jsonld_ex_ray.stages.triples import make_emit_batch, triples_batch
+
+    detectors = [("notebook", _notebook_detector('{"@id": "http://ex/nb",'))]
+    table = pa.table(_NOTEBOOK)
+    fused = make_emit_batch(detectors=detectors)(table)
+    assert fused.equals(triples_batch(make_extract_batch(detectors)(table)))
+    assert fused.column("error_code").to_pylist() == ["processing failed"]
+    assert fused.column("pred").to_pylist() == [None]
+    from jsonld_ex_ray.extract import DETECTORS
+
+    DETECTORS.extend(detectors)
+    try:
+        ds = build_triples(ray.data.from_arrow(table))
+    finally:
+        DETECTORS.clear()
+    assert [r["error_code"] for r in ds.take_all()] == ["processing failed"]
+
+
+def test_build_triples_plan_has_one_emit_task(ray_session, corpus):
+    """Source scan → one emit ``MapBatches`` → the linker: no separate
+    extraction or relabel task."""
+    import ray
+
+    ds = build_triples(corpus, canonical=True, linker_dict_ref=ray.put(LINKER))
+    names, op = [], ds._logical_plan.dag
+    while op is not None:
+        names.append(op.name)
+        op = op.input_dependencies[0] if op.input_dependencies else None
+    assert names[:2] == ["MapBatches(link_batch)", "MapBatches(emit_batch)"]
+    assert sum(n.startswith("MapBatches") for n in names) == 2
+
+
+def test_pylist_matches_to_pylist():
+    """jsonld_ex_ray.columns.pylist: equal to ``to_pylist()`` on string
+    columns (nulls, chunks, empty, large_string) and on other types, where
+    numpy would give floats and NaN."""
+    import pyarrow as pa
+
+    from jsonld_ex_ray.columns import pylist
+
+    cols = [
+        pa.array(["a", None, "", "é"]),
+        pa.chunked_array([["a", None], [], ["x"]]),
+        pa.chunked_array([], pa.string()),
+        pa.array(["q", None], pa.large_string()),
+        pa.array([1, None, 3]),
+        pa.chunked_array([[1.5, None]]),
+        pa.array([True, None]),
+    ]
+    for col in cols:
+        got = pylist(col)
+        assert got == col.to_pylist() and [type(v) for v in got] == [type(v) for v in col.to_pylist()]
+
+
+def _to_pylist_calls(source: str) -> list[int]:
+    import ast
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "to_pylist"
+    ]
+
+
+def test_no_to_pylist_in_stages_or_pipeline():
+    """Arrow → Python in stages/ and pipeline.py goes through
+    ``columns.pylist``; ``.to_pylist()`` is many times slower on strings."""
+    import glob
+
+    import jsonld_ex_ray
+
+    pkg = os.path.dirname(jsonld_ex_ray.__file__)
+    files = sorted(glob.glob(os.path.join(pkg, "stages", "*.py"))) + [os.path.join(pkg, "pipeline.py")]
+    found = {}
+    for path in files:
+        with open(path) as f:
+            lines = _to_pylist_calls(f.read())
+        if lines:
+            found[os.path.relpath(path, pkg)] = lines
+    assert found == {}
+    assert _to_pylist_calls("xs = batch.column('a').to_pylist()\n") == [1]  # the guard sees one

@@ -77,11 +77,11 @@ def test_cut_duplicate_spans_edge_cases_match_oracle(ray_session):
 
     ds = ray.data.from_arrow(_corpus()).repartition(3)
     got = cut_duplicate_spans(ds, window=W, stride=S, num_buckets=4).take_all()
-    want = [r for r in _oracle("doc_dedup_cut") if r["doc_id"] is not None]
+    want = _oracle("doc_dedup_cut")
     by_id = {r["doc_id"]: r["text"] for r in got}
-    assert sorted(got, key=_key) == sorted(want + [{"doc_id": None, "text": by_id[None]}], key=_key)
-    # the SQL twin's rebuild joins (USING (doc_id)) never match a NULL id,
-    # so it returns "" for that doc; the op cuts it like any other
+    assert sorted(got, key=_key) == sorted(want, key=_key)
+    # the NULL id is one document: its shared span is cut like any other
+    # (the SQL joins it with IS NOT DISTINCT FROM)
     assert by_id[None] == "-unique-null-doc"
     assert by_id[1] == _DOCS[0][1]  # repeated inside one doc only: kept
     assert by_id[2] == "zzzz-zz-two"
