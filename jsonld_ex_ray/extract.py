@@ -8,7 +8,8 @@ rule makes it ours: scan each file's ``content`` for embedded JSON-LD —
 - fenced code blocks in markdown,
 - ``@context``-bearing JSON objects embedded in source text.
 
-Pure per-row function; the pipeline vectorizes it via ``map_batches``.
+Pure per-row function; the pipeline runs it per file inside its emit
+task (``stages/``), which takes the parsed documents as they are.
 Extraction failures yield error records, never exceptions (per-row errors
 must not kill a 10^12-file job).
 """

@@ -1,10 +1,10 @@
 """The flagship KG-construction pipeline, Ray-Data-first.
 
     read_parquet(source_repos)                     # column-pruned scan
-      → map_batches(extract_batch)                 # file → payload rows
-      → map_batches(triples_batch)                 # resolve+expand+
+      → map_batches(emit_batch)                    # per file: extract →
+                                                   # resolve+expand+
                                                    # node-map+toRdf
-                                                   # [+URDNA2015 relabel]
+                                                   # [+URDNA2015 labels]
       → [map_batches(link_batch)]                  # broadcast dictionary
       → [dedup / canonicalize / materialize]       # explicit shuffles
       → write_parquet(out, partitioned)            # resumable shards
@@ -179,7 +179,7 @@ def _relabel_docs(table: pa.Table) -> pa.Table:
     any_hit = np.logical_or.reduce(list(hits.values()))
     starts, ends = key_runs(table, ["doc_id"])
     docs = [(a, b) for a, b in zip(starts.tolist(), ends.tolist()) if any_hit[a:b].any()]
-    names = dict.fromkeys(["doc_id", *_QUAD_COLS, "graph", *hits])
+    names = ["doc_id", "pred", "obj_kind", "obj_datatype", "obj_lang", *hits]
     cols = {c: pylist(table.column(c)) for c in names} if docs else {}
     for a, b in docs:
         rows = zip(*(cols[c][a:b] for c in (*_QUAD_COLS, "graph")))

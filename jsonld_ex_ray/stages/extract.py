@@ -19,7 +19,7 @@ import json
 import pyarrow as pa
 
 from ..columns import pylist
-from ..extract import extract_documents
+from ..extract import DETECTORS, extract_documents
 
 PAYLOAD_SCHEMA = pa.schema(
     [
@@ -35,15 +35,6 @@ PAYLOAD_SCHEMA = pa.schema(
 )
 
 SOURCE_COLS = ("repo", "path", "commit", "lang", "content")
-
-
-def detector_snapshot(detectors: list | None = None) -> list:
-    """The detector registry as the DRIVER sees it now (a module-global
-    registry mutated by register_detector never reaches Ray worker
-    processes on its own — the snapshot rides the task closure instead)."""
-    from ..extract import DETECTORS
-
-    return list(DETECTORS) if detectors is None else list(detectors)
 
 
 def extract_file(repo, path, commit, lang, content, detectors: list):
@@ -66,26 +57,24 @@ def extract_file(repo, path, commit, lang, content, detectors: list):
 
 def make_extract_batch(detectors: list | None = None):
     """The extraction step as a ``map_batches`` task: source rows →
-    ``PAYLOAD_SCHEMA`` rows, with the detector registry snapshotted on the
-    caller's side (:func:`detector_snapshot`)."""
-    snapshot = detector_snapshot(detectors)
+    ``PAYLOAD_SCHEMA`` rows. The detector registry is snapshotted here, on
+    the caller's side (a module-global registry mutated by
+    register_detector never reaches Ray worker processes on its own — the
+    snapshot rides the task closure instead)."""
+    snapshot = list(DETECTORS) if detectors is None else list(detectors)
 
     def extract_batch(batch: pa.Table) -> pa.Table:
-        out: dict[str, list] = {name: [] for name in PAYLOAD_SCHEMA.names}
-
-        def add(doc_id, repo, path, commit, sha, payload, code, msg):
-            for name, value in zip(PAYLOAD_SCHEMA.names, (doc_id, repo, path, commit, sha, payload, code, msg)):
-                out[name].append(value)
-
+        rows = []
         for row in zip(*(pylist(batch.column(c)) for c in SOURCE_COLS)):
             repo, path, commit = row[:3]
             sha, docs, errors, parsed = extract_file(*row, snapshot)
             for doc_id, doc in docs:
                 payload = json.dumps(doc, separators=(",", ":")) if parsed else doc
-                add(doc_id, repo, path, commit, sha, payload, None, None)
+                rows.append((doc_id, repo, path, commit, sha, payload, None, None))
             for doc_id, msg in errors:
-                add(doc_id, repo, path, commit, sha, None, "extraction failed", msg)
-        return pa.Table.from_pydict(out, schema=PAYLOAD_SCHEMA)
+                rows.append((doc_id, repo, path, commit, sha, None, "extraction failed", msg))
+        cols = list(zip(*rows)) or [()] * len(PAYLOAD_SCHEMA)
+        return pa.Table.from_arrays([pa.array(c, pa.string()) for c in cols], schema=PAYLOAD_SCHEMA)
 
     return extract_batch
 

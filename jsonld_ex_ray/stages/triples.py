@@ -10,8 +10,8 @@ step. :func:`make_emit_batch` is the task ``pipeline.build_triples`` runs:
 per batch of source rows it extracts each file (``stages/extract.py``)
 and passes the parsed documents straight to ``emit``, so no payload table
 is built and no document is written to JSON and parsed again.
-:func:`make_triples_batch` / ``triples_batch`` take a ``PAYLOAD_SCHEMA``
-table (``make_extract_batch``'s output) and parse each payload first.
+:func:`triples_batch` takes a ``PAYLOAD_SCHEMA`` table
+(``make_extract_batch``'s output) and parses each payload first.
 
 Blank-node labels: the kernel prefixes the node-map issuer's ``_:b{n}``
 as ``_:{doc_hash}-b{n}`` (doc_hash = sha1(doc_id)[:16]). That makes them
@@ -38,8 +38,9 @@ from ..core.loader import CachingLoader, StaticLoader
 from ..core.options import JsonLdOptions
 from ..core.rdf_generation import node_map_to_rdf
 from ..core.urdna2015 import canonicalize
+from ..extract import DETECTORS
 from ..gen import CONTEXT_REGISTRY
-from .extract import SOURCE_COLS, detector_snapshot, extract_file
+from .extract import SOURCE_COLS, extract_file
 from .state import worker_state
 
 TRIPLE_SCHEMA = pa.schema(
@@ -253,13 +254,14 @@ def _kernel(state_ref) -> JsonLdToTriples:
     return worker_state("triples", state_ref, build)
 
 
-def make_emit_batch(state_ref=None, detectors: list | None = None, canonical: bool = False):
+def make_emit_batch(state_ref=None, canonical: bool = False):
     """The one emit task of ``pipeline.build_triples``: a batch of source
     rows (``repo, path, commit, lang, content``) → ``TRIPLE_SCHEMA`` rows.
     Extraction and the kernel run per file in one loop; ``repo``, ``path``
     and ``commit`` are taken from the input's columns. The detector
-    registry is snapshotted here, on the driver."""
-    snapshot = detector_snapshot(detectors)
+    registry is snapshotted here, on the driver, as in
+    ``make_extract_batch``."""
+    snapshot = list(DETECTORS)
 
     def emit_batch(batch: pa.Table) -> pa.Table:
         kernel = _kernel(state_ref)
@@ -287,14 +289,6 @@ def make_emit_batch(state_ref=None, detectors: list | None = None, canonical: bo
     return emit_batch
 
 
-def make_triples_batch(state_ref=None):
-    """The kernel over ``PAYLOAD_SCHEMA`` batches as a ``map_batches`` task
-    function; ``state_ref`` as in :func:`make_emit_batch`."""
-
-    def triples_batch(batch: pa.Table) -> pa.Table:
-        return _kernel(state_ref)(batch)
-
-    return triples_batch
-
-
-triples_batch = make_triples_batch()
+def triples_batch(batch: pa.Table) -> pa.Table:
+    """The default-registry kernel over one ``PAYLOAD_SCHEMA`` batch."""
+    return _kernel(None)(batch)

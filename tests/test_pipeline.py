@@ -652,22 +652,21 @@ def test_invalid_detector_payload_is_an_error_row(ray_session):
     import pyarrow as pa
     import ray.data
 
+    from jsonld_ex_ray.extract import DETECTORS, register_detector
     from jsonld_ex_ray.stages.extract import make_extract_batch
     from jsonld_ex_ray.stages.triples import make_emit_batch, triples_batch
 
-    detectors = [("notebook", _notebook_detector('{"@id": "http://ex/nb",'))]
     table = pa.table(_NOTEBOOK)
-    fused = make_emit_batch(detectors=detectors)(table)
-    assert fused.equals(triples_batch(make_extract_batch(detectors)(table)))
-    assert fused.column("error_code").to_pylist() == ["processing failed"]
-    assert fused.column("pred").to_pylist() == [None]
-    from jsonld_ex_ray.extract import DETECTORS
-
-    DETECTORS.extend(detectors)
+    register_detector("notebook", _notebook_detector('{"@id": "http://ex/nb",'))
     try:
+        fused, two_step = make_emit_batch(), make_extract_batch()
         ds = build_triples(ray.data.from_arrow(table))
     finally:
         DETECTORS.clear()
+    out = fused(table)
+    assert out.equals(triples_batch(two_step(table)))
+    assert out.column("error_code").to_pylist() == ["processing failed"]
+    assert out.column("pred").to_pylist() == [None]
     assert [r["error_code"] for r in ds.take_all()] == ["processing failed"]
 
 
