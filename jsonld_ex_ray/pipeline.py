@@ -42,7 +42,7 @@ def build_triples(
     context_registry: dict | None = None,
     options=None,
     concurrency=None,
-    batch_size: int = 256,
+    batch_size: int = 1024,
     linker_dict_ref=None,
     override_num_blocks: int | None = None,
     canonical: bool = False,
@@ -52,7 +52,12 @@ def build_triples(
     Returns a lazy Dataset of TRIPLE_SCHEMA rows (triples + error records,
     distinguished by ``pred IS NULL``) from one task per ``batch_size``
     source rows (``stages/triples.make_emit_batch``: extract → expand →
-    node-map → toRdf → Arrow). ``context_registry`` / ``options``
+    node-map → toRdf → Arrow). 1024 rows span several of the parquet
+    reader's blocks, so the task emits fewer, larger blocks: on 2000-file
+    inputs that cut the CPU of build+materialize by a fifth against 256.
+    A batch of 1024 heavy documents (``gen`` ``heavy_fraction=1.0``, about
+    400 triples each) builds about 150 MiB of rows; pass a smaller
+    ``batch_size`` for such corpora. ``context_registry`` / ``options``
     replace the offline context registry and the JSON-LD options of the
     kernel; ``linker_dict_ref`` (``ray.put(alias_to_iri)``) adds the
     entity-linker columns. ``canonical=True`` gives blank nodes their
