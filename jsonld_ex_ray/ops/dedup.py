@@ -510,72 +510,67 @@ def _band_rows(ds, *, num_perm: int, bands: int, shingle_k: int, text_col: str, 
 _ALL_PAIRS_RUN_CAP = 32
 
 
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for every ``c`` in ``counts``, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _bucket_candidate_pairs(group: pa.Table, id_col: str) -> pa.Table:
+    """The candidate pairs of one ``band_hash`` bucket of band rows: one
+    arrow sort on ``(band, band_hash, id)`` lays every collision run out
+    contiguously, ids ascending (NULL last); a doc repeated inside a run
+    counts once (NULL ids are one doc). Runs of at most
+    ``_ALL_PAIRS_RUN_CAP`` docs emit all their pairs — one
+    ``triu_indices`` per distinct run size — and larger runs star + chain
+    pairs. → (doc_a, doc_b), doc_a < doc_b, ids in their input dtype."""
+    import pyarrow.compute as pc
+
+    order = pc.sort_indices(
+        group, sort_keys=[("band", "ascending"), ("band_hash", "ascending"), (id_col, "ascending")]
+    )
+    g = group.take(order)
+    pos, _ = key_runs(g, ["band", "band_hash", id_col])  # one row per doc and run
+    starts = np.searchsorted(pos, key_runs(g, ["band", "band_hash"])[0])
+    sizes = np.diff(np.r_[starts, pos.size])
+    a_parts, b_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for size in np.unique(sizes[(sizes >= 2) & (sizes <= _ALL_PAIRS_RUN_CAP)]):
+        first = starts[sizes == size][:, None]
+        xs, ys = np.triu_indices(size, k=1)
+        a_parts.append((first + xs).ravel())
+        b_parts.append((first + ys).ravel())
+    big = sizes > _ALL_PAIRS_RUN_CAP
+    if big.any():
+        # star (min-id rep vs rest) + chain (consecutive ids): 2(n-1)
+        # pairs — the chain recovers clusters whose members resemble
+        # their neighbours more than the representative
+        first, n = starts[big], sizes[big]
+        star = np.repeat(first, n - 1)
+        chain = np.repeat(first + 1, n - 2) + _ragged_arange(n - 2)
+        a_parts += [star, chain]
+        b_parts += [star + 1 + _ragged_arange(n - 1), chain + 1]
+        import logging
+
+        logging.getLogger(__name__).info(
+            "LSH: %d collision runs > %d members emitted star + chain pairs",
+            int(big.sum()),
+            _ALL_PAIRS_RUN_CAP,
+        )
+    ids = g.column(id_col)
+    return pa.table(
+        {
+            "doc_a": ids.take(pa.array(pos[np.concatenate(a_parts)], pa.int64())),
+            "doc_b": ids.take(pa.array(pos[np.concatenate(b_parts)], pa.int64())),
+        }
+    )
+
+
 def _candidate_pairs(band_ds, *, id_col: str):
     """Band-bucket collision mining with one bucketed shuffle on
-    ``band_hash`` (ops/shuffle.py); inside each bucket a vectorized
-    pandas groupby finds the (band, band_hash) collision runs and emits
-    their pairs — all pairs for runs ≤ ``_ALL_PAIRS_RUN_CAP``, star pairs
-    (min-id vs rest) beyond it.
-    Ids keep their input dtype (int or string).
+    ``band_hash`` (ops/shuffle.py); each bucket's pairs come from
+    :func:`_bucket_candidate_pairs` — all pairs for runs ≤
+    ``_ALL_PAIRS_RUN_CAP``, star + chain pairs beyond it.
     → (doc_a, doc_b), doc_a < doc_b."""
-
-    def pairs_in_bucket(group: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        id_arr = group.column(id_col)
-        df = pd.DataFrame(
-            {
-                "band": group.column("band").to_pandas(),
-                "band_hash": group.column("band_hash").to_pandas(),
-                "__pos": np.arange(group.num_rows, dtype=np.int64),
-                "__id": id_arr.to_pandas(),
-            }
-        )
-        sizes = df.groupby(["band", "band_hash"])["__pos"].transform("size")
-        coll = df[sizes > 1]
-        a_idx: list[int] = []
-        b_idx: list[int] = []
-        n_starred = 0
-        for (_b, _h), sub in coll.groupby(["band", "band_hash"]):
-            sub = sub.sort_values("__id")
-            pos = sub["__pos"].to_numpy()
-            ids = sub["__id"].to_numpy()
-            # collapse duplicate-id rows (same doc in a run twice)
-            keep = np.ones(len(ids), dtype=bool)
-            keep[1:] = ids[1:] != ids[:-1]
-            pos, ids = pos[keep], ids[keep]
-            n = len(pos)
-            if n < 2:
-                continue
-            if n <= _ALL_PAIRS_RUN_CAP:
-                xs, ys = np.triu_indices(n, k=1)
-                a_idx.extend(pos[xs].tolist())
-                b_idx.extend(pos[ys].tolist())
-            else:
-                # star (min-id rep vs rest) + chain (consecutive ids):
-                # 2(n-1) pairs — the chain recovers clusters whose members
-                # resemble their neighbours more than the representative
-                n_starred += 1
-                a_idx.extend([int(pos[0])] * (n - 1))
-                b_idx.extend(pos[1:].tolist())
-                a_idx.extend(pos[1:-1].tolist())
-                b_idx.extend(pos[2:].tolist())
-        if n_starred:
-            import logging
-
-            logging.getLogger(__name__).info(
-                "LSH: %d collision runs > %d members emitted star pairs only",
-                n_starred,
-                _ALL_PAIRS_RUN_CAP,
-            )
-        return pa.table(
-            {
-                "doc_a": id_arr.take(pa.array(a_idx, pa.int64())),
-                "doc_b": id_arr.take(pa.array(b_idx, pa.int64())),
-            }
-        )
-
-    return bucketed(band_ds, ["band_hash"], pairs_in_bucket)
+    return bucketed(band_ds, ["band_hash"], lambda group: _bucket_candidate_pairs(group, id_col))
 
 
 def _dedup_pairs(pairs_ds):
@@ -1378,8 +1373,8 @@ def cut_duplicate_spans(
     Ray shape: two bounded shuffles. The same span-hash stream as
     ``duplicate_spans`` (one vectorized md5 scan per stride offset) meets
     bucketed on the hash, which keeps the flagged ``(doc_id, off)`` rows;
-    then docs + their flagged offsets meet in ONE ``hash(doc_id)``
-    bucketed shuffle where the rewrite happens. The rewrite is fully
+    then docs (every column) + their flagged offsets meet in ONE
+    ``hash(doc_id)`` bucketed shuffle where the rewrite happens. The rewrite is fully
     vectorized for ASCII documents (one numpy +1/−1 interval counter
     over the bucket's concatenated text bytes, one boolean gather,
     arrow offsets rebuilt from cumulative kept counts);
@@ -1397,7 +1392,10 @@ def cut_duplicate_spans(
     Precondition: ``id_col`` values are unique. A repeated id among the
     documents being cut raises ``ValueError`` naming it.
 
-    → Dataset(``id_col``, ``text_col``) — every input doc exactly once.
+    → Dataset of every input column, ``text_col`` rewritten — every
+    input doc exactly once. The other columns ride the same shuffle
+    unchanged, so a column derived from the text (a length, a score)
+    still describes the uncut text.
     """
     import pyarrow.compute as pc
 
@@ -1405,15 +1403,19 @@ def cut_duplicate_spans(
         ds, window=window, stride=stride, min_docs=min_docs, text_col=text_col,
         id_col=id_col, num_buckets=num_buckets, with_offset=True,
     )
-    id_type = span_schema.field(id_col).type
 
-    # docs (full text) and their flagged offsets meet bucketed on
-    # hash(doc_id) — the only shuffle the corpus text rides
-    out_schema = pa.schema([(id_col, id_type), (text_col, pa.string())])
+    # docs (every column, full text) and their flagged offsets meet
+    # bucketed on hash(doc_id) — the only shuffle the corpus text rides
+    in_schema = arrow_schema(ds)
+    text_i = in_schema.get_field_index(text_col)
+    out_schema = in_schema.set(text_i, pa.field(text_col, pa.string()))
 
     def canon_docs(batch: pa.Table) -> pa.Table:
         text = pc.fill_null(pc.cast(batch.column(text_col), pa.string()), "")
-        return pa.table({id_col: batch.column(id_col), text_col: text}, schema=out_schema)
+        return batch.set_column(batch.schema.get_field_index(text_col), text_col, text)
+
+    def with_text(docs: pa.Table, text: pa.Array) -> pa.Table:
+        return docs.set_column(text_i, text_col, text)
 
     def _cut_ascii(texts: pa.Array, starts_idx: np.ndarray, offs: np.ndarray, window: int) -> pa.Array:
         """Vectorized byte surgery over the bucket's ASCII docs: texts is
@@ -1440,10 +1442,8 @@ def cut_duplicate_spans(
         )
 
     def cut_bucket(docs: pa.Table, flags: pa.Table) -> pa.Table:
-        if docs.num_rows == 0:
-            return out_schema.empty_table()
-        if flags.num_rows == 0:
-            return docs.cast(out_schema)
+        if docs.num_rows == 0 or flags.num_rows == 0:
+            return docs
         flag_ids = pc.unique(flags.column(id_col))
         touched = pc.is_in(docs.column(id_col), value_set=flag_ids)
         passthrough = docs.filter(pc.invert(touched))
@@ -1466,47 +1466,30 @@ def cut_duplicate_spans(
         f_ids = flags.column(id_col).to_numpy(zero_copy_only=False)
         f_off = flags.column("off").to_numpy(zero_copy_only=False)
         f_idx = np.searchsorted(w_ids, f_ids)
-        parts = [passthrough.cast(out_schema)]
+        parts = [passthrough]
         a_mask = ascii_doc[f_idx]
         if ascii_doc.all():
-            cut_arr = _cut_ascii(texts, f_idx, f_off, window)
-            parts.append(pa.table({id_col: work.column(id_col), text_col: cut_arr}, schema=out_schema))
+            parts.append(with_text(work, _cut_ascii(texts, f_idx, f_off, window)))
         else:
             # mixed bucket: vectorized path for the ASCII docs, per-doc
             # Python slicing only for the flagged NON-ASCII docs
             ascii_sel = np.flatnonzero(ascii_doc)
             if ascii_sel.size:
-                sub = texts.take(pa.array(ascii_sel, pa.int64()))
+                sel = pa.array(ascii_sel, pa.int64())
                 remap = np.full(len(w_ids), -1, np.int64)
                 remap[ascii_sel] = np.arange(ascii_sel.size)
-                cut_arr = _cut_ascii(sub, remap[f_idx[a_mask]], f_off[a_mask], window)
-                parts.append(
-                    pa.table(
-                        {
-                            id_col: work.column(id_col).take(pa.array(ascii_sel, pa.int64())),
-                            text_col: cut_arr,
-                        },
-                        schema=out_schema,
-                    )
-                )
-            nonascii_sel = np.flatnonzero(~ascii_doc)
-            py_texts = texts.take(pa.array(nonascii_sel, pa.int64())).to_pylist()
+                cut_arr = _cut_ascii(texts.take(sel), remap[f_idx[a_mask]], f_off[a_mask], window)
+                parts.append(with_text(work.take(sel), cut_arr))
+            nonascii_sel = pa.array(np.flatnonzero(~ascii_doc), pa.int64())
+            py_texts = texts.take(nonascii_sel).to_pylist()
             out_txt = []
-            for local_i, doc_i in enumerate(nonascii_sel):
+            for local_i, doc_i in enumerate(nonascii_sel.to_numpy()):
                 s = py_texts[local_i]
                 m = np.zeros(len(s), bool)
                 for o in f_off[f_idx == doc_i]:
                     m[o : o + window] = True
                 out_txt.append("".join(np.array(list(s), dtype=object)[~m].tolist()) if len(s) else s)
-            parts.append(
-                pa.table(
-                    {
-                        id_col: work.column(id_col).take(pa.array(nonascii_sel, pa.int64())),
-                        text_col: pa.array(out_txt, pa.string()),
-                    },
-                    schema=out_schema,
-                )
-            )
+            parts.append(with_text(work.take(nonascii_sel), pa.array(out_txt, pa.string())))
         return pa.concat_tables(parts)
 
     sides = [

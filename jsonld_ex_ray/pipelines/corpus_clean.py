@@ -22,7 +22,9 @@ their outputs are rows-only checkable (LSH banding is not
 SQL-expressible). ``cut_spans=True`` additionally rewrites every
 surviving doc with duplicated 64-char substring runs removed (the Lee
 et al. 2022 intervention, itself an oracled operator — see
-``doc_dedup_cut``) before splits are assigned.
+``doc_dedup_cut``) before splits are assigned; the cut carries every
+other column through its one ``doc_id`` shuffle, so the corpus text
+moves once and nothing is joined back.
 """
 
 from __future__ import annotations
@@ -51,35 +53,9 @@ def clean_corpus(
     if cut_spans:
         # the cut pass consumes its input three times (two span scans +
         # the doc tag) — checkpoint the gated stream once, then rewrite;
-        # the rewrite keeps only (doc_id, text), so re-attach the other
-        # survivor columns via their doc_id (bucketed join, both sides
-        # already partition-parallel)
-        from ..ops.joins import hash_join_bucketed
-
-        ds = ds.materialize()
-        keep_cols = [c for c in ds.schema().names if c != "text"]
-        cut = cut_duplicate_spans(
-            ds, window=cut_window, stride=cut_stride
-        )
-        if keep_cols != ["doc_id"]:
-            import pyarrow as pa
-
-            side = ds.select_columns(keep_cols)
-            ds = hash_join_bucketed(
-                cut,
-                side,
-                left_on="doc_id",
-                right_on="doc_id",
-                right_cols=[c for c in keep_cols if c != "doc_id"],
-                left_schema=pa.schema(
-                    [
-                        ("doc_id", ds.schema().base_schema.field("doc_id").type),
-                        ("text", pa.string()),
-                    ]
-                ),
-            )
-        else:
-            ds = cut
+        # every survivor column rides the cut's one doc_id shuffle
+        # (a carried n_chars still counts the uncut text)
+        ds = cut_duplicate_spans(ds.materialize(), window=cut_window, stride=cut_stride)
     if near_dup:
         from ..ops.joins import filter_by_keys
 

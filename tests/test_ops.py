@@ -84,6 +84,63 @@ def test_lsh_boilerplate_cluster_bounded_pairs(ray_session):
     assert set(dups.doc_id) == set(range(1, n))
 
 
+def _reference_run_pairs(rows, cap):
+    """Plain-Python candidate pairs of (band, band_hash, id) rows: each
+    collision run's distinct ids sorted (NULL last, counted once), all
+    pairs up to ``cap`` ids, star + chain pairs above it."""
+    import itertools
+    from collections import Counter, defaultdict
+
+    runs = defaultdict(set)
+    for band, h, doc in rows:
+        runs[(band, h)].add(doc)
+    out = Counter()
+    for docs in runs.values():
+        docs = sorted(docs, key=lambda d: (d is None, d))
+        if len(docs) <= cap:
+            out.update(itertools.combinations(docs, 2))
+        else:
+            out.update((docs[0], d) for d in docs[1:])
+            out.update(zip(docs[1:-1], docs[2:]))
+    return out
+
+
+@pytest.mark.parametrize("id_kind", ["int", "str"])
+def test_bucket_candidate_pairs_match_reference(id_kind):
+    """The vectorized run emission gives the reference's pair multiset:
+    runs of at most the cap and above it, ids repeated inside a run,
+    NULL ids, int and string ids, rows in no particular order."""
+    from collections import Counter
+
+    from jsonld_ex_ray.ops.dedup import _ALL_PAIRS_RUN_CAP, _bucket_candidate_pairs
+
+    cap = _ALL_PAIRS_RUN_CAP
+    rng = np.random.RandomState(9)
+    rows = []
+    for run, size in enumerate([1, 2, 3, 7, cap - 1, cap, cap + 1, 40, 75, 2, 5]):
+        docs = [int(d) for d in rng.choice(500, size, replace=False)]
+        if run % 3 == 0:
+            docs[0] = None
+        docs += [docs[i] for i in rng.choice(size, run % 4)]  # repeated ids
+        if id_kind == "str":
+            docs = [None if d is None else f"d{d}" for d in docs]
+        rows += [(run % 3, 1000 + run // 3, d) for d in docs]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    id_type = pa.int64() if id_kind == "int" else pa.string()
+    table = pa.table(
+        {
+            "band": pa.array([r[0] for r in rows], pa.int32()),
+            "band_hash": pa.array([r[1] for r in rows], pa.uint64()),
+            "doc_id": pa.array([r[2] for r in rows], id_type),
+        }
+    )
+    out = _bucket_candidate_pairs(table, "doc_id")
+    assert out.schema.field("doc_a").type == id_type
+    got = Counter(zip(out.column("doc_a").to_pylist(), out.column("doc_b").to_pylist()))
+    assert got == _reference_run_pairs(rows, cap)
+    assert _bucket_candidate_pairs(table.slice(0, 0), "doc_id").num_rows == 0
+
+
 def test_minhash_string_ids(ray_session):
     """id_col is configurable — string-keyed corpora must survive the
     whole minhash path with ids untouched (no int casts)."""

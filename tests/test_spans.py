@@ -130,3 +130,75 @@ def test_span_ops_plan_two_shuffles(ray_session, op):
 
     ds = ray.data.from_arrow(_corpus())
     assert _plan_ops(getattr(dedup, op)(ds, window=W, stride=S, num_buckets=4), "Sort") == 2
+
+
+def test_clean_corpus_cut_spans_plans_two_shuffles(ray_session):
+    """With ``cut_spans=True`` the stage after its checkpoint is the cut
+    alone: its two shuffles, and no join putting the other columns back."""
+    import ray.data
+
+    from jsonld_ex_ray.pipelines.corpus_clean import clean_corpus
+
+    ds = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet")
+    assert _plan_ops(clean_corpus(ds, cut_spans=True), "Sort") == 2
+
+
+def _passthrough_rows():
+    # the stride-aligned "shared-boilerplate-run!!" is cut from docs 0-2
+    # (ASCII and non-ASCII paths); doc 3 is untouched
+    texts = [f"own-{i}---" + "shared-boilerplate-run!!" + "é" * i for i in range(3)] + ["unique text"]
+    return [
+        {"doc_id": i, "text": t, "n": 10 * i, "s": f"s{i}", "z": None}
+        for i, t in enumerate(texts)
+    ]
+
+
+@pytest.mark.parametrize("source", ["from_items", "from_pandas"])
+def test_cut_duplicate_spans_carries_every_column(ray_session, source):
+    """Columns other than the text ride the cut's doc_id shuffle
+    unchanged — int, string and all-NULL alike — also when the input
+    blocks are pandas-backed (text typed as Python ``object``)."""
+    import pandas as pd
+    import ray.data
+
+    from jsonld_ex_ray.ops.dedup import cut_duplicate_spans
+
+    rows = _passthrough_rows()
+    if source == "from_items":
+        ds = ray.data.from_items(rows)
+    else:
+        ds = ray.data.from_pandas(pd.DataFrame(rows))
+    out = cut_duplicate_spans(ds.repartition(2), window=W, stride=S, num_buckets=4)
+    got = sorted(out.take_all(), key=lambda r: r["doc_id"])
+    assert out.schema().names == ["doc_id", "text", "n", "s", "z"]
+    assert [{k: v for k, v in r.items() if k != "text"} for r in got] == [
+        {k: v for k, v in r.items() if k != "text"} for r in rows
+    ]
+    assert [r["text"] for r in got] == ["own-0---", "own-1---é", "own-2---éé", "unique text"]
+
+
+def test_clean_corpus_cut_spans_keeps_null_id(ray_session):
+    """The cut keeps a document whose id is NULL, like the plain pipeline:
+    both settings give the same doc_id multiset, NULL included."""
+    from collections import Counter
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from jsonld_ex_ray.pipelines.corpus_clean import clean_corpus
+
+    docs = pq.read_table("/root/testdata/sf0.001/documents.parquet")
+    kept = sorted(clean_corpus(ray.data.from_arrow(docs)).to_pandas().doc_id)[:21]
+    docs = docs.filter(pc.is_in(docs.column("doc_id"), pa.array(kept)))
+    ids = docs.column("doc_id").to_pylist()
+    ids[0] = None
+    docs = docs.set_column(docs.schema.get_field_index("doc_id"), "doc_id", pa.array(ids, pa.int64()))
+
+    def doc_ids(cut_spans: bool) -> Counter:
+        ds = ray.data.from_arrow(docs).repartition(3)
+        return Counter(r["doc_id"] for r in clean_corpus(ds, cut_spans=cut_spans).take_all())
+
+    plain = doc_ids(False)
+    assert plain[None] == 1 and sum(plain.values()) == 21
+    assert doc_ids(True) == plain
