@@ -232,8 +232,8 @@ def _expand_entries(
                         expand_iri(type_scoped, v, vocab=True, document_relative=True)
                         for v in value
                     ]
-                elif isinstance(value, dict) and not value:
-                    expanded_value = value  # frame expansion
+                elif value == {} and active.options.frame_expansion:
+                    expanded_value = value
                 else:
                     raise JsonLdError("invalid type value", repr(value))
                 if "@type" in result:

@@ -670,6 +670,23 @@ def test_invalid_detector_payload_is_an_error_row(ray_session):
     assert [r["error_code"] for r in ds.take_all()] == ["processing failed"]
 
 
+def test_empty_map_type_is_an_error_row():
+    """``"@type": {}`` is a frame-expansion wildcard only: in a document
+    it is an ``invalid type value``, one error row of the emit task."""
+    import pyarrow as pa
+
+    from jsonld_ex_ray.core import JsonLdOptions, expand
+    from jsonld_ex_ray.stages.triples import make_emit_batch
+
+    doc = '{"@context": {"@vocab": "http://ex/"}, "@type": {}}'
+    table = pa.table({"repo": ["r"], "path": ["a.jsonld"], "commit": ["c"], "lang": ["jsonld"], "content": [doc]})
+    out = make_emit_batch()(table)
+    assert out.column("error_code").to_pylist() == ["invalid type value"]
+    assert out.column("pred").to_pylist() == [None]
+    framed = expand({"@id": "http://ex/a", "@type": {}}, JsonLdOptions(frame_expansion=True))
+    assert framed == [{"@id": "http://ex/a", "@type": [{}]}]
+
+
 def test_build_triples_plan_has_one_emit_task(ray_session, corpus):
     """Source scan → one emit ``MapBatches`` → the linker: no separate
     extraction or relabel task."""
