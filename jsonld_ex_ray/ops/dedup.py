@@ -1374,10 +1374,10 @@ def cut_duplicate_spans(
     ``duplicate_spans`` (one vectorized md5 scan per stride offset) meets
     bucketed on the hash, which keeps the flagged ``(doc_id, off)`` rows;
     then docs (every column) + their flagged offsets meet in ONE
-    ``hash(doc_id)`` bucketed shuffle where the rewrite happens. The rewrite is fully
-    vectorized for ASCII documents (one numpy +1/−1 interval counter
-    over the bucket's concatenated text bytes, one boolean gather,
-    arrow offsets rebuilt from cumulative kept counts);
+    ``hash(doc_id)`` bucketed shuffle where the rewrite happens. The
+    rewrite is fully vectorized for ASCII documents (one numpy +1/−1
+    interval counter over the bucket's concatenated text bytes, one
+    boolean gather, arrow offsets rebuilt from cumulative kept counts);
     non-ASCII documents — where codepoint ≠ byte — fall back to per-doc
     Python slicing, bounded to the flagged non-ASCII docs in the bucket.
 

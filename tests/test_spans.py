@@ -1,7 +1,8 @@
 """The duplicated-span operators (ops/dedup.duplicate_spans and
 cut_duplicate_spans): their edge cases against the DuckDB oracles of
-their ``__ray_entry__`` queries, the span emitter's chunk bound, and a
-plan guard on how many shuffles each op costs."""
+their ``__ray_entry__`` queries, the span emitter's chunk bound, plan
+guards on how many shuffles each op and ``clean_corpus``'s cut stage
+cost, and the cut's pass-through of every other column."""
 
 import re
 
@@ -143,16 +144,6 @@ def test_clean_corpus_cut_spans_plans_two_shuffles(ray_session):
     assert _plan_ops(clean_corpus(ds, cut_spans=True), "Sort") == 2
 
 
-def _passthrough_rows():
-    # the stride-aligned "shared-boilerplate-run!!" is cut from docs 0-2
-    # (ASCII and non-ASCII paths); doc 3 is untouched
-    texts = [f"own-{i}---" + "shared-boilerplate-run!!" + "é" * i for i in range(3)] + ["unique text"]
-    return [
-        {"doc_id": i, "text": t, "n": 10 * i, "s": f"s{i}", "z": None}
-        for i, t in enumerate(texts)
-    ]
-
-
 @pytest.mark.parametrize("source", ["from_items", "from_pandas"])
 def test_cut_duplicate_spans_carries_every_column(ray_session, source):
     """Columns other than the text ride the cut's doc_id shuffle
@@ -163,7 +154,10 @@ def test_cut_duplicate_spans_carries_every_column(ray_session, source):
 
     from jsonld_ex_ray.ops.dedup import cut_duplicate_spans
 
-    rows = _passthrough_rows()
+    # the stride-aligned "shared-boilerplate-run!!" is cut from docs 0-2
+    # (ASCII and non-ASCII paths); doc 3 is untouched
+    texts = [f"own-{i}---" + "shared-boilerplate-run!!" + "é" * i for i in range(3)] + ["unique text"]
+    rows = [{"doc_id": i, "text": t, "n": 10 * i, "s": f"s{i}", "z": None} for i, t in enumerate(texts)]
     if source == "from_items":
         ds = ray.data.from_items(rows)
     else:
