@@ -156,10 +156,11 @@ def _lang_id_sql() -> str:
     ORDER BY l_returnflag, l_linestatus
 """)
 def _q_lineitem_agg(sf_dir: str):
-    """Low-cardinality groupby: map-side partial aggregation (combiner)
-    inside map_batches + tiny final combine — no sort-based shuffle."""
+    """Grouped aggregate: map-side partial aggregation (combiner) inside
+    map_batches, then one bucketed shuffle of the partial rows and a
+    vectorized per-bucket combine — the driver sees only the result."""
     import ray.data
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -168,7 +169,7 @@ def _q_lineitem_agg(sf_dir: str):
     # float sums are rounded to fixed precision on BOTH sides (engine +
     # oracle SQL): parallel partial aggregation adds doubles in a different
     # order than any serial scan, so bit-equality only exists post-round
-    return groupby_agg_lowcard(
+    return groupby_agg(
         ds,
         ["l_returnflag", "l_linestatus"],
         [
@@ -230,9 +231,9 @@ def _q_orders_by_segment(sf_dir: str):
         os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
     )
     ds = ds.map_batches(attach_segment, batch_format="pyarrow", zero_copy_batch=True)
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
-    return groupby_agg_lowcard(
+    return groupby_agg(
         ds,
         ["c_mktsegment"],
         [
@@ -263,9 +264,9 @@ def _q_events_window(sf_dir: str):
         days = pc.strftime(batch.column("ts"), format="%Y-%m-%d")
         return batch.append_column("day", days)
 
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
-    return groupby_agg_lowcard(
+    return groupby_agg(
         ds.map_batches(day_col, batch_format="pyarrow", zero_copy_batch=True),
         ["day", "event_type"],
         [("value", "count", "n"), ("value", "sum", "sum_value", 2)],
@@ -287,7 +288,7 @@ def _q_revenue_by_priority(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
     lineitem = ray.data.read_parquet(
@@ -317,7 +318,7 @@ def _q_revenue_by_priority(sf_dir: str):
         )
 
     ds = joined.map_batches(revenue, batch_format="pyarrow", zero_copy_batch=True)
-    return groupby_agg_lowcard(
+    return groupby_agg(
         ds,
         ["o_orderpriority"],
         [("revenue", "sum", "sum_revenue", 2), ("revenue", "count", "n_items")],
@@ -334,10 +335,10 @@ def _q_revenue_by_priority(sf_dir: str):
     ORDER BY lang
 """)
 def _q_doc_stats_by_lang(sf_dir: str):
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     ds = _read(sf_dir, "documents")
-    return groupby_agg_lowcard(
+    return groupby_agg(
         ds,
         ["lang"],
         [
@@ -360,12 +361,12 @@ def _q_events_top_users(sf_dir: str):
     bucket shuffle → vectorized per-bucket combine (never collects
     partials on the driver) → distributed top-k over the per-user rows."""
     import ray.data
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed, topk
+    from jsonld_ex_ray.ops.agg import groupby_agg, topk
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "value"]
     )
-    per_user = groupby_agg_bucketed(
+    per_user = groupby_agg(
         ds, ["user_id"], [("value", "sum", "total_value", 2)], num_buckets=32
     )
     return topk(per_user, ["total_value", "user_id"], [True, False], 10)
@@ -431,7 +432,7 @@ def _q_events_hll_check(sf_dir: str):
 
     from jsonld_ex_ray.ops.agg import (
         distinct_rows,
-        groupby_agg_bucketed,
+        groupby_agg,
         grouped_approx_distinct_hll,
     )
 
@@ -440,7 +441,7 @@ def _q_events_hll_check(sf_dir: str):
     )
     est = grouped_approx_distinct_hll(ds, "event_type", "user_id").to_pandas()
     pairs = distinct_rows(ds, ["event_type", "user_id"])
-    exact = groupby_agg_bucketed(
+    exact = groupby_agg(
         pairs, ["event_type"], [("user_id", "count", "n_exact")]
     ).to_pandas()
     m = exact.merge(est, on="event_type")
@@ -1045,7 +1046,7 @@ def _q_shipping_priority(sf_dir: str):
     import ray
     import ray.data
 
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed, topk
+    from jsonld_ex_ray.ops.agg import groupby_agg, topk
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
     cutoff = datetime(1998, 6, 1)
@@ -1090,7 +1091,7 @@ def _q_shipping_priority(sf_dir: str):
     joined = hash_join_bucketed(
         line, orders, left_on="l_orderkey", right_on="o_orderkey", right_cols=["od_s"]
     )
-    agg = groupby_agg_bucketed(
+    agg = groupby_agg(
         joined, ["l_orderkey", "od_s"], [("__rev", "sum", "revenue", 2)]
     )
     return topk(agg, ["revenue", "l_orderkey"], [True, False], 10)
@@ -1712,11 +1713,11 @@ def _q_kg_materialize(sf_dir: str):
 @query
 def _q_kg_error_stats(sf_dir: str):
     """Per-code error-rate rollup over the extraction/expansion errors."""
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.pipeline import build_triples, errors_only
 
     errs = errors_only(build_triples(_corpus_for(sf_dir)))
-    return groupby_agg_lowcard(errs, ["error_code"], [("doc_id", "count", "n")])
+    return groupby_agg(errs, ["error_code"], [("doc_id", "count", "n")])
 
 
 @query
@@ -1815,9 +1816,9 @@ def _q_events_rolling_1h(sf_dir: str):
     ORDER BY event_type
 """)
 def _q_events_quantiles_by_type(sf_dir: str):
-    """EXACT per-group quantile_cont without a global sort: keyed 3-pass
-    histogram refinement — per-block (group × bins) bincount partials,
-    only each group's target bins ever reach the driver."""
+    """EXACT per-group quantile_cont without a global sort: one bucketed
+    shuffle of (group, value) rows on the group, vectorized linear
+    interpolation per group inside each bucket."""
     from jsonld_ex_ray.ops.agg import grouped_exact_quantiles
 
     return grouped_exact_quantiles(
@@ -2022,10 +2023,9 @@ def _q_knn_join(sf_dir: str):
     LIMIT 10
 """)
 def _q_user_hitters(sf_dir: str):
-    """Heavy hitters: exact global top-10 users by event count in two
-    streaming passes with O(capacity) state and ZERO shuffle (per-block
-    top-candidates + residual bound, then exact recount of the broadcast
-    candidate set; provably-exact check with bucketed-groupby fallback)."""
+    """Heavy hitters: exact global top-10 users by event count — a
+    bucketed per-user count (map-side partial counts, one bounded
+    shuffle), then a distributed top-k over the per-user rows."""
     from jsonld_ex_ray.ops.agg import heavy_hitters
 
     return heavy_hitters(
@@ -2125,7 +2125,7 @@ def _q_orders_last_ship(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data
 
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed
+    from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
     cutoff = datetime(1998, 9, 1)
@@ -2142,7 +2142,7 @@ def _q_orders_last_ship(sf_dir: str):
         .repartition(32)  # testdata-shape-specific: 1 row group gates the scan
         .map_batches(recent_s, batch_format="pyarrow", zero_copy_batch=True)
     )
-    last = groupby_agg_bucketed(line, ["l_orderkey"], [("ship_s", "max", "last_ship_s")])
+    last = groupby_agg(line, ["l_orderkey"], [("ship_s", "max", "last_ship_s")])
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey", "o_totalprice"]
     )
@@ -2205,12 +2205,12 @@ def _q_parts_never_heavy(sf_dir: str):
 """)
 def _q_events_window_users(sf_dir: str):
     """Distinct count per tumbling window: (window, user) pairs dedup
-    through the bounded distinct-rows shuffle, then the map-side-combiner
+    through the bounded distinct-rows shuffle, then the bucketed grouped
     count — the windowed-cardinality pattern (DAU/WAU)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg
 
     def assign(batch: pa.Table) -> pa.Table:
         # unit-robust: normalize to µs first (a timestamp[ns] source would
@@ -2230,7 +2230,7 @@ def _q_events_window_users(sf_dir: str):
         .map_batches(assign, batch_format="pyarrow", zero_copy_batch=True),
         ["window_start", "user_id"],
     )
-    return groupby_agg_lowcard(pairs, ["window_start"], [("user_id", "count", "n_users")])
+    return groupby_agg(pairs, ["window_start"], [("user_id", "count", "n_users")])
 
 
 @query(sql="""
@@ -2274,10 +2274,10 @@ def _q_local_supplier_volume(sf_dir: str):
     numpy lookup arrays (suppkey→nation, nation→name); customer⋈orders
     and lineitem⋈(that) are the two LARGE joins, each one tag-union
     bucketed shuffle; the same-nation filter and name attach run
-    vectorized inside map_batches; the final rollup rides the 25-key
-    map-side combiner. Supplier stays broadcast-sized at TPC-H scale
-    (10⁴ rows/SF) — were it fact-sized, the same hash_join_bucketed call
-    handles it."""
+    vectorized inside map_batches; the final rollup is the bucketed
+    grouped aggregate over map-side partials. Supplier stays
+    broadcast-sized at TPC-H scale (10⁴ rows/SF) — were it fact-sized,
+    the same hash_join_bucketed call handles it."""
     from datetime import datetime
 
     import numpy as np
@@ -2287,7 +2287,7 @@ def _q_local_supplier_volume(sf_dir: str):
     import ray
     import ray.data
 
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
     region = pq.read_table(os.path.join(sf_dir, "region.parquet"))
@@ -2379,8 +2379,7 @@ def _q_local_supplier_volume(sf_dir: str):
         )
 
     local = joined.map_batches(local_only, batch_format="pyarrow", zero_copy_batch=True)
-    out = groupby_agg_lowcard(local, ["n_name"], [("__rev", "sum", "revenue", 2)])
-    return out.sort_values(["revenue", "n_name"], ascending=[False, True]).reset_index(drop=True)
+    return groupby_agg(local, ["n_name"], [("__rev", "sum", "revenue", 2)])
 
 
 @query(sql=r"""
@@ -2580,13 +2579,13 @@ def _q_events_pagerank(sf_dir: str):
 """)
 def _q_events_value_stats(sf_dir: str):
     """Second-moment aggregates (stddev/variance) from MERGEABLE sum-of-
-    squares partials — same map-side-combiner shape as lineitem_agg, no
-    shuffle. Rounded on both sides: parallel partial sums reorder float
-    additions vs any serial oracle."""
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    squares partials — the same combiner + bucketed combine as
+    lineitem_agg. Rounded on both sides: parallel partial sums reorder
+    float additions vs any serial oracle."""
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     ds = _read(sf_dir, "events").select_columns(["event_type", "value"])
-    return groupby_agg_lowcard(
+    return groupby_agg(
         ds,
         ["event_type"],
         [
@@ -2607,13 +2606,14 @@ def _q_events_value_stats(sf_dir: str):
 def _q_lineitem_corr(sf_dir: str):
     """Per-group Pearson correlation + sample covariance from the five
     pair-masked moment sums (rows where EITHER side is NULL are dropped,
-    like SQL corr/covar_samp) — one combiner pass, no shuffle."""
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    like SQL corr/covar_samp) — one combiner pass, then the bucketed
+    combine of the partial sums."""
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     ds = _read(sf_dir, "lineitem").select_columns(
         ["l_returnflag", "l_quantity", "l_extendedprice"]
     )
-    return groupby_agg_lowcard(
+    return groupby_agg(
         ds,
         ["l_returnflag"],
         [
@@ -2632,9 +2632,10 @@ def _q_lineitem_corr(sf_dir: str):
     ORDER BY l_returnflag, l_linestatus
 """)
 def _q_lineitem_rollup(sf_dir: str):
-    """GROUP BY ROLLUP: one partial scan at the finest level; subtotal
-    and grand-total levels re-aggregate the tiny mergeable partial table
-    — extra rollup levels never rescan the data."""
+    """GROUP BY ROLLUP: one partial scan; each block emits its partial
+    rows once per level (rolled-up keys NULL, tagged with the level)
+    into one bucketed combine — extra rollup levels never rescan the
+    data."""
     from jsonld_ex_ray.ops.agg import rollup_agg
 
     ds = _read(sf_dir, "lineitem").select_columns(
@@ -2656,8 +2657,9 @@ def _q_lineitem_rollup(sf_dir: str):
     ORDER BY o_orderpriority, o_orderstatus
 """)
 def _q_orders_cube(sf_dir: str):
-    """GROUP BY CUBE: every subset of the key set re-aggregates the same
-    finest mergeable partial table — 2^k levels, still one data pass."""
+    """GROUP BY CUBE: every subset of the key set is a level of the same
+    per-block partial rows in one bucketed combine — 2^k levels, still
+    one data pass."""
     from jsonld_ex_ray.ops.agg import cube_agg
 
     ds = _read(sf_dir, "orders").select_columns(
@@ -2809,15 +2811,15 @@ def _q_user_top_event_type(sf_dir: str):
 """)
 def _q_daily_new_users(sf_dir: str):
     """Cumulative new-user curve: bucketed per-user min(ts) (high-card
-    groupby, ONE bounded shuffle) → tiny daily rollup → cumsum on the
+    groupby, ONE bounded shuffle) → bucketed daily count → cumsum on the
     ≤n_days result (driver-side only AFTER reduction to day grain)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed, groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
-    firsts = groupby_agg_bucketed(
+    firsts = groupby_agg(
         _read(sf_dir, "events").select_columns(["user_id", "ts"]),
         ["user_id"],
         [("ts", "min", "first_ts")],
@@ -2828,11 +2830,11 @@ def _q_daily_new_users(sf_dir: str):
             {"day": pc.strftime(batch.column("first_ts"), format="%Y-%m-%d")}
         )
 
-    daily = groupby_agg_lowcard(
+    daily = groupby_agg(
         firsts.map_batches(day_col, batch_format="pyarrow", zero_copy_batch=True),
         ["day"],
         [("day", "count", "n_new")],
-    )
+    ).to_pandas()
     daily = daily.sort_values("day").reset_index(drop=True)
     daily["cum_users"] = daily["n_new"].cumsum().astype(np.int64)
     return daily
@@ -2904,13 +2906,13 @@ def _q_user_distinct_types(sf_dir: str):
     """Per-user COUNT(DISTINCT event_type): bucketed distinct of
     (user, type) pairs → bucketed per-user count — two bounded shuffles
     of pre-deduped pair rows, exact at any user cardinality."""
-    from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg_bucketed
+    from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg
 
     pairs = distinct_rows(
         _read(sf_dir, "events").select_columns(["user_id", "event_type"]),
         ["user_id", "event_type"],
     )
-    return groupby_agg_bucketed(
+    return groupby_agg(
         pairs, ["user_id"], [("event_type", "count", "n_types")]
     )
 
@@ -2989,7 +2991,7 @@ def _q_lineitem_below_avg(sf_dir: str):
     bucketed combine aggregates the survivors. Stats go through the one
     broadcast-or-bucketed gate: broadcast while the stats table fits
     its byte budget, bucketed join-back above."""
-    from jsonld_ex_ray.ops.agg import filter_vs_group_mean, groupby_agg_bucketed
+    from jsonld_ex_ray.ops.agg import filter_vs_group_mean, groupby_agg
 
     lineitem = _read(sf_dir, "lineitem").select_columns(
         ["l_partkey", "l_quantity", "l_extendedprice"]
@@ -2997,7 +2999,7 @@ def _q_lineitem_below_avg(sf_dir: str):
     below = filter_vs_group_mean(
         lineitem, "l_partkey", "l_quantity", mult_num=1, mult_den=2, cmp="lt"
     )
-    return groupby_agg_bucketed(
+    return groupby_agg(
         below,
         ["l_partkey"],
         [("l_quantity", "count", "n_below"), ("l_extendedprice", "sum", "sum_price", 2)],
@@ -3196,7 +3198,7 @@ def _q_events_interval_match(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed, groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.ops.joins import interval_join_banded
 
     ev = _read(sf_dir, "events").select_columns(["event_id", "value"])
@@ -3209,7 +3211,7 @@ def _q_events_interval_match(sf_dir: str):
         batch = batch.append_column("ivl_type", batch.column("event_type"))
         return batch.select(["ivl_type", "ivl_gid", "value"])
 
-    bounds = groupby_agg_bucketed(
+    bounds = groupby_agg(
         src.map_batches(key_cols, batch_format="pyarrow", zero_copy_batch=True),
         ["ivl_type", "ivl_gid"],
         [("value", "min", "vmin"), ("value", "max", "vmax")],
@@ -3243,7 +3245,7 @@ def _q_events_interval_match(sf_dir: str):
             ]
         ),
     )
-    return groupby_agg_lowcard(
+    return groupby_agg(
         joined,
         ["ivl_type", "ivl_gid"],
         [("value", "count", "n_matched"), ("value", "sum", "sum_matched", 2)],
@@ -3270,11 +3272,11 @@ def _q_events_winsorized(sf_dir: str):
     op (driver holds one histogram, never the column), clamp is an
     embarrassingly parallel arrow kernel; bounds rounded to 6 digits on
     both sides so the clamp is oracle-stable."""
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard, winsorize
+    from jsonld_ex_ray.ops.agg import groupby_agg, winsorize
 
     ds = _read(sf_dir, "events").select_columns(["event_type", "value"])
     w = winsorize(ds, "value", 0.05, 0.95, out_col="wvalue")
-    return groupby_agg_lowcard(
+    return groupby_agg(
         w,
         ["event_type"],
         [

@@ -1,15 +1,12 @@
 """Aggregation helpers that avoid all-to-all shuffles.
 
-``groupby_agg_lowcard``: map-side partial aggregation (combiner) inside
-``map_batches`` + a tiny final combine of ``n_blocks × n_groups`` partial
-rows. For low-cardinality keys this replaces Ray's sort-based groupby
-shuffle entirely — the pattern that matters at 100 TB: each block emits a
-handful of partial rows, and the final combine touches kilobytes.
-
-``groupby_agg_bucketed``: the high-cardinality path — same map-side arrow
-partials, then one bucketed shuffle on the keys (ops/shuffle.py) with a
-vectorized per-bucket final combine. Nothing is materialized on the
-driver; the result stays a distributed Dataset (one row per key).
+``groupby_agg``: the one grouped aggregate — map-side arrow partials per
+block (a combiner inside ``map_batches``), then one bucketed shuffle on
+the keys (ops/shuffle.py) with a vectorized per-bucket final combine.
+Only partial rows shuffle, nothing is materialized on the driver, and
+the result is a distributed Dataset (one row per key) at any key
+cardinality. ROLLUP/CUBE, grouped quantiles and heavy hitters run on the
+same bucketed combine.
 
 ``topk``: per-block top-k inside ``map_batches`` + global sort+limit over
 the tiny per-block survivors (k × n_blocks rows), replacing a full sort.
@@ -166,6 +163,21 @@ def _arrow_out_name(spec: tuple) -> str:
     return op if col == [] or col == "" else f"{col}_{op}"
 
 
+_NULL_SAFE = "__null_safe"
+
+
+def _aggregate(t: pa.Table, keys: list[str], specs) -> pa.Table:
+    """``t.group_by(keys).aggregate(specs)`` with one group per NULL key.
+    pyarrow 16's fast grouper splits a NULL-key group into several once
+    two or more key columns meet a few dozen rows; a large_string key
+    column sends the grouping to the generic grouper, which does not."""
+    if len(keys) > 1 and any(t.column(k).null_count for k in keys):
+        tag = pa.nulls(t.num_rows, pa.large_string())
+        out = t.append_column(_NULL_SAFE, tag).group_by([*keys, _NULL_SAFE]).aggregate(specs)
+        return out.drop_columns([_NULL_SAFE])
+    return t.group_by(keys).aggregate(specs)
+
+
 def _partial_table(batch: pa.Table, keys: list[str], partials, derived=None) -> pa.Table:
     batch = _add_derived(batch, derived)
     specs = []
@@ -175,7 +187,7 @@ def _partial_table(batch: pa.Table, keys: list[str], partials, derived=None) -> 
         if key not in seen:
             seen.add(key)
             specs.append(spec)
-    tbl = batch.group_by(keys).aggregate(specs)
+    tbl = _aggregate(batch, keys, specs)
     rename = {}
     for name, (spec, _comb) in partials.items():
         rename[_arrow_out_name(spec)] = name
@@ -184,10 +196,10 @@ def _partial_table(batch: pa.Table, keys: list[str], partials, derived=None) -> 
 
 def _finalize_arrow(tbl: pa.Table, keys: list[str], aggs, partials) -> pa.Table:
     """Arrow-native combine of partial rows → final aliased columns (the
-    per-bucket path of ``groupby_agg_bucketed`` — key columns stay in
-    arrow, no pandas conversion)."""
+    per-bucket step of ``groupby_agg`` — key columns stay in arrow, no
+    pandas conversion)."""
     specs = [(name, comb) for name, (_spec, comb) in partials.items()]
-    out = tbl.group_by(keys).aggregate(specs)
+    out = _aggregate(tbl, keys, specs)
     rename = {f"{name}_{comb}": name for name, comb in specs}
     out = out.rename_columns([rename.get(n, n) for n in out.schema.names])
     def _np(name):
@@ -242,52 +254,72 @@ def _finalize_arrow(tbl: pa.Table, keys: list[str], aggs, partials) -> pa.Table:
     return pa.table(cols)
 
 
-def groupby_agg_lowcard(ds, keys: list[str], aggs):
-    """aggs: [(column, op, alias[, round_digits])] with op in
-    sum|count|mean|min|max. Returns a pandas DataFrame sorted by keys (the
-    result is inherently small: one row per distinct key combination)."""
+def _empty_result(ds, columns: list[str]):
+    """A 0-row Dataset of ``columns`` when ``ds``' plan metadata already
+    says it holds no rows (an empty in-memory or parquet source; nothing
+    runs to find out), else None. Ray
+    drops the schema of an empty stream at its first map, so an op over
+    such an input would come back with no columns at all. An empty input
+    has no values to type the columns by, so they are null-typed."""
+    if ds._meta_count() != 0:
+        return None
+    import ray.data
+
+    return ray.data.from_arrow(pa.table({c: pa.nulls(0) for c in columns}))
+
+
+_LEVEL = "__level"
+
+
+def _combine_partials(ds, keys: list[str], aggs, num_buckets: int, level_sets=None):
+    """The bucketed combine under every grouped aggregate: map-side arrow
+    partials per block, one bucketed shuffle (ops/shuffle.py), vectorized
+    per-bucket combine + finalize. With ``level_sets`` (ROLLUP/CUBE) each
+    block's partial rows are emitted once per grouping set, its rolled-up
+    keys as typed NULLs and the set's index in ``__level``; the combine
+    groups on ``keys + __level``, so a source NULL key and a subtotal never
+    merge."""
     aggs = _norm_aggs(aggs)
+    empty = _empty_result(ds, [*keys, *(a[2] for a in aggs)])
+    if empty is not None:
+        return empty
     partials = _plan_partials(aggs)
     derived = _plan_derived(aggs)
+    group_keys = keys if level_sets is None else [*keys, _LEVEL]
 
     def partial(batch: pa.Table) -> pa.Table:
-        return _partial_table(batch, keys, partials, derived)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    # final combine: tiny (n_blocks × n_groups rows) — safe to collect.
-    # Arrow-native (same kernel as the bucketed path): no pandas
-    # groupby, and null group keys form a real group like SQL's
-    # GROUP BY (pandas groupby silently drops them).
-    import ray
-
-    tbls = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
-    if not tbls:
-        import pandas as pd
-
-        return pd.DataFrame(columns=[*keys, *[a[2] for a in aggs]])
-    result = _finalize_arrow(pa.concat_tables(tbls), keys, aggs, partials).to_pandas()
-    return result.sort_values(keys).reset_index(drop=True)
-
-
-def groupby_agg_bucketed(ds, keys: list[str], aggs, num_buckets: int = 64):
-    """High-cardinality groupby that never touches the driver: map-side
-    arrow partials per block, one bucketed shuffle on the keys
-    (ops/shuffle.py), vectorized per-bucket combine.
-    → Dataset(keys + aliases), one row per distinct key."""
-    aggs = _norm_aggs(aggs)
-    partials = _plan_partials(aggs)
-    derived = _plan_derived(aggs)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return _partial_table(batch, keys, partials, derived)
+        t = _partial_table(batch, keys, partials, derived)
+        if level_sets is None:
+            return t
+        levels = []
+        for i, lvl in enumerate(level_sets):
+            lt = t
+            for k in keys:
+                if k not in lvl:
+                    j = lt.schema.get_field_index(k)
+                    lt = lt.set_column(j, k, pa.nulls(t.num_rows, lt.schema.field(k).type))
+            levels.append(lt.append_column(_LEVEL, pa.array(np.full(t.num_rows, i, np.int32))))
+        return pa.concat_tables(levels)
 
     def combine(group: pa.Table) -> pa.Table:
-        # arrow-native combine+finalize: no pandas conversion on the
-        # wide path (strings never copied out of arrow)
-        return _finalize_arrow(group, keys, aggs, partials)
+        # arrow-native combine+finalize: strings never leave arrow
+        out = _finalize_arrow(group, group_keys, aggs, partials)
+        return out if level_sets is None else out.drop_columns([_LEVEL])
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(parts, keys, combine, num_buckets=num_buckets)
+    return bucketed(parts, group_keys, combine, num_buckets=num_buckets)
+
+
+def groupby_agg(ds, keys: list[str], aggs, num_buckets: int = 64):
+    """The one grouped aggregate, at any key cardinality: map-side arrow
+    partials per block, one bucketed shuffle on the keys
+    (ops/shuffle.py), vectorized per-bucket combine — only partial rows
+    shuffle and the driver sees nothing. ``aggs``: ``[(column, op,
+    alias[, round_digits])]``, op in ``sum|count|mean|min|max|var|std``
+    or ``covar|corr`` over an ``(x_col, y_col)`` tuple; ``count`` is
+    SQL's ``COUNT(*)``. NULL keys form one group, as in SQL's GROUP BY.
+    → Dataset(keys + aliases), one row per distinct key, in no order."""
+    return _combine_partials(ds, keys, aggs, num_buckets)
 
 
 def grouped_string_agg(
@@ -357,75 +389,32 @@ def unpivot(ds, id_cols: list[str], value_cols: list[str], *, var_col: str = "me
     return ds.map_batches(melt, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _grouping_sets_agg(ds, keys: list[str], aggs, level_sets: list[list[str]]):
-    """Shared engine under :func:`rollup_agg` / :func:`cube_agg`: ONE
-    partial scan at the finest level, then each requested grouping set is
-    re-aggregated from the tiny finest PARTIAL table (partials are
-    mergeable sums/counts/mins/maxes by construction). Keys absent from a
-    level become typed NULL columns, as in SQL ROLLUP/CUBE output."""
-    import pandas as pd
-    import ray
-
-    aggs = _norm_aggs(aggs)
-    partials = _plan_partials(aggs)
-    derived = _plan_derived(aggs)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return _partial_table(batch, keys, partials, derived)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    tbls = [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows]
-    out_cols = [*keys, *[a[2] for a in aggs]]
-    if not tbls:
-        return pd.DataFrame(columns=out_cols)
-    finest = pa.concat_tables(tbls)
-    key_types = {k: finest.schema.field(k).type for k in keys}
-    levels = []
-    for lvl_keys in level_sets:
-        if lvl_keys:
-            out = _finalize_arrow(finest, list(lvl_keys), aggs, partials)
-        else:
-            # grand total: arrow group_by needs ≥1 key — a constant does it
-            t = finest.append_column("__all", pa.array(np.zeros(finest.num_rows, np.int8)))
-            out = _finalize_arrow(t, ["__all"], aggs, partials).drop_columns(["__all"])
-        for k in keys:  # rolled-up keys become typed NULL columns
-            if k not in lvl_keys:
-                out = out.append_column(k, pa.nulls(out.num_rows, key_types[k]))
-        levels.append(out.select(out_cols))
-    result = pa.concat_tables(levels).to_pandas()
-    return result.sort_values(keys).reset_index(drop=True)
-
-
 def rollup_agg(ds, keys: list[str], aggs):
-    """``GROUP BY ROLLUP(*keys)``: ONE partial scan at the finest level;
-    every coarser level (``keys[:-1]`` … grand total) is re-aggregated from
-    the tiny finest PARTIAL table — partials are mergeable sums/counts/
-    mins/maxes by construction, so adding rollup levels costs no extra
-    pass over the data. Same lowcard contract as ``groupby_agg_lowcard``
-    (driver combine is n_blocks × n_finest_groups rows). NULL in a key
-    column marks a rolled-up level, as in SQL ROLLUP output; source rows
-    whose key is itself NULL are indistinguishable from subtotals, exactly
-    like SQL without ``GROUPING()``. → pandas DataFrame(keys + aliases)."""
+    """``GROUP BY ROLLUP(*keys)``: the levels ``keys``, ``keys[:-1]`` …
+    grand total in ONE scan — each block's partial rows are emitted once
+    per level (rolled-up keys NULL) into one bucketed combine (see
+    :func:`groupby_agg`), so extra levels replicate partial rows, never
+    data. A NULL in a key column marks a rolled-up level, as in SQL
+    ROLLUP output; a source row whose key is itself NULL keeps its own
+    row beside the subtotal, as in SQL (which tells them apart only
+    through ``GROUPING()``). → Dataset(keys + aliases), in no order."""
     level_sets = [keys[:i] for i in range(len(keys), -1, -1)]
-    return _grouping_sets_agg(ds, keys, aggs, level_sets)
+    return _combine_partials(ds, keys, aggs, 64, level_sets)
 
 
 def cube_agg(ds, keys: list[str], aggs):
     """``GROUP BY CUBE(*keys)``: like :func:`rollup_agg` but every SUBSET
-    of the key set gets a level (2^k levels), all re-aggregated from the
-    single finest partial scan — partials are mergeable by construction,
-    so the cube costs one pass over the data plus 2^k tiny driver-side
-    regroupings of the finest partial table. Same lowcard contract and
-    NULL-marks-rolled-up-level semantics as ``rollup_agg`` (use
-    ``GROUPING()`` disambiguation upstream if keys can be NULL). Keep
-    ``len(keys)`` small (2-4) — 2^k levels is the SQL CUBE contract, not
-    an engine limit. → pandas DataFrame(keys + aliases)."""
+    of the key set gets a level (2^k levels) — still one scan and one
+    bucketed combine, with 2^k copies of each block's partial rows. Same
+    NULL semantics as ``rollup_agg``. Keep ``len(keys)`` small (2-4):
+    2^k levels is the SQL CUBE contract, not an engine limit.
+    → Dataset(keys + aliases), in no order."""
     from itertools import combinations
 
     level_sets = [
         list(c) for r in range(len(keys), -1, -1) for c in combinations(keys, r)
     ]
-    return _grouping_sets_agg(ds, keys, aggs, level_sets)
+    return _combine_partials(ds, keys, aggs, 64, level_sets)
 
 
 def grouped_entropy(
@@ -693,7 +682,7 @@ def distinct_rows(ds, cols: list[str], num_buckets: int = 64):
     dimension extraction."""
 
     def distinct(batch: pa.Table) -> pa.Table:
-        return batch.select(cols).group_by(cols).aggregate([])
+        return _aggregate(batch.select(cols), cols, [])
 
     local = ds.map_batches(distinct, batch_format="pyarrow", zero_copy_batch=True)
     return bucketed(local, cols, distinct, num_buckets=num_buckets)
@@ -974,182 +963,26 @@ def grouped_exact_quantiles(
     group_col: str,
     col: str,
     qs: list[float],
-    bins: int = 4096,
-    round_to: int = 6,
-    max_hist_groups: int | None = None,
-    num_buckets: int = 64,
-):
-    """EXACT per-group ``quantile_cont`` — the keyed version of
-    ``exact_quantiles``: three streaming passes, no global sort, no
-    per-group materialization.
-
-    1. per-block ``group_by(group)`` (count, min, max) partials → tiny
-       driver combine (one row per group);
-    2. per-block histogram per group — one ``np.bincount`` over
-       ``group_index * bins + bin`` (vectorized across ALL groups at
-       once), ``n_groups × bins × 8`` bytes per block;
-    3. stream only the values inside each group's target bins and
-       interpolate exactly like SQL ``quantile_cont``.
-
-    Driver histogram state is O(n_groups × bins) and each block emits a
-    partial of that size, so the histogram path is GATED on group
-    cardinality: above ``max_hist_groups`` (default sized so a per-block
-    partial stays ≤ 8 MB) the call transparently switches to
-    ``grouped_quantiles_bucketed`` — one bounded shuffle of 16-byte
-    (group, value) rows on hash(group), exact vectorized
-    ``quantile_cont`` inside each bucket, driver state O(n_groups) final
-    rows only. → pandas DataFrame(group_col, q<percent>…), one row per
-    group, sorted."""
-    import pandas as pd
-
-    if max_hist_groups is None:
-        max_hist_groups = max(16, (8 << 20) // (bins * 8))
-
-    def nan_to_null(batch: pa.Table) -> pa.Table:
-        # the per-group n comes from arrow 'count' (non-NULL), while the
-        # histogram/pick passes drop NaN — a NaN value would inflate n
-        # past the collected counts and corrupt the rank arithmetic, so
-        # canonicalize NaN→null up front (SQL aggregates skip NULL too)
-        v = batch.column(col)
-        if pa.types.is_floating(v.type):
-            v2 = pc.if_else(pc.is_nan(v), pa.scalar(None, v.type), v)
-            batch = batch.set_column(batch.schema.get_field_index(col), col, v2)
-        return batch
-
-    ds = ds.map_batches(nan_to_null, batch_format="pyarrow", zero_copy_batch=True)
-
-    # per-group (count, min, max) via map-side partials + one bucketed
-    # shuffle — the driver sees nothing until after the cardinality gate
-    # (a driver combine would collect O(groups × blocks) partial rows)
-    _stat_partials = {
-        "__cnt": ((col, "count"), _COMBINE_SUM),
-        "__min": ((col, "min"), _COMBINE_MIN),
-        "__max": ((col, "max"), _COMBINE_MAX),
-    }
-
-    def stat_partial(batch: pa.Table) -> pa.Table:
-        return _partial_table(batch, [group_col], _stat_partials)
-
-    def stat_combine(group: pa.Table) -> pa.Table:
-        out = group.group_by([group_col]).aggregate(
-            [("__cnt", "sum"), ("__min", "min"), ("__max", "max")]
-        )
-        names = {"__cnt_sum": "n", "__min_min": "lo", "__max_max": "hi"}
-        return out.rename_columns([names.get(c, c) for c in out.schema.names])
-
-    stats_ds = bucketed(
-        ds.map_batches(stat_partial, batch_format="pyarrow", zero_copy_batch=True),
-        [group_col],
-        stat_combine,
-        num_buckets=num_buckets,
-    ).materialize()
-    if stats_ds.count() > max_hist_groups:
-        return grouped_quantiles_bucketed(
-            ds, group_col, col, qs, num_buckets=num_buckets, round_to=round_to
-        )
-    st = stats_ds.to_pandas().set_index(group_col).sort_index()
-    groups = pd.Index(st.index)
-    n_g = len(groups)
-    lo = st["lo"].to_numpy(np.float64)
-    hi = st["hi"].to_numpy(np.float64)
-    ns = st["n"].to_numpy(np.int64)
-    width = (hi - lo) / bins
-    width[width <= 0] = 1.0  # constant-valued group: everything in bin 0
-
-    def cell_ids(batch: pa.Table):
-        v = batch.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
-        gi = groups.get_indexer(batch.column(group_col).to_numpy(zero_copy_only=False))
-        ok = (gi >= 0) & ~np.isnan(v)
-        v, gi = v[ok], gi[ok]
-        b = np.clip(((v - lo[gi]) / width[gi]).astype(np.int64), 0, bins - 1)
-        return v, gi * bins + b, ok
-
-    def hist(batch: pa.Table) -> pa.Table:
-        _v, cells, _ok = cell_ids(batch)
-        counts = np.bincount(cells, minlength=n_g * bins).astype(np.int64)
-        return pa.table({"h": pa.array([counts.tobytes()], pa.binary())})
-
-    hb = ds.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    counts = np.zeros(n_g * bins, dtype=np.int64)
-    for blob in hb["h"]:
-        counts += np.frombuffer(blob, dtype=np.int64)
-    counts = counts.reshape(n_g, bins)
-    cums = np.cumsum(counts, axis=1)
-
-    plans = []  # (gi, q, k0, k1, frac)
-    need_cells: set[int] = set()
-    for g in range(n_g):
-        n = int(ns[g])
-        if n == 0:
-            continue
-        for q in qs:
-            h = (n - 1) * q
-            k0 = int(np.floor(h))
-            k1 = min(k0 + 1, n - 1)
-            plans.append((g, q, k0, k1, h - k0))
-            for k in (k0, k1):
-                need_cells.add(g * bins + int(np.searchsorted(cums[g], k, side="right")))
-    need = np.array(sorted(need_cells), dtype=np.int64)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        v, cells, _ok = cell_ids(batch)
-        keep = np.isin(cells, need)
-        return pa.table({"g": pa.array(cells[keep] // bins, pa.int64()), "v": pa.array(v[keep])})
-
-    picked = ds.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    by_group = {g: np.sort(sub["v"].to_numpy()) for g, sub in picked.groupby("g")}
-    # per group: its needed bins (sorted) + cumulative collected counts
-    # BELOW each — O(|need|) prep so each plan lookup is a searchsorted,
-    # not a scan over the whole need set
-    g_bins: dict[int, np.ndarray] = {}
-    g_below: dict[int, np.ndarray] = {}
-    for g in np.unique(need // bins):
-        nb = need[need // bins == g] % bins
-        g_bins[int(g)] = nb
-        g_below[int(g)] = np.r_[0, np.cumsum(counts[g, nb])[:-1]]
-
-    qname = dict(zip(qs, _q_names(qs)))
-    out: dict = {group_col: list(groups)}
-    for q in qs:
-        out[qname[q]] = [None] * n_g
-    for g, q, k0, k1, frac in plans:
-        cum = cums[g]
-        vals = by_group[g]
-        got = {}
-        for k in (k0, k1):
-            b = int(np.searchsorted(cum, k, side="right"))
-            pos = int(np.searchsorted(g_bins[g], b))
-            collected_below = int(g_below[g][pos - 1] + counts[g, g_bins[g][pos - 1]]) if pos else 0
-            below_total = int(cum[b - 1]) if b > 0 else 0
-            got[k] = vals[collected_below + (k - below_total)]
-        val = got[k0] + (got[k1] - got[k0]) * frac
-        out[qname[q]][g] = float(round_half_away(np.array([val]), round_to)[0])
-
-    return pd.DataFrame(out).sort_values(group_col).reset_index(drop=True)
-
-
-def grouped_quantiles_bucketed(
-    ds,
-    group_col: str,
-    col: str,
-    qs: list[float],
     *,
-    num_buckets: int = 64,
     round_to: int = 6,
+    num_buckets: int = 64,
 ):
-    """EXACT per-group ``quantile_cont`` at UNBOUNDED group cardinality
-    (the 10⁵+-groups shape the histogram path can't hold): one bucketed
-    shuffle (ops/shuffle.py) of ~16-byte (group, value) rows on the group,
-    vectorized per-group linear interpolation inside each bucket
-    (polars group_by.quantile — same (n−1)·q rule as SQL
-    ``quantile_cont``). The driver receives only the final
-    one-row-per-group table; NaN canonicalizes to null and all-null
-    groups emit null quantiles (SQL parity). Partitioning assumption:
-    a single group's values fit in one bucket's memory — salt the
-    group key upstream if one group dominates the corpus."""
+    """EXACT per-group ``quantile_cont`` at any group cardinality: one
+    bucketed shuffle (ops/shuffle.py) of ~16-byte (group, value) rows on
+    the group, vectorized per-group linear interpolation inside each
+    bucket (polars group_by.quantile — the same (n−1)·q rule as SQL
+    ``quantile_cont``). NaN canonicalizes to NULL and is skipped, like
+    every SQL aggregate; an all-NULL group emits NULL quantiles. The
+    driver sees nothing. Partitioning assumption: a single group's values
+    fit in one bucket's memory — salt the group key upstream if one group
+    dominates the corpus.
+    → Dataset(group_col, q<percent>…), one row per group, in no order."""
     import polars as pl
 
     qcols = _q_names(qs)
+    empty = _empty_result(ds, [group_col, *qcols])
+    if empty is not None:
+        return empty
 
     def emit(batch: pa.Table) -> pa.Table:
         t = batch.select([group_col, col])
@@ -1173,8 +1006,7 @@ def grouped_quantiles_bucketed(
         return pa.table(cols)
 
     rows = ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-    res = bucketed(rows, [group_col], per_bucket, num_buckets=num_buckets)
-    return res.to_pandas().sort_values(group_col).reset_index(drop=True)
+    return bucketed(rows, [group_col], per_bucket, num_buckets=num_buckets)
 
 
 def topk(ds, sort_cols: list[str], descending: list[bool], k: int):
@@ -1336,7 +1168,7 @@ def top_per_group(
         if round_digits is not None
         else (value_col, agg, alias)
     )
-    totals = groupby_agg_bucketed(ds, [group_col, agg_key], [spec], num_buckets)
+    totals = groupby_agg(ds, [group_col, agg_key], [spec], num_buckets)
 
     def local_head(batch: pa.Table) -> pa.Table:
         return segmented_head(
@@ -1389,7 +1221,7 @@ def pivot_agg(
         aggs.append((f"__c_{val}", "sum", f"n_{val}"))
         aggs.append((f"__v_{val}", "sum", f"sum_{val}", round_to))
     wide = ds.map_batches(widen, batch_format="pyarrow", zero_copy_batch=True)
-    return groupby_agg_bucketed(wide, [key_col], aggs, num_buckets=num_buckets)
+    return groupby_agg(wide, [key_col], aggs, num_buckets=num_buckets)
 
 
 def zscore_by_group(
@@ -1454,78 +1286,17 @@ def zscore_by_group(
     return joined.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def heavy_hitters(ds, col: str, k: int, *, capacity: int = 2048):
-    """Global top-``k`` values by count in TWO streaming passes with
-    O(capacity) state per block and ZERO shuffle — the heavy-hitters
-    sketch shape that replaces a full groupby at 100 TB.
-
-    Pass 1 (candidates): each block emits its top-``capacity`` values by
-    local count plus the local residual bound (the count of its first
-    TRIMMED value). Any value whose global count exceeds the sum of the
-    residual bounds must appear in some block's survivors, so the merged
-    candidate set provably contains every such value. Pass 2 (exact):
-    candidate values broadcast once; per-block filtered count partials
-    combine to exact global counts. The result is PROVABLY exact when
-    the k-th candidate count exceeds the summed residual bound — checked
-    at runtime, with an automatic fallback to the bucketed exact groupby
-    when the guarantee fails (flat distributions). Driver state is the
-    merged candidate set — worst-case ``n_blocks × capacity`` (the flat
-    regime, where the fallback fires anyway), collapsing toward
-    ``capacity`` under the skew the sketch targets (true heavy hitters
-    surface in most blocks and dedup). → pandas DataFrame(col, n) sorted
-    by (n desc, value)."""
-    import pandas as pd
-    import ray
-
-    def local_top(batch: pa.Table) -> pa.Table:
-        t = batch.select([col]).group_by([col]).aggregate([([], "count_all")])
-        idx = pc.sort_indices(
-            t, sort_keys=[("count_all", "descending"), (col, "ascending")]
-        )
-        t = t.take(idx)
-        kept = t.slice(0, capacity)
-        resid = int(t.column("count_all")[capacity].as_py()) if t.num_rows > capacity else 0
-        return pa.table(
-            {
-                col: kept.column(col),
-                "__n": kept.column("count_all"),
-                "__resid": pa.array([resid] + [0] * (kept.num_rows - 1), pa.int64())
-                if kept.num_rows
-                else pa.array([], pa.int64()),
-            }
-        )
-
-    cand = ds.map_batches(local_top, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    if cand.empty:
-        return pd.DataFrame({col: [], "n": []})
-    resid_bound = int(cand["__resid"].sum())
-    values = cand[col].unique()
-    vals_ref = ray.put(pa.array(values))
-
-    def exact_partial(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch.column(col), value_set=ray.get(vals_ref))
-        t = batch.filter(keep).select([col]).group_by([col]).aggregate([([], "count_all")])
-        return t.rename_columns([col, "__n"])
-
-    exact = (
-        ds.map_batches(exact_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .groupby(col, as_index=False)["__n"]
-        .sum()
-        .rename(columns={"__n": "n"})
-        .sort_values(["n", col], ascending=[False, True])
-        .head(k)
-        .reset_index(drop=True)
-    )
-    incomplete = (
-        (len(exact) >= k and int(exact["n"].iloc[-1]) <= resid_bound)
-        or (len(exact) < k and resid_bound > 0)
-    )
-    if incomplete:
-        # guarantee failed (flat distribution): pay the exact shuffle
-        bucketed = groupby_agg_bucketed(ds, [col], [(col, "count", "n")])
-        return topk(bucketed, ["n", col], [True, False], k).to_pandas()
-    return exact
+def heavy_hitters(ds, col: str, k: int):
+    """Global top-``k`` values of ``col`` by row count: a
+    :func:`groupby_agg` count (one bucketed shuffle of per-block partial
+    counts), then :func:`topk` over the one-row-per-value counts. A NULL
+    value counts as one value, as in SQL's GROUP BY.
+    → Dataset(col, n) sorted by (n desc, value)."""
+    empty = _empty_result(ds, [col, "n"])
+    if empty is not None:
+        return empty
+    counts = groupby_agg(ds, [col], [(col, "count", "n")])
+    return topk(counts, ["n", col], [True, False], k)
 
 
 def winsorize(
@@ -1630,7 +1401,7 @@ def _with_group_stats(ds, stats_input, group_col: str, stat_aggs, op: str, num_b
     resolve the NULL partition from it."""
     from .joins import lookup_by_key
 
-    stats_ds = groupby_agg_bucketed(
+    stats_ds = groupby_agg(
         stats_input, [group_col], stat_aggs, num_buckets=num_buckets
     ).materialize()
 

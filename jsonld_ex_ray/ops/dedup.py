@@ -1157,22 +1157,26 @@ def _make_span_emitter(window: int, stride: int, text_col: str, id_col: str, spa
     return spans
 
 
-def _flagged_spans(ds, *, window, stride, min_docs, text_col, id_col, num_buckets, with_offset):
-    """The span rows (``id_col``[, ``off``], ``h``) of ``ds`` whose hash
-    ``h`` occurs in at least ``min_docs`` distinct documents: one md5
-    span scan, ONE bucketed shuffle on ``h``, and inside each bucket one
-    arrow ``count_distinct`` of ids per hash (a NULL id counts as one
-    document, like SQL's ``SELECT DISTINCT h, doc_id``).
-    → (Dataset, its schema)."""
-    import pyarrow.compute as pc
-
+def _check_span_args(window: int, stride: int, min_docs: int) -> None:
     if window <= 0 or stride <= 0:
         raise ValueError(f"window and stride must be positive, got {window}, {stride}")
     if min_docs < 2:
         raise ValueError(f"min_docs must be >= 2, got {min_docs}")
-    # the input's schema is metadata-cheap (parquet read / in-memory
-    # source); the lazy span dataset's would execute the whole extraction
-    id_type = arrow_schema(ds).field(id_col).type
+
+
+def _flagged_spans(
+    ds, id_type, *, window, stride, min_docs, text_col, id_col, num_buckets, with_offset
+):
+    """The span rows (``id_col``[, ``off``], ``h``) of ``ds`` whose hash
+    ``h`` occurs in at least ``min_docs`` distinct documents: one md5
+    span scan, ONE bucketed shuffle on ``h``, and inside each bucket one
+    arrow ``count_distinct`` of ids per hash (a NULL id counts as one
+    document, like SQL's ``SELECT DISTINCT h, doc_id``). ``id_type`` comes
+    from the input's schema, which is metadata-cheap (parquet read /
+    in-memory source); the lazy span dataset's would execute the whole
+    extraction. → (Dataset, its schema)."""
+    import pyarrow.compute as pc
+
     span_schema = _span_schema(id_col, id_type, with_offset=with_offset)
     span_ds = ds.map_batches(
         _make_span_emitter(window, stride, text_col, id_col, span_schema, with_offset=with_offset),
@@ -1228,15 +1232,20 @@ def duplicate_spans(
     Docs shorter than ``window`` contribute no spans.
 
     → Dataset(``id_col``, ``n_dup_spans``); docs with zero duplicated
-    spans are omitted.
+    spans are omitted. An input with no schema (an empty stream) comes
+    back as it is: it has no rows.
     """
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
+    _check_span_args(window, stride, min_docs)
+    in_schema = arrow_schema(ds)
+    if in_schema is None:
+        return ds
     flagged, _ = _flagged_spans(
-        ds, window=window, stride=stride, min_docs=min_docs, text_col=text_col,
-        id_col=id_col, num_buckets=num_buckets, with_offset=False,
+        ds, in_schema.field(id_col).type, window=window, stride=stride, min_docs=min_docs,
+        text_col=text_col, id_col=id_col, num_buckets=num_buckets, with_offset=False,
     )
-    return groupby_agg_bucketed(
+    return groupby_agg(
         flagged, [id_col], [("h", "count", "n_dup_spans")], num_buckets=num_buckets
     )
 
@@ -1399,14 +1408,17 @@ def cut_duplicate_spans(
     """
     import pyarrow.compute as pc
 
+    _check_span_args(window, stride, min_docs)
+    in_schema = arrow_schema(ds)
+    if in_schema is None:  # an empty stream: nothing to cut
+        return ds
     flagged, span_schema = _flagged_spans(
-        ds, window=window, stride=stride, min_docs=min_docs, text_col=text_col,
-        id_col=id_col, num_buckets=num_buckets, with_offset=True,
+        ds, in_schema.field(id_col).type, window=window, stride=stride, min_docs=min_docs,
+        text_col=text_col, id_col=id_col, num_buckets=num_buckets, with_offset=True,
     )
 
     # docs (every column, full text) and their flagged offsets meet
     # bucketed on hash(doc_id) — the only shuffle the corpus text rides
-    in_schema = arrow_schema(ds)
     text_i = in_schema.get_field_index(text_col)
     out_schema = in_schema.set(text_i, pa.field(text_col, pa.string()))
 

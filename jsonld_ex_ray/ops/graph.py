@@ -53,7 +53,7 @@ def connected_components(
     into clusters — pairwise keep-min alone misses chains (a~b, b~c but
     not a~c). Labels only decrease and every label is a member of the
     node's own component, so the fixpoint is exactly min-of-component."""
-    from .agg import groupby_agg_bucketed
+    from .agg import groupby_agg
     from .joins import hash_join_bucketed
 
     # symmetrize once: propagation must flow both ways
@@ -125,7 +125,7 @@ def connected_components(
             left_schema=edges_schema,
             right_schema=label_schema,
         )
-        incoming = groupby_agg_bucketed(
+        incoming = groupby_agg(
             flowed.map_batches(
                 lambda b: pa.table({"node": b.column("dst"), "cand": b.column("component")}),
                 batch_format="pyarrow",
@@ -251,7 +251,7 @@ def pagerank(
     The rank table is re-broadcast per iteration ONLY in the sense of
     being one side of a bucketed join — nothing materializes on the
     driver except the scalar dangling mass."""
-    from .agg import groupby_agg_bucketed
+    from .agg import groupby_agg
     from .joins import hash_join_bucketed
 
     edges = edges_ds.materialize()  # reused every iteration
@@ -282,7 +282,7 @@ def pagerank(
             pa.table({"node": pa.array([], pa.string()), "rank": pa.array([], pa.float64())})
         )
 
-    degrees = groupby_agg_bucketed(
+    degrees = groupby_agg(
         edges, ["src"], [("dst", "count", "out_degree")], num_buckets=num_buckets
     ).materialize()
 
@@ -343,7 +343,7 @@ def pagerank(
             right_cols=["share"],
             num_buckets=num_buckets,
         )
-        summed = groupby_agg_bucketed(
+        summed = groupby_agg(
             contribs.map_batches(
                 lambda b: pa.table({"dst": b.column("dst"), "share": b.column("share")}),
                 batch_format="pyarrow",

@@ -13,7 +13,7 @@ version-stable hash of the VALUE columns, and each bucket resolves
 membership from its two side tables with the vectorized arrow semi/anti
 join. Nothing lands on the driver; the result stays a
 distributed Dataset. Duplicate-preserving INTERSECT ALL is out of scope
-(SQL's multiset semantics need per-value counts — ``groupby_agg_bucketed``
+(SQL's multiset semantics need per-value counts — ``groupby_agg``
 covers that shape if ever needed).
 """
 

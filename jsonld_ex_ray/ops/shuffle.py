@@ -118,13 +118,16 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buc
     )
 
 
-def arrow_schema(ds, schema=None) -> pa.Schema:
+def arrow_schema(ds, schema=None) -> pa.Schema | None:
     """``ds``' schema as a ``pa.Schema`` (``schema``, a ``pa.Schema`` or
     ``ray.data.Schema``, when the caller knows it; None reads it). A
     pandas-backed block types its text columns as Python ``object``, so
-    such a schema is read again from one Arrow batch."""
+    such a schema is read again from one Arrow batch. None when ``ds``
+    has no schema: an empty stream's blocks carry none."""
     if schema is None:
         schema = ds.schema()
+        if schema is None:
+            return None
     if isinstance(schema, pa.Schema):
         return schema
     if not all(isinstance(t, pa.DataType) for t in schema.types):

@@ -459,17 +459,17 @@ def top_ngrams(ds, n: int = 2, k: int = 20, text_col: str = "text", num_buckets:
 
     Ray shape: per-batch value_counts combiner (gram cardinality leaves
     each block already aggregated) → ONE bounded bucket shuffle summing
-    per gram (``groupby_agg_bucketed``) → per-block top-k survivors →
+    per gram (``groupby_agg``) → per-block top-k survivors →
     tiny global sort+limit. Ties broken by gram text ascending, so the
     result is deterministic and oracle-checkable."""
-    from .agg import groupby_agg_bucketed, topk
+    from .agg import groupby_agg, topk
 
     parts = ds.map_batches(
         lambda b: ngram_count_batch(b, n, text_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    totals = groupby_agg_bucketed(parts, ["gram"], [("cnt", "sum", "cnt")], num_buckets)
+    totals = groupby_agg(parts, ["gram"], [("cnt", "sum", "cnt")], num_buckets)
     return topk(totals, ["cnt", "gram"], [True, False], k)
 
 
@@ -553,7 +553,7 @@ def doc_top_tfidf(
     """Per-document top TF-IDF term: the classic two-pass corpus job.
 
     Pass 1 builds the document-frequency table — per-batch DISTINCT
-    (term) sets per doc (combiner) → ``groupby_agg_bucketed`` over terms
+    (term) sets per doc (combiner) → ``groupby_agg`` over terms
     (ONE bounded shuffle) — plus the corpus doc count from the same pass.
     The variant is then picked by the df table's size, through the one
     broadcast-or-bucketed gate (``ops/joins.broadcast_side``):
@@ -576,7 +576,7 @@ def doc_top_tfidf(
     import numpy as np
     import ray
 
-    from .agg import groupby_agg_bucketed, round_half_away
+    from .agg import groupby_agg, round_half_away
     from .joins import broadcast_side
 
     def distinct_terms(batch: pa.Table) -> pa.Table:
@@ -610,7 +610,7 @@ def doc_top_tfidf(
     parts = ds.map_batches(
         distinct_terms, batch_format="pyarrow", zero_copy_batch=True
     )
-    df_ds = groupby_agg_bucketed(
+    df_ds = groupby_agg(
         parts, ["term"], [("df", "sum", "df")], num_buckets
     ).materialize()
     vocab = broadcast_side("doc_top_tfidf", df_ds)
@@ -1090,7 +1090,7 @@ def unigram_logprob(
     import numpy as np
     import pandas as pd
 
-    from .agg import groupby_agg_bucketed, round_half_away
+    from .agg import groupby_agg, round_half_away
     from .joins import broadcast_side, hash_join_bucketed
 
     def count_part(batch: pa.Table) -> pa.Table:
@@ -1100,7 +1100,7 @@ def unigram_logprob(
             {"tok": vc.field("values"), "c": vc.field("counts").cast(pa.int64())}
         )
 
-    counts_ds = groupby_agg_bucketed(
+    counts_ds = groupby_agg(
         ds.map_batches(count_part, batch_format="pyarrow", zero_copy_batch=True),
         ["tok"],
         [("c", "sum", "c")],
@@ -1153,7 +1153,7 @@ def unigram_logprob(
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             )
-        per_doc = groupby_agg_bucketed(
+        per_doc = groupby_agg(
             partials,
             [id_col],
             [("__n", "sum", "n_tokens"), ("__s", "sum", "__s")],
@@ -1195,7 +1195,7 @@ def unigram_logprob(
         )
 
     scored = joined.map_batches(fill_oov, batch_format="pyarrow", zero_copy_batch=True)
-    return groupby_agg_bucketed(
+    return groupby_agg(
         scored,
         [id_col],
         [("tok", "count", "n_tokens"), ("__lp", "mean", "mean_logprob", round_to)],

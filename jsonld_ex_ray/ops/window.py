@@ -1,10 +1,11 @@
 """Event-time window aggregates — operators Ray Data lacks natively.
 
-- Tumbling windows: vectorized window-id assignment (epoch floor) +
-  map-side combiner aggregation (ops.agg) — no per-event Python.
+- Tumbling windows: vectorized window-id assignment (epoch floor), then
+  the bucketed grouped aggregate (``ops.agg.groupby_agg``) — no
+  per-event Python.
 - Sliding windows: each event fans out to its ``window/slide`` covering
   windows inside ``map_batches`` (bounded expansion), then the same
-  combiner path.
+  grouped aggregate.
 
 Batch semantics (SURVEY.md §2.9): no watermarks/late data — the input is a
 bounded table with an event-time column.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import groupby_agg_lowcard
+from .agg import _empty_result, groupby_agg
 from .shuffle import bucketed, key_runs
 
 
@@ -43,9 +44,12 @@ def tumbling_window_agg(
     aggs: list[tuple[str, str, str]],
     extra_keys: list[str] | None = None,
 ):
-    """→ pandas DataFrame keyed by ``window_start`` (epoch seconds) [+
-    extra_keys] with the requested aggregates."""
+    """→ Dataset keyed by ``window_start`` (epoch seconds) [+ extra_keys]
+    with the requested aggregates, one row per window, in no order."""
     extra_keys = extra_keys or []
+    empty = _empty_result(ds, ["window_start", *extra_keys, *(a[2] for a in aggs)])
+    if empty is not None:
+        return empty
 
     def assign(batch: pa.Table) -> pa.Table:
         secs = _epoch_seconds(batch.column(ts_col))
@@ -53,7 +57,7 @@ def tumbling_window_agg(
         return batch.append_column("window_start", pc.cast(ws, pa.int64()))
 
     keyed = ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-    return groupby_agg_lowcard(keyed, ["window_start", *extra_keys], aggs)
+    return groupby_agg(keyed, ["window_start", *extra_keys], aggs)
 
 
 def sessionize(
@@ -123,11 +127,16 @@ def sliding_window_agg(
     """Overlapping windows of ``window_s`` advancing every ``slide_s``:
     an event at t belongs to windows starting in
     (t - window_s, t] aligned to slide_s — fan-out is window_s/slide_s
-    rows per event, emitted vectorized-ish per batch."""
+    rows per event, emitted vectorized-ish per batch.
+    → Dataset keyed by ``window_start`` [+ extra_keys] with the requested
+    aggregates, one row per window, in no order."""
     if window_s % slide_s != 0:
         raise ValueError("window_s must be a multiple of slide_s")
     fanout = window_s // slide_s
     extra_keys = extra_keys or []
+    empty = _empty_result(ds, ["window_start", *extra_keys, *(a[2] for a in aggs)])
+    if empty is not None:
+        return empty
 
     def expand_windows(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -148,7 +157,7 @@ def sliding_window_agg(
         )
 
     keyed = ds.map_batches(expand_windows, batch_format="pyarrow", zero_copy_batch=True)
-    return groupby_agg_lowcard(keyed, ["window_start", *extra_keys], aggs)
+    return groupby_agg(keyed, ["window_start", *extra_keys], aggs)
 
 
 def _range_frame_bounds(keys, usv, range_us: int, *, _force_fallback: bool = False):

@@ -15,7 +15,7 @@ def _ds(tbl):
 
 
 def test_sum_and_mean_share_column_no_collision(ray_session):
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     tbl = pa.table(
         {
@@ -23,15 +23,17 @@ def test_sum_and_mean_share_column_no_collision(ray_session):
             "v": [1.0, 3.0, 10.0, 20.0, 30.0],
         }
     )
-    out = groupby_agg_lowcard(
-        _ds(tbl), ["k"], [("v", "sum", "total"), ("v", "mean", "avg")]
+    out = (
+        groupby_agg(_ds(tbl), ["k"], [("v", "sum", "total"), ("v", "mean", "avg")])
+        .to_pandas()
+        .sort_values("k")
     )
     assert out.total.tolist() == [4.0, 60.0]
     assert out.avg.tolist() == [2.0, 20.0]
 
 
 def test_count_star_with_null_keys_and_values(ray_session):
-    from jsonld_ex_ray.ops.agg import groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     tbl = pa.table(
         {
@@ -39,8 +41,10 @@ def test_count_star_with_null_keys_and_values(ray_session):
             "v": pa.array([1.0, None, 2.0], pa.float64()),
         }
     )
-    out = groupby_agg_lowcard(
-        _ds(tbl), ["k"], [("v", "count", "n"), ("v", "mean", "avg")]
+    out = (
+        groupby_agg(_ds(tbl), ["k"], [("v", "count", "n"), ("v", "mean", "avg")])
+        .to_pandas()
+        .sort_values("k")
     )
     # COUNT(*) counts rows; mean ignores the null (SQL avg semantics)
     assert out.n.tolist() == [2, 1]
@@ -48,7 +52,7 @@ def test_count_star_with_null_keys_and_values(ray_session):
 
 
 def test_bucketed_matches_lowcard_on_high_card_keys(ray_session):
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed, groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     rng = np.random.RandomState(5)
     n = 5000
@@ -59,9 +63,14 @@ def test_bucketed_matches_lowcard_on_high_card_keys(ray_session):
         }
     )
     aggs = [("v", "sum", "s", 2), ("v", "count", "n"), ("v", "max", "mx")]
-    want = groupby_agg_lowcard(_ds(tbl), ["k"], aggs)
+    want = (
+        tbl.to_pandas()
+        .groupby("k", as_index=False)
+        .agg(s=("v", "sum"), n=("v", "size"), mx=("v", "max"))
+        .round({"s": 2})
+    )
     got = (
-        groupby_agg_bucketed(_ds(tbl), ["k"], aggs, num_buckets=16)
+        groupby_agg(_ds(tbl), ["k"], aggs, num_buckets=16)
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)[["k", "s", "n", "mx"]]
@@ -291,10 +300,10 @@ def test_hash_join_bucketed_mixed_key_widths(ray_session):
     assert len(out) == 3 and out.rv.tolist() == ["x", "y", "z"]
 
 
-def test_grouped_quantiles_bucketed_matches_hist_and_sql(ray_session):
-    """The high-cardinality bucketed variant must agree with both the
-    histogram path and DuckDB quantile_cont, including null values and
-    an all-null group."""
+def test_grouped_quantiles_match_sql_with_nulls(ray_session):
+    """Grouped quantiles agree with DuckDB quantile_cont, including null
+    values and an all-null group, whether the groups spread over many
+    buckets or share one."""
     import duckdb
     import ray.data
     from jsonld_ex_ray.ops.agg import grouped_exact_quantiles
@@ -320,8 +329,8 @@ def test_grouped_quantiles_bucketed_matches_hist_and_sql(ray_session):
     ds = ray.data.from_arrow(tbl)
     qs = [0.25, 0.5, 0.9]
 
-    hist = grouped_exact_quantiles(ds, "g", "v", qs, max_hist_groups=10_000)
-    buck = grouped_exact_quantiles(ds, "g", "v", qs, max_hist_groups=1)
+    spread = grouped_exact_quantiles(ds, "g", "v", qs).to_pandas()
+    one_bucket = grouped_exact_quantiles(ds, "g", "v", qs, num_buckets=1).to_pandas()
 
     con = duckdb.connect()
     con.register("t", tbl)
@@ -333,13 +342,90 @@ def test_grouped_quantiles_bucketed_matches_hist_and_sql(ray_session):
     ).fetchdf()
     import pandas as pd
 
-    for got, label in ((hist, "hist"), (buck, "bucketed")):
+    for got, label in ((spread, "64 buckets"), (one_bucket, "1 bucket")):
         got = got.sort_values("g").reset_index(drop=True)
         assert list(got.g) == list(sql.g), label
         for c in ("q25", "q50", "q90"):
             a = got[c].astype(float).to_numpy()
             b = sql[c].astype(float).to_numpy()
             assert np.allclose(a, b, equal_nan=True), (label, c)
+
+
+def test_multi_key_null_groups_stay_one_group(ray_session):
+    """A NULL key is one group per combination of the other keys, as in
+    SQL's GROUP BY, however many rows meet in one block (Arrow's fast
+    multi-key grouper splits such a group once a few dozen rows meet)."""
+    import duckdb
+
+    from jsonld_ex_ray.ops.agg import distinct_rows, groupby_agg
+
+    rng = np.random.default_rng(4)
+    n = 2000
+    g = rng.choice(np.array(["a", "b", None], dtype=object), n)
+    tbl = pa.table(
+        {
+            "g": pa.array(g, pa.string()),
+            "h": pa.array(rng.integers(0, 3, n)),
+            "v": pa.array(np.ones(n)),
+        }
+    )
+    want = duckdb.sql("SELECT g, h, count(*) AS n FROM tbl GROUP BY g, h").fetchdf()
+    got = groupby_agg(_ds(tbl), ["g", "h"], [("v", "count", "n")], num_buckets=4).to_pandas()
+    key = ["g", "h"]
+    for f in (got, want):
+        f["g"] = f["g"].fillna("-")
+    pd.testing.assert_frame_equal(
+        got.sort_values(key).reset_index(drop=True)[["g", "h", "n"]],
+        want.sort_values(key).reset_index(drop=True),
+        check_dtype=False,
+    )
+    assert len(distinct_rows(_ds(tbl), key, num_buckets=4).to_pandas()) == len(want)
+
+
+def test_grouped_aggs_return_a_dataset_on_empty_input(ray_session):
+    """Every grouped aggregate returns a Dataset for an empty input too,
+    with no rows and its output columns (null-typed: there are no values
+    to type them by)."""
+    import ray.data
+
+    from jsonld_ex_ray.ops.agg import (
+        cube_agg,
+        groupby_agg,
+        grouped_exact_quantiles,
+        heavy_hitters,
+        rollup_agg,
+    )
+    from jsonld_ex_ray.ops.window import tumbling_window_agg
+
+    empty = ray.data.from_arrow(
+        pa.table(
+            {
+                "g": pa.array([], pa.string()),
+                "h": pa.array([], pa.int64()),
+                "ts": pa.array([], pa.timestamp("us")),
+                "x": pa.array([], pa.float64()),
+            }
+        )
+    )
+    aggs = [("x", "sum", "s"), ("x", "count", "n")]
+    cases = {
+        "groupby_agg": (groupby_agg(empty, ["g"], aggs), ["g", "s", "n"]),
+        "rollup_agg": (rollup_agg(empty, ["g", "h"], aggs), ["g", "h", "s", "n"]),
+        "cube_agg": (cube_agg(empty, ["g", "h"], aggs), ["g", "h", "s", "n"]),
+        "tumbling_window_agg": (
+            tumbling_window_agg(empty, "ts", 60, aggs),
+            ["window_start", "s", "n"],
+        ),
+        "grouped_exact_quantiles": (
+            grouped_exact_quantiles(empty, "g", "x", [0.5, 0.9]),
+            ["g", "q50", "q90"],
+        ),
+        "heavy_hitters": (heavy_hitters(empty, "g", 3), ["g", "n"]),
+    }
+    for name, (out, cols) in cases.items():
+        assert isinstance(out, ray.data.Dataset), name
+        assert out.count() == 0, name
+        assert out.schema().names == cols, name
 
 
 def test_grouped_quantiles_high_cardinality(ray_session):
@@ -353,6 +439,6 @@ def test_grouped_quantiles_high_cardinality(ray_session):
     ids = np.repeat(np.arange(n_groups, dtype=np.int64), 3)
     vals = np.tile(np.array([1.0, 2.0, 10.0]), n_groups)
     ds = ray.data.from_arrow(pa.table({"g": pa.array(ids), "v": pa.array(vals)}))
-    out = grouped_exact_quantiles(ds, "g", "v", [0.5])
+    out = grouped_exact_quantiles(ds, "g", "v", [0.5]).to_pandas()
     assert len(out) == n_groups
     assert (out.q50 == 2.0).all()

@@ -486,7 +486,7 @@ def test_uint64_keys_hash_by_bit_pattern(ray_session):
     """uint64 keys at or above 2^63 (digest words, band hashes, user ids)
     route like the int64 with the same bits instead of failing the
     int64 cast, so a bucketed groupby on such a key runs."""
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed
+    from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.ops.hashing import bucket_ids
     import ray.data
 
@@ -496,7 +496,7 @@ def test_uint64_keys_hash_by_bit_pattern(ray_session):
     assert bucket_ids(u, ["h"], 8).to_pylist() == bucket_ids(bits, ["h"], 8).to_pylist()
 
     tbl = pa.table({"k": pa.array(big * 3, pa.uint64()), "v": pa.array(range(12), pa.int64())})
-    out = groupby_agg_bucketed(
+    out = groupby_agg(
         ray.data.from_arrow(tbl), ["k"], [("v", "sum", "s")], num_buckets=4
     ).take_all()
     got = {r["k"]: r["s"] for r in out}

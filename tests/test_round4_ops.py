@@ -35,7 +35,7 @@ def _frame(n=4000, seed=3):
 def test_moment_aggs_match_duckdb(ray_session):
     import ray.data
 
-    from jsonld_ex_ray.ops.agg import groupby_agg_bucketed, groupby_agg_lowcard
+    from jsonld_ex_ray.ops.agg import groupby_agg
 
     df = _frame()
     ds = ray.data.from_pandas(df).repartition(6)
@@ -52,10 +52,10 @@ def test_moment_aggs_match_duckdb(ray_session):
                   round(covar_samp(x,y),6) vxy
            FROM df GROUP BY g ORDER BY g"""
     ).fetchdf()
-    got = groupby_agg_lowcard(ds, ["g"], aggs).sort_values("g").reset_index(drop=True)
+    got = groupby_agg(ds, ["g"], aggs).to_pandas().sort_values("g").reset_index(drop=True)
     pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
     got_b = (
-        groupby_agg_bucketed(ds, ["g"], aggs, num_buckets=8)
+        groupby_agg(ds, ["g"], aggs, num_buckets=8)
         .to_pandas()
         .sort_values("g")
         .reset_index(drop=True)
@@ -72,37 +72,59 @@ def test_moment_aggs_validate_specs():
         _norm_aggs([(("x", "y"), "std", "s")])
 
 
+def _with_null_keys(df):
+    """``df`` plus rows whose ``g``, ``h`` or both are NULL: a source
+    NULL-key group and the subtotal level are then both NULL there, and
+    both are rows of SQL's ROLLUP/CUBE output."""
+    n = len(df)
+    extra = pd.DataFrame(
+        {
+            "g": [None, None, 1, None, None],
+            "h": [0, 0, None, None, None],
+            "id": np.arange(n, n + 5),
+            "x": [1.5, 2.5, 4.0, 8.0, 16.0],
+            "y": [0.0] * 5,
+        }
+    )
+    return pd.concat([df, extra], ignore_index=True).astype({"g": "Int64", "h": "Int64"})
+
+
 def test_rollup_matches_duckdb(ray_session):
     import ray.data
 
     from jsonld_ex_ray.ops.agg import rollup_agg
 
-    df = _frame()
-    df["h"] = (df["id"] % 3).astype("int64")
-    ds = ray.data.from_pandas(df).repartition(5)
-    got = rollup_agg(
-        ds, ["g", "h"], [("x", "sum", "sx", 4), ("x", "count", "n"), ("x", "std", "sd", 6)]
-    )
-    want = duckdb.sql(
-        """SELECT g, h, round(sum(x),4) sx, count(*) n, round(stddev_samp(x),6) sd
-           FROM df GROUP BY ROLLUP(g, h) ORDER BY g, h"""
-    ).fetchdf()
-    # NULL-key rows: compare via a sortable fill
-    for f in (got, want):
-        f["g"] = f["g"].fillna(-1).astype("int64")
-        f["h"] = f["h"].fillna(-1).astype("int64")
-    got = got.sort_values(["g", "h"]).reset_index(drop=True)
-    want = want.sort_values(["g", "h"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
+    base = _frame()
+    base["h"] = (base["id"] % 3).astype("int64")
+    for df in (base, _with_null_keys(base)):
+        ds = ray.data.from_pandas(df).repartition(5)
+        got = rollup_agg(
+            ds, ["g", "h"], [("x", "sum", "sx", 4), ("x", "count", "n"), ("x", "std", "sd", 6)]
+        ).to_pandas()
+        want = duckdb.sql(
+            """SELECT g, h, round(sum(x),4) sx, count(*) n, round(stddev_samp(x),6) sd
+               FROM df GROUP BY ROLLUP(g, h) ORDER BY g, h"""
+        ).fetchdf()
+        # NULL-key rows: compare via a sortable fill; the filled keys tie,
+        # so sort on every column
+        for f in (got, want):
+            f["g"] = f["g"].fillna(-1).astype("int64")
+            f["h"] = f["h"].fillna(-1).astype("int64")
+        got = got.sort_values(list(want.columns)).reset_index(drop=True)
+        want = want.sort_values(list(want.columns)).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
 
 
 def test_rollup_empty(ray_session):
+    import ray
     import ray.data
 
     from jsonld_ex_ray.ops.agg import rollup_agg
 
     ds = ray.data.from_pandas(pd.DataFrame({"g": [], "x": []})).repartition(2)
-    out = rollup_agg(ds, ["g"], [("x", "sum", "s")])
+    # Ray's to_pandas drops an empty Dataset's columns; its Arrow blocks keep them
+    refs = rollup_agg(ds, ["g"], [("x", "sum", "s")]).to_arrow_refs()
+    out = pa.concat_tables(ray.get(refs)).to_pandas()
     assert len(out) == 0 and list(out.columns) == ["g", "s"]
 
 
@@ -917,21 +939,22 @@ def test_cube_matches_duckdb(ray_session):
 
     from jsonld_ex_ray.ops.agg import cube_agg
 
-    df = _frame()
-    df["h"] = (df["id"] % 3).astype("int64")
-    ds = ray.data.from_pandas(df).repartition(5)
-    got = cube_agg(
-        ds, ["g", "h"], [("x", "sum", "sx", 4), ("x", "count", "n"), ("x", "min", "mn")]
-    )
-    want = duckdb.sql(
-        """SELECT g, h, round(sum(x),4) sx, count(*) n, min(x) mn
-           FROM df GROUP BY CUBE(g, h) ORDER BY g, h"""
-    ).fetchdf()
-    # CUBE has the (NULL, h) level that ROLLUP lacks — check it exists
-    assert (got["g"].isna() & got["h"].notna()).any()
-    for f in (got, want):
-        f["g"] = f["g"].fillna(-1).astype("int64")
-        f["h"] = f["h"].fillna(-1).astype("int64")
-    got = got.sort_values(["g", "h"]).reset_index(drop=True)
-    want = want.sort_values(["g", "h"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
+    base = _frame()
+    base["h"] = (base["id"] % 3).astype("int64")
+    for df in (base, _with_null_keys(base)):
+        ds = ray.data.from_pandas(df).repartition(5)
+        got = cube_agg(
+            ds, ["g", "h"], [("x", "sum", "sx", 4), ("x", "count", "n"), ("x", "min", "mn")]
+        ).to_pandas()
+        want = duckdb.sql(
+            """SELECT g, h, round(sum(x),4) sx, count(*) n, min(x) mn
+               FROM df GROUP BY CUBE(g, h) ORDER BY g, h"""
+        ).fetchdf()
+        # CUBE has the (NULL, h) level that ROLLUP lacks — check it exists
+        assert (got["g"].isna() & got["h"].notna()).any()
+        for f in (got, want):
+            f["g"] = f["g"].fillna(-1).astype("int64")
+            f["h"] = f["h"].fillna(-1).astype("int64")
+        got = got.sort_values(list(want.columns)).reset_index(drop=True)
+        want = want.sort_values(list(want.columns)).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)

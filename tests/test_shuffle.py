@@ -245,3 +245,68 @@ def test_one_broadcast_budget():
     assert not stray, f"decide broadcast vs bucketed through ops/joins.broadcast_side: {sorted(stray, key=str)}"
     # the guard itself still sees the allowed refusal guard
     assert found == _BROADCAST_GUARDS
+
+
+# Driver collects in the grouped-aggregate modules: only these are
+# bounded by construction (one fixed-size row per block, one row per
+# bucket or range, the single NULL-key stats row); every other grouped
+# result stays a Dataset. No size knob (``capacity``, ``max_*``) picks a
+# driver path.
+_BOUNDED_COLLECTS = {
+    ("ops/agg.py", "histogram_fixed"),
+    ("ops/agg.py", "distinct_count"),
+    ("ops/agg.py", "approx_distinct_hll"),
+    ("ops/agg.py", "exact_quantiles"),
+    ("ops/agg.py", "ordered_prefix_sum"),
+    ("ops/agg.py", "_with_group_stats"),
+}
+_COLLECTS = {"to_pandas", "to_arrow_refs"}
+
+
+def _is_size_knob(param: str) -> bool:
+    return param == "capacity" or param.startswith("max_")
+
+
+def _driver_collects_in(source: str):
+    """(function, what) for each collect call and each driver-path size
+    parameter in ``source``; ``function`` is the enclosing top-level def."""
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _COLLECTS:
+                yield name, node.func.attr
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if _is_size_knob(arg.arg):
+                        yield name, arg.arg
+
+
+_DRIVER_COMBINE = """
+def groupby_small(ds, keys, aggs):
+    return ds.map_batches(partial).to_pandas().groupby(keys).sum()
+
+def hitters(ds, col, k, *, capacity=2048):
+    refs = ds.to_arrow_refs()
+
+def quantiles(ds, col, qs, max_groups=16):
+    pass
+"""
+
+
+def test_grouped_aggregates_collect_nothing_unbounded():
+    root = pathlib.Path(__file__).resolve().parents[1] / "jsonld_ex_ray"
+    found = set()
+    for rel in ("ops/agg.py", "ops/window.py"):
+        found |= {(rel, fn, what) for fn, what in _driver_collects_in((root / rel).read_text())}
+    stray = {f for f in found if f[:2] not in _BOUNDED_COLLECTS or _is_size_knob(f[2])}
+    assert not stray, f"return a Dataset from the bucketed combine: {sorted(stray, key=str)}"
+    # every allowlisted collect is still there, and the guard still sees
+    # a driver combine and a size knob
+    assert {f[:2] for f in found} == _BOUNDED_COLLECTS
+    assert sorted(_driver_collects_in(_DRIVER_COMBINE)) == [
+        ("groupby_small", "to_pandas"),
+        ("hitters", "capacity"),
+        ("hitters", "to_arrow_refs"),
+        ("quantiles", "max_groups"),
+    ]

@@ -171,6 +171,33 @@ def test_cut_duplicate_spans_carries_every_column(ray_session, source):
     assert [r["text"] for r in got] == ["own-0---", "own-1---é", "own-2---éé", "unique text"]
 
 
+def test_span_ops_on_a_stream_the_gates_empty(ray_session):
+    """Two documents of repeated single letters fail the quality and
+    repetition gates; the materialized empty stream has no schema, and
+    the cut stage still returns 0 rows like the plain pipeline, as does
+    duplicate_spans over that stream."""
+    import ray.data
+
+    from jsonld_ex_ray.ops.dedup import duplicate_spans
+    from jsonld_ex_ray.ops.text import filter_quality, filter_repetition
+    from jsonld_ex_ray.pipelines.corpus_clean import clean_corpus
+
+    texts = [" ".join("a" * 300), " ".join("b" * 300)]
+    docs = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "text": pa.array(texts),
+            "lang": pa.array(["en", "en"]),
+            "source": pa.array(["web", "web"]),
+            "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+        }
+    )
+    assert clean_corpus(ray.data.from_arrow(docs)).take_all() == []
+    assert clean_corpus(ray.data.from_arrow(docs), cut_spans=True).take_all() == []
+    gated = filter_repetition(filter_quality(ray.data.from_arrow(docs))).materialize()
+    assert duplicate_spans(gated).take_all() == []
+
+
 def test_clean_corpus_cut_spans_keeps_null_id(ray_session):
     """The cut keeps a document whose id is NULL, like the plain pipeline:
     both settings give the same doc_id multiset, NULL included."""

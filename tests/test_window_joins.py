@@ -13,7 +13,7 @@ def test_tumbling_covers_every_event_once(ray_session):
     from jsonld_ex_ray.ops.window import tumbling_window_agg
 
     ds = ray.data.read_parquet(f"{SF}/events.parquet", columns=["ts", "value"])
-    out = tumbling_window_agg(ds, "ts", 3600, [("value", "count", "n")])
+    out = tumbling_window_agg(ds, "ts", 3600, [("value", "count", "n")]).to_pandas()
     total = pq.read_metadata(f"{SF}/events.parquet").num_rows
     assert out.n.sum() == total
     assert (out.window_start % 3600 == 0).all()
@@ -25,7 +25,7 @@ def test_sliding_covers_every_event_fanout_times(ray_session):
     from jsonld_ex_ray.ops.window import sliding_window_agg
 
     ds = ray.data.read_parquet(f"{SF}/events.parquet", columns=["ts", "value"])
-    out = sliding_window_agg(ds, "ts", 3600, 1800, [("value", "count", "n")])
+    out = sliding_window_agg(ds, "ts", 3600, 1800, [("value", "count", "n")]).to_pandas()
     total = pq.read_metadata(f"{SF}/events.parquet").num_rows
     assert out.n.sum() == total * 2  # window/slide = 2 windows per event
     assert (out.window_start % 1800 == 0).all()
