@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import bucketed, key_runs
+from .shuffle import aggregate, bucketed, key_runs
 
 _SUPPORTED = ("sum", "count", "mean", "min", "max", "var", "std", "covar", "corr")
 # two-column ops take a (x_col, y_col) tuple as the column spec
@@ -163,21 +163,6 @@ def _arrow_out_name(spec: tuple) -> str:
     return op if col == [] or col == "" else f"{col}_{op}"
 
 
-_NULL_SAFE = "__null_safe"
-
-
-def _aggregate(t: pa.Table, keys: list[str], specs) -> pa.Table:
-    """``t.group_by(keys).aggregate(specs)`` with one group per NULL key.
-    pyarrow 16's fast grouper splits a NULL-key group into several once
-    two or more key columns meet a few dozen rows; a large_string key
-    column sends the grouping to the generic grouper, which does not."""
-    if len(keys) > 1 and any(t.column(k).null_count for k in keys):
-        tag = pa.nulls(t.num_rows, pa.large_string())
-        out = t.append_column(_NULL_SAFE, tag).group_by([*keys, _NULL_SAFE]).aggregate(specs)
-        return out.drop_columns([_NULL_SAFE])
-    return t.group_by(keys).aggregate(specs)
-
-
 def _partial_table(batch: pa.Table, keys: list[str], partials, derived=None) -> pa.Table:
     batch = _add_derived(batch, derived)
     specs = []
@@ -187,7 +172,7 @@ def _partial_table(batch: pa.Table, keys: list[str], partials, derived=None) -> 
         if key not in seen:
             seen.add(key)
             specs.append(spec)
-    tbl = _aggregate(batch, keys, specs)
+    tbl = aggregate(batch, keys, specs)
     rename = {}
     for name, (spec, _comb) in partials.items():
         rename[_arrow_out_name(spec)] = name
@@ -199,7 +184,7 @@ def _finalize_arrow(tbl: pa.Table, keys: list[str], aggs, partials) -> pa.Table:
     per-bucket step of ``groupby_agg`` — key columns stay in arrow, no
     pandas conversion)."""
     specs = [(name, comb) for name, (_spec, comb) in partials.items()]
-    out = _aggregate(tbl, keys, specs)
+    out = aggregate(tbl, keys, specs)
     rename = {f"{name}_{comb}": name for name, comb in specs}
     out = out.rename_columns([rename.get(n, n) for n in out.schema.names])
     def _np(name):
@@ -682,7 +667,7 @@ def distinct_rows(ds, cols: list[str], num_buckets: int = 64):
     dimension extraction."""
 
     def distinct(batch: pa.Table) -> pa.Table:
-        return _aggregate(batch.select(cols), cols, [])
+        return aggregate(batch.select(cols), cols, [])
 
     local = ds.map_batches(distinct, batch_format="pyarrow", zero_copy_batch=True)
     return bucketed(local, cols, distinct, num_buckets=num_buckets)
@@ -1075,7 +1060,7 @@ def ordered_prefix_sum(
     ranged = ds.map_batches(add_range, batch_format="pyarrow", zero_copy_batch=True)
 
     def range_sums(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["__range"]).aggregate([(value_col, "sum")])
+        t = aggregate(batch, ["__range"], [(value_col, "sum")])
         return t.rename_columns(["__range", "__rsum"])
 
     sums = (

@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 
 from .joins import filter_by_keys
-from .shuffle import arrow_schema, bucketed, key_runs
+from .shuffle import aggregate, arrow_schema, bucketed, key_runs
 
 _MERSENNE61 = np.uint64((1 << 61) - 1)
 _GRAM_PRIME = np.uint64(1099511628211)  # FNV prime, wrapping 64-bit mix
@@ -1185,9 +1185,7 @@ def _flagged_spans(
     )
 
     def flag(group: pa.Table) -> pa.Table:
-        n = group.group_by("h").aggregate(
-            [(id_col, "count_distinct", pc.CountOptions(mode="all"))]
-        )
+        n = aggregate(group, ["h"], [(id_col, "count_distinct", pc.CountOptions(mode="all"))])
         dup_h = n.column("h").filter(pc.greater_equal(n.column(f"{id_col}_count_distinct"), min_docs))
         return group.filter(pc.is_in(group.column("h"), value_set=dup_h))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from .shuffle import bucketed
+from .shuffle import aggregate, bucketed
 
 
 def set_op(
@@ -41,8 +41,8 @@ def set_op(
     sides ride the same per-block-distinct combiner and value-hash
     shuffle, and each bucket resolves to one arrow hash-distinct over the
     concatenated side tables — no join probe at all, and NULL rows
-    collapse to one because arrow group_by hashes a null key as its own
-    single group."""
+    collapse to one because ``shuffle.aggregate`` keeps one group per
+    NULL key."""
     if op not in ("union", "intersect", "except"):
         raise ValueError(f"op must be union|intersect|except, got {op!r}")
     right_cols = right_cols or left_cols
@@ -52,7 +52,7 @@ def set_op(
     def side(ds, cols: list[str]):
         # per-block DISTINCT (combiner), renamed to the result's names
         def prep(batch: pa.Table) -> pa.Table:
-            return batch.select(cols).group_by(cols).aggregate([]).rename_columns(left_cols)
+            return aggregate(batch.select(cols), cols, []).rename_columns(left_cols)
 
         return ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True), left_cols
 
@@ -86,11 +86,11 @@ def set_op(
 
         right = right.cast(left.schema)
         if op == "union":
-            return pa.concat_tables([left, right]).group_by(left_cols).aggregate([])
+            return aggregate(pa.concat_tables([left, right]), left_cols, [])
 
         # per-block distinct can still collide across blocks of one side
-        left = left.group_by(left_cols).aggregate([])
-        right = right.group_by(left_cols).aggregate([])
+        left = aggregate(left, left_cols, [])
+        right = aggregate(right, left_cols, [])
         join_type = "left semi" if op == "intersect" else "left anti"
         if right.num_rows == 0:
             return left.schema.empty_table() if op == "intersect" else left

@@ -165,3 +165,19 @@ def key_runs(table: pa.Table, cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
         change |= _neq_prev(table.column(c))
     starts = np.flatnonzero(change)
     return starts, np.r_[starts[1:], n][: len(starts)]
+
+
+_NULL_SAFE = "__null_safe"
+
+
+def aggregate(t: pa.Table, keys: list[str], specs) -> pa.Table:
+    """``t.group_by(keys).aggregate(specs)`` with one group per NULL key:
+    the only Arrow ``group_by`` in the package. pyarrow 16's fast grouper
+    splits a NULL-key group into several once two or more key columns
+    meet a few dozen rows; a large_string key column sends the grouping
+    to the generic grouper, which does not."""
+    if len(keys) > 1 and any(t.column(k).null_count for k in keys):
+        tag = pa.nulls(t.num_rows, pa.large_string())
+        out = t.append_column(_NULL_SAFE, tag).group_by([*keys, _NULL_SAFE]).aggregate(specs)
+        return out.drop_columns([_NULL_SAFE])
+    return t.group_by(keys).aggregate(specs)

@@ -713,11 +713,23 @@ def run_checkpointed(
     holds the :func:`run_stamp` of the inputs, ``shard_size`` and
     ``context_registry``, and a call with another stamp clears
     ``triples/`` and the manifest before any shard runs.
-    ``max_error_rate`` is the errors-budget gate:
-    when the cumulative error-row fraction exceeds it, the run raises
-    after recording the finished shard — a corrupted input corpus fails
-    fast instead of burning the cluster. Returns run metrics."""
+
+    Two shards are in flight at once, each on its own driver thread with
+    its own Ray Data execution: the next shard's tasks fill the CPUs
+    while the other starts up or drains (one shard's execution leaves
+    the cluster idle for most of its wall). The first shard of a call
+    runs alone, so the error budget judges one shard before two take the
+    cluster, and a run killed soon after its first shard lands leaves
+    the rest unfinished. A manifest line's ``wall_ms`` includes time
+    shared with the other shard in flight.
+
+    ``max_error_rate`` is the errors-budget gate: when the cumulative
+    error-row fraction exceeds it, no further shard starts; the shard
+    still in flight lands and is counted, ``metrics.parquet`` is
+    written, and the run raises — a corrupted input corpus fails fast
+    instead of burning the cluster. Returns run metrics."""
     import uuid
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     state_dir = os.path.join(out_dir, "_state")
     os.makedirs(state_dir, exist_ok=True)
@@ -740,22 +752,19 @@ def run_checkpointed(
         if rec.get("status") == "done" and rec.get("shard") in done:
             metrics["triples"] += int(rec.get("triples", 0))
             metrics["errors"] += int(rec.get("errors", 0))
-    for i, files in enumerate(shards):
-        if i in done:
-            continue
+
+    def run_shard(i: int) -> tuple[int, int] | None:
+        """Build and record shard ``i`` → (rows, error rows); None when a
+        concurrent writer has done or holds it."""
+        files = shards[i]
         # re-read the manifest so shards completed by a CONCURRENT writer
         # since this run started are skipped, not reprocessed
-        if i in _read_done_shards(manifest_path):
-            metrics["shards_skipped"] += 1
-            continue
-        if not _claim_shard(state_dir, i, token):
-            metrics["shards_skipped"] += 1
-            continue
+        if i in _read_done_shards(manifest_path) or not _claim_shard(state_dir, i, token):
+            return None
         try:
             if i in _read_done_shards(manifest_path):
                 # completed between the manifest check and the claim
-                metrics["shards_skipped"] += 1
-                continue
+                return None
             t0 = time.monotonic()
             ds = build_triples(files, context_registry=context_registry)
             shard_dir = os.path.join(out_dir, "triples", f"shard={i}")
@@ -772,8 +781,6 @@ def run_checkpointed(
             written = pads.dataset(shard_dir)
             n = written.count_rows()
             n_err = written.count_rows(filter=pads.field("pred").is_null())
-            metrics["triples"] += n - n_err
-            metrics["errors"] += n_err
             rec = {
                 "shard": i,
                 "status": "done",
@@ -784,23 +791,47 @@ def run_checkpointed(
                 "error_rate": round(n_err / n, 6) if n else 0.0,
                 "wall_ms": int((time.monotonic() - t0) * 1000),
             }
+            # one append per line, so the two threads' lines never interleave
             with open(manifest_path, "a") as f:
                 f.write(json.dumps(rec) + "\n")
         finally:
             _release_claim(state_dir, i)
-        total_rows = metrics["triples"] + metrics["errors"]
-        if (
-            max_error_rate is not None
-            and total_rows
-            and metrics["errors"] / total_rows > max_error_rate
-        ):
-            _write_metrics_parquet(manifest_path, state_dir)
-            raise RuntimeError(
-                f"error budget exceeded: {metrics['errors']}/{total_rows} rows "
-                f"({metrics['errors'] / total_rows:.4f} > {max_error_rate}) — "
-                f"finished shards are checkpointed; fix inputs and resume"
-            )
+        return n, n_err
+
+    def error_rate() -> float:
+        total = metrics["triples"] + metrics["errors"]
+        return metrics["errors"] / total if total else 0.0
+
+    todo = (i for i in range(len(shards)) if i not in done)
+    width = 1  # the first shard runs alone; two once one has landed
+    tripped = False
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        running: set = set()
+        while True:
+            while not tripped and len(running) < width:
+                i = next(todo, None)
+                if i is None:
+                    break
+                running.add(pool.submit(run_shard, i))
+            if not running:
+                break
+            finished, running = wait(running, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                counts = fut.result()
+                if counts is None:
+                    metrics["shards_skipped"] += 1
+                    continue
+                width = 2
+                metrics["triples"] += counts[0] - counts[1]
+                metrics["errors"] += counts[1]
+                tripped = tripped or (max_error_rate is not None and error_rate() > max_error_rate)
     _write_metrics_parquet(manifest_path, state_dir)
+    if tripped:
+        raise RuntimeError(
+            f"error budget exceeded: {metrics['errors']}/{metrics['triples'] + metrics['errors']} "
+            f"rows ({error_rate():.4f} > {max_error_rate}) — "
+            f"finished shards are checkpointed; fix inputs and resume"
+        )
     return metrics
 
 

@@ -51,10 +51,10 @@ def clean_corpus(
     )
     ds = exact_dedup(ds)
     if cut_spans:
-        # the cut pass consumes its input three times (two span scans +
-        # the doc tag) — checkpoint the gated stream once, then rewrite;
-        # every survivor column rides the cut's one doc_id shuffle
-        # (a carried n_chars still counts the uncut text)
+        # the cut pass consumes its input twice (the span scan and the
+        # doc side of its doc_id shuffle) — checkpoint the gated stream
+        # once, then rewrite; every survivor column rides the cut's one
+        # doc_id shuffle (a carried n_chars still counts the uncut text)
         ds = cut_duplicate_spans(ds.materialize(), window=cut_window, stride=cut_stride)
     if near_dup:
         from ..ops.joins import filter_by_keys

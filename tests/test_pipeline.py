@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from collections import Counter
 
 import pyarrow.compute as pc
@@ -397,6 +398,94 @@ def test_checkpoint_never_resumes_another_runs_shards(ray_session, tmp_path):
     assert rows(out) == rows(fresh)
     m = run_checkpointed(b, out, shard_size=1)
     assert m["shards_skipped"] == 3 and m["triples"] == want["triples"]
+
+
+class _ShardProbe:
+    """Wraps ``pipeline.build_triples`` to log when each shard's build
+    starts and its write ends, holding every write open briefly so that
+    shards in flight together overlap; ``clean`` shards drop their error
+    rows."""
+
+    def __init__(self, monkeypatch, clean=()):
+        import threading
+
+        import jsonld_ex_ray.pipeline as pipeline
+
+        self.lock = threading.Lock()
+        self.live = 0
+        self.events: list[tuple[str, str, int]] = []
+        build = pipeline.build_triples
+        probe = self
+
+        class Shard:
+            def __init__(self, ds, name):
+                self.ds, self.name = ds, name
+
+            def write_parquet(self, path):
+                time.sleep(0.3)
+                self.ds.write_parquet(path)
+                with probe.lock:
+                    probe.live -= 1
+                    probe.events.append(("end", self.name, probe.live))
+
+        def probed(files, **kw):
+            name = os.path.basename(files[0])
+            ds = build(files, **kw)
+            if name in clean:
+                ds = triples_only(ds)
+            with probe.lock:
+                probe.live += 1
+                probe.events.append(("start", name, probe.live))
+            return Shard(ds, name)
+
+        monkeypatch.setattr(pipeline, "build_triples", probed)
+
+
+def _files(tmp_path, n, n_docs=20):
+    files = [str(tmp_path / f"in_{i}.parquet") for i in range(n)]
+    for i, f in enumerate(files):
+        write_corpus(f, n_docs, seed=60 + i)
+    return files
+
+
+def test_checkpoint_window_two_in_flight_first_alone(ray_session, tmp_path, monkeypatch):
+    """At most two shards are in flight, the first one alone, and the
+    window does fill to two after it lands."""
+    files = _files(tmp_path, 5)
+    probe = _ShardProbe(monkeypatch)
+    m = run_checkpointed(files, str(tmp_path / "out"), shard_size=1)
+    assert m["shards_skipped"] == 0 and m["shards_total"] == 5
+    ev = probe.events
+    assert len(ev) == 10
+    assert max(live for _, _, live in ev) == 2
+    # nothing else starts before the first shard's write has ended
+    assert ev[0][:2] == ("start", "in_0.parquet") and ev[1][:2] == ("end", "in_0.parquet")
+
+
+def test_checkpoint_budget_trip_lands_shard_in_flight(ray_session, tmp_path, monkeypatch):
+    """The budget trips on a shard that lands while another is in
+    flight: no further shard starts, the one in flight lands in both the
+    manifest and metrics.parquet before the raise, and a resume skips
+    it."""
+    files = _files(tmp_path, 4, n_docs=40)
+    out = str(tmp_path / "out")
+    # the first shard carries no errors, so the window opens to two
+    probe = _ShardProbe(monkeypatch, clean={"in_0.parquet"})
+    with pytest.raises(RuntimeError, match="error budget exceeded"):
+        run_checkpointed(files, out, shard_size=1, max_error_rate=1e-9)
+    started = [name for kind, name, _ in probe.events if kind == "start"]
+    assert started[0] == "in_0.parquet"
+    assert sorted(started) == ["in_0.parquet", "in_1.parquet", "in_2.parquet"]
+    state = os.path.join(out, "_state")
+    recs = [json.loads(line) for line in open(os.path.join(state, "manifest.jsonl"))]
+    assert sorted(r["shard"] for r in recs) == [0, 1, 2]
+    assert recs[0]["errors"] == 0 and recs[1]["errors"] > 0 and recs[2]["errors"] > 0
+    metrics = pq.read_table(os.path.join(state, "metrics.parquet"))
+    assert sorted(metrics.column("shard").to_pylist()) == [0, 1, 2]
+    monkeypatch.undo()
+    m = run_checkpointed(files, out, shard_size=1)
+    assert m["shards_skipped"] == 3
+    assert sorted(json.loads(line)["shard"] for line in open(os.path.join(state, "manifest.jsonl"))) == [0, 1, 2, 3]
 
 
 def test_triples_to_jsonld_default_graph_sharded(ray_session):

@@ -216,6 +216,44 @@ def test_set_ops_match_duckdb(ray_session):
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+def test_set_ops_null_multi_key_match_duckdb(ray_session):
+    """Two key columns holding NULLs, thousands of rows over 16 blocks:
+    each NULL-holding row comes back once, as in SQL (NULL is not
+    distinct from NULL in set operations)."""
+    import ray.data
+
+    from jsonld_ex_ray.ops.setops import set_op
+
+    rng = np.random.default_rng(11)
+
+    def side(n, lo, hi):
+        a = pd.Series(rng.choice(["x", "y", None], n, p=[0.2, 0.2, 0.6]), dtype="object")
+        b = pd.array(rng.integers(lo, hi, n), dtype="Int64")
+        b[rng.random(n) < 0.3] = pd.NA
+        return pd.DataFrame({"a": a, "b": b})
+
+    lf, rf = side(4000, 0, 4), side(3000, 2, 6)
+    lds = ray.data.from_pandas(lf).repartition(16)
+    rds = ray.data.from_pandas(rf).repartition(16)
+    for op in ("union", "intersect", "except"):
+        got = (
+            set_op(lds, rds, left_cols=["a", "b"], op=op, num_buckets=4)
+            .to_pandas()
+            .sort_values(["a", "b"], na_position="first")
+            .reset_index(drop=True)
+        )
+        want = duckdb.sql(
+            f"SELECT a, b FROM lf {op.upper()} SELECT a, b FROM rf "
+            "ORDER BY a NULLS FIRST, b NULLS FIRST"
+        ).fetchdf()
+        assert len(got) == len(want), (op, len(got), len(want))
+        pd.testing.assert_frame_equal(
+            got.astype(object).where(got.notna(), None),
+            want.astype(object).where(want.notna(), None),
+            check_dtype=False,
+        )
+
+
 def test_set_op_multi_column(ray_session):
     import ray.data
 

@@ -215,6 +215,49 @@ def test_no_hand_written_bucket_shuffles():
     assert list(_bucket_groupbys_in(_HAND_WRITTEN)) == [("join", 4)]
 
 
+
+def _arrow_group_bys_in(source: str):
+    """(function, line) of each Arrow ``.group_by(`` call in ``source``;
+    a Polars one (``.group_by(...).agg(...)``) is not counted."""
+    tree = ast.parse(source)
+    polars = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "agg"
+    }
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "group_by"
+                and id(node) not in polars
+            ):
+                yield getattr(top, "name", None), node.lineno
+
+
+_GROUP_BYS = """
+def distinct(t, cols):
+    return t.group_by(cols).aggregate([])
+
+def counts(df, col):
+    return df.group_by(col, maintain_order=True).agg(pl.len())
+"""
+
+
+def test_arrow_group_by_only_in_aggregate():
+    root = pathlib.Path(__file__).resolve().parents[1] / "jsonld_ex_ray"
+    found = {
+        (path.relative_to(root).as_posix(), fn)
+        for path in sorted(root.rglob("*.py"))
+        for fn, _line in _arrow_group_bys_in(path.read_text())
+    }
+    stray = found - {("ops/shuffle.py", "aggregate")}
+    assert not stray, f"group through ops/shuffle.aggregate (one group per NULL key): {sorted(stray, key=str)}"
+    assert found == {("ops/shuffle.py", "aggregate")}
+    # the guard itself flags an Arrow group_by and passes a Polars one
+    assert list(_arrow_group_bys_in(_GROUP_BYS)) == [("distinct", 3)]
+
 # The one broadcast-or-bucketed budget lives in ops/joins.py; the only
 # other broadcast knob is a refusal guard, which chooses no path.
 _BROADCAST_GUARDS = {("ops/similarity.py", "brute_force_dup_pairs", "max_broadcast_rows")}
