@@ -6,8 +6,8 @@ reconstruction via referenced-once tracking (encoder.ex:103-199, 373-505),
 i18n-datatype and compound-literal direction decoding (encoder.ex:587-601).
 
 In the engine's dataflow this is the inverse direction (triples → JSON-LD),
-run per graph: ``groupby("graph").map_groups(serialize_rdf)`` (SURVEY.md
-§2.5 fromRdf grouping).
+run per (graph, subject shard) inside a bucketed shuffle
+(``pipeline.triples_to_jsonld``; SURVEY.md §2.5 fromRdf grouping).
 """
 
 from __future__ import annotations

@@ -1027,14 +1027,15 @@ def ordered_prefix_sum(
 
     Ray shape (textbook two-phase scan, no global sort): fixed-width id
     ranges from one (min, max) aggregate → phase 1 computes per-range
-    sums with a map-side combiner + tiny shuffle (``num_ranges`` rows on
-    the driver — independent of data size) → driver prefixes the range
-    sums → offsets broadcast via ``ray.put`` → phase 2 streams each row
-    once: local in-range exclusive cumsum + its range's offset. Rows
-    within one range land in one group via a bounded ``map_groups`` (the
-    range widths bound group size; skewed ``order_col`` distributions
-    should pick ``num_ranges`` accordingly). ``order_col`` must be unique
-    per row (an id), making the result deterministic.
+    sums with a map-side combiner + one bucketed shuffle on the range
+    (``num_ranges`` rows on the driver — independent of data size) →
+    driver prefixes the range sums → offsets broadcast via ``ray.put`` →
+    phase 2 streams each row once through a second bucketed shuffle on
+    the range: local in-range exclusive cumsum + its range's offset. The
+    range widths bound a range's size (skewed ``order_col``
+    distributions should pick ``num_ranges`` accordingly).
+    ``order_col`` must be unique per row (an id), making the result
+    deterministic.
     """
     import ray  # noqa: F401
     from ray.data.aggregate import Max, Min
@@ -1059,24 +1060,15 @@ def ordered_prefix_sum(
 
     ranged = ds.map_batches(add_range, batch_format="pyarrow", zero_copy_batch=True)
 
-    def range_sums(batch: pa.Table) -> pa.Table:
-        t = aggregate(batch, ["__range"], [(value_col, "sum")])
-        return t.rename_columns(["__range", "__rsum"])
+    def range_sums(t: pa.Table, col: str) -> pa.Table:
+        t = aggregate(t, ["__range"], [(col, "sum")])
+        return pa.table({"__range": t.column(0), "__rsum": pc.fill_null(t.column(1), 0).cast(pa.int64())})
 
+    partials = ranged.map_batches(
+        lambda batch: range_sums(batch, value_col), batch_format="pyarrow", zero_copy_batch=True
+    )
     sums = (
-        ranged.map_batches(range_sums, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__range")
-        .map_groups(
-            lambda g: pa.table(
-                {
-                    "__range": g.column("__range").slice(0, 1),
-                    "__rsum": pa.array(
-                        [pc.sum(g.column("__rsum")).as_py() or 0], pa.int64()
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
+        bucketed(partials, ["__range"], lambda part: range_sums(part, "__rsum"))
         .to_pandas()
         .sort_values("__range")
     )
@@ -1088,21 +1080,21 @@ def ordered_prefix_sum(
 
     off_ref = _ray.put(offsets)
 
-    def local_scan(group: pa.Table) -> pa.Table:
+    def local_scan(part: pa.Table) -> pa.Table:
         import ray as _r
 
-        offs = _r.get(off_ref)
-        order = pc.sort_indices(group, sort_keys=[(order_col, "ascending")])
-        g = group.take(order)
+        g = part.sort_by([("__range", "ascending"), (order_col, "ascending")])
         vals = g.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        pre = np.r_[0, np.cumsum(vals)[:-1]]
-        rng = int(g.column("__range")[0].as_py())
-        pre += offs[rng]
+        pre = np.cumsum(vals) - vals
+        # restart the exclusive cumsum at every range, from its offset
+        starts, ends = key_runs(g, ["__range"])
+        rng = g.column("__range").to_numpy()[starts]
+        pre += np.repeat(_r.get(off_ref)[rng] - pre[starts], ends - starts)
         return g.drop_columns(["__range"]).append_column(
             out_col, pa.array(pre, pa.int64())
         )
 
-    return ranged.groupby("__range").map_groups(local_scan, batch_format="pyarrow")
+    return bucketed(ranged, ["__range"], local_scan)
 
 
 def pack_sequences(ds, token_col: str, id_col: str, budget: int, **scan_kw):

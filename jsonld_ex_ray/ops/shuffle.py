@@ -3,22 +3,31 @@ several.
 
 Shape: route each row to ``hash(keys) % num_buckets`` with the
 version-stable :func:`~jsonld_ex_ray.ops.hashing.bucket_ids` (identical
-on every worker of a mixed-version cluster), run ONE bounded
-``groupby(bucket).map_groups``, and let the op loop its keys inside each
-bucket with vectorized kernels. The group count is ``num_buckets``, never
+on every worker of a mixed-version cluster), run ONE bounded shuffle on
+the bucket id, and let the op loop its keys inside each bucket with
+vectorized kernels. The group count is ``num_buckets``, never
 the key cardinality: a ``map_groups`` call per distinct key (per
 document, per user, per triple) is the anti-pattern at corpus scale.
 Routing decides only WHERE a row goes — ops decide identity by the key
 values themselves, so a hash collision merely co-locates two keys.
 
-Engine: Ray's default sort-based shuffle. ``HASH_SHUFFLE`` (Ray 2.49,
-``repartition(keys=…)``) did not finish the canonicalize → dedup →
-materialize chain at 1 or 2 Ray CPUs where the sort shuffle took
-13–15 s, so the choice lives here and a later Ray is a one-line trial.
+Engine: Ray's sort-based shuffle on the bucket id with EXPLICIT
+boundaries. Bucket ids are known to lie in ``[0, num_buckets)``, so
+there is no sample wave: the ids are cut into P contiguous ranges,
+P = ``min(num_buckets, the cluster's Ray CPUs)`` (the signal Ray itself
+uses to size read parallelism), and ONE reduce wave of P tasks merges
+each range and calls ``fn`` once per bucket in the same task. The trade:
+a reduce partition holds about 1/P of the shuffled bytes, where a
+sampled sort held about 1/(input blocks), never less than one bucket's
+1/num_buckets. With ``num_buckets`` CPUs or more (64 by default)
+nothing changes; on a small cluster fed many input blocks each
+partition is larger, and its reduce task peaks higher. ``HASH_SHUFFLE`` (Ray 2.49, ``repartition(keys=…)``) did not
+finish the canonicalize → dedup → materialize chain at 1 or 2 Ray CPUs
+where the sort shuffle took 13–15 s.
 
 Chunk policy: ``fn`` receives each bucket as ONE contiguous table per
-input (``combine_chunks``) without the routing column, and every output block
-is combined again before it leaves the task. An op that concatenates
+input without the routing column, and each reduce task returns its
+buckets' outputs as one combined block. An op that concatenates
 one slice per key (per document, per graph) therefore cannot hand
 downstream stages one Arrow chunk per key: chunks are bounded by
 blocks.
@@ -69,7 +78,7 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buc
         routed = ds.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
 
         def call(group: pa.Table) -> pa.Table:
-            return fn(group.drop_columns([_BUCKET]).combine_chunks())
+            return fn(group.drop_columns([_BUCKET]))
 
     else:
         sides = [(d, k, arrow_schema(d, *schema)) for d, k, *schema in ds]
@@ -109,13 +118,22 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buc
                 )
             )
 
-    # an output block holds several buckets, concatenated by Ray: combine
-    # each whole block (fused into the same task) so it leaves as one chunk
-    return (
-        routed.groupby(_BUCKET)
-        .map_groups(call, batch_format="pyarrow")
-        .map_batches(_combine, batch_format="pyarrow", batch_size=None)
-    )
+    import ray
+
+    # P contiguous ranges of bucket ids; one boundary at least, since Ray
+    # samples when given none
+    parts = max(1, min(num_buckets, int(ray.cluster_resources().get("CPU", 1))))
+    bounds = [num_buckets * i // parts for i in range(1, parts)] or [num_buckets]
+
+    # a generator, so Ray re-raises fn's own exceptions with their type
+    def reduce(block: pa.Table):
+        block = block.combine_chunks()
+        starts, ends = key_runs(block, [_BUCKET])
+        if len(starts):
+            outs = [call(block.slice(s, e - s)) for s, e in zip(starts, ends)]
+            yield pa.concat_tables(outs, promote_options="permissive").combine_chunks()
+
+    return routed.sort(_BUCKET, boundaries=bounds).map_batches(reduce, batch_format="pyarrow", batch_size=None)
 
 
 def arrow_schema(ds, schema=None) -> pa.Schema | None:

@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from .agg import round_half_away
-from .shuffle import bucketed
+from .shuffle import bucketed, key_runs
 
 
 def _to_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -154,7 +154,8 @@ def embedding_cosine_duplicates(
     sample_size: int = 2000,
 ):
     """Embedding-cosine near-dup detection: bucket by nearest centroid
-    (one groupby shuffle), then exact pairwise cosine inside each bucket.
+    (one bucketed shuffle), then exact pairwise cosine inside each
+    centroid.
     → Dataset(vec_id, dup_of, sim)."""
     sample = ds.limit(sample_size).to_pandas()[emb_col].tolist()
     cents = fit_centroids(np.asarray(sample), n_clusters=n_clusters)
@@ -166,7 +167,12 @@ def embedding_cosine_duplicates(
         a = np.argmax(m @ cents.T, axis=1)
         return batch.append_column("__centroid", pa.array(a.tolist(), pa.int32()))
 
-    def verify(group: pa.Table) -> pa.Table:
+    def verify(part: pa.Table) -> pa.Table:
+        part = part.sort_by("__centroid")
+        starts, ends = key_runs(part, ["__centroid"])
+        return pa.concat_tables([verify_centroid(part.slice(s, e - s)) for s, e in zip(starts, ends)])
+
+    def verify_centroid(group: pa.Table) -> pa.Table:
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         m = _normalize(_to_matrix(group.column(emb_col)))
         order = np.argsort(ids, kind="stable")
@@ -194,11 +200,8 @@ def embedding_cosine_duplicates(
             }
         )
 
-    return (
-        ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__centroid")
-        .map_groups(verify, batch_format="pyarrow")
-    )
+    assigned = ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(assigned, ["__centroid"], verify)
 
 
 def brute_force_dup_pairs(

@@ -8,13 +8,13 @@ table:
 
 Every stage is one of the engine's oracled operators, so the WHOLE
 composed pipeline is SQL-checkable (see ``corpus_clean`` in
-``__ray_entry__.oracle_sql``). The chain stays one lazy Dataset: the
-gates fuse into a single streaming pass, exact_dedup adds its bounded
-key shuffle + anti-filter, splits are another fused map — no driver
-materialization anywhere. Both drops (exact-dup losers, near-dup ids)
-go through the one broadcast-or-bucketed gate in ``ops/joins.py``, so
-a mostly-duplicate corpus never broadcasts a set larger than its
-budget.
+``__ray_entry__.oracle_sql``). The gates fuse into a single streaming
+pass, checkpointed once in the object store because exact_dedup reads
+it twice (its bounded key shuffle and the anti-filter); splits are
+another fused map — no driver collect anywhere. Both drops (exact-dup
+losers, near-dup ids) go through the one broadcast-or-bucketed gate in
+``ops/joins.py``, so a mostly-duplicate corpus never broadcasts a set
+larger than its budget.
 
 Near-dup (MinHash) and decontamination stages compose the same way —
 ``clean_corpus(..., near_dup=True)`` — but sit behind a flag because
@@ -49,12 +49,15 @@ def clean_corpus(
     ds = filter_repetition(
         ds, max_dup_word_frac=max_dup_word_frac, max_top_word_frac=max_top_word_frac
     )
-    ds = exact_dedup(ds)
+    # exact_dedup consumes the gated stream twice (its key scan and the
+    # loser anti-filter): checkpoint it so the read and gates run once
+    ds = exact_dedup(ds.materialize())
     if cut_spans:
         # the cut pass consumes its input twice (the span scan and the
-        # doc side of its doc_id shuffle) — checkpoint the gated stream
-        # once, then rewrite; every survivor column rides the cut's one
-        # doc_id shuffle (a carried n_chars still counts the uncut text)
+        # doc side of its doc_id shuffle) — checkpoint the survivors so
+        # the anti-filter runs once, then rewrite; every survivor column
+        # rides the cut's one doc_id shuffle (a carried n_chars still
+        # counts the uncut text)
         ds = cut_duplicate_spans(ds.materialize(), window=cut_window, stride=cut_stride)
     if near_dup:
         from ..ops.joins import filter_by_keys

@@ -340,6 +340,27 @@ def test_clean_corpus_cut_spans_stage(ray_session):
     assert (cut.text.str.len() <= plain.text.str.len()).all()
 
 
+def test_clean_corpus_reads_and_gates_once(ray_session, tmp_path):
+    """Every document passes the read and the gates once, however many
+    later stages (exact dedup, the cut, near-dup) consume the stream."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from jsonld_ex_ray.pipelines.corpus_clean import clean_corpus
+
+    docs = pq.read_table("/root/testdata/sf0.001/documents.parquet")
+    log = tmp_path / "rows.log"
+
+    def count(batch):
+        with open(log, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return batch
+
+    ds = ray.data.from_arrow(docs).repartition(4).map_batches(count, batch_format="pyarrow")
+    assert clean_corpus(ds, near_dup=True, cut_spans=True).count() > 0
+    assert sum(int(n) for n in log.read_text().split()) == docs.num_rows
+
+
 # ---------------------------------------------------------------------------
 # cardinality-gated group-stats family (share / zscore / pivot)
 # ---------------------------------------------------------------------------

@@ -61,6 +61,29 @@ def test_bucketed_contract(ray_session, kind, num_buckets):
     assert bucketed(empty, ["k"], _one_row_per_key_run, num_buckets=num_buckets).count() == 0
 
 
+def test_bucketed_knows_its_boundaries(ray_session, monkeypatch):
+    """Bucket ids lie in ``[0, num_buckets)``, so the shuffle never samples
+    its input for range boundaries, and it runs one reduce task per Ray
+    CPU at most: the output has no more blocks than that."""
+    import ray
+    import ray.data
+    from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("bucketed sampled its input for boundaries")
+
+    monkeypatch.setattr(SortTaskSpec, "sample_boundaries", staticmethod(no_sampling))
+    keys = _KEYS["string"]
+    tbl = pa.table({"k": keys, "v": pa.array(range(len(keys)), pa.int64())})
+    ds = ray.data.from_arrow(tbl).repartition(16)
+
+    out = bucketed(ds, ["k"], _one_row_per_key_run, num_buckets=64).materialize()
+    rows = out.take_all()
+    assert len(rows) == len(set(keys.to_pylist()))  # each key in exactly one call
+    assert {r["k"]: r["n"] for r in rows} == Counter(keys.to_pylist())  # and whole
+    assert out.num_blocks() <= min(64, int(ray.cluster_resources()["CPU"]))
+
+
 def _per_side_key_runs(left: pa.Table, right: pa.Table) -> pa.Table:
     """What a two-input bucket call saw: one row per (side, key)."""
     import uuid
@@ -214,6 +237,50 @@ def test_no_hand_written_bucket_shuffles():
     # the guard itself still flags a hand-written bucket shuffle
     assert list(_bucket_groupbys_in(_HAND_WRITTEN)) == [("join", 4)]
 
+
+
+def _map_groups_chains_in(source: str):
+    """(function, line) of each ``.groupby(...).map_groups(`` chain in
+    ``source``; a pandas ``df.groupby(...)`` without ``map_groups`` is
+    not counted."""
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_groups"
+                and isinstance(node.func.value, ast.Call)
+                and getattr(node.func.value.func, "attr", None) == "groupby"
+            ):
+                yield getattr(top, "name", None), node.lineno
+
+
+_MAP_GROUPS = """
+def per_user(ds, fn):
+    return (
+        ds.groupby("user")
+        .map_groups(fn, batch_format="pyarrow")
+    )
+
+def sizes(df):
+    return df.groupby(["a", "b"])["c"].transform("size")
+"""
+
+
+def test_no_map_groups_outside_shuffle():
+    """Every keyed shuffle runs through ops/shuffle.bucketed: no other
+    ``Dataset.groupby(...).map_groups`` in the package or entry points."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "jsonld_ex_ray").rglob("*.py")), root / "__ray_entry__.py", root / "bench.py"]
+    stray = [
+        (path.relative_to(root).as_posix(), *site)
+        for path in paths
+        for site in _map_groups_chains_in(path.read_text())
+        if path.relative_to(root).as_posix() != "jsonld_ex_ray/ops/shuffle.py"
+    ]
+    assert not stray, f"route these through ops/shuffle.bucketed: {stray}"
+    # the guard itself flags a groupby().map_groups chain, not a pandas groupby
+    assert list(_map_groups_chains_in(_MAP_GROUPS)) == [("per_user", 4)]
 
 
 def _arrow_group_bys_in(source: str):
