@@ -122,35 +122,40 @@ def errors_only(ds):
 _TRIPLE_ID_COLS = ["graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
 
 
+def first_distinct(tbl: pa.Table) -> pa.Table:
+    """The first row of each distinct value of the six identity columns.
+    The keep-mask is computed in polars (vectorized, row-encoded value
+    equality: NULL distinct from "") and applied as an Arrow filter, so
+    no table is converted and no string copied."""
+    import polars as pl
+
+    m = pl.from_arrow(tbl.select(_TRIPLE_ID_COLS)).select(
+        pl.struct(_TRIPLE_ID_COLS).is_first_distinct()
+    )
+    return tbl.filter(m.to_arrow().column(0).cast(pa.bool_()))
+
+
 def dedup_triples(ds, num_buckets: int = 64):
     """Exact global triple dedup (set semantics of RDF.Graph.add,
     reference decoder.ex:98-99, lifted cross-document): map-side
     pre-dedup within each block (combiner), then one bucketed shuffle
-    (ops/shuffle.py) on the six identity columns, each bucket deduped
-    vectorized.
+    (ops/shuffle.py) routed on ``subj``, each bucket deduped vectorized
+    with :func:`first_distinct`.
 
-    Identity is decided by the ACTUAL column values (polars row-encoded
-    first-distinct over the six identity columns — full rows ride the
-    shuffle anyway), never by the hash: a hash-only identity would let a
-    crafted collision in ingested repo content silently delete a
-    distinct triple. The hash only routes, where a collision is harmless
-    co-location."""
+    Routing on ``subj`` alone is exact because ``subj`` is one of the six
+    identity columns: equal triples share it. The trade is skew: every
+    triple of a hot subject lands in one bucket, as it does in
+    :func:`materialize_graph`, and ``full_kg_run`` gets both results from
+    the one routing.
 
-    import polars as pl
-
-    def first_distinct(tbl: pa.Table) -> pa.Table:
-        # boolean keep-mask computed in polars (vectorized, row-encoded
-        # value equality — null distinct from ""), applied as an arrow
-        # filter — zero table conversion, strings never copied
-        m = pl.from_arrow(tbl.select(_TRIPLE_ID_COLS)).select(
-            pl.struct(_TRIPLE_ID_COLS).is_first_distinct()
-        )
-        return tbl.filter(m.to_arrow().column(0).cast(pa.bool_()))
-
+    Identity is decided by the ACTUAL column values, never by the hash: a
+    hash-only identity would let a crafted collision in ingested repo
+    content silently delete a distinct triple. The hash only routes,
+    where a collision is harmless co-location."""
     local = triples_only(ds).map_batches(
         first_distinct, batch_format="pyarrow", zero_copy_batch=True
     )
-    return bucketed(local, _TRIPLE_ID_COLS, first_distinct, num_buckets=num_buckets)
+    return bucketed(local, ["subj"], first_distinct, num_buckets=num_buckets)
 
 
 _QUAD_COLS = ("subj", "pred", "obj", "obj_kind", "obj_datatype", "obj_lang")
@@ -221,61 +226,37 @@ def canonicalize_bnodes(ds, num_buckets: int = 64):
 
 
 def materialize_graph(ds, num_buckets: int = 64):
-    """Graph materialize: adjacency per subject (SURVEY.md §2.5) as a
-    map-side combine + one bucketed shuffle (ops/shuffle.py).
+    """Graph materialize: one adjacency row per subject (SURVEY.md §2.5)
+    from one bucketed shuffle (ops/shuffle.py) of the ``(subj, pred,
+    obj)`` columns routed on ``subj``, each bucket built by
+    :func:`adjacency_rows`. There is no map-side combine: the triples
+    themselves cross the shuffle, and every triple of a hot subject lands
+    in one bucket, as in :func:`dedup_triples`. ``full_kg_run`` calls the
+    same kernel on the buckets of its dedup."""
+    spo = triples_only(ds).select_columns(["subj", "pred", "obj"])
+    return bucketed(spo, ["subj"], adjacency_rows, num_buckets=num_buckets)
 
-    Phase 1 is shuffle-free: each input block locally sorts its triples
-    and emits one partial-adjacency row per (block, subj) — the classic
-    map-side combiner, so the only all-to-all exchange moves the far
-    smaller partial rows, never the raw triples. Phase 2 merges partials
-    per subj inside the ``subj`` buckets. A hot subject's phase-1 work is
-    naturally split across the blocks that contain it, and its phase-2
-    merge concatenates pre-built lists — the same skew posture the
-    earlier salt-split design had (whose second phase also merged all
-    salts of a subject into one row), minus one full shuffle of the
-    triples.
-    """
 
-    def bucket_partials(group: pa.Table) -> pa.Table:
-        # arrow sort + run slicing; only the per-subject JSON dump stays
-        # Python (it must escape arbitrary literal content)
-        g = group.select(["subj", "pred", "obj"]).sort_by(
-            [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
-        )
-        preds = pylist(g.column("pred"))
-        objs = pylist(g.column("obj"))
-        starts, ends = key_runs(g, ["subj"])
-        adjs = [
-            json.dumps([[preds[j], objs[j]] for j in range(lo, hi)], separators=(",", ":"))
-            for lo, hi in zip(starts, ends)
-        ]
-        return _adjacency_rows(g, starts, ends - starts, adjs)
-
-    def bucket_merge(group: pa.Table) -> pa.Table:
-        g = group.select(["subj", "adjacency"]).sort_by([("subj", "ascending")])
-        blobs = pylist(g.column("adjacency"))
-        starts, ends = key_runs(g, ["subj"])
-        degrees, adjs = [], []
-        for lo, hi in zip(starts, ends):
-            merged: list = []
-            for j in range(lo, hi):
-                merged.extend(json.loads(blobs[j]))
-            merged.sort()
-            degrees.append(len(merged))
-            adjs.append(json.dumps(merged, separators=(",", ":")))
-        return _adjacency_rows(g, starts, degrees, adjs)
-
-    partials = triples_only(ds).map_batches(
-        bucket_partials, batch_format="pyarrow", zero_copy_batch=True
+def adjacency_rows(triples: pa.Table) -> pa.Table:
+    """``(subj, degree, adjacency)`` rows, one per subject of ``triples``,
+    which holds every triple of each of its subjects. ``adjacency`` is the
+    JSON list of the subject's ``[pred, obj]`` pairs in (pred, obj)
+    order; only that dump stays Python (it must escape arbitrary literal
+    content)."""
+    g = triples.select(["subj", "pred", "obj"]).sort_by(
+        [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
     )
-    return bucketed(partials, ["subj"], bucket_merge, num_buckets=num_buckets)
-
-
-def _adjacency_rows(g: pa.Table, starts, degrees, adjs) -> pa.Table:
+    preds = pylist(g.column("pred"))
+    objs = pylist(g.column("obj"))
+    starts, ends = key_runs(g, ["subj"])
+    adjs = [
+        json.dumps([[preds[j], objs[j]] for j in range(lo, hi)], separators=(",", ":"))
+        for lo, hi in zip(starts, ends)
+    ]
     return pa.table(
         {
             "subj": g.column("subj").take(pa.array(starts, pa.int64())),
-            "degree": pa.array(degrees, pa.int64()),
+            "degree": pa.array(ends - starts, pa.int64()),
             "adjacency": pa.array(adjs, pa.string()),
         }
     )

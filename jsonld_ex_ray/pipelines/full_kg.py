@@ -1,13 +1,19 @@
-"""The complete north-star KG-construction run, chained end-to-end:
+"""The complete north-star KG-construction run, chained end-to-end, in
+two Ray Data executions:
 
     read(source repos) → extract → expand/node-map/toRdf
       → URDNA2015 canonicalize (in the kernel task, no shuffle)
-      (+ entity link) → write raw (triples + error records)
-      → exact dedup (bucketed hash)                 [shuffle 1]
-      → write triples (partitioned parquet)
-      → graph materialize (salted, two-phase)       [shuffle 2+3, on the
-        deduped triples read back from the partitioned output]
-      → write adjacency + mentions + metrics
+      (+ entity link) → write raw (triples + error records)   [execution 1]
+    read raw back → one bucketed shuffle on subj               [execution 2]
+      → per bucket: sort, exact dedup on the six identity columns
+      → per reduce task, one sink writes triples, adjacency (the
+        materialize_graph kernel) and mentions
+      → metrics
+
+Routing on ``subj`` serves all three outputs: ``subj`` is one of the six
+identity columns, so the per-bucket dedup is exact, and every triple of
+a subject meets its adjacency row in the same task. Nothing is
+materialized in the object store between the stages.
 
 Each output lands under its own directory with a sibling
 ``<name>._SUCCESS`` marker written after the stage completes. The marker
@@ -16,11 +22,12 @@ size, mtime), ``linker_dict`` and the engine digest
 (``pipeline.run_stamp``), and every later stage's covers its upstream
 stamp (plus ``mention_names`` for mentions). A rerun SKIPS a stage whose
 marker holds its stamp and CLEARS any other (torn, or built from other
-inputs) before rewriting — UUID-named parquet files from a died attempt
-can never double-count, and a stage built from other inputs is never
-adopted. A Dataset source has no stamp, so nothing is reused. The triple
-write is the checkpoint boundary (everything after reads back from
-parquet instead of recomputing).
+inputs) before rewriting; the second execution runs when any of
+triples, adjacency and mentions is missing and writes only those.
+Files from a died attempt are cleared with their stage, so they never
+double-count, and a stage built from other inputs is never adopted. A Dataset source
+has no stamp, so nothing is reused. The raw write is the checkpoint
+boundary: a rerun never repeats the emit.
 """
 
 from __future__ import annotations
@@ -30,6 +37,14 @@ import json
 import os
 import shutil
 import time
+
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+
+from ..ops.shuffle import bucketed
+from ..pipeline import adjacency_rows, build_triples, first_distinct, run_stamp, triples_only
+from ..stages.linker import link_mentions
 
 
 def _stage_dir(out_dir: str, name: str, stamp: str | None) -> tuple[str, bool]:
@@ -62,6 +77,48 @@ def _then(stamp: str | None, *parts) -> str | None:
     return hashlib.sha256(repr((stamp, *parts)).encode()).hexdigest()
 
 
+_SORT = [(c, "ascending") for c in ("subj", "pred", "obj", "graph", "obj_datatype", "obj_lang", "doc_id")]
+
+
+def _graph_bucket(triples: pa.Table) -> pa.Table:
+    """One subject bucket's distinct triples, sorted on the identity
+    columns and then ``doc_id``, so the kept copy of a triple found in
+    several documents is the one with the smallest ``doc_id``."""
+    return first_distinct(triples.sort_by(_SORT))
+
+
+def _graph_sink(dirs: dict[str, str], names_ref):
+    """A Datasink writing the deduped triples of each write task, their
+    adjacency rows and their mention rows into the stage directories in
+    ``dirs`` (stage name → path; only the stages still to build). A task's
+    blocks are whole reduce partitions, joined before the adjacency kernel
+    runs so no subject is split. One file per stage and task, named by the
+    task index, so a retried task overwrites its own files."""
+    from ray.data import Datasink
+
+    class GraphSink(Datasink):
+        def on_write_start(self) -> None:
+            for path in dirs.values():
+                os.makedirs(path, exist_ok=True)
+
+        def write(self, blocks, ctx) -> None:
+            blocks = [b for b in blocks if len(b)]  # an empty block may lack the columns
+            if not blocks:
+                return
+            triples = pa.concat_tables(blocks)
+            build = {
+                "triples": lambda: triples,
+                "adjacency": lambda: adjacency_rows(triples),
+                "mentions": lambda: link_mentions(names_ref)(triples),
+            }
+            for name, path in dirs.items():
+                out = build[name]()
+                if out.num_rows:
+                    pq.write_table(out, os.path.join(path, f"part-{ctx.task_idx:05d}.parquet"))
+
+    return GraphSink()
+
+
 def full_kg_run(
     source,
     out_dir: str,
@@ -71,37 +128,28 @@ def full_kg_run(
     concurrency=None,
     override_num_blocks: int | None = None,
 ) -> dict:
-    """Run every stage into ``out_dir`` and return the run metrics
-    (``reused`` names the stages a rerun skipped). ``concurrency`` is accepted and ignored: ``perfbench/workloads.py``
-    still passes it."""
+    """Run every stage into ``out_dir`` and return the run metrics, also
+    written to ``metrics.json``: ``emit_wall_s`` (execution 1; about 0
+    when ``raw`` is reused), ``dedup_wall_s`` (execution 2, which builds
+    triples, adjacency and mentions), ``total_wall_s``, ``n_triples``,
+    ``n_errors``, ``raw_skipped`` and ``reused`` (the stages a rerun
+    skipped). ``concurrency`` is accepted and ignored:
+    ``perfbench/workloads.py`` still passes it."""
     import ray
-
-    from ..pipeline import (
-        build_triples,
-        dedup_triples,
-        materialize_graph,
-        run_stamp,
-        triples_only,
-    )
-    from ..stages.linker import detect_and_link_mentions
+    import ray.data
 
     os.makedirs(out_dir, exist_ok=True)
     metrics: dict = {}
     t0 = time.monotonic()
 
-    linker_ref = ray.put(linker_dict) if linker_dict else None
-
     # persist the raw emission (triples + error records) ONCE — the
-    # checkpoint boundary; every wide stage reads back from parquet so the
-    # expensive extract/expand pass runs exactly once
-    import ray.data
-
+    # checkpoint boundary, so a rerun never repeats extract/expand
     raw_stamp = run_stamp(source, linker_dict)
     raw_dir, raw_done = _stage_dir(out_dir, "raw", raw_stamp)
     if not raw_done:
         triples = build_triples(
             source,
-            linker_dict_ref=linker_ref,
+            linker_dict_ref=ray.put(linker_dict) if linker_dict else None,
             override_num_blocks=override_num_blocks,
             canonical=True,
         )
@@ -109,51 +157,27 @@ def full_kg_run(
         _mark_done(raw_dir, raw_stamp)
     metrics["emit_wall_s"] = round(time.monotonic() - t0, 2)
     metrics["raw_skipped"] = raw_done
-    raw = ray.data.read_parquet(raw_dir)
 
     t1 = time.monotonic()
     triples_stamp = _then(raw_stamp, "triples")
-    triples_dir, triples_done = _stage_dir(out_dir, "triples", triples_stamp)
-    if not triples_done:
-        deduped = dedup_triples(raw)
-        deduped.write_parquet(triples_dir)
-        _mark_done(triples_dir, triples_stamp)
+    stamps = {"triples": triples_stamp, "adjacency": _then(triples_stamp, "adjacency")}
+    if mention_names:
+        stamps["mentions"] = _then(triples_stamp, "mentions", mention_names)
+    dirs, reused = {}, {"raw": raw_done}
+    for name, stamp in stamps.items():
+        path, reused[name] = _stage_dir(out_dir, name, stamp)
+        if not reused[name]:
+            dirs[name] = path
+    if dirs:
+        raw = ray.data.read_parquet(raw_dir)
+        names_ref = ray.put(mention_names) if mention_names else None
+        bucketed(triples_only(raw), ["subj"], _graph_bucket).write_datasink(_graph_sink(dirs, names_ref))
+        for name, path in dirs.items():
+            _mark_done(path, stamps[name])
     metrics["dedup_wall_s"] = round(time.monotonic() - t1, 2)
 
-    persisted = ray.data.read_parquet(triples_dir)
-    metrics["n_triples"] = persisted.count()
-    import pyarrow.dataset as pads
-
-    metrics["n_errors"] = pads.dataset(raw_dir).count_rows(
-        filter=pads.field("pred").is_null()
-    )
-
-    # adjacency materialize over the persisted triples
-    t2 = time.monotonic()
-    adj_stamp = _then(triples_stamp, "adjacency")
-    adj_dir, adj_done = _stage_dir(out_dir, "adjacency", adj_stamp)
-    if not adj_done:
-        adjacency = materialize_graph(persisted)
-        adjacency.write_parquet(adj_dir)
-        _mark_done(adj_dir, adj_stamp)
-    metrics["materialize_wall_s"] = round(time.monotonic() - t2, 2)
-
-    # scored mention links (side output)
-    if mention_names:
-        t3 = time.monotonic()
-        men_stamp = _then(triples_stamp, "mentions", mention_names)
-        men_dir, men_done = _stage_dir(out_dir, "mentions", men_stamp)
-        if not men_done:
-            mentions = detect_and_link_mentions(
-                triples_only(persisted), ray.put(mention_names)
-            )
-            mentions.write_parquet(men_dir)
-            _mark_done(men_dir, men_stamp)
-        metrics["mentions_wall_s"] = round(time.monotonic() - t3, 2)
-
-    reused = {"raw": raw_done, "triples": triples_done, "adjacency": adj_done}
-    if mention_names:
-        reused["mentions"] = men_done
+    metrics["n_triples"] = pads.dataset(os.path.join(out_dir, "triples")).count_rows()
+    metrics["n_errors"] = pads.dataset(raw_dir).count_rows(filter=pads.field("pred").is_null())
     metrics["reused"] = [name for name, done in reused.items() if done]
     metrics["total_wall_s"] = round(time.monotonic() - t0, 2)
     with open(os.path.join(out_dir, "metrics.json"), "w") as f:

@@ -142,10 +142,9 @@ class MentionLinker:
         )
 
 
-def detect_and_link_mentions(triples_ds, dict_ref, concurrency=None, min_score: float = 0.5):
-    """Wire the mention linker over a triple Dataset; ``dict_ref`` is
-    ``ray.put(name_to_iri)``. ``concurrency`` is accepted and ignored:
-    ``perfbench/workloads.py`` still passes it."""
+def link_mentions(dict_ref, min_score: float = 0.5):
+    """The :class:`MentionLinker` over ``dict_ref = ray.put(name_to_iri)``
+    as a batch function, its index built once per worker process."""
 
     def build() -> MentionLinker:
         import ray
@@ -155,8 +154,18 @@ def detect_and_link_mentions(triples_ds, dict_ref, concurrency=None, min_score: 
     def mention_batch(batch: pa.Table) -> pa.Table:
         return worker_state("mention_linker", (dict_ref, min_score), build)(batch)
 
+    return mention_batch
+
+
+def detect_and_link_mentions(triples_ds, dict_ref, concurrency=None, min_score: float = 0.5):
+    """Wire the mention linker over a triple Dataset; ``dict_ref`` is
+    ``ray.put(name_to_iri)``. ``concurrency`` is accepted and ignored:
+    ``perfbench/workloads.py`` still passes it."""
     return triples_ds.map_batches(
-        mention_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096
+        link_mentions(dict_ref, min_score),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=4096,
     )
 
 

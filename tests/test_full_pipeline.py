@@ -5,12 +5,17 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 
+import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 
-from jsonld_ex_ray.gen import write_corpus
+from jsonld_ex_ray.gen import generate_rows, write_corpus
+from jsonld_ex_ray.pipeline import build_triples, errors_only, materialize_graph, triples_only
 from jsonld_ex_ray.pipelines import full_kg_run
+from jsonld_ex_ray.stages.linker import detect_and_link_mentions
 
 LINKER = {"https://kg.example/hot/1": "https://kg.example/canonical/h1"}
 NAMES = {f"Widget {i}": f"https://kb/w{i}" for i in range(10000)}
@@ -107,6 +112,88 @@ def test_full_kg_run_never_adopts_stages_built_from_other_inputs(ray_session, tm
     assert rows(out) == rows(_fresh(tmp_path, "b_linked", b, linker_dict=LINKER)) and m["reused"] == []
     m = full_kg_run(b, out, linker_dict=LINKER)
     assert m["raw_skipped"] is True and m["reused"] == ["raw", "triples", "adjacency"]
+
+
+def test_full_kg_run_of_error_rows_only_writes_every_stage(ray_session, tmp_path):
+    """Files that yield only error records give empty triples, adjacency
+    and mentions stages that a rerun reuses, not a missing directory."""
+    rows = generate_rows(40, seed=5)
+    rows["content"] = ["{not json"] * 40
+    corpus = str(tmp_path / "errors.parquet")
+    pq.write_table(pa.table(rows), corpus)
+    n_errors = errors_only(build_triples(corpus)).count()
+    assert n_errors > 0
+
+    out = str(tmp_path / "kg")
+    m = full_kg_run(corpus, out, mention_names=NAMES)
+    assert (m["n_triples"], m["n_errors"]) == (0, n_errors)
+    for stage in ("raw", "triples", "adjacency", "mentions"):
+        assert os.path.isdir(os.path.join(out, stage))
+    m = full_kg_run(corpus, out, mention_names=NAMES)
+    assert m["reused"] == ["raw", "triples", "adjacency", "mentions"]
+    assert (m["n_triples"], m["n_errors"]) == (0, n_errors)
+
+
+def _rows(rows) -> Counter:
+    return Counter(tuple(sorted(r.items())) for r in rows)
+
+
+def _stage_rows(out: str, stage: str) -> Counter:
+    return _rows(pads.dataset(os.path.join(out, stage)).to_table().to_pylist())
+
+
+def test_full_kg_run_graph_outputs_match_the_stage_calls(ray_session, tmp_path):
+    """adjacency/ and mentions/ come from the same execution as triples/
+    and equal materialize_graph and detect_and_link_mentions over the
+    run's own triples/. A rerun missing only the adjacency marker leaves
+    triples/ as it was and rebuilds adjacency/ equal."""
+    import ray
+    import ray.data
+
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 150, seed=77)
+    out = str(tmp_path / "kg")
+    full_kg_run([corpus, corpus], out, linker_dict=LINKER, mention_names=NAMES)
+
+    triples = ray.data.read_parquet(os.path.join(out, "triples"))
+    adjacency = _rows(materialize_graph(triples).take_all())
+    mentions = _rows(detect_and_link_mentions(triples_only(triples), ray.put(NAMES)).take_all())
+    assert mentions and _stage_rows(out, "adjacency") == adjacency
+    assert _stage_rows(out, "mentions") == mentions
+
+    files = sorted(os.listdir(os.path.join(out, "triples")))
+    triple_rows = _stage_rows(out, "triples")
+    os.remove(os.path.join(out, "adjacency._SUCCESS"))
+    m = full_kg_run([corpus, corpus], out, linker_dict=LINKER, mention_names=NAMES)
+    assert m["reused"] == ["raw", "triples", "mentions"]
+    assert sorted(os.listdir(os.path.join(out, "triples"))) == files
+    assert _stage_rows(out, "triples") == triple_rows
+    assert _stage_rows(out, "adjacency") == adjacency
+
+
+def test_full_kg_run_is_two_executions_with_one_shuffle(ray_session, tmp_path, monkeypatch):
+    """Emit is one Ray Data execution; dedup, adjacency and mentions are
+    one more, around a single sort-shuffle. The sink runs inside the
+    shuffle's reduce task, so each write call holds whole reduce
+    partitions and no subject's triples are split between two calls."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    def op_names(op) -> list[str]:
+        return [op.name, *(n for dep in op.input_dependencies for n in op_names(dep))]
+
+    plans, execute = [], StreamingExecutor.execute
+
+    def counting(self, dag, *args, **kwargs):
+        plans.append(op_names(dag))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 60, seed=3)
+    full_kg_run(corpus, str(tmp_path / "kg"), linker_dict=LINKER, mention_names=NAMES)
+    assert len(plans) == 2
+    assert sum(name == "Sort" for plan in plans for name in plan) == 1
+    assert "MapBatches(reduce)->Write" in plans[1]
 
 
 def _fresh(tmp_path, name, source, **kw):
