@@ -122,13 +122,19 @@ def errors_only(ds):
 _TRIPLE_ID_COLS = ["graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
 
 
-def first_distinct(tbl: pa.Table) -> pa.Table:
-    """The first row of each distinct value of the six identity columns.
-    The keep-mask is computed in polars (vectorized, row-encoded value
+_DEDUP_ORDER = [(c, "ascending") for c in ("subj", "pred", "obj", "graph", "obj_datatype", "obj_lang", "doc_id")]
+
+
+def _distinct_triples(tbl: pa.Table) -> pa.Table:
+    """``tbl``'s distinct triples (the six identity columns), sorted on
+    (subj, pred, obj, graph, obj_datatype, obj_lang). Of a triple found in
+    several documents the copy with the smallest ``doc_id`` is kept. The
+    keep-mask is computed in polars (vectorized, row-encoded value
     equality: NULL distinct from "") and applied as an Arrow filter, so
     no table is converted and no string copied."""
     import polars as pl
 
+    tbl = tbl.sort_by(_DEDUP_ORDER)
     m = pl.from_arrow(tbl.select(_TRIPLE_ID_COLS)).select(
         pl.struct(_TRIPLE_ID_COLS).is_first_distinct()
     )
@@ -137,25 +143,25 @@ def first_distinct(tbl: pa.Table) -> pa.Table:
 
 def dedup_triples(ds, num_buckets: int = 64):
     """Exact global triple dedup (set semantics of RDF.Graph.add,
-    reference decoder.ex:98-99, lifted cross-document): map-side
-    pre-dedup within each block (combiner), then one bucketed shuffle
-    (ops/shuffle.py) routed on ``subj``, each bucket deduped vectorized
-    with :func:`first_distinct`.
+    reference decoder.ex:98-99, lifted cross-document): one bucketed
+    shuffle (ops/shuffle.py) routed on ``subj``, each bucket deduped
+    vectorized by :func:`_distinct_triples`. So the kept copy of a
+    triple is always the one with the smallest ``doc_id``, and every
+    bucket leaves sorted on (subj, pred, obj), the order
+    :func:`adjacency_rows` reads.
 
     Routing on ``subj`` alone is exact because ``subj`` is one of the six
     identity columns: equal triples share it. The trade is skew: every
     triple of a hot subject lands in one bucket, as it does in
     :func:`materialize_graph`, and ``full_kg_run`` gets both results from
-    the one routing.
+    the one routing. There is no map-side pre-dedup: a block's first copy
+    of a triple need not be its smallest ``doc_id``.
 
     Identity is decided by the ACTUAL column values, never by the hash: a
     hash-only identity would let a crafted collision in ingested repo
     content silently delete a distinct triple. The hash only routes,
     where a collision is harmless co-location."""
-    local = triples_only(ds).map_batches(
-        first_distinct, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return bucketed(local, ["subj"], first_distinct, num_buckets=num_buckets)
+    return bucketed(triples_only(ds), ["subj"], _distinct_triples, num_buckets=num_buckets)
 
 
 _QUAD_COLS = ("subj", "pred", "obj", "obj_kind", "obj_datatype", "obj_lang")
@@ -228,34 +234,39 @@ def canonicalize_bnodes(ds, num_buckets: int = 64):
 def materialize_graph(ds, num_buckets: int = 64):
     """Graph materialize: one adjacency row per subject (SURVEY.md §2.5)
     from one bucketed shuffle (ops/shuffle.py) of the ``(subj, pred,
-    obj)`` columns routed on ``subj``, each bucket built by
+    obj)`` columns routed on ``subj``, each bucket sorted and built by
     :func:`adjacency_rows`. There is no map-side combine: the triples
     themselves cross the shuffle, and every triple of a hot subject lands
     in one bucket, as in :func:`dedup_triples`. ``full_kg_run`` calls the
-    same kernel on the buckets of its dedup."""
+    same kernel on the already sorted buckets of its dedup."""
     spo = triples_only(ds).select_columns(["subj", "pred", "obj"])
-    return bucketed(spo, ["subj"], adjacency_rows, num_buckets=num_buckets)
+    return bucketed(spo, ["subj"], _sorted_adjacency, num_buckets=num_buckets)
+
+
+_SPO_ORDER = [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
+
+
+def _sorted_adjacency(triples: pa.Table) -> pa.Table:
+    return adjacency_rows(triples.sort_by(_SPO_ORDER))
 
 
 def adjacency_rows(triples: pa.Table) -> pa.Table:
     """``(subj, degree, adjacency)`` rows, one per subject of ``triples``,
-    which holds every triple of each of its subjects. ``adjacency`` is the
-    JSON list of the subject's ``[pred, obj]`` pairs in (pred, obj)
-    order; only that dump stays Python (it must escape arbitrary literal
-    content)."""
-    g = triples.select(["subj", "pred", "obj"]).sort_by(
-        [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
-    )
-    preds = pylist(g.column("pred"))
-    objs = pylist(g.column("obj"))
-    starts, ends = key_runs(g, ["subj"])
+    which holds every triple of each of its subjects, sorted on (subj,
+    pred, obj) or at least grouped on ``subj`` and in (pred, obj) order
+    within each subject. ``adjacency`` is the JSON list of the subject's
+    ``[pred, obj]`` pairs; only that dump stays Python (it must escape
+    arbitrary literal content)."""
+    preds = pylist(triples.column("pred"))
+    objs = pylist(triples.column("obj"))
+    starts, ends = key_runs(triples, ["subj"])
     adjs = [
         json.dumps([[preds[j], objs[j]] for j in range(lo, hi)], separators=(",", ":"))
         for lo, hi in zip(starts, ends)
     ]
     return pa.table(
         {
-            "subj": g.column("subj").take(pa.array(starts, pa.int64())),
+            "subj": triples.column("subj").take(pa.array(starts, pa.int64())),
             "degree": pa.array(ends - starts, pa.int64()),
             "adjacency": pa.array(adjs, pa.string()),
         }

@@ -4,7 +4,7 @@ two Ray Data executions:
     read(source repos) → extract → expand/node-map/toRdf
       → URDNA2015 canonicalize (in the kernel task, no shuffle)
       (+ entity link) → write raw (triples + error records)   [execution 1]
-    read raw back → one bucketed shuffle on subj               [execution 2]
+    read raw back → dedup_triples: one bucketed shuffle on subj [execution 2]
       → per bucket: sort, exact dedup on the six identity columns
       → per reduce task, one sink writes triples, adjacency (the
         materialize_graph kernel) and mentions
@@ -13,7 +13,10 @@ two Ray Data executions:
 Routing on ``subj`` serves all three outputs: ``subj`` is one of the six
 identity columns, so the per-bucket dedup is exact, and every triple of
 a subject meets its adjacency row in the same task. Nothing is
-materialized in the object store between the stages.
+materialized in the object store between the stages. The sink walks its
+task's triples in slices of at most ``_SLICE_ROWS`` rows (adjacency slices
+cut where a subject starts), so the Python lists of the adjacency and
+mention kernels stay bounded whatever the size of a reduce partition.
 
 Each output lands under its own directory with a sibling
 ``<name>._SUCCESS`` marker written after the stage completes. The marker
@@ -42,8 +45,8 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from ..ops.shuffle import bucketed
-from ..pipeline import adjacency_rows, build_triples, first_distinct, run_stamp, triples_only
+from ..ops.shuffle import key_runs
+from ..pipeline import adjacency_rows, build_triples, dedup_triples, run_stamp
 from ..stages.linker import link_mentions
 
 
@@ -77,23 +80,44 @@ def _then(stamp: str | None, *parts) -> str | None:
     return hashlib.sha256(repr((stamp, *parts)).encode()).hexdigest()
 
 
-_SORT = [(c, "ascending") for c in ("subj", "pred", "obj", "graph", "obj_datatype", "obj_lang", "doc_id")]
+_SLICE_ROWS = 4096
 
 
-def _graph_bucket(triples: pa.Table) -> pa.Table:
-    """One subject bucket's distinct triples, sorted on the identity
-    columns and then ``doc_id``, so the kept copy of a triple found in
-    several documents is the one with the smallest ``doc_id``."""
-    return first_distinct(triples.sort_by(_SORT))
+def _subject_slices(triples: pa.Table):
+    """``triples``, grouped on ``subj``, in slices of at most
+    ``_SLICE_ROWS`` rows, each cut where a subject starts, so no subject
+    is split; a longer subject is a slice of its own."""
+    starts, ends = key_runs(triples, ["subj"])
+    lo = 0
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        if end - lo > _SLICE_ROWS and start > lo:
+            yield triples.slice(lo, start - lo)
+            lo = start
+    yield triples.slice(lo)
+
+
+def _write_parts(path: str, tables) -> None:
+    """Stream the non-empty ``tables`` into one parquet file at ``path``;
+    no file when all are empty."""
+    writer = None
+    try:
+        for t in tables:
+            if t.num_rows:
+                writer = writer or pq.ParquetWriter(path, t.schema)
+                writer.write_table(t)
+    finally:
+        if writer is not None:
+            writer.close()
 
 
 def _graph_sink(dirs: dict[str, str], names_ref):
     """A Datasink writing the deduped triples of each write task, their
     adjacency rows and their mention rows into the stage directories in
     ``dirs`` (stage name → path; only the stages still to build). A task's
-    blocks are whole reduce partitions, joined before the adjacency kernel
-    runs so no subject is split. One file per stage and task, named by the
-    task index, so a retried task overwrites its own files."""
+    blocks are whole reduce partitions, each sorted on subj per bucket;
+    they are joined so no subject is split, then walked in bounded slices.
+    One file per stage and task, named by the task index, so a retried
+    task overwrites its own files."""
     from ray.data import Datasink
 
     class GraphSink(Datasink):
@@ -106,15 +130,16 @@ def _graph_sink(dirs: dict[str, str], names_ref):
             if not blocks:
                 return
             triples = pa.concat_tables(blocks)
-            build = {
-                "triples": lambda: triples,
-                "adjacency": lambda: adjacency_rows(triples),
-                "mentions": lambda: link_mentions(names_ref)(triples),
+            n = triples.num_rows
+            parts = {
+                "triples": lambda: [triples],
+                "adjacency": lambda: map(adjacency_rows, _subject_slices(triples)),
+                "mentions": lambda: map(
+                    link_mentions(names_ref), (triples.slice(lo, _SLICE_ROWS) for lo in range(0, n, _SLICE_ROWS))
+                ),
             }
             for name, path in dirs.items():
-                out = build[name]()
-                if out.num_rows:
-                    pq.write_table(out, os.path.join(path, f"part-{ctx.task_idx:05d}.parquet"))
+                _write_parts(os.path.join(path, f"part-{ctx.task_idx:05d}.parquet"), parts[name]())
 
     return GraphSink()
 
@@ -169,9 +194,8 @@ def full_kg_run(
         if not reused[name]:
             dirs[name] = path
     if dirs:
-        raw = ray.data.read_parquet(raw_dir)
         names_ref = ray.put(mention_names) if mention_names else None
-        bucketed(triples_only(raw), ["subj"], _graph_bucket).write_datasink(_graph_sink(dirs, names_ref))
+        dedup_triples(ray.data.read_parquet(raw_dir)).write_datasink(_graph_sink(dirs, names_ref))
         for name, path in dirs.items():
             _mark_done(path, stamps[name])
     metrics["dedup_wall_s"] = round(time.monotonic() - t1, 2)

@@ -171,6 +171,29 @@ def test_full_kg_run_graph_outputs_match_the_stage_calls(ray_session, tmp_path):
     assert _stage_rows(out, "adjacency") == adjacency
 
 
+def test_graph_sink_slices_keep_subjects_whole(monkeypatch):
+    """The graph sink walks a task's triples in bounded slices cut where a
+    subject starts: the slices cover the table in order, none splits a
+    subject, only a single-subject slice exceeds the slice size, and the
+    adjacency built per slice equals the adjacency of the whole."""
+    from jsonld_ex_ray.pipeline import adjacency_rows
+    from jsonld_ex_ray.pipelines import full_kg
+
+    monkeypatch.setattr(full_kg, "_SLICE_ROWS", 4)
+    degrees = [1, 3, 2, 9, 1, 1, 1, 4, 2, 5]
+    subj = [f"s{i}" for i, d in enumerate(degrees) for _ in range(d)]
+    spo = pa.table({"subj": subj, "pred": ["p"] * len(subj), "obj": [str(j) for j in range(len(subj))]})
+    spo = pa.concat_tables([spo.slice(0, 7), spo.slice(7)])  # two blocks, s3 split between them
+    slices = list(full_kg._subject_slices(spo))
+    assert pa.concat_tables(slices).equals(spo)
+    seen = [set(s.column("subj").to_pylist()) for s in slices]
+    assert sum(map(len, seen)) == len(degrees)
+    assert all(s.num_rows <= 4 or len(subjs) == 1 for s, subjs in zip(slices, seen))
+    assert len(slices) > 2
+    per_slice = pa.concat_tables([adjacency_rows(s) for s in slices])
+    assert per_slice.equals(adjacency_rows(spo.combine_chunks()))
+
+
 def test_full_kg_run_is_two_executions_with_one_shuffle(ray_session, tmp_path, monkeypatch):
     """Emit is one Ray Data execution; dedup, adjacency and mentions are
     one more, around a single sort-shuffle. The sink runs inside the

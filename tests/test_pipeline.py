@@ -92,6 +92,28 @@ def test_dedup_idempotent(ray_session, corpus):
     assert k1 == k2
 
 
+def test_dedup_triples_keeps_the_smallest_doc_id(ray_session):
+    """Of a triple found in several documents, dedup_triples keeps the
+    copy with the smallest doc_id, wherever the copies sit: first in a
+    block, in two blocks, beside a NULL graph."""
+    import pyarrow as pa
+    import ray.data
+
+    def block(rows):
+        cols = ["doc_id", "graph", "subj", "pred", "obj", "obj_datatype", "obj_lang"]
+        return pa.table({c: pa.array([r[i] for r in rows], pa.string()) for i, c in enumerate(cols)})
+
+    t = ("s", "p", "o", None, None)
+    u = ("s", "p", "o2", None, None)
+    blocks = [
+        block([("d2", None, *t), ("d1", None, *t), ("d5", "g", *t), ("d7", None, *u)]),
+        block([("d3", None, *t), ("d4", "g", *t), ("d0", None, *t), ("d6", None, *u)]),
+    ]
+    got = dedup_triples(ray.data.from_arrow(blocks)).to_pandas()
+    kept = sorted(zip(got.doc_id, got.graph.fillna(""), got.obj))
+    assert kept == [("d0", "", "o"), ("d4", "g", "o"), ("d6", "", "o2")]
+
+
 def test_canonicalize_bnodes_deterministic(ray_session, corpus):
     a = canonicalize_bnodes(build_triples(corpus)).to_pandas()
     b = canonicalize_bnodes(build_triples(corpus)).to_pandas()
