@@ -194,11 +194,12 @@ def test_graph_sink_slices_keep_subjects_whole(monkeypatch):
     assert per_slice.equals(adjacency_rows(spo.combine_chunks()))
 
 
-def test_full_kg_run_is_two_executions_with_one_shuffle(ray_session, tmp_path, monkeypatch):
-    """Emit is one Ray Data execution; dedup, adjacency and mentions are
-    one more, around a single sort-shuffle. The sink runs inside the
-    shuffle's reduce task, so each write call holds whole reduce
-    partitions and no subject's triples are split between two calls."""
+def test_full_kg_run_is_one_execution_with_one_shuffle(ray_session, tmp_path, monkeypatch):
+    """Emit, the raw tee, dedup, adjacency and mentions are one Ray Data
+    execution around a single sort-shuffle; a rerun missing only a later
+    stage is one execution reading raw/, without the emit. The sink runs
+    inside the shuffle's reduce task, so each write call holds whole
+    reduce partitions and no subject's triples are split between two calls."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     def op_names(op) -> list[str]:
@@ -213,10 +214,89 @@ def test_full_kg_run_is_two_executions_with_one_shuffle(ray_session, tmp_path, m
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
     corpus = str(tmp_path / "repos.parquet")
     write_corpus(corpus, 60, seed=3)
-    full_kg_run(corpus, str(tmp_path / "kg"), linker_dict=LINKER, mention_names=NAMES)
-    assert len(plans) == 2
-    assert sum(name == "Sort" for plan in plans for name in plan) == 1
-    assert "MapBatches(reduce)->Write" in plans[1]
+    out = str(tmp_path / "kg")
+    full_kg_run(corpus, out, linker_dict=LINKER, mention_names=NAMES)
+    assert len(plans) == 1
+    assert sum(name == "Sort" for name in plans[0]) == 1
+    assert "MapBatches(reduce)->Write" in plans[0]
+    assert any("emit_batch" in name and "tee" in name for name in plans[0])
+
+    plans.clear()
+    os.remove(os.path.join(out, "adjacency._SUCCESS"))
+    m = full_kg_run(corpus, out, linker_dict=LINKER, mention_names=NAMES)
+    assert m["reused"] == ["raw", "triples", "mentions"]
+    assert len(plans) == 1
+    assert sum(name == "Sort" for name in plans[0]) == 1
+    assert not any("emit_batch" in name for name in plans[0])
+
+
+def test_full_kg_run_of_a_corpus_without_rows(ray_session, tmp_path):
+    """Files that yield neither triples nor error records (plain prose)
+    give four empty stages, not a missing raw/: a rerun reuses them all,
+    and a rerun adding mention names reads the empty raw/ as 0 rows."""
+    rows = generate_rows(10, seed=5)
+    rows["lang"] = ["text"] * 10
+    rows["path"] = [f"notes/note_{i}.txt" for i in range(10)]
+    rows["content"] = ["Plain prose about widgets, with no linked data in it."] * 10
+    corpus = str(tmp_path / "prose.parquet")
+    pq.write_table(pa.table(rows), corpus)
+    assert build_triples(corpus, canonical=True).count() == 0
+
+    out = str(tmp_path / "kg")
+    m = full_kg_run(corpus, out)
+    assert (m["n_triples"], m["n_errors"]) == (0, 0)
+    for stage in ("raw", "triples", "adjacency"):
+        assert os.path.isdir(os.path.join(out, stage))
+    m = full_kg_run(corpus, out)
+    assert m["reused"] == ["raw", "triples", "adjacency"]
+    m = full_kg_run(corpus, out, mention_names=NAMES)
+    assert m["reused"] == ["raw", "triples", "adjacency"]
+    assert (m["n_triples"], m["n_errors"]) == (0, 0)
+    for stage in ("raw", "triples", "adjacency", "mentions"):
+        assert os.path.isdir(os.path.join(out, stage))
+    assert pads.dataset(os.path.join(out, "mentions")).count_rows() == 0
+    m = full_kg_run(corpus, out, mention_names=NAMES)
+    assert m["reused"] == ["raw", "triples", "adjacency", "mentions"]
+
+
+def test_full_kg_run_keeps_raw_when_the_graph_pass_fails(ray_session, tmp_path):
+    """raw/ is marked done once every emit task has landed: a graph pass
+    that fails after emit (mention names the worker cannot index) leaves
+    raw._SUCCESS holding the raw stamp, and the corrected rerun skips the
+    emit and gives the outputs of a fresh directory."""
+    from jsonld_ex_ray.pipeline import run_stamp
+
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 80, seed=21)
+    out = str(tmp_path / "kg")
+    with pytest.raises(AttributeError):  # int.lower, in the worker's MentionLinker
+        full_kg_run(corpus, out, linker_dict=LINKER, mention_names={1: "https://kb/not-a-name"})
+    with open(os.path.join(out, "raw._SUCCESS")) as f:
+        assert f.read() == run_stamp(corpus, LINKER)
+    assert not os.path.exists(os.path.join(out, "triples._SUCCESS"))
+
+    m = full_kg_run(corpus, out, linker_dict=LINKER, mention_names=NAMES)
+    assert m["raw_skipped"] is True and m["reused"] == ["raw"]
+    fresh = _fresh(tmp_path, "kg", corpus, linker_dict=LINKER, mention_names=NAMES)
+    for stage in ("raw", "triples", "adjacency", "mentions"):
+        assert _stage_rows(out, stage) == _stage_rows(fresh, stage), stage
+
+
+def test_full_kg_run_tees_every_copy_of_a_repeated_source(ray_session, tmp_path):
+    """raw/ file names come from the emit task, not from the rows: a file
+    given twice lands twice in raw/, error records included. The file
+    holds one emit batch (1024 rows), so the two copies are two emit
+    tasks with equal output blocks."""
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 1024, seed=9)
+    once = build_triples(corpus, canonical=True)
+    n_rows, n_errors = once.count(), errors_only(once).count()
+    assert n_errors > 0
+
+    out = str(tmp_path / "kg")
+    m = full_kg_run([corpus, corpus], out)
+    assert pads.dataset(os.path.join(out, "raw")).count_rows() == 2 * n_rows
+    assert m["n_errors"] == 2 * n_errors
 
 
 def _fresh(tmp_path, name, source, **kw):
