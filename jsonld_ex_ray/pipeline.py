@@ -33,7 +33,7 @@ from .core.rdf_generation import RDF_LANGSTRING, XSD_STRING
 from .ops.shuffle import bucketed, key_runs
 from .stages.linker import link_entities
 from .stages.extract import SOURCE_COLS
-from .stages.triples import canonical_labels, doc_hash, make_emit_batch
+from .stages.triples import TRIPLE_SCHEMA, canonical_labels, doc_hash, make_emit_batch
 
 
 def build_triples(
@@ -506,6 +506,42 @@ def run_stamp(source, *options) -> str | None:
     return h.hexdigest()
 
 
+def _stage_dir(out_dir: str, name: str, stamp: str | None) -> tuple[str, bool]:
+    """(path, already_done): done iff the sibling marker holds ``stamp``;
+    otherwise the marker and any directory are cleared. The marker is a
+    SIBLING file so the stage dir stays pure parquet for readers."""
+    import shutil
+
+    path = os.path.join(out_dir, name)
+    marker = path + "._SUCCESS"
+    try:
+        with open(marker) as f:
+            if stamp is not None and f.read() == stamp:
+                return path, True
+        os.unlink(marker)  # first: a torn rebuild must never look done
+    except FileNotFoundError:
+        pass
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    return path, False
+
+
+def _mark_done(path: str, stamp: str | None) -> None:
+    """Write ``path``'s marker via a per-process temp file and a rename:
+    concurrent writers of one stamp never tear it."""
+    tmp = f"{path}._SUCCESS.{os.getpid()}"
+    with open(tmp, "w") as f:
+        f.write(stamp or "")
+    os.replace(tmp, path + "._SUCCESS")
+
+
+def _then(stamp: str | None, *parts) -> str | None:
+    """A downstream stage's stamp: its upstream ``stamp`` plus ``parts``."""
+    if stamp is None:
+        return None
+    return hashlib.sha256(repr((stamp, *parts)).encode()).hexdigest()
+
+
 def _manifest_records(manifest_path: str) -> list[dict]:
     """Parse manifest lines, SKIPPING torn/partial ones: a writer killed
     mid-append leaves a truncated JSON line, and crashing on it would
@@ -533,159 +569,73 @@ def _read_done_shards(manifest_path: str) -> set[int]:
     }
 
 
-def _claim_shard(state_dir: str, shard: int, token: str) -> bool:
-    """Exclusive per-shard claim so concurrent writers on one host never
-    double-process a shard: an atomic hard-link wins the claim; a
-    stale claim (its writer pid is dead — e.g. kill -9 mid-shard) is
-    broken and taken over. ``token`` is ``pid:uuid`` per run_checkpointed
-    call — liveness is judged by the pid alone, so two writer THREADS of
-    one process see each other's claims as live instead of "stale own
-    pid". At multi-node scale each node owns a disjoint shard list (the
-    driver partitions the inputs), so host-local claim semantics are the
-    deliberate design point here."""
-    claim = os.path.join(state_dir, f"shard={shard}.claim")
-    # the claim must never be visible without its token: a bare
-    # O_CREAT|O_EXCL + write leaves a window where a concurrent writer
-    # reads an EMPTY claim, parses pid 0, declares it stale and unlinks a
-    # live claim (observed as a double-processed shard under thread
-    # races). Write the token to a private temp file and hard-link it
-    # into place — link() is atomic and fails with EEXIST when held.
-    tmp = os.path.join(state_dir, f".claim-tmp-{token.replace(':', '-')}-{shard}")
-    with open(tmp, "w") as f:
-        f.write(token)
-    try:
-        # the whole examine-and-break sequence runs under the host-local
-        # claims mutex: an unlink-based stale-break WITHOUT it races (two
-        # stealers both diagnose stale → both unlink → the second unlink
-        # removes the first's freshly-linked LIVE claim → double-claim).
-        # flock serializes stealers across processes AND threads (each
-        # holder has its own open file description); claim files still
-        # carry the pid so staleness survives process crashes, and the
-        # lock itself evaporates with its holder.
-        with _claims_mutex(state_dir):
-            for _ in range(2):
-                try:
-                    os.link(tmp, claim)
-                    return True
-                except FileExistsError:
-                    content = _read_claim(claim)
-                    if content == token:
-                        return True  # already ours (re-entry)
-                    if _claim_alive(content):
-                        return False  # live concurrent writer
-                    # stale claim from a killed run: safe to break — no
-                    # other examiner can interleave under the mutex
-                    try:
-                        os.unlink(claim)
-                    except FileNotFoundError:
-                        pass
-            return False
-    finally:
+_held: dict[str, int] = {}  # claim path → the descriptor holding its lock
+
+
+def _claim(path: str, *, wait: bool = False) -> bool:
+    """Take an exclusive ``flock`` on ``path`` (created if missing) and
+    hold it until :func:`_release`; False when another descriptor holds
+    it and ``wait`` is False. The kernel drops the lock when its
+    descriptor closes, also when its process is killed, so a claim is
+    held exactly as long as its writer lives (``os.open`` descriptors
+    are not inherited by exec'd children). A lock taken on a file its
+    releaser unlinked meanwhile guards nothing: the locked inode must be
+    the one now at ``path``, else the claim is retried."""
+    import fcntl
+
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            os.unlink(tmp)
+            fcntl.flock(fd, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+        except BlockingIOError:
+            os.close(fd)
+            return False
+        try:
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                _held[path] = fd
+                return True
         except FileNotFoundError:
-            pass
+            pass  # unlinked by its releaser since the open
+        os.close(fd)
 
 
-class _claims_mutex:
-    """Host-local advisory lock serializing claim examination/breaking
-    (``flock`` on one lockfile per state dir). Multi-node clusters
-    partition shards per node by design (see _claim_shard), so host-local
-    exclusion is exactly the needed scope."""
+def _release(path: str) -> None:
+    """Drop the claim on ``path``: unlink the file while still holding
+    it, then close, so whoever locks the old file next sees it gone."""
+    fd = _held.pop(path)
+    try:
+        os.unlink(path)
+    finally:
+        os.close(fd)
 
-    def __init__(self, state_dir: str):
-        self._path = os.path.join(state_dir, ".claims.lock")
 
-    def __enter__(self):
-        import fcntl
-
-        self._f = open(self._path, "a+")
-        fcntl.flock(self._f.fileno(), fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc):
-        import fcntl
-
-        fcntl.flock(self._f.fileno(), fcntl.LOCK_UN)
-        self._f.close()
+def _claim_shard(state_dir: str, shard: int, token: str) -> bool:
+    """Claim ``shard`` so concurrent writers on one host never
+    double-process it; False while another writer, thread or process,
+    holds it. ``token`` is written into the claim file as a label for a
+    reader of ``_state/``; nothing decides on it. At multi-node scale
+    each node owns a disjoint shard list (the driver partitions the
+    inputs), so host-local claims are the deliberate design point."""
+    path = os.path.join(state_dir, f"shard={shard}.claim")
+    if not _claim(path):
         return False
-
-
-def _read_claim(path: str) -> str:
-    try:
-        return open(path).read().strip()
-    except OSError:
-        return ""
-
-
-def _claim_pid(content: str) -> int:
-    try:
-        return int(content.split(":", 1)[0] or "0")
-    except ValueError:
-        return 0
-
-
-def _proc_start(pid: int) -> int:
-    """Process start time (clock ticks since boot, /proc stat field 22) —
-    disambiguates a RECYCLED pid from the original claim holder. 0 when
-    /proc is unavailable (non-Linux): liveness then degrades to
-    pid-only."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as f:
-            data = f.read()
-        return int(data.rsplit(b")", 1)[1].split()[19])
-    except (OSError, IndexError, ValueError):
-        return 0
-
-
-def _claim_alive(content: str) -> bool:
-    """A claim is live iff its pid exists AND (when recorded) the pid's
-    start time matches — a pid recycled onto an unrelated long-lived
-    process must not make a dead run's claim immortal (the shard would
-    be skipped forever with no error)."""
-    pid = _claim_pid(content)
-    if not pid or not _pid_alive(pid):
-        return False
-    parts = content.split(":")
-    if len(parts) >= 3 and parts[1].isdigit():
-        recorded = int(parts[1])
-        actual = _proc_start(pid)
-        if recorded and actual and recorded != actual:
-            return False  # same pid number, different process
+    fd = _held[path]
+    os.ftruncate(fd, 0)
+    os.write(fd, token.encode())
     return True
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-        return True
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
+def _release_claim(state_dir: str, shard: int) -> None:
+    _release(os.path.join(state_dir, f"shard={shard}.claim"))
 
 
 def _sweep_stale_claims(state_dir: str) -> None:
-    """Unlink claim files whose writer died (kill -9 leaves them behind).
-    Runs under the claims mutex: an unguarded sweep could interleave with
-    a concurrent steal and remove a just-relinked live claim."""
-    with _claims_mutex(state_dir):
-        for name in os.listdir(state_dir):
-            if not name.endswith(".claim"):
-                continue
-            path = os.path.join(state_dir, name)
-            if not _claim_alive(_read_claim(path)):
-                try:
-                    os.unlink(path)
-                except FileNotFoundError:
-                    pass
-
-
-def _release_claim(state_dir: str, shard: int) -> None:
-    try:
-        os.unlink(os.path.join(state_dir, f"shard={shard}.claim"))
-    except FileNotFoundError:
-        pass
+    """Remove the claim files of dead writers (kill -9 leaves them
+    behind): claim and release every one nobody holds."""
+    for name in os.listdir(state_dir):
+        path = os.path.join(state_dir, name)
+        if name.endswith(".claim") and _claim(path):
+            _release(path)
 
 
 def run_checkpointed(
@@ -701,9 +651,11 @@ def run_checkpointed(
     resumes by skipping shards already marked done (partial shard dirs
     from a kill -9 are cleared before rewrite, so rows never double
     count); concurrent writers on the same out_dir coordinate through
-    per-shard claim files. Resume needs the same run: ``_state/stamp``
+    per-shard ``flock`` claims, which the kernel releases when a writer
+    dies. Resume needs the same run: the ``triples._SUCCESS`` marker
     holds the :func:`run_stamp` of the inputs, ``shard_size`` and
-    ``context_registry``, and a call with another stamp clears
+    ``context_registry`` (it stamps the directory; the manifest says
+    which shards are done), and a call with another stamp clears
     ``triples/`` and the manifest before any shard runs.
 
     Two shards are in flight at once, each on its own driver thread with
@@ -720,15 +672,11 @@ def run_checkpointed(
     still in flight lands and is counted, ``metrics.parquet`` is
     written, and the run raises — a corrupted input corpus fails fast
     instead of burning the cluster. Returns run metrics."""
-    import uuid
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
     state_dir = os.path.join(out_dir, "_state")
     os.makedirs(state_dir, exist_ok=True)
     manifest_path = os.path.join(state_dir, "manifest.jsonl")
-    # per-call claim identity: pid + process START TIME (recycled-pid
-    # disambiguation) + uuid (thread disambiguation within one process)
-    token = f"{os.getpid()}:{_proc_start(os.getpid())}:{uuid.uuid4().hex}"
     _sweep_stale_claims(state_dir)
     _adopt_or_clear(out_dir, run_stamp(input_files, shard_size, context_registry))
     done = _read_done_shards(manifest_path)
@@ -751,7 +699,7 @@ def run_checkpointed(
         files = shards[i]
         # re-read the manifest so shards completed by a CONCURRENT writer
         # since this run started are skipped, not reprocessed
-        if i in _read_done_shards(manifest_path) or not _claim_shard(state_dir, i, token):
+        if i in _read_done_shards(manifest_path) or not _claim_shard(state_dir, i, f"pid {os.getpid()}"):
             return None
         try:
             if i in _read_done_shards(manifest_path):
@@ -827,25 +775,27 @@ def run_checkpointed(
     return metrics
 
 
-def _adopt_or_clear(out_dir: str, stamp: str) -> None:
-    """Keep ``out_dir``'s shards only when ``_state/stamp`` is ``stamp``;
-    otherwise clear them and write it. Under the claims mutex, so
-    concurrent writers of one run check and write it once."""
-    import shutil
-
+def _adopt_or_clear(out_dir: str, stamp: str | None) -> None:
+    """Keep ``out_dir``'s shards only when the ``triples`` marker holds
+    ``stamp``; otherwise clear them, the manifest and the metrics, and
+    mark ``triples`` with ``stamp``. Under one waiting claim, so
+    concurrent writers of one run check and mark it once; a ``.claim``
+    file, so the sweep removes one a killed writer left."""
     state_dir = os.path.join(out_dir, "_state")
-    path = os.path.join(state_dir, "stamp")
-    with _claims_mutex(state_dir):
-        if _read_claim(path) == stamp:
+    lock = os.path.join(state_dir, "adopt.claim")
+    _claim(lock, wait=True)
+    try:
+        path, adopted = _stage_dir(out_dir, "triples", stamp)
+        if adopted:
             return
-        shutil.rmtree(os.path.join(out_dir, "triples"), ignore_errors=True)
         for name in ("manifest.jsonl", "metrics.parquet"):
             try:
                 os.unlink(os.path.join(state_dir, name))
             except FileNotFoundError:
                 pass
-        with open(path, "w") as f:
-            f.write(stamp)
+        _mark_done(path, stamp)
+    finally:
+        _release(lock)
 
 
 def _write_metrics_parquet(manifest_path: str, state_dir: str) -> None:
@@ -865,13 +815,7 @@ def _write_metrics_parquet(manifest_path: str, state_dir: str) -> None:
             "rows": pa.array([r["rows"] for r in recs], pa.int64()),
             "triples": pa.array([r["triples"] for r in recs], pa.int64()),
             "errors": pa.array([r["errors"] for r in recs], pa.int64()),
-            "error_rate": pa.array(
-                [
-                    r.get("error_rate", (r["errors"] / r["rows"]) if r["rows"] else 0.0)
-                    for r in recs
-                ],
-                pa.float64(),
-            ),
+            "error_rate": pa.array([r["error_rate"] for r in recs], pa.float64()),
             "wall_ms": pa.array([r["wall_ms"] for r in recs], pa.int64()),
         }
     )
@@ -879,9 +823,9 @@ def _write_metrics_parquet(manifest_path: str, state_dir: str) -> None:
 
 
 def read_triples(out_dir: str):
-    """Read back a checkpointed run's triples (error rows filtered at scan
-    time via parquet predicate pushdown). Only shards the manifest marks
-    DONE are read: a shard dir left by a writer killed mid-write (or one
+    """Read back a checkpointed run's triples as ``TRIPLE_SCHEMA`` rows,
+    error rows filtered, whether or not any shard is done. Only shards
+    the manifest marks DONE are read: a shard dir left by a writer killed mid-write (or one
     a concurrent writer is writing right now) would otherwise leak
     partial rows into the result with no error."""
     import ray.data
@@ -901,8 +845,5 @@ def read_triples(out_dir: str):
                 if f.endswith(".parquet")
             )
     if not paths:
-        return ray.data.from_arrow(
-            pa.table({c: pa.array([], pa.string()) for c in _TRIPLE_ID_COLS})
-        )
-    ds = ray.data.read_parquet(paths)
-    return triples_only(ds)
+        return ray.data.from_arrow(TRIPLE_SCHEMA.empty_table())
+    return triples_only(ray.data.read_parquet(paths, partitioning=None))

@@ -34,10 +34,8 @@ Dataset source has no stamp, so nothing is reused.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import shutil
 import time
 
 import pyarrow as pa
@@ -45,42 +43,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..ops.shuffle import key_runs
-from ..pipeline import adjacency_rows, build_triples, dedup_triples, run_stamp
+from ..pipeline import _mark_done, _stage_dir, _then, adjacency_rows, build_triples, dedup_triples, run_stamp
 from ..stages.linker import link_mentions
-
-
-def _stage_dir(out_dir: str, name: str, stamp: str | None) -> tuple[str, bool]:
-    """(path, already_done): done iff the sibling marker holds ``stamp``;
-    otherwise the marker and any directory are cleared. The marker is a
-    SIBLING file so the stage dir stays pure parquet for readers."""
-    path = os.path.join(out_dir, name)
-    marker = path + "._SUCCESS"
-    try:
-        with open(marker) as f:
-            if stamp is not None and f.read() == stamp:
-                return path, True
-        os.unlink(marker)  # first: a torn rebuild must never look done
-    except FileNotFoundError:
-        pass
-    if os.path.isdir(path):
-        shutil.rmtree(path)
-    return path, False
-
-
-def _mark_done(path: str, stamp: str | None) -> None:
-    """Write ``path``'s marker via a per-process temp file and a rename:
-    concurrent writers of one stamp never tear it."""
-    tmp = f"{path}._SUCCESS.{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(stamp or "")
-    os.replace(tmp, path + "._SUCCESS")
-
-
-def _then(stamp: str | None, *parts) -> str | None:
-    """A downstream stage's stamp: its upstream ``stamp`` plus ``parts``."""
-    if stamp is None:
-        return None
-    return hashlib.sha256(repr((stamp, *parts)).encode()).hexdigest()
 
 
 _SLICE_ROWS = 4096

@@ -181,6 +181,84 @@ def test_claim_never_stolen_while_live(tmp_path):
         _release_claim(state, 0)
 
 
+def test_claim_held_once_while_holders_release(tmp_path):
+    """Threads claiming and releasing one shard in a loop: a thread that
+    locks the file a releaser has just unlinked must not count as a second
+    holder, so at most one thread holds the claim at any moment."""
+    import threading
+
+    from jsonld_ex_ray.pipeline import _claim_shard, _release_claim
+
+    state = str(tmp_path)
+    mu = threading.Lock()
+    holders, most, wins, errors = [0], [0], [0], []
+    stop = time.monotonic() + 2
+
+    def claimer():
+        try:
+            while time.monotonic() < stop:
+                if _claim_shard(state, 0, "t"):
+                    with mu:
+                        holders[0] += 1
+                        most[0] = max(most[0], holders[0])
+                        wins[0] += 1
+                    time.sleep(0.0001)
+                    with mu:
+                        holders[0] -= 1
+                    _release_claim(state, 0)
+        except Exception as e:  # surfaced below
+            errors.append(e)
+
+    threads = [threading.Thread(target=claimer) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    assert wins[0] > 20 and most[0] == 1
+
+
+_HOLDER_SCRIPT = """
+import sys, time
+sys.path.insert(0, {repo!r})
+from jsonld_ex_ray.pipeline import _claim_shard
+assert _claim_shard({state!r}, 0, "child") and _claim_shard({state!r}, 7, "child")
+print("held", flush=True)
+time.sleep(600)
+"""
+
+
+def test_dead_holders_claim_is_free_at_once(tmp_path):
+    """A claim is held exactly as long as its holder lives: refused while
+    the child holding it runs, free as soon as the child is SIGKILLed,
+    and a claim file the dead child left is gone after the next
+    run_checkpointed."""
+    from jsonld_ex_ray.pipeline import _claim_shard, _release_claim
+
+    out = str(tmp_path / "out")
+    state = os.path.join(out, "_state")
+    os.makedirs(state)
+    script = _HOLDER_SCRIPT.format(
+        repo=os.path.dirname(os.path.dirname(os.path.abspath(__file__))), state=state
+    )
+    child = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline().strip() == "held"
+        assert not _claim_shard(state, 0, "parent")
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait(timeout=60)
+        assert _claim_shard(state, 0, "parent")
+        _release_claim(state, 0)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait(timeout=60)
+        child.stdout.close()
+    assert os.path.exists(os.path.join(state, "shard=7.claim"))
+    run_checkpointed([], out, shard_size=1)
+    assert not [f for f in os.listdir(state) if f.endswith(".claim")]
+
+
 def test_torn_manifest_line_does_not_break_resume(ray_session, tmp_path):
     """A writer killed mid-append leaves a truncated JSON line; resume
     must skip it (reprocessing that shard) instead of dying forever in

@@ -422,6 +422,20 @@ def test_checkpoint_never_resumes_another_runs_shards(ray_session, tmp_path):
     assert m["shards_skipped"] == 3 and m["triples"] == want["triples"]
 
 
+def test_read_triples_has_one_schema(ray_session, tmp_path):
+    """read_triples gives TRIPLE_SCHEMA whether or not any shard is done."""
+    from jsonld_ex_ray.stages.triples import TRIPLE_SCHEMA
+
+    f = str(tmp_path / "in.parquet")
+    write_corpus(f, 20, seed=50)
+    done, empty = str(tmp_path / "done"), str(tmp_path / "empty")
+    run_checkpointed([f], done, shard_size=1)
+    run_checkpointed([], empty, shard_size=1)
+    schemas = [read_triples(out).schema() for out in (done, empty)]
+    assert schemas[0].names == schemas[1].names == TRIPLE_SCHEMA.names
+    assert schemas[0].types == schemas[1].types == TRIPLE_SCHEMA.types
+
+
 class _ShardProbe:
     """Wraps ``pipeline.build_triples`` to log when each shard's build
     starts and its write ends, holding every write open briefly so that

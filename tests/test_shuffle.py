@@ -420,3 +420,71 @@ def test_grouped_aggregates_collect_nothing_unbounded():
         ("hitters", "to_arrow_refs"),
         ("quantiles", "max_groups"),
     ]
+
+
+# One checkpoint primitive: the claim helper is the only flock, the
+# stamped-marker helper the only place that spells a marker's name, and
+# no claim is judged by pid liveness.
+_CHECKPOINT_SITES = {
+    ("pipeline.py", "_claim", "fcntl.flock"),
+    ("pipeline.py", "_stage_dir", "._SUCCESS"),
+    ("pipeline.py", "_mark_done", "._SUCCESS"),
+}
+
+
+def _checkpoint_sites_in(source: str):
+    """(function, what) for each ``fcntl.flock`` or ``os.kill`` reference
+    and each non-docstring string constant holding ``._SUCCESS`` or
+    ``/proc/`` in ``source``; ``function`` is the enclosing top-level def."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                what = f"{node.value.id}.{node.attr}"
+                if what in ("fcntl.flock", "os.kill"):
+                    yield name, what
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                yield from ((name, s) for s in ("._SUCCESS", "/proc/") if s in node.value)
+
+
+_PID_LIVENESS = '''
+def claim(path):
+    """Break the claim unless its pid in /proc/ is alive."""
+    fcntl.flock(lock, fcntl.LOCK_EX)
+    pid = int(open(path).read())
+    return os.path.exists(f"/proc/{pid}/stat") and os.kill(pid, 0)
+
+def done(path):
+    return os.path.exists(path + "._SUCCESS")
+'''
+
+
+def test_one_checkpoint_primitive():
+    root = pathlib.Path(__file__).resolve().parents[1] / "jsonld_ex_ray"
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for fn, what in _checkpoint_sites_in(path.read_text()):
+            # os.kill and /proc/ are checked where the checkpoints live
+            if what in ("fcntl.flock", "._SUCCESS") or rel == "pipeline.py" or rel.startswith("pipelines/"):
+                found.add((rel, fn, what))
+    stray = found - _CHECKPOINT_SITES
+    assert not stray, f"claim through pipeline._claim, name markers in _stage_dir/_mark_done: {sorted(stray, key=str)}"
+    assert found == _CHECKPOINT_SITES
+    # the guard itself flags a pid-liveness claim and a hand-spelled
+    # marker, and skips the docstring
+    assert sorted(_checkpoint_sites_in(_PID_LIVENESS)) == [
+        ("claim", "/proc/"),
+        ("claim", "fcntl.flock"),
+        ("claim", "os.kill"),
+        ("done", "._SUCCESS"),
+    ]
