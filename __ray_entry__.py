@@ -54,15 +54,6 @@ def _read(sf_dir: str, table: str):
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"))
 
 
-def _read_spread(sf_dir: str, table: str, blocks: int = 32):
-    """Read + repartition: the sf testdata files hold ONE parquet row
-    group, which gates the read to a single task — a serial bottleneck for
-    compute-heavy per-doc kernels (signatures). Real corpora arrive in
-    thousands of blocks and skip this. The repartition is cheap (no key
-    shuffle) at test scale."""
-    return _read(sf_dir, table).repartition(blocks)
-
-
 def entry() -> Any:
     """Flagship: source repos → extract → expand → triples (sf0.001 scale)."""
     from jsonld_ex_ray.pipeline import build_triples, triples_only
@@ -305,7 +296,6 @@ def _q_revenue_by_priority(sf_dir: str):
         left_on="l_orderkey",
         right_on="o_orderkey",
         right_cols=["o_orderpriority"],
-        num_buckets=32,
     )
 
     def revenue(batch: pa.Table) -> pa.Table:
@@ -367,7 +357,7 @@ def _q_events_top_users(sf_dir: str):
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "value"]
     )
     per_user = groupby_agg(
-        ds, ["user_id"], [("value", "sum", "total_value", 2)], num_buckets=32
+        ds, ["user_id"], [("value", "sum", "total_value", 2)]
     )
     return topk(per_user, ["total_value", "user_id"], [True, False], 10)
 
@@ -647,7 +637,6 @@ def _q_events_asof_view(sf_dir: str):
         on="ts",
         by="user_id",
         right_value_cols=["view_ts"],
-        num_buckets=32,
         allow_exact_matches=False,
     )
 
@@ -961,7 +950,7 @@ def _q_events_bloom_semi(sf_dir: str):
     pre = semi_join_bloom(events, err_users, big_on="user_id", small_on="user_id")
     # exact verify on the (already shrunk) survivor stream
     exact = pa.concat_tables(
-        [t for t in ray.get(err_users.to_arrow_refs()) if t.num_rows]
+        [t for t in ray.get(err_users.materialize().to_arrow_refs()) if t.num_rows]
     ).column("user_id").combine_chunks()
     ref = ray.put(exact)
 
@@ -1056,7 +1045,7 @@ def _q_shipping_priority(sf_dir: str):
         columns=["c_custkey", "c_mktsegment"],
     ).filter(expr="c_mktsegment == 'BUILDING'")
     keys = pa.concat_tables(
-        [t for t in ray.get(cust.to_arrow_refs()) if t.num_rows]
+        [t for t in ray.get(cust.materialize().to_arrow_refs()) if t.num_rows]
     ).column("c_custkey").combine_chunks()
     key_ref = ray.put(keys)
 
@@ -1370,21 +1359,21 @@ def _q_lang_id(sf_dir: str):
 def _q_dedup_minhash(sf_dir: str):
     from jsonld_ex_ray.ops.dedup import minhash_lsh_duplicates
 
-    return minhash_lsh_duplicates(_read_spread(sf_dir, "documents")).sort("doc_id")
+    return minhash_lsh_duplicates(_read(sf_dir, "documents")).sort("doc_id")
 
 
 @query
 def _q_dedup_simhash(sf_dir: str):
     from jsonld_ex_ray.ops.dedup import simhash_duplicates
 
-    return simhash_duplicates(_read_spread(sf_dir, "documents")).sort("doc_id")
+    return simhash_duplicates(_read(sf_dir, "documents")).sort("doc_id")
 
 
 @query
 def _q_jaccard_pairs(sf_dir: str):
     from jsonld_ex_ray.ops.dedup import ngram_jaccard_pairs
 
-    return ngram_jaccard_pairs(_read_spread(sf_dir, "documents"), threshold=0.5).sort(
+    return ngram_jaccard_pairs(_read(sf_dir, "documents"), threshold=0.5).sort(
         ["doc_a", "doc_b"]
     )
 
@@ -1767,7 +1756,7 @@ def _q_kg_pagerank(sf_dir: str):
     from jsonld_ex_ray.pipeline import build_triples, triples_only
 
     triples = triples_only(build_triples(_corpus_for(sf_dir)))
-    ranks = pagerank(triples_to_edges(triples), iterations=5, num_buckets=16)
+    ranks = pagerank(triples_to_edges(triples), iterations=5)
     return ranks.sort("node")
 
 
@@ -1865,7 +1854,6 @@ def _q_orders_no_recent_ship(sf_dir: str):
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_orderkey", "l_shipdate"],
         )
-        .repartition(32)  # testdata-shape-specific: 1 row group gates the scan
         .map_batches(recent, batch_format="pyarrow", zero_copy_batch=True)
     )
     recent_keys = distinct_rows(shipped, ["l_orderkey"])
@@ -2070,7 +2058,6 @@ def _q_orders_customers_full(sf_dir: str):
             os.path.join(sf_dir, "orders.parquet"),
             columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
         )
-        .repartition(32)  # testdata-shape-specific: 1 row group gates the scan
         .map_batches(recent, batch_format="pyarrow", zero_copy_batch=True)
     )
 
@@ -2139,7 +2126,6 @@ def _q_orders_last_ship(sf_dir: str):
         ray.data.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey", "l_shipdate"]
         )
-        .repartition(32)  # testdata-shape-specific: 1 row group gates the scan
         .map_batches(recent_s, batch_format="pyarrow", zero_copy_batch=True)
     )
     last = groupby_agg(line, ["l_orderkey"], [("ship_s", "max", "last_ship_s")])
@@ -2183,7 +2169,6 @@ def _q_parts_never_heavy(sf_dir: str):
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_partkey", "l_quantity"],
         )
-        .repartition(32)  # testdata-shape-specific: 1 row group gates the scan
         .map_batches(heavy, batch_format="pyarrow", zero_copy_batch=True)
     )
     part = ray.data.read_parquet(
@@ -2360,7 +2345,6 @@ def _q_local_supplier_volume(sf_dir: str):
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
         )
-        .repartition(32)  # testdata-shape-specific: 1 row group gates the scan
         .map_batches(line_prep, batch_format="pyarrow", zero_copy_batch=True)
     )
     joined = hash_join_bucketed(
@@ -2554,7 +2538,7 @@ def _q_events_pagerank(sf_dir: str):
     from jsonld_ex_ray.ops.graph import pagerank
 
     ranks = pagerank(
-        _chain_edges(sf_dir, "view", 7, symmetric=True), iterations=5, num_buckets=16
+        _chain_edges(sf_dir, "view", 7, symmetric=True), iterations=5
     )
 
     def finish(batch: pa.Table) -> pa.Table:

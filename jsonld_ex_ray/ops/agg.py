@@ -256,7 +256,7 @@ def _empty_result(ds, columns: list[str]):
 _LEVEL = "__level"
 
 
-def _combine_partials(ds, keys: list[str], aggs, num_buckets: int, level_sets=None):
+def _combine_partials(ds, keys: list[str], aggs, level_sets=None):
     """The bucketed combine under every grouped aggregate: map-side arrow
     partials per block, one bucketed shuffle (ops/shuffle.py), vectorized
     per-bucket combine + finalize. With ``level_sets`` (ROLLUP/CUBE) each
@@ -292,10 +292,10 @@ def _combine_partials(ds, keys: list[str], aggs, num_buckets: int, level_sets=No
         return out if level_sets is None else out.drop_columns([_LEVEL])
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(parts, group_keys, combine, num_buckets=num_buckets)
+    return bucketed(parts, group_keys, combine)
 
 
-def groupby_agg(ds, keys: list[str], aggs, num_buckets: int = 64):
+def groupby_agg(ds, keys: list[str], aggs):
     """The one grouped aggregate, at any key cardinality: map-side arrow
     partials per block, one bucketed shuffle on the keys
     (ops/shuffle.py), vectorized per-bucket combine — only partial rows
@@ -304,7 +304,7 @@ def groupby_agg(ds, keys: list[str], aggs, num_buckets: int = 64):
     or ``covar|corr`` over an ``(x_col, y_col)`` tuple; ``count`` is
     SQL's ``COUNT(*)``. NULL keys form one group, as in SQL's GROUP BY.
     → Dataset(keys + aliases), one row per distinct key, in no order."""
-    return _combine_partials(ds, keys, aggs, num_buckets)
+    return _combine_partials(ds, keys, aggs)
 
 
 def grouped_string_agg(
@@ -315,7 +315,6 @@ def grouped_string_agg(
     *,
     sep: str = ",",
     out_col: str = "agg",
-    num_buckets: int = 64,
 ):
     """SQL ``string_agg(value, sep ORDER BY order_cols)`` per key — the
     sequence-reconstruction op (per-user event strings for behavioural
@@ -352,7 +351,7 @@ def grouped_string_agg(
             pa.schema([g.schema.field(key_col), pa.field(out_col, pa.string())])
         )
 
-    return bucketed(ds, [key_col], join_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], join_bucket)
 
 
 def unpivot(ds, id_cols: list[str], value_cols: list[str], *, var_col: str = "measure", value_col: str = "value"):
@@ -384,7 +383,7 @@ def rollup_agg(ds, keys: list[str], aggs):
     row beside the subtotal, as in SQL (which tells them apart only
     through ``GROUPING()``). → Dataset(keys + aliases), in no order."""
     level_sets = [keys[:i] for i in range(len(keys), -1, -1)]
-    return _combine_partials(ds, keys, aggs, 64, level_sets)
+    return _combine_partials(ds, keys, aggs, level_sets)
 
 
 def cube_agg(ds, keys: list[str], aggs):
@@ -399,7 +398,7 @@ def cube_agg(ds, keys: list[str], aggs):
     level_sets = [
         list(c) for r in range(len(keys), -1, -1) for c in combinations(keys, r)
     ]
-    return _combine_partials(ds, keys, aggs, 64, level_sets)
+    return _combine_partials(ds, keys, aggs, level_sets)
 
 
 def grouped_entropy(
@@ -409,7 +408,6 @@ def grouped_entropy(
     *,
     out_col: str = "entropy",
     digits: int = 6,
-    num_buckets: int = 64,
 ):
     """Shannon entropy (natural log) of the ``value_col`` distribution
     within each ``key_col`` group — the behavioural-diversity /
@@ -477,7 +475,7 @@ def grouped_entropy(
         )
 
     parts = ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(parts, [key_col], entropy_bucket, num_buckets=num_buckets)
+    return bucketed(parts, [key_col], entropy_bucket)
 
 
 def histogram_fixed(ds, col: str, lo: float, hi: float, nbins: int):
@@ -553,8 +551,6 @@ def group_first_last(
     group_col: str,
     order_cols: list[str],
     value_cols: list[str],
-    *,
-    num_buckets: int = 64,
 ):
     """Arg-extreme aggregate: for every group, the ``value_cols`` of the
     FIRST and LAST row under the deterministic total order
@@ -608,10 +604,10 @@ def group_first_last(
         return pa.table(cols)
 
     ends = ds.map_batches(local_ends, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(ends, [group_col], zip_bucket, num_buckets=num_buckets)
+    return bucketed(ends, [group_col], zip_bucket)
 
 
-def sample_per_group(ds, group_col: str, id_col: str, n: int, num_buckets: int = 64):
+def sample_per_group(ds, group_col: str, id_col: str, n: int):
     """Deterministic stratified sampling: keep the ``n`` rows per group
     with the smallest ``md5(id)`` — reproducible across runs/retries and
     oracle-checkable (unlike RNG sampling). Map-side per-group top-n
@@ -633,10 +629,10 @@ def sample_per_group(ds, group_col: str, id_col: str, n: int, num_buckets: int =
     pre = ds.map_batches(add_rank_key, batch_format="pyarrow", zero_copy_batch=True).map_batches(
         local_topn, batch_format="pyarrow", zero_copy_batch=True
     )
-    return bucketed(pre, [group_col], final_topn, num_buckets=num_buckets)
+    return bucketed(pre, [group_col], final_topn)
 
 
-def distinct_count(ds, col: str, num_buckets: int = 64):
+def distinct_count(ds, col: str):
     """EXACT count-distinct that never ships raw values twice: per-block
     arrow ``unique`` (combiner) → one bucketed shuffle on the value
     (ops/shuffle.py) → per-bucket vectorized unique counts → tiny sum.
@@ -651,14 +647,14 @@ def distinct_count(ds, col: str, num_buckets: int = 64):
         return pa.table({"n": pa.array([n], pa.int64())})
 
     uniq = ds.map_batches(local_unique, batch_format="pyarrow", zero_copy_batch=True)
-    parts = bucketed(uniq, [col], bucket_count, num_buckets=num_buckets)
+    parts = bucketed(uniq, [col], bucket_count)
     import pandas as pd
 
-    total = int(parts.to_pandas()["n"].sum())  # ≤ num_buckets tiny rows
+    total = int(parts.to_pandas()["n"].sum())  # ≤ NUM_BUCKETS tiny rows
     return pd.DataFrame({"n_distinct": [total]})
 
 
-def distinct_rows(ds, cols: list[str], num_buckets: int = 64):
+def distinct_rows(ds, cols: list[str]):
     """EXACT ``SELECT DISTINCT cols`` that never ships a value twice:
     per-block arrow ``group_by(cols)`` dedup (combiner) → one bucketed
     shuffle on ``cols`` (ops/shuffle.py) → per-bucket vectorized dedup.
@@ -670,7 +666,7 @@ def distinct_rows(ds, cols: list[str], num_buckets: int = 64):
         return aggregate(batch.select(cols), cols, [])
 
     local = ds.map_batches(distinct, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(local, cols, distinct, num_buckets=num_buckets)
+    return bucketed(local, cols, distinct)
 
 
 def _hll_ranks(h: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
@@ -759,7 +755,6 @@ def grouped_approx_distinct_hll(
     group_col: str,
     col: str,
     precision: int = 12,
-    num_buckets: int = 64,
 ):
     """Per-group HyperLogLog count-distinct — the approx-distinct that
     replaces a per-key exact distinct at 100 TB (per-domain URL counts,
@@ -839,7 +834,7 @@ def grouped_approx_distinct_hll(
         )
 
     regs = ds.map_batches(local_registers, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(regs, [group_col], merge_bucket, num_buckets=num_buckets)
+    return bucketed(regs, [group_col], merge_bucket)
 
 
 def _q_names(qs: list[float]) -> list[str]:
@@ -950,7 +945,6 @@ def grouped_exact_quantiles(
     qs: list[float],
     *,
     round_to: int = 6,
-    num_buckets: int = 64,
 ):
     """EXACT per-group ``quantile_cont`` at any group cardinality: one
     bucketed shuffle (ops/shuffle.py) of ~16-byte (group, value) rows on
@@ -991,7 +985,7 @@ def grouped_exact_quantiles(
         return pa.table(cols)
 
     rows = ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(rows, [group_col], per_bucket, num_buckets=num_buckets)
+    return bucketed(rows, [group_col], per_bucket)
 
 
 def topk(ds, sort_cols: list[str], descending: list[bool], k: int):
@@ -1004,7 +998,8 @@ def topk(ds, sort_cols: list[str], descending: list[bool], k: int):
             for c, d in zip(sort_cols, descending)
         ]
         idx = pc.sort_indices(batch, sort_keys=order)[:k]
-        return batch.take(idx)
+        # drop pandas metadata: the sort hashes schemas and fails on its dicts
+        return batch.take(idx).replace_schema_metadata()
 
     return (
         ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
@@ -1013,13 +1008,15 @@ def topk(ds, sort_cols: list[str], descending: list[bool], k: int):
     )
 
 
+_NUM_RANGES = 256  # id ranges of ordered_prefix_sum's scan
+
+
 def ordered_prefix_sum(
     ds,
     order_col: str,
     value_col: str,
     *,
     out_col: str = "prefix_sum",
-    num_ranges: int = 256,
 ):
     """Exclusive prefix sum of ``value_col`` in ``order_col`` order — the
     distributed scan primitive (sequence packing, offset assignment,
@@ -1028,12 +1025,10 @@ def ordered_prefix_sum(
     Ray shape (textbook two-phase scan, no global sort): fixed-width id
     ranges from one (min, max) aggregate → phase 1 computes per-range
     sums with a map-side combiner + one bucketed shuffle on the range
-    (``num_ranges`` rows on the driver — independent of data size) →
+    (``_NUM_RANGES`` rows on the driver — independent of data size) →
     driver prefixes the range sums → offsets broadcast via ``ray.put`` →
     phase 2 streams each row once through a second bucketed shuffle on
-    the range: local in-range exclusive cumsum + its range's offset. The
-    range widths bound a range's size (skewed ``order_col``
-    distributions should pick ``num_ranges`` accordingly).
+    the range: local in-range exclusive cumsum + its range's offset.
     ``order_col`` must be unique per row (an id), making the result
     deterministic.
     """
@@ -1049,7 +1044,7 @@ def ordered_prefix_sum(
 
     lohi = ds.aggregate(Min(order_col), Max(order_col))
     lo, hi = lohi[f"min({order_col})"], lohi[f"max({order_col})"]
-    width = max((int(hi) - int(lo)) // num_ranges + 1, 1)
+    width = max((int(hi) - int(lo)) // _NUM_RANGES + 1, 1)
 
     def add_range(batch: pa.Table) -> pa.Table:
         rng = pc.cast(
@@ -1072,7 +1067,7 @@ def ordered_prefix_sum(
         .to_pandas()
         .sort_values("__range")
     )
-    offsets = np.zeros(num_ranges + 2, np.int64)
+    offsets = np.zeros(_NUM_RANGES + 2, np.int64)
     idx = sums["__range"].to_numpy() + 1
     offsets[idx] = sums["__rsum"].to_numpy()
     np.cumsum(offsets, out=offsets)
@@ -1097,7 +1092,7 @@ def ordered_prefix_sum(
     return bucketed(ranged, ["__range"], local_scan)
 
 
-def pack_sequences(ds, token_col: str, id_col: str, budget: int, **scan_kw):
+def pack_sequences(ds, token_col: str, id_col: str, budget: int):
     """Assign each document to a fixed-token-budget pack: pack_id =
     floor(exclusive_prefix_sum(tokens in id order) / budget) — the
     deterministic contiguous-packing rule (documents may straddle pack
@@ -1105,7 +1100,7 @@ def pack_sequences(ds, token_col: str, id_col: str, budget: int, **scan_kw):
     falls in). One distributed scan + one vectorized divide."""
 
     scanned = ordered_prefix_sum(
-        ds, id_col, token_col, out_col="__pre", **scan_kw
+        ds, id_col, token_col, out_col="__pre"
     )
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -1123,7 +1118,6 @@ def top_per_group(
     k: int,
     *,
     agg: str = "sum",
-    num_buckets: int = 64,
     round_digits: int | None = None,
 ):
     """Top-``k`` ``agg_key`` rows per ``group_col`` by ``agg(value_col)``
@@ -1145,7 +1139,7 @@ def top_per_group(
         if round_digits is not None
         else (value_col, agg, alias)
     )
-    totals = groupby_agg(ds, [group_col, agg_key], [spec], num_buckets)
+    totals = groupby_agg(ds, [group_col, agg_key], [spec])
 
     def local_head(batch: pa.Table) -> pa.Table:
         return segmented_head(
@@ -1154,7 +1148,7 @@ def top_per_group(
 
     # a BUCKET of groups: the same segmented-rank kernel applies
     pre = totals.map_batches(local_head, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(pre, [group_col], local_head, num_buckets=num_buckets)
+    return bucketed(pre, [group_col], local_head)
 
 
 def pivot_agg(
@@ -1165,7 +1159,6 @@ def pivot_agg(
     pivot_values: list[str],
     *,
     round_to: int = 2,
-    num_buckets: int = 64,
 ):
     """Pivot/wide aggregate: one ``n_<v>`` count and ``sum_<v>`` sum
     column per pivot value, grouped by ``key_col`` — the
@@ -1198,7 +1191,7 @@ def pivot_agg(
         aggs.append((f"__c_{val}", "sum", f"n_{val}"))
         aggs.append((f"__v_{val}", "sum", f"sum_{val}", round_to))
     wide = ds.map_batches(widen, batch_format="pyarrow", zero_copy_batch=True)
-    return groupby_agg(wide, [key_col], aggs, num_buckets=num_buckets)
+    return groupby_agg(wide, [key_col], aggs)
 
 
 def zscore_by_group(
@@ -1208,7 +1201,6 @@ def zscore_by_group(
     *,
     out_col: str = "z",
     round_to: int = 6,
-    num_buckets: int = 64,
 ):
     """Per-group standardization: ``(x − mean_g) / stddev_pop_g`` — the
     feature-normalization transform. Group moments (sum, sum-of-squares,
@@ -1233,7 +1225,6 @@ def zscore_by_group(
         group_col,
         [(value_col, "sum", "__s"), ("__sq", "sum", "__s2"), (value_col, "count", "__n")],
         "zscore_by_group",
-        num_buckets,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1364,7 +1355,7 @@ def median_abs_deviation(ds, col: str, *, bins: int = 8192, round_to: int = 6):
     return pd.DataFrame({"median": [m], "mad": [mad]})
 
 
-def _with_group_stats(ds, stats_input, group_col: str, stat_aggs, op: str, num_buckets: int):
+def _with_group_stats(ds, stats_input, group_col: str, stat_aggs, op: str):
     """Shared stats step of the window family (share_of_group,
     zscore_by_group, filter_vs_group_mean): per-group stats of
     ``stats_input`` from the bucketed combine (the driver sees nothing
@@ -1379,7 +1370,7 @@ def _with_group_stats(ds, stats_input, group_col: str, stat_aggs, op: str, num_b
     from .joins import lookup_by_key
 
     stats_ds = groupby_agg(
-        stats_input, [group_col], stat_aggs, num_buckets=num_buckets
+        stats_input, [group_col], stat_aggs
     ).materialize()
 
     def only_null(b: pa.Table) -> pa.Table:
@@ -1390,7 +1381,7 @@ def _with_group_stats(ds, stats_input, group_col: str, stat_aggs, op: str, num_b
     ).to_pandas()
     joined = lookup_by_key(
         ds, stats_ds, on=group_col, cols=[a[2] for a in stat_aggs],
-        op=op, num_buckets=num_buckets,
+        op=op,
     )
     return joined, None if null_stats.empty else null_stats.iloc[0]
 
@@ -1402,7 +1393,6 @@ def share_of_group(
     *,
     out_col: str = "share",
     round_to: int = 6,
-    num_buckets: int = 64,
 ):
     """Ratio-to-report: each row's ``value / sum(value) OVER (PARTITION
     BY group)`` — the per-domain/per-source contribution transform
@@ -1418,7 +1408,7 @@ def share_of_group(
     the parallel partial sums reorder float additions vs the oracle's
     serial windowed sum."""
     joined, null_row = _with_group_stats(
-        ds, ds, group_col, [(value_col, "sum", "__s")], "share_of_group", num_buckets
+        ds, ds, group_col, [(value_col, "sum", "__s")], "share_of_group"
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1452,7 +1442,6 @@ def filter_vs_group_mean(
     mult_num: int = 1,
     mult_den: int = 1,
     cmp: str = "lt",
-    num_buckets: int = 64,
 ):
     """Correlated-subquery filter: keep rows where ``value <cmp>
     (mult_num/mult_den) · avg(value) OVER (PARTITION BY group)`` — the
@@ -1491,7 +1480,6 @@ def filter_vs_group_mean(
         group_col,
         [(value_col, "sum", "__s"), (value_col, "count", "__n")],
         "filter_vs_group_mean",
-        num_buckets,
     )
 
     def finish(batch: pa.Table) -> pa.Table:

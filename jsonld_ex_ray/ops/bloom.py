@@ -107,7 +107,8 @@ def build_bloom(ds, col: str, *, n_items: int | None = None, fp_rate: float = 0.
         )
 
     for t in ray.get(
-        ds.map_batches(fold, batch_format="pyarrow", zero_copy_batch=True).to_arrow_refs()
+        # materialized first: on a lazy plan, to_arrow_refs runs it again for its schema
+        ds.map_batches(fold, batch_format="pyarrow", zero_copy_batch=True).materialize().to_arrow_refs()
     ):
         # Ray passes zero-row blocks through map_batches with their
         # ORIGINAL schema (the filtered small side produces many at high

@@ -358,7 +358,6 @@ def exact_dedup(
     ds,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_buckets: int = 64,
     verify: "str | bool" = "digest",
 ):
     """Keep the min-id row per distinct text. Returns the surviving rows.
@@ -446,10 +445,10 @@ def exact_dedup(
     keys = ds.select_columns([text_col, id_col]).map_batches(
         key_rows, batch_format="pyarrow", zero_copy_batch=True
     )
-    losers = bucketed(keys, group_cols[:1], bucket_pairs, num_buckets=num_buckets)
+    losers = bucketed(keys, group_cols[:1], bucket_pairs)
     return filter_by_keys(
         ds, losers, on=id_col, keys_on="loser", anti=True,
-        op="exact_dedup", num_buckets=num_buckets,
+        op="exact_dedup",
     )
 
 
@@ -882,9 +881,10 @@ def decontaminate(
         sh = sh[np.repeat(counts >= ngram, n_sh)]  # drop short-doc sentinels
         return pa.table({"g": pa.array(np.unique(sh), pa.uint64())})
 
+    # materialized first: on a lazy plan, to_arrow_refs runs it again for its schema
     gram_refs = test_ds.map_batches(
         test_grams, batch_format="pyarrow", zero_copy_batch=True
-    ).to_arrow_refs()
+    ).materialize().to_arrow_refs()
     gram_tbls = ray.get(gram_refs)
     arrays = [t.column("g").to_numpy(zero_copy_only=False) for t in gram_tbls if t.num_rows]
     test_set = (
@@ -1030,7 +1030,7 @@ def simhash_duplicates(ds, *, max_hamming: int = 3, text_col: str = "text", id_c
 # ---------------------------------------------------------------------------
 
 
-def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id", num_buckets: int = 64):
+def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """Corpus-global line deduplication (the C4 rule): every distinct
     line is kept only at its FIRST occurrence — ordered by (doc_id,
     line_no) — and documents are rebuilt from their surviving lines
@@ -1115,8 +1115,8 @@ def dedup_lines(ds, *, text_col: str = "text", id_col: str = "doc_id", num_bucke
         )
 
     lines = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    survivors = bucketed(lines, ["__line"], keep_first, num_buckets=num_buckets)
-    return bucketed(survivors, ["__doc"], rebuild, num_buckets=num_buckets)
+    survivors = bucketed(lines, ["__line"], keep_first)
+    return bucketed(survivors, ["__doc"], rebuild)
 
 
 def _span_schema(id_col: str, id_type, *, with_offset: bool) -> pa.Schema:
@@ -1165,7 +1165,7 @@ def _check_span_args(window: int, stride: int, min_docs: int) -> None:
 
 
 def _flagged_spans(
-    ds, id_type, *, window, stride, min_docs, text_col, id_col, num_buckets, with_offset
+    ds, id_type, *, window, stride, min_docs, text_col, id_col, with_offset
 ):
     """The span rows (``id_col``[, ``off``], ``h``) of ``ds`` whose hash
     ``h`` occurs in at least ``min_docs`` distinct documents: one md5
@@ -1189,7 +1189,7 @@ def _flagged_spans(
         dup_h = n.column("h").filter(pc.greater_equal(n.column(f"{id_col}_count_distinct"), min_docs))
         return group.filter(pc.is_in(group.column("h"), value_set=dup_h))
 
-    return bucketed(span_ds, ["h"], flag, num_buckets=num_buckets), span_schema
+    return bucketed(span_ds, ["h"], flag), span_schema
 
 
 def duplicate_spans(
@@ -1200,7 +1200,6 @@ def duplicate_spans(
     min_docs: int = 2,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_buckets: int = 64,
 ):
     """Exact duplicated-substring detection — the per-span signal behind
     suffix-array substring dedup (Lee et al. 2022, "Deduplicating
@@ -1241,10 +1240,10 @@ def duplicate_spans(
         return ds
     flagged, _ = _flagged_spans(
         ds, in_schema.field(id_col).type, window=window, stride=stride, min_docs=min_docs,
-        text_col=text_col, id_col=id_col, num_buckets=num_buckets, with_offset=False,
+        text_col=text_col, id_col=id_col, with_offset=False,
     )
     return groupby_agg(
-        flagged, [id_col], [("h", "count", "n_dup_spans")], num_buckets=num_buckets
+        flagged, [id_col], [("h", "count", "n_dup_spans")]
     )
 
 
@@ -1256,7 +1255,6 @@ def lsh_exactdup_candidate_pairs(
     shingle_k: int = 3,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_buckets: int = 64,
 ):
     """LSH candidate-superset invariant, as an ORACLE-CHECKABLE query:
     the exact-duplicate pairs (byte-identical text) that the MinHash/LSH
@@ -1326,7 +1324,7 @@ def lsh_exactdup_candidate_pairs(
         )
 
     digests = ds.map_batches(digest_rows, batch_format="pyarrow", zero_copy_batch=True)
-    exact = bucketed(digests, ["h"], pairs_in_bucket, num_buckets=num_buckets)
+    exact = bucketed(digests, ["h"], pairs_in_bucket)
 
     def pack(batch: pa.Table) -> pa.Table:
         # "<len(a)>:<a>:<b>" — the length prefix makes the key unambiguous
@@ -1351,7 +1349,6 @@ def lsh_exactdup_candidate_pairs(
         right_on="__pk",
         right_cols=[],
         join_type="semi",
-        num_buckets=num_buckets,
         left_schema=pa.schema(
             [("doc_a", id_type), ("doc_b", id_type), ("__pk", pa.string())]
         ),
@@ -1370,7 +1367,6 @@ def cut_duplicate_spans(
     min_docs: int = 2,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_buckets: int = 64,
 ):
     """The CUT pass over :func:`duplicate_spans`' signal — Lee et al.
     2022's actual intervention: every document is rewritten with its
@@ -1412,7 +1408,7 @@ def cut_duplicate_spans(
         return ds
     flagged, span_schema = _flagged_spans(
         ds, in_schema.field(id_col).type, window=window, stride=stride, min_docs=min_docs,
-        text_col=text_col, id_col=id_col, num_buckets=num_buckets, with_offset=True,
+        text_col=text_col, id_col=id_col, with_offset=True,
     )
 
     # docs (every column, full text) and their flagged offsets meet
@@ -1506,4 +1502,4 @@ def cut_duplicate_spans(
         (ds.map_batches(canon_docs, batch_format="pyarrow", zero_copy_batch=True), [id_col], out_schema),
         (flagged, [id_col], span_schema.remove(span_schema.get_field_index("h"))),
     ]
-    return bucketed(sides, None, cut_bucket, num_buckets=num_buckets)
+    return bucketed(sides, None, cut_bucket)

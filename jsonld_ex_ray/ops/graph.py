@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import bucketed
+from .shuffle import bucketed, partitions
 
 
 def triples_to_edges(ds):
@@ -35,7 +35,6 @@ def connected_components(
     edges_ds,
     *,
     max_iterations: int = 25,
-    num_buckets: int = 32,
     stats: dict | None = None,
 ):
     """Min-label propagation WITH pointer doubling → Dataset(node,
@@ -95,7 +94,6 @@ def connected_components(
             edges.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True),
             ["node"],
             bucket_first,
-            num_buckets=num_buckets,
         )
         .map_batches(with_zero_changed, batch_format="pyarrow", zero_copy_batch=True)
         .materialize()
@@ -121,7 +119,6 @@ def connected_components(
             left_on="src",
             right_on="node",
             right_cols=["component"],
-            num_buckets=num_buckets,
             left_schema=edges_schema,
             right_schema=label_schema,
         )
@@ -133,7 +130,6 @@ def connected_components(
             ),
             ["node"],
             [("cand", "min", "cand_min")],
-            num_buckets=num_buckets,
         )
         merged = hash_join_bucketed(
             labels,
@@ -141,7 +137,6 @@ def connected_components(
             left_on="node",
             right_on="node",
             right_cols=["cand_min"],
-            num_buckets=num_buckets,
             join_type="left",
             left_schema=label_schema,
             right_schema=incoming_schema,
@@ -165,14 +160,14 @@ def connected_components(
         # ONE materialization for the propagation chain: it feeds both
         # sides of the shortcut self-join below (lazy lineage would
         # execute the whole chain twice, once per union branch). The
-        # repartition BOUNDS the block count: each join unions its two
-        # inputs (blocks add) and the sort boundary preserves them, so
+        # repartition BOUNDS the block count (to the shuffle's P): each
+        # join unions its two inputs (blocks add) and the sort keeps them, so
         # without a coalesce the label table's block count would ~double
         # every iteration — thousands of tiny blocks by iteration 10,
         # per-task overhead dwarfing the (small) data.
         prop = (
             merged.map_batches(take_min, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(num_buckets)
+            .repartition(partitions())
             .materialize()
         )
 
@@ -193,7 +188,6 @@ def connected_components(
             left_on="component",
             right_on="__pnode",
             right_cols=["__pcomp"],
-            num_buckets=num_buckets,
             join_type="left",
             left_schema=label_schema,
             right_schema=parent_schema,
@@ -216,7 +210,7 @@ def connected_components(
             shortcut.map_batches(
                 apply_shortcut, batch_format="pyarrow", zero_copy_batch=True
             )
-            .repartition(num_buckets)  # bound blocks (see prop above)
+            .repartition(partitions())  # bound blocks (see prop above)
             .materialize()
         )
         if _sum_col(labels, "__changed") == 0:
@@ -239,7 +233,6 @@ def pagerank(
     *,
     iterations: int = 10,
     damping: float = 0.85,
-    num_buckets: int = 32,
 ):
     """→ Dataset(node, rank). Each iteration:
 
@@ -270,7 +263,6 @@ def pagerank(
         edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
         ["node"],
         bucket_unique,
-        num_buckets=num_buckets,
     ).materialize()
     n = nodes.count()
     if n == 0:
@@ -283,7 +275,7 @@ def pagerank(
         )
 
     degrees = groupby_agg(
-        edges, ["src"], [("dst", "count", "out_degree")], num_buckets=num_buckets
+        edges, ["src"], [("dst", "count", "out_degree")]
     ).materialize()
 
     # ranks start uniform; schema (node, rank)
@@ -305,7 +297,6 @@ def pagerank(
             left_on="node",
             right_on="src",
             right_cols=["out_degree"],
-            num_buckets=num_buckets,
             join_type="left",
         )
 
@@ -324,7 +315,7 @@ def pagerank(
 
         mass = (
             with_deg.map_batches(split_mass, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(num_buckets)  # bound blocks: joins add their inputs'
+            .repartition(partitions())  # bound blocks: joins add their inputs'
             .materialize()  # block counts each iteration (see CC loop)
         )
         dangling_total = float(
@@ -341,7 +332,6 @@ def pagerank(
             left_on="src",
             right_on="node",
             right_cols=["share"],
-            num_buckets=num_buckets,
         )
         summed = groupby_agg(
             contribs.map_batches(
@@ -351,7 +341,6 @@ def pagerank(
             ),
             ["dst"],
             [("share", "sum", "incoming")],
-            num_buckets=num_buckets,
         )
         # nodes with no inbound edges need rank rows too → left join from
         # nodes (summed is lazy: pass its schema so the join doesn't
@@ -362,7 +351,6 @@ def pagerank(
             left_on="node",
             right_on="dst",
             right_cols=["incoming"],
-            num_buckets=num_buckets,
             join_type="left",
             left_schema=pa.schema([("node", pa.string())]),
             right_schema=pa.schema([("dst", pa.string()), ("incoming", pa.float64())]),
@@ -378,7 +366,7 @@ def pagerank(
 
         ranks = (
             joined.map_batches(apply_rank, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(num_buckets)  # bound blocks (see CC loop)
+            .repartition(partitions())  # bound blocks (see CC loop)
             .materialize()
         )
 

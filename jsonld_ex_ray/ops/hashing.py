@@ -220,9 +220,9 @@ def hash_columns(tbl: pa.Table, cols: list[str], seed: int = 0) -> np.ndarray:
     return h
 
 
-def bucket_ids(tbl: pa.Table, cols: list[str], num_buckets: int, seed: int = 0) -> pa.Array:
+def bucket_ids(tbl: pa.Table, cols: list[str], num_buckets: int) -> pa.Array:
     """Int32 shuffle-bucket column from the key columns."""
-    h = hash_columns(tbl, cols, seed)
+    h = hash_columns(tbl, cols)
     return pa.array((h % np.uint64(num_buckets)).astype(np.int32))
 
 

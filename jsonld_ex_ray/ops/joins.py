@@ -13,13 +13,13 @@ keyed ops built on it — :func:`filter_by_keys` (semi / anti) and
 :func:`lookup_by_key` (left lookup) — give the same rows on both paths.
 
 The bucketed shape: both sides go to the several-input
-``ops/shuffle.bucketed``, each routed on ``hash(its join key) %
-num_buckets``; one bounded shuffle co-locates matching keys and hands
-each bucket's merge one table per side — a vectorized
-``pyarrow.Table.join`` / ``pandas.merge_asof``. Partitioning
-assumption: the largest single bucket (both sides) fits in a worker's
-heap — size ``num_buckets`` to ~data_size / (workers × heap_budget);
-heavily skewed equi-join keys should be pre-salted by the caller.
+``ops/shuffle.bucketed``, each routed on its join key; one bounded
+shuffle co-locates matching keys and hands each bucket's merge one
+table per side — a vectorized ``pyarrow.Table.join`` /
+``pandas.merge_asof``. ``ops/shuffle.py`` alone sizes the buckets and
+reduce partitions. Partitioning assumption: the largest single bucket
+(both sides) fits in a worker's heap; heavily skewed equi-join keys
+should be pre-salted by the caller.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def hash_join_bucketed(
     left_on: str,
     right_on: str,
     right_cols: list[str],
-    num_buckets: int = 64,
     join_type: str = "inner",
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
@@ -134,7 +133,7 @@ def hash_join_bucketed(
         (left_ds, [left_on], left_schema),
         (right_ds, [right_on], _narrow(right_schema, right_keep)),
     ]
-    return bucketed(sides, None, join_bucket, num_buckets=num_buckets)
+    return bucketed(sides, None, join_bucket)
 
 
 def asof_join_broadcast(
@@ -188,7 +187,6 @@ def asof_join_bucketed(
     on: str,
     by: str,
     right_value_cols: list[str],
-    num_buckets: int = 64,
     allow_exact_matches: bool = False,
     direction: str = "backward",
 ):
@@ -219,7 +217,7 @@ def asof_join_bucketed(
         return pa.Table.from_pandas(merged[out_cols], preserve_index=False)
 
     sides = [(left_ds, [by]), (right_ds, [by], _narrow(arrow_schema(right_ds), right_keep))]
-    return bucketed(sides, None, merge_bucket, num_buckets=num_buckets)
+    return bucketed(sides, None, merge_bucket)
 
 
 def range_join_broadcast(
@@ -289,7 +287,6 @@ def filter_by_keys(
     keys_on: str,
     anti: bool = False,
     op: str = "filter_by_keys",
-    num_buckets: int = 64,
 ):
     """Keep the rows of ``ds`` whose ``on`` value is (semi) or is NOT
     (``anti=True``, SQL ``NOT EXISTS``) among ``keys_ds[keys_on]``.
@@ -315,7 +312,6 @@ def filter_by_keys(
             right_on=keys_on,
             right_cols=[],
             join_type="anti" if anti else "semi",
-            num_buckets=num_buckets,
         )
     if side.num_rows == 0:
         return ds if anti else ds.limit(0)
@@ -336,7 +332,6 @@ def lookup_by_key(
     on: str,
     cols: list[str],
     op: str = "lookup_by_key",
-    num_buckets: int = 64,
 ):
     """Left lookup: append ``side_ds``'s ``cols`` to every row of ``ds``
     by equal ``on`` (side keys unique). A missing or NULL key reads null
@@ -355,7 +350,7 @@ def lookup_by_key(
     if side is None:
         return hash_join_bucketed(
             ds, side_ds, left_on=on, right_on=on, right_cols=cols,
-            join_type="left", num_buckets=num_buckets,
+            join_type="left",
         )
     if side.num_rows == 0:
         side = pa.table({c: pa.nulls(0) for c in [on, *cols]})
@@ -385,7 +380,6 @@ def interval_join_banded(
     right_hi: str,
     right_cols: list[str],
     band_width: float,
-    num_buckets: int = 64,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
 ):
@@ -400,7 +394,7 @@ def interval_join_banded(
     join): the value domain is cut into fixed bands of ``band_width``;
     a left row goes to the ONE band containing its value, a right
     interval is replicated to EVERY band it overlaps, and both banded
-    sides are bucketed on ``hash(band) % num_buckets`` — one bounded
+    sides are bucketed on ``band`` — one bounded
     shuffle, no global sort. Each (row, interval) pair meets in exactly
     one band (the row's), so no output dedup pass is needed. Inside a
     bucket the match is vectorized: left rows are sorted by band once,
@@ -525,4 +519,4 @@ def interval_join_banded(
         (left_ds.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True), ["__band"], left_side.append(band)),
         (right_ds.map_batches(expand_right, batch_format="pyarrow", zero_copy_batch=True), ["__band"], right_side.append(band)),
     ]
-    return bucketed(sides, None, join_bucket, num_buckets=num_buckets)
+    return bucketed(sides, None, join_bucket)

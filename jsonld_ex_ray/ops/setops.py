@@ -31,7 +31,6 @@ def set_op(
     left_cols: list[str],
     right_cols: list[str] | None = None,
     op: str = "intersect",
-    num_buckets: int = 64,
 ):
     """``op``: ``union`` | ``intersect`` | ``except``. Output columns
     carry the LEFT side's names (SQL convention: the first SELECT names
@@ -100,4 +99,4 @@ def set_op(
         return out.select(left_cols)
 
     sides = [side(left_ds, left_cols), side(right_ds, right_cols)]
-    return bucketed(sides, None, resolve, num_buckets=num_buckets)
+    return bucketed(sides, None, resolve)

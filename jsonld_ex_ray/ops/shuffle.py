@@ -1,27 +1,30 @@
 """The one bucketed shuffle every keyed op runs on, with one input or
 several.
 
-Shape: route each row to ``hash(keys) % num_buckets`` with the
+Shape: route each row to ``hash(keys) % NUM_BUCKETS`` with the
 version-stable :func:`~jsonld_ex_ray.ops.hashing.bucket_ids` (identical
 on every worker of a mixed-version cluster), run ONE bounded shuffle on
 the bucket id, and let the op loop its keys inside each bucket with
-vectorized kernels. The group count is ``num_buckets``, never
+vectorized kernels. The group count is ``NUM_BUCKETS``, never
 the key cardinality: a ``map_groups`` call per distinct key (per
 document, per user, per triple) is the anti-pattern at corpus scale.
 Routing decides only WHERE a row goes — ops decide identity by the key
 values themselves, so a hash collision merely co-locates two keys.
 
+Layout: this module alone decides it, so no op takes a bucket, shard
+or block count and the blocks follow the machines: the constant
+:data:`NUM_BUCKETS` and P = :func:`partitions`, from the Ray CPUs.
+
 Engine: Ray's sort-based shuffle on the bucket id with EXPLICIT
-boundaries. Bucket ids are known to lie in ``[0, num_buckets)``, so
-there is no sample wave: the ids are cut into P contiguous ranges,
-P = ``min(num_buckets, the cluster's Ray CPUs)`` (the signal Ray itself
-uses to size read parallelism), and ONE reduce wave of P tasks merges
-each range and calls ``fn`` once per bucket in the same task. The trade:
-a reduce partition holds about 1/P of the shuffled bytes, where a
-sampled sort held about 1/(input blocks), never less than one bucket's
-1/num_buckets. With ``num_buckets`` CPUs or more (64 by default)
-nothing changes; on a small cluster fed many input blocks each
-partition is larger, and its reduce task peaks higher. ``HASH_SHUFFLE`` (Ray 2.49, ``repartition(keys=…)``) did not
+boundaries. Bucket ids are known to lie in ``[0, NUM_BUCKETS)``, so
+there is no sample wave: the ids are cut into P contiguous ranges, and
+ONE reduce wave of P tasks merges each range and calls ``fn`` once per
+bucket in the same task. The trade: a reduce partition holds about 1/P
+of the shuffled bytes, where a sampled sort held about 1/(input
+blocks), never less than one bucket's 1/NUM_BUCKETS. With
+``NUM_BUCKETS`` CPUs or more nothing changes; on a small cluster fed
+many input blocks each partition is larger, and its reduce task peaks
+higher. ``HASH_SHUFFLE`` (Ray 2.49, ``repartition(keys=…)``) did not
 finish the canonicalize → dedup → materialize chain at 1 or 2 Ray CPUs
 where the sort shuffle took 13–15 s.
 
@@ -61,8 +64,19 @@ from .hashing import bucket_ids
 _BUCKET = "__bucket"
 _SIDE = "__side"
 
+NUM_BUCKETS = 64
 
-def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buckets: int = 64):
+
+def partitions() -> int:
+    """P, the reduce tasks of one shuffle and the block count the graph
+    loops keep: ``min(NUM_BUCKETS, the cluster's Ray CPUs)``, the signal
+    Ray itself uses to size read parallelism."""
+    import ray
+
+    return max(1, min(NUM_BUCKETS, int(ray.cluster_resources().get("CPU", 1))))
+
+
+def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table]):
     """Apply ``fn`` to every bucket of ``ds`` routed on ``keys``: all rows
     sharing a key value reach the same ``fn`` call, together with the
     other keys of their bucket. → Dataset of ``fn``'s outputs.
@@ -70,9 +84,13 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buc
     Several inputs: ``ds`` is a list of sides ``(dataset, keys)`` or
     ``(dataset, keys, schema)`` and ``keys`` is None; the rows of every
     side sharing a key value reach the same ``fn(*tables)`` call."""
+    # read on the driver: the closures below carry it to the workers
+    num_buckets = NUM_BUCKETS
     if keys is not None:
 
         def route(batch: pa.Table) -> pa.Table:
+            # drop pandas metadata: the sort hashes schemas and fails on its dicts
+            batch = batch.replace_schema_metadata()
             return batch.append_column(_BUCKET, bucket_ids(batch, keys, num_buckets))
 
         routed = ds.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
@@ -118,11 +136,9 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table], *, num_buc
                 )
             )
 
-    import ray
-
     # P contiguous ranges of bucket ids; one boundary at least, since Ray
     # samples when given none
-    parts = max(1, min(num_buckets, int(ray.cluster_resources().get("CPU", 1))))
+    parts = partitions()
     bounds = [num_buckets * i // parts for i in range(1, parts)] or [num_buckets]
 
     # a generator, so Ray re-raises fn's own exceptions with their type

@@ -453,7 +453,7 @@ def ngram_count_batch(batch: pa.Table, n: int, text_col: str = "text") -> pa.Tab
     )
 
 
-def top_ngrams(ds, n: int = 2, k: int = 20, text_col: str = "text", num_buckets: int = 64):
+def top_ngrams(ds, n: int = 2, k: int = 20, text_col: str = "text"):
     """Global top-``k`` most frequent word ``n``-grams of the corpus —
     the vocabulary/corpus-statistics pass of a training-data pipeline.
 
@@ -469,7 +469,7 @@ def top_ngrams(ds, n: int = 2, k: int = 20, text_col: str = "text", num_buckets:
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    totals = groupby_agg(parts, ["gram"], [("cnt", "sum", "cnt")], num_buckets)
+    totals = groupby_agg(parts, ["gram"], [("cnt", "sum", "cnt")])
     return topk(totals, ["cnt", "gram"], [True, False], k)
 
 
@@ -548,7 +548,6 @@ def doc_top_tfidf(
     ds,
     text_col: str = "text",
     id_col: str = "doc_id",
-    num_buckets: int = 64,
 ):
     """Per-document top TF-IDF term: the classic two-pass corpus job.
 
@@ -611,12 +610,12 @@ def doc_top_tfidf(
         distinct_terms, batch_format="pyarrow", zero_copy_batch=True
     )
     df_ds = groupby_agg(
-        parts, ["term"], [("df", "sum", "df")], num_buckets
+        parts, ["term"], [("df", "sum", "df")]
     ).materialize()
     vocab = broadcast_side("doc_top_tfidf", df_ds)
     if vocab is None:
         return _tfidf_bucketed(
-            ds, df_ds, text_col=text_col, id_col=id_col, num_buckets=num_buckets
+            ds, df_ds, text_col=text_col, id_col=id_col
         )
     if vocab.num_rows == 0:
         vocab = pa.table({"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())})
@@ -679,7 +678,7 @@ def doc_top_tfidf(
     return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
+def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str):
     """Open-vocabulary TF-IDF: the df table NEVER lands on the driver or
     in a single broadcast object. Per-(row, term, tf) run rows take a
     bucketed LEFT join against the df Dataset on hash(term) — left, not
@@ -708,7 +707,7 @@ def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
         for t in ray.get(
             df_ds.map_batches(
                 sentinel_only, batch_format="pyarrow", zero_copy_batch=True
-            ).to_arrow_refs()
+            ).materialize().to_arrow_refs()  # one run: a lazy plan runs again for its schema
         )
         if t.num_rows
     ]
@@ -745,7 +744,6 @@ def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
         left_on="term",
         right_on="term",
         right_cols=["df"],
-        num_buckets=num_buckets,
         join_type="left",
         left_schema=pa.schema(
             [
@@ -800,7 +798,7 @@ def _tfidf_bucketed(ds, df_ds, *, text_col: str, id_col: str, num_buckets: int):
         )
 
     scored = joined.map_batches(score_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(scored, ["__rid"], pick_top, num_buckets=num_buckets)
+    return bucketed(scored, ["__rid"], pick_top)
 
 
 def chunk_documents(
@@ -987,7 +985,6 @@ def weighted_sample_per_group(
     weight_col: str,
     id_col: str = "doc_id",
     salt: str = "",
-    num_buckets: int = 64,
 ):
     """Deterministic per-stratum WEIGHTED sampling without replacement:
     within each ``group_col`` value, keep the ``n`` rows with the
@@ -1025,7 +1022,7 @@ def weighted_sample_per_group(
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed(pre, [group_col], final_topn, num_buckets=num_buckets)
+    return bucketed(pre, [group_col], final_topn)
 
 
 def _split_single_space(batch: pa.Table, text_col: str):
@@ -1050,7 +1047,6 @@ def unigram_logprob(
     id_col: str = "doc_id",
     alpha: float = 0.5,
     round_to: int = 6,
-    num_buckets: int = 64,
     unique_ids: bool = False,
 ):
     """Corpus-trained unigram language-model score per document — the
@@ -1104,7 +1100,6 @@ def unigram_logprob(
         ds.map_batches(count_part, batch_format="pyarrow", zero_copy_batch=True),
         ["tok"],
         [("c", "sum", "c")],
-        num_buckets=num_buckets,
     ).materialize()
     n_total = float(counts_ds.sum("c") or 0.0)
     vocab = counts_ds.count()
@@ -1157,7 +1152,6 @@ def unigram_logprob(
             partials,
             [id_col],
             [("__n", "sum", "n_tokens"), ("__s", "sum", "__s")],
-            num_buckets=num_buckets,
         )
         return per_doc.map_batches(
             finish_mean, batch_format="pyarrow", zero_copy_batch=True
@@ -1184,7 +1178,6 @@ def unigram_logprob(
         right_on="tok",
         right_cols=["__lp"],
         join_type="left",
-        num_buckets=num_buckets,
     )
 
     def fill_oov(batch: pa.Table) -> pa.Table:
@@ -1199,5 +1192,4 @@ def unigram_logprob(
         scored,
         [id_col],
         [("tok", "count", "n_tokens"), ("__lp", "mean", "mean_logprob", round_to)],
-        num_buckets=num_buckets,
     )

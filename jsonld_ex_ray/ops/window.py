@@ -65,8 +65,6 @@ def sessionize(
     ts_col: str,
     key_col: str,
     gap_s: int,
-    *,
-    num_buckets: int = 64,
 ):
     """Session windows: per key, consecutive events whose gap exceeds
     ``gap_s`` start a new session. One bucketed shuffle on the key
@@ -113,7 +111,7 @@ def sessionize(
         )
         return out.to_arrow()
 
-    return bucketed(ds, [key_col], sessions_in_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], sessions_in_bucket)
 
 
 def sliding_window_agg(
@@ -204,7 +202,6 @@ def rolling_time_agg(
     sum_col: str = "rolling_sum",
     n_col: str = "rolling_n",
     round_to: int | None = 2,
-    num_buckets: int = 64,
 ):
     """Per-key TIME-RANGE rolling aggregate: for each row, sum/count of
     ``value_col`` over the key's rows with ``ts`` in
@@ -218,8 +215,7 @@ def rolling_time_agg(
     frame boundaries for every row come from two global
     ``np.searchsorted`` calls (no per-key Python), and read the sums off
     one prefix-sum array. Falls back to per-key-segment searchsorted only
-    if ``n_keys_in_bucket × time_span`` would overflow int64 (raise
-    ``num_buckets`` long before that at scale). Emits ``ts_s``
+    if ``n_keys_in_bucket × time_span`` would overflow int64. Emits ``ts_s``
     (epoch-second BIGINT) for representation-stable hashing.
     """
     import numpy as np
@@ -253,7 +249,7 @@ def rolling_time_agg(
             .append_column(n_col, pa.array(right - left + 1, pa.int64()))
         )
 
-    return bucketed(ds, [key_col], roll_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], roll_bucket)
 
 
 def _sort_keyed(group: pa.Table, key_col: str, ts_col: str, id_col: str) -> pa.Table:
@@ -289,7 +285,6 @@ def keyed_running_sum(
     *,
     out_col: str = "running_sum",
     round_to: int | None = 2,
-    num_buckets: int = 64,
 ):
     """Per-key cumulative sum in (ts, id) order — the per-key ordered
     scan (running balances, per-user counters, session progress).
@@ -326,7 +321,7 @@ def keyed_running_sum(
             out = round_half_away(out, round_to)
         return g.append_column(out_col, pa.array(out, pa.float64()))
 
-    return bucketed(ds, [key_col], scan_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], scan_bucket)
 
 
 def keyed_shift(
@@ -338,7 +333,6 @@ def keyed_shift(
     *,
     periods: int = 1,
     out_col: str = "prev_value",
-    num_buckets: int = 64,
 ):
     """Per-key LAG/LEAD in (ts, id) order — SQL ``LAG(value, n) OVER
     (PARTITION BY key ORDER BY ts, id)`` (``periods`` > 0) or ``LEAD``
@@ -363,7 +357,7 @@ def keyed_shift(
         )
         return g.append_column(out_col, shifted.cast(g.column(value_col).type))
 
-    return bucketed(ds, [key_col], shift_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], shift_bucket)
 
 
 def funnel_stages(
@@ -372,8 +366,6 @@ def funnel_stages(
     ts_col: str,
     type_col: str,
     steps: list[str],
-    *,
-    num_buckets: int = 64,
 ):
     """Ordered funnel: per key, the earliest timestamp of step 1, the
     earliest step-2 event strictly AFTER it, the earliest step-3 event
@@ -420,7 +412,7 @@ def funnel_stages(
         out = reached.with_columns(stage.alias("stage")).sort(key_col)
         return out.to_arrow()
 
-    return bucketed(ds, [key_col], funnel_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], funnel_bucket)
 
 
 def ranked(
@@ -431,7 +423,6 @@ def ranked(
     *,
     descending: bool = False,
     ntile_n: int = 4,
-    num_buckets: int = 64,
 ):
     """Per-partition ranking family — ``row_number`` / ``rank`` /
     ``dense_rank`` / ``percent_rank`` / ``cume_dist`` / ``ntile(n)`` in
@@ -505,7 +496,7 @@ def ranked(
             .append_column("ntile", pa.array(tile.astype(np.int64)))
         )
 
-    return bucketed(ds, [key_col], rank_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], rank_bucket)
 
 
 def keyed_rolling_rows(
@@ -519,7 +510,6 @@ def keyed_rolling_rows(
     agg: str = "mean",
     out_col: str | None = None,
     round_to: int = 6,
-    num_buckets: int = 64,
 ):
     """Per-key ROWS-frame rolling aggregate — SQL ``agg(value) OVER
     (PARTITION BY key ORDER BY ts, id ROWS BETWEEN n_rows-1 PRECEDING
@@ -573,4 +563,4 @@ def keyed_rolling_rows(
             name, pa.array(np.asarray(out, np.float64), pa.float64(), mask=null_mask)
         )
 
-    return bucketed(ds, [key_col], scan_bucket, num_buckets=num_buckets)
+    return bucketed(ds, [key_col], scan_bucket)

@@ -141,7 +141,7 @@ def _distinct_triples(tbl: pa.Table) -> pa.Table:
     return tbl.filter(m.to_arrow().column(0).cast(pa.bool_()))
 
 
-def dedup_triples(ds, num_buckets: int = 64):
+def dedup_triples(ds):
     """Exact global triple dedup (set semantics of RDF.Graph.add,
     reference decoder.ex:98-99, lifted cross-document): one bucketed
     shuffle (ops/shuffle.py) routed on ``subj``, each bucket deduped
@@ -161,10 +161,11 @@ def dedup_triples(ds, num_buckets: int = 64):
     hash-only identity would let a crafted collision in ingested repo
     content silently delete a distinct triple. The hash only routes,
     where a collision is harmless co-location."""
-    return bucketed(triples_only(ds), ["subj"], _distinct_triples, num_buckets=num_buckets)
+    return bucketed(triples_only(ds), ["subj"], _distinct_triples)
 
 
 _QUAD_COLS = ("subj", "pred", "obj", "obj_kind", "obj_datatype", "obj_lang")
+_NUM_SHARDS = 32  # subject shards per graph in triples_to_jsonld
 
 
 def _term(v, kind=None, dt=None, lang=None):
@@ -214,7 +215,7 @@ def _relabel_docs(table: pa.Table) -> pa.Table:
     return table.sort_by([(c, "ascending") for c in ("doc_id", "graph", "subj", "pred", "obj")])
 
 
-def canonicalize_bnodes(ds, num_buckets: int = 64):
+def canonicalize_bnodes(ds):
     """URDNA2015 blank-node canonicalization (north rule): per document,
     the real RDFC-1.0 algorithm (core/urdna2015.py) assigns ``c14n<n>``
     labels that are invariant under any input relabeling; the doc hash
@@ -228,10 +229,10 @@ def canonicalize_bnodes(ds, num_buckets: int = 64):
     read back from parquet: one bucketed shuffle on ``doc_id``
     (ops/shuffle.py) gathers each document for :func:`_relabel_docs`.
     Error records are dropped."""
-    return bucketed(triples_only(ds), ["doc_id"], _relabel_docs, num_buckets=num_buckets)
+    return bucketed(triples_only(ds), ["doc_id"], _relabel_docs)
 
 
-def materialize_graph(ds, num_buckets: int = 64):
+def materialize_graph(ds):
     """Graph materialize: one adjacency row per subject (SURVEY.md §2.5)
     from one bucketed shuffle (ops/shuffle.py) of the ``(subj, pred,
     obj)`` columns routed on ``subj``, each bucket sorted and built by
@@ -240,7 +241,7 @@ def materialize_graph(ds, num_buckets: int = 64):
     in one bucket, as in :func:`dedup_triples`. ``full_kg_run`` calls the
     same kernel on the already sorted buckets of its dedup."""
     spo = triples_only(ds).select_columns(["subj", "pred", "obj"])
-    return bucketed(spo, ["subj"], _sorted_adjacency, num_buckets=num_buckets)
+    return bucketed(spo, ["subj"], _sorted_adjacency)
 
 
 _SPO_ORDER = [("subj", "ascending"), ("pred", "ascending"), ("obj", "ascending")]
@@ -280,7 +281,7 @@ def _quads_of(group: pa.Table) -> list:
     ]
 
 
-def triples_to_jsonld(ds, num_shards: int = 32):
+def triples_to_jsonld(ds):
     """Inverse direction (SURVEY.md §2.5 fromRdf grouping): triple rows →
     expanded JSON-LD node documents, one row per graph.
     → Dataset(graph, doc[json string], n_nodes).
@@ -291,7 +292,7 @@ def triples_to_jsonld(ds, num_shards: int = 32):
     core/rdf_serialization.py:232), so:
 
     - every subject OUTSIDE the list closure shards by
-      ``hash(subj) % num_shards`` and serializes independently (exact:
+      ``hash(subj) % _NUM_SHARDS`` and serializes independently (exact:
       its output is a function of its own triples);
     - only the LIST CLOSURE of each graph routes whole to that graph's
       shard 0: the rdf:first/rest chain nodes plus every subject holding
@@ -301,7 +302,7 @@ def triples_to_jsonld(ds, num_shards: int = 32):
       cross-document union into one group — only its chain + referrers.
       Partitioning assumption: the list closure is a small fraction of
       the corpus (lists are document-structure, not bulk data);
-    - a final bucketed merge combines the ≤ num_shards node-array parts
+    - a final bucketed merge combines the ≤ _NUM_SHARDS node-array parts
       per graph.
 
     Both shuffles are bucketed (ops/shuffle.py) — on (graph, subject
@@ -311,8 +312,7 @@ def triples_to_jsonld(ds, num_shards: int = 32):
     from .core.options import JsonLdOptions
     from .core.rdf_serialization import serialize_rdf
 
-    num_buckets = num_shards * 2
-    sharded = _sharded_triples(ds, num_shards)
+    sharded = _sharded_triples(ds, _NUM_SHARDS)
 
     def build_shards(group: pa.Table) -> pa.Table:
         # loop the distinct (graph, shard) cells INSIDE the bucket
@@ -351,8 +351,8 @@ def triples_to_jsonld(ds, num_shards: int = 32):
             }
         )
 
-    parts = bucketed(sharded, ["__g", "__shard"], build_shards, num_buckets=num_buckets)
-    return bucketed(parts, ["graph"], merge_graphs, num_buckets=num_buckets)
+    parts = bucketed(sharded, ["__g", "__shard"], build_shards)
+    return bucketed(parts, ["graph"], merge_graphs)
 
 
 def _sharded_triples(ds, num_shards: int):

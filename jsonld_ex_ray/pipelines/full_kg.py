@@ -140,7 +140,6 @@ def full_kg_run(
     linker_dict: dict | None = None,
     mention_names: dict | None = None,
     concurrency=None,
-    override_num_blocks: int | None = None,
 ) -> dict:
     """Run every stage into ``out_dir`` and return the run metrics, also
     written to ``metrics.json``: ``dedup_wall_s`` (the one execution,
@@ -176,7 +175,6 @@ def full_kg_run(
             ds = build_triples(
                 source,
                 linker_dict_ref=ray.put(linker_dict) if linker_dict else None,
-                override_num_blocks=override_num_blocks,
                 canonical=True,
             ).map_batches(_tee(raw_dir), batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
         names_ref = ray.put(mention_names) if mention_names else None

@@ -20,6 +20,16 @@ def ray_session():
 
 
 @pytest.fixture
+def buckets(monkeypatch):
+    """``buckets(n)`` sets ``ops/shuffle.NUM_BUCKETS`` to ``n`` for this
+    test, so a few buckets each hold several keys. ``bucketed`` reads it
+    on the driver once per call, so the Ray workers route by it too."""
+    from jsonld_ex_ray.ops import shuffle
+
+    return lambda n: monkeypatch.setattr(shuffle, "NUM_BUCKETS", n)
+
+
+@pytest.fixture
 def gate_paths(caplog):
     """The paths the broadcast-or-bucketed gate (ops/joins.py) logged in
     this test, in call order: ``gate_paths()`` for every op,

@@ -70,7 +70,7 @@ def test_bucketed_matches_lowcard_on_high_card_keys(ray_session):
         .round({"s": 2})
     )
     got = (
-        groupby_agg(_ds(tbl), ["k"], aggs, num_buckets=16)
+        groupby_agg(_ds(tbl), ["k"], aggs)
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)[["k", "s", "n", "mx"]]
@@ -98,7 +98,7 @@ def test_hash_join_bucketed_inner_and_left(ray_session):
     right = pa.table({"rk": [1, 2, 2, 5], "rv": ["x", "y", "z", "w"]})
     inner = (
         hash_join_bucketed(
-            _ds(left), _ds(right), left_on="lk", right_on="rk", right_cols=["rv"], num_buckets=4
+            _ds(left), _ds(right), left_on="lk", right_on="rk", right_cols=["rv"]
         )
         .to_pandas()
         .sort_values(["lk", "lv", "rv"])
@@ -116,7 +116,7 @@ def test_hash_join_bucketed_inner_and_left(ray_session):
     left_out = (
         hash_join_bucketed(
             _ds(left), _ds(right), left_on="lk", right_on="rk", right_cols=["rv"],
-            num_buckets=4, join_type="left",
+            join_type="left",
         )
         .to_pandas()
         .sort_values(["lk", "lv"], kind="stable")
@@ -142,7 +142,7 @@ def test_hash_join_bucketed_full_outer(ray_session):
     out = (
         hash_join_bucketed(
             _ds(left), _ds(right), left_on="lk", right_on="rk", right_cols=["rv"],
-            num_buckets=4, join_type="full",
+            join_type="full",
         )
         .to_pandas()
         .sort_values(["lk", "lv", "rv"], na_position="last")
@@ -185,7 +185,7 @@ def test_asof_join_bucketed_matches_pandas(ray_session):
     )
     got = (
         asof_join_bucketed(
-            _ds(left), _ds(right), on="t", by="g", right_value_cols=["rv"], num_buckets=8
+            _ds(left), _ds(right), on="t", by="g", right_value_cols=["rv"]
         )
         .to_pandas()
         .sort_values("lid")
@@ -201,16 +201,17 @@ def test_asof_join_bucketed_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got[["lid", "rv"]], want[["lid", "rv"]], check_dtype=False)
 
 
-def test_asof_bucket_with_empty_right_side(ray_session):
+def test_asof_bucket_with_empty_right_side(ray_session, buckets):
     from jsonld_ex_ray.ops.joins import asof_join_bucketed
 
     left = pa.table({"g": [1, 2], "t": [10, 20], "lid": [0, 1]})
     right = pa.table(
         {"g": pa.array([], pa.int64()), "t": pa.array([], pa.int64()), "rv": pa.array([], pa.float64())}
     )
+    buckets(2)
     got = (
         asof_join_bucketed(
-            _ds(left), _ds(right), on="t", by="g", right_value_cols=["rv"], num_buckets=2
+            _ds(left), _ds(right), on="t", by="g", right_value_cols=["rv"]
         )
         .to_pandas()
         .sort_values("lid")
@@ -292,7 +293,7 @@ def test_hash_join_bucketed_mixed_key_widths(ray_session):
     right = pa.table({"rk": pa.array([1, 2, 3], pa.int64()), "rv": ["x", "y", "z"]})
     out = (
         hash_join_bucketed(
-            _ds(left), _ds(right), left_on="lk", right_on="rk", right_cols=["rv"], num_buckets=8
+            _ds(left), _ds(right), left_on="lk", right_on="rk", right_cols=["rv"]
         )
         .to_pandas()
         .sort_values("lk")
@@ -300,7 +301,7 @@ def test_hash_join_bucketed_mixed_key_widths(ray_session):
     assert len(out) == 3 and out.rv.tolist() == ["x", "y", "z"]
 
 
-def test_grouped_quantiles_match_sql_with_nulls(ray_session):
+def test_grouped_quantiles_match_sql_with_nulls(ray_session, buckets):
     """Grouped quantiles agree with DuckDB quantile_cont, including null
     values and an all-null group, whether the groups spread over many
     buckets or share one."""
@@ -330,7 +331,8 @@ def test_grouped_quantiles_match_sql_with_nulls(ray_session):
     qs = [0.25, 0.5, 0.9]
 
     spread = grouped_exact_quantiles(ds, "g", "v", qs).to_pandas()
-    one_bucket = grouped_exact_quantiles(ds, "g", "v", qs, num_buckets=1).to_pandas()
+    buckets(1)
+    one_bucket = grouped_exact_quantiles(ds, "g", "v", qs).to_pandas()
 
     con = duckdb.connect()
     con.register("t", tbl)
@@ -370,7 +372,7 @@ def test_multi_key_null_groups_stay_one_group(ray_session):
         }
     )
     want = duckdb.sql("SELECT g, h, count(*) AS n FROM tbl GROUP BY g, h").fetchdf()
-    got = groupby_agg(_ds(tbl), ["g", "h"], [("v", "count", "n")], num_buckets=4).to_pandas()
+    got = groupby_agg(_ds(tbl), ["g", "h"], [("v", "count", "n")]).to_pandas()
     key = ["g", "h"]
     for f in (got, want):
         f["g"] = f["g"].fillna("-")
@@ -379,7 +381,7 @@ def test_multi_key_null_groups_stay_one_group(ray_session):
         want.sort_values(key).reset_index(drop=True),
         check_dtype=False,
     )
-    assert len(distinct_rows(_ds(tbl), key, num_buckets=4).to_pandas()) == len(want)
+    assert len(distinct_rows(_ds(tbl), key).to_pandas()) == len(want)
 
 
 def test_grouped_aggs_return_a_dataset_on_empty_input(ray_session):

@@ -60,8 +60,8 @@ def test_filter_by_keys_sql_semantics(ray_session, monkeypatch, gate_paths, path
     ).repartition(3)
     keys = ray.data.from_arrow(pa.table({"key": pa.array([2, 2, None, 4, 9], pa.int64())}))
 
-    semi = joins.filter_by_keys(big, keys, on="k", keys_on="key", num_buckets=4)
-    anti = joins.filter_by_keys(big, keys, on="k", keys_on="key", anti=True, num_buckets=4)
+    semi = joins.filter_by_keys(big, keys, on="k", keys_on="key")
+    anti = joins.filter_by_keys(big, keys, on="k", keys_on="key", anti=True)
     assert sorted(semi.to_pandas()["rid"]) == [1, 4, 5]
     assert sorted(anti.to_pandas()["rid"]) == [0, 2, 3]  # the NULL row survives anti
     assert gate_paths("filter_by_keys") == [path, path]
@@ -98,7 +98,7 @@ def test_lookup_by_key_paths_agree(ray_session, monkeypatch, gate_paths):
     outs = {}
     for path, budget in _PATHS.items():
         monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", budget)
-        out = joins.lookup_by_key(ds, side, on="k", cols=["x", "y"], num_buckets=4)
+        out = joins.lookup_by_key(ds, side, on="k", cols=["x", "y"])
         outs[path] = _rows(out, "rid")
     assert gate_paths("lookup_by_key") == list(_PATHS)
     pd.testing.assert_frame_equal(outs["broadcast"], outs["bucketed"], check_dtype=False)
@@ -139,7 +139,7 @@ def test_exact_dedup_mostly_duplicate_corpus(ray_session, monkeypatch, gate_path
 
     def run():
         ds = ray.data.from_arrow(tbl).repartition(4)
-        return sorted(exact_dedup(ds, num_buckets=8).to_pandas()["doc_id"])
+        return sorted(exact_dedup(ds).to_pandas()["doc_id"])
 
     default = run()
     monkeypatch.setattr(joins, "_BROADCAST_MAX_BYTES", 0)

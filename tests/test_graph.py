@@ -22,7 +22,7 @@ def test_pagerank_cycle_is_uniform(ray_session):
     from jsonld_ex_ray.ops.graph import pagerank
 
     ranks = pagerank(
-        _edges([("a", "b"), ("b", "c"), ("c", "a")]), iterations=4, num_buckets=4
+        _edges([("a", "b"), ("b", "c"), ("c", "a")]), iterations=4
     ).to_pandas()
     assert ranks["rank"].sum() == pytest.approx(1.0, abs=1e-9)
     assert ranks["rank"].max() - ranks["rank"].min() < 1e-12  # symmetry → uniform
@@ -33,7 +33,7 @@ def test_pagerank_star_matches_reference(ray_session):
 
     # a,b,c all point at hub; hub is dangling
     edges = [("a", "hub"), ("b", "hub"), ("c", "hub")]
-    got = pagerank(_edges(edges), iterations=8, damping=0.85, num_buckets=4).to_pandas().set_index("node")
+    got = pagerank(_edges(edges), iterations=8, damping=0.85).to_pandas().set_index("node")
 
     # dense reference implementation of the same formulation
     nodes = ["a", "b", "c", "hub"]
@@ -76,7 +76,7 @@ def test_connected_components_chain_and_clusters(ray_session):
 
     # chain a-b-c plus isolated pair x-y: transitive closure finds a for c
     out = (
-        connected_components(_edges([("b", "a"), ("c", "b"), ("x", "y")]), num_buckets=4)
+        connected_components(_edges([("b", "a"), ("c", "b"), ("x", "y")]))
         .to_pandas()
         .set_index("node")["component"]
     )
@@ -91,7 +91,7 @@ def test_connected_components_chain_and_clusters(ray_session):
             pairs.append((f"hub{h}", f"h{h}leaf{leaf}"))
     pairs.append(("hub0", "hub1"))  # bridge two clusters
     got = (
-        connected_components(_edges(pairs), num_buckets=4)
+        connected_components(_edges(pairs))
         .to_pandas()
         .set_index("node")["component"]
     )
@@ -128,7 +128,7 @@ def test_connected_components_long_chain_logarithmic(ray_session):
     pairs = [(f"n{i:05d}", f"n{i + 1:05d}") for i in range(n - 1)]
     stats: dict = {}
     out = (
-        connected_components(_edges(pairs), num_buckets=4, max_iterations=20, stats=stats)
+        connected_components(_edges(pairs), max_iterations=20, stats=stats)
         .to_pandas()
         .set_index("node")["component"]
     )

@@ -497,7 +497,7 @@ def test_uint64_keys_hash_by_bit_pattern(ray_session):
 
     tbl = pa.table({"k": pa.array(big * 3, pa.uint64()), "v": pa.array(range(12), pa.int64())})
     out = groupby_agg(
-        ray.data.from_arrow(tbl), ["k"], [("v", "sum", "s")], num_buckets=4
+        ray.data.from_arrow(tbl), ["k"], [("v", "sum", "s")]
     ).take_all()
     got = {r["k"]: r["s"] for r in out}
     assert len(out) == 4 and got == {1: 12, 2**63 + 5: 15, 2**64 - 1: 18, None: 21}
@@ -566,6 +566,26 @@ def test_decontaminate_flags_shared_ngram(ray_session):
     assert out.n_contaminated.tolist()[0] == 1
 
 
+def test_decontaminate_runs_the_test_side_once(ray_session, tmp_path):
+    """The test side's plan runs once: on a lazy plan ``to_arrow_refs``
+    runs it a second time, under a limit, to read its schema."""
+    import uuid
+
+    import ray.data
+    from jsonld_ex_ray.ops.dedup import decontaminate
+
+    def mark(batch: pa.Table) -> pa.Table:
+        (tmp_path / uuid.uuid4().hex).touch()  # one file per call
+        return batch
+
+    rows = [{"doc_id": i, "text": f"held out document number {i} of the set"} for i in range(8)]
+    test = ray.data.from_items(rows).repartition(4).map_batches(mark, batch_format="pyarrow", batch_size=None)
+    train = ray.data.from_items([{"doc_id": 0, "text": "held out document number 0 of the set"}])
+    out = decontaminate(train, test, ngram=3).to_pandas()
+    assert out.contaminated.tolist() == [True]
+    assert len(list(tmp_path.iterdir())) == 4  # one call per input block
+
+
 def test_top_ngrams_counts(ray_session):
     import ray.data
     from jsonld_ex_ray.ops.text import top_ngrams
@@ -577,7 +597,7 @@ def test_top_ngrams_counts(ray_session):
             {"doc_id": 3, "text": "c"},  # too short for a bigram
         ]
     )
-    out = top_ngrams(ds, n=2, k=3, num_buckets=4).to_pandas()
+    out = top_ngrams(ds, n=2, k=3).to_pandas()
     # grams never cross document boundaries ("b b" must not appear)
     assert list(out.gram) == ["a b", "b c", "c a"]
     assert list(out.cnt) == [2, 2, 1]
@@ -617,7 +637,7 @@ def test_doc_top_tfidf_hand_computed(ray_session):
             {"doc_id": 3, "text": "common"},
         ]
     )
-    out = doc_top_tfidf(ds, num_buckets=4).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    out = doc_top_tfidf(ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert list(out.doc_id) == [1, 2, 3]
     assert list(out.top_term) == ["rare", "solo", "common"]
     assert out.tfidf[0] == pytest.approx((1 / 3) * math.log(3 / 1), abs=1e-6)
@@ -634,14 +654,14 @@ def test_ordered_prefix_sum_and_packing(ray_session):
     tbl = pa.table({"doc_id": pa.array(range(10), pa.int64()), "tok": pa.array(toks, pa.int64())})
     ds = ray.data.from_arrow(tbl)
     out = (
-        ordered_prefix_sum(ds, "doc_id", "tok", num_ranges=4)
+        ordered_prefix_sum(ds, "doc_id", "tok")
         .to_pandas()
         .sort_values("doc_id")
     )
     expect = np.r_[0, np.cumsum(toks)[:-1]]
     assert (out.prefix_sum.to_numpy() == expect).all()
     packs = (
-        pack_sequences(ds, "tok", "doc_id", budget=10, num_ranges=4)
+        pack_sequences(ds, "tok", "doc_id", budget=10)
         .to_pandas()
         .sort_values("doc_id")
     )
@@ -662,7 +682,7 @@ def test_top_per_group_matches_pandas(ray_session):
         }
     )
     got = (
-        top_per_group(ray.data.from_pandas(df), "g", "k", "v", 3, num_buckets=8)
+        top_per_group(ray.data.from_pandas(df), "g", "k", "v", 3)
         .to_pandas()
         .sort_values(["g", "k"])
         .reset_index(drop=True)
@@ -683,7 +703,7 @@ def test_sample_per_group_many_groups_and_null(ray_session):
     """Stratified sampler over 2000 distinct groups plus a NULL group:
     exact deterministic md5-rank winners per group (SQL PARTITION BY
     parity — NULL forms a real partition), via the BUCKETED final
-    selection (≤ num_buckets tasks, never one per group)."""
+    selection (≤ NUM_BUCKETS tasks, never one per group)."""
     import pandas as pd
     import ray.data
     from jsonld_ex_ray.ops.agg import sample_per_group
@@ -695,7 +715,7 @@ def test_sample_per_group_many_groups_and_null(ray_session):
     df = pd.DataFrame({"g": groups, "doc_id": np.arange(n).astype("int64")})
     got = (
         sample_per_group(
-            ray.data.from_pandas(df).repartition(8), "g", "doc_id", 2, num_buckets=16
+            ray.data.from_pandas(df).repartition(8), "g", "doc_id", 2
         )
         .to_pandas()
         .sort_values("doc_id")
@@ -715,6 +735,28 @@ def test_sample_per_group_many_groups_and_null(ray_session):
     pd.testing.assert_frame_equal(got[["g", "doc_id"]], want[["g", "doc_id"]], check_dtype=False)
 
 
+def test_samplers_drop_pandas_schema_metadata(ray_session):
+    """Parquet written from pandas carries ``b'pandas'`` schema metadata.
+    Ray's sort hashes its blocks' schemas and fails on that metadata's
+    dict values, so the samplers drop it before they sort."""
+    import pandas as pd
+    import ray
+    import ray.data
+    from jsonld_ex_ray.ops.agg import sample_per_group
+    from jsonld_ex_ray.ops.text import weighted_hash_sample
+
+    df = pd.DataFrame({"doc_id": range(40), "lang": ["en", "de"] * 20, "n": range(1, 41)})
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    assert b"pandas" in tbl.schema.metadata
+    ds = ray.data.from_arrow(tbl).repartition(4)
+    for out in (
+        sample_per_group(ds, "lang", "doc_id", 3).sort("doc_id"),
+        weighted_hash_sample(ds, 5, weight_col="n"),
+    ):
+        blocks = [b for b in ray.get(out.materialize().to_arrow_refs()) if b.num_rows]
+        assert blocks and all(not b.schema.metadata for b in blocks)
+
+
 def test_dedup_lines_c4_rule(ray_session):
     """Global first-occurrence line dedup: shared lines survive only in
     the earliest (doc_id, line_no) position; fully-deduped docs drop;
@@ -729,7 +771,7 @@ def test_dedup_lines_c4_rule(ray_session):
         {"doc_id": 4, "text": "epsilon\nalpha\nzeta"},
     ]
     out = (
-        dedup_lines(ray.data.from_items(docs), num_buckets=8)
+        dedup_lines(ray.data.from_items(docs))
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -826,7 +868,7 @@ def test_keyed_running_sum_same_second_ordering(ray_session):
     ]
     out = (
         keyed_running_sum(
-            ray.data.from_items(rows), "user_id", "ts", "event_id", "value", num_buckets=4
+            ray.data.from_items(rows), "user_id", "ts", "event_id", "value"
         )
         .to_pandas()
         .sort_values("event_id")
@@ -885,7 +927,7 @@ def test_keyed_shift_lag_lead_nulls(ray_session):
         return (
             keyed_shift(
                 ray.data.from_items(rows), "user_id", "ts", "event_id", "value",
-                periods=periods, num_buckets=4,
+                periods=periods,
             )
             .to_pandas()
             .sort_values("event_id")
@@ -1087,7 +1129,7 @@ def test_tfidf_bucketed_matches_broadcast(ray_session, monkeypatch, gate_paths):
 
     def run(**kw):
         return (
-            doc_top_tfidf(ds, num_buckets=8, **kw)
+            doc_top_tfidf(ds, **kw)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
@@ -1124,7 +1166,7 @@ def test_tfidf_bucketed_duplicate_ids_per_row(ray_session, monkeypatch, gate_pat
 
     def run(**kw):
         return (
-            doc_top_tfidf(ds, num_buckets=4, **kw)
+            doc_top_tfidf(ds, **kw)
             .to_pandas()
             .sort_values(["doc_id", "top_term"])
             .reset_index(drop=True)

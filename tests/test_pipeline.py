@@ -223,7 +223,7 @@ def test_relabel_docs_matches_per_document_urdna2015(corpus320):
 
 
 def test_materialize_graph_merges_hot_subjects(ray_session, corpus):
-    adj = materialize_graph(build_triples(corpus), num_buckets=4).to_pandas()
+    adj = materialize_graph(build_triples(corpus)).to_pandas()
     # one row per subject even for salted hot subjects
     assert adj.subj.is_unique
     flat = triples_only(build_triples(corpus)).to_pandas()
@@ -550,9 +550,7 @@ def test_triples_to_jsonld_default_graph_sharded(ray_session):
     }
     tbl = pa.table(rows)
     num_shards = 8
-    out = triples_to_jsonld(
-        ray.data.from_arrow(tbl), num_shards=num_shards
-    ).to_pandas()
+    out = triples_to_jsonld(ray.data.from_arrow(tbl)).to_pandas()
     assert len(out) == 1  # one row per graph — unchanged output contract
     got = _json.loads(out.doc.iloc[0])
     want = serialize_rdf(_quads_of(tbl), JsonLdOptions(ordered=True))
@@ -620,7 +618,7 @@ def test_triples_to_jsonld_default_graph_list_closure_only(ray_session):
     in_closure = sharded[sharded.subj.isin(closure_subjects)]
     assert set(in_closure.__shard) == {0}
 
-    out = triples_to_jsonld(ray.data.from_arrow(tbl), num_shards=num_shards).to_pandas()
+    out = triples_to_jsonld(ray.data.from_arrow(tbl)).to_pandas()
     assert len(out) == 1
     got = _json.loads(out.doc.iloc[0])
     want = serialize_rdf(_quads_of(tbl), JsonLdOptions(ordered=True))
@@ -663,7 +661,7 @@ def test_triples_to_jsonld_list_graph_routes_whole(ray_session):
             "doc_id": ["d0"] * len(rows),
         }
     )
-    out = triples_to_jsonld(ray.data.from_arrow(tbl), num_shards=8).to_pandas()
+    out = triples_to_jsonld(ray.data.from_arrow(tbl)).to_pandas()
     assert len(out) == 1
     doc = _json.loads(out.doc.iloc[0])
     assert doc == [

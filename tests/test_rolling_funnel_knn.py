@@ -559,7 +559,7 @@ def test_grouped_quantiles_ignore_nan(ray_session):
     assert (b.q50, b.q100) == (20.0, 30.0)
 
 
-def test_keyed_running_sum_exact_at_large_magnitudes(ray_session):
+def test_keyed_running_sum_exact_at_large_magnitudes(ray_session, buckets):
     """Per-key sums must be SERIAL within the key (polars cum_sum.over),
     not global-cumsum-minus-offset — the subtraction loses the small
     key's precision once a preceding key's total is huge."""
@@ -574,10 +574,11 @@ def test_keyed_running_sum_exact_at_large_magnitudes(ray_session):
         "id": pa.array(list(range(5)), pa.int64()),
         "v": pa.array([1e14, 1e14, 0.01, 0.01, 0.01]),
     }
+    buckets(1)
     out = (
         keyed_running_sum(
             ray.data.from_arrow(pa.table(rows)), "k", "ts", "id", "v",
-            round_to=None, num_buckets=1,
+            round_to=None,
         )
         .to_pandas()
         .sort_values("id")

@@ -55,7 +55,7 @@ def test_moment_aggs_match_duckdb(ray_session):
     got = groupby_agg(ds, ["g"], aggs).to_pandas().sort_values("g").reset_index(drop=True)
     pd.testing.assert_frame_equal(got[want.columns], want, check_dtype=False)
     got_b = (
-        groupby_agg(ds, ["g"], aggs, num_buckets=8)
+        groupby_agg(ds, ["g"], aggs)
         .to_pandas()
         .sort_values("g")
         .reset_index(drop=True)
@@ -205,7 +205,7 @@ def test_set_ops_match_duckdb(ray_session):
     rds = ray.data.from_pandas(rf).repartition(3)
     for op, sql_op in (("intersect", "INTERSECT"), ("except", "EXCEPT")):
         got = (
-            set_op(lds, rds, left_cols=["u"], right_cols=["c"], op=op, num_buckets=8)
+            set_op(lds, rds, left_cols=["u"], right_cols=["c"], op=op)
             .to_pandas()
             .sort_values("u")
             .reset_index(drop=True)
@@ -237,7 +237,7 @@ def test_set_ops_null_multi_key_match_duckdb(ray_session):
     rds = ray.data.from_pandas(rf).repartition(16)
     for op in ("union", "intersect", "except"):
         got = (
-            set_op(lds, rds, left_cols=["a", "b"], op=op, num_buckets=4)
+            set_op(lds, rds, left_cols=["a", "b"], op=op)
             .to_pandas()
             .sort_values(["a", "b"], na_position="first")
             .reset_index(drop=True)
@@ -267,7 +267,6 @@ def test_set_op_multi_column(ray_session):
             ray.data.from_pandas(right),
             left_cols=["a", "b"],
             op="except",
-            num_buckets=4,
         )
         .to_pandas()
         .sort_values(["a", "b"])
@@ -347,7 +346,7 @@ def test_grouped_string_agg_matches_duckdb(ray_session):
     df.loc[rng.random(n) < 0.08, "v"] = None  # string_agg drops NULLs
     ds = ray.data.from_pandas(df).repartition(5)
     got = (
-        grouped_string_agg(ds, "k", "v", ["o"], sep="|", out_col="s", num_buckets=8)
+        grouped_string_agg(ds, "k", "v", ["o"], sep="|", out_col="s")
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -691,7 +690,7 @@ def test_weighted_sample_per_group_matches_duckdb(ray_session):
     got = (
         weighted_sample_per_group(
             ray.data.from_pandas(df).repartition(7), "g", 15,
-            weight_col="w", id_col="doc_id", num_buckets=8,
+            weight_col="w", id_col="doc_id",
         )
         .to_pandas()
         .sort_values(["g", "doc_id"])
@@ -734,7 +733,7 @@ def test_duplicate_spans_matches_duckdb(ray_session):
     df = pd.DataFrame({"doc_id": np.arange(len(docs), dtype="int64"), "text": docs})
     got = (
         duplicate_spans(
-            ray.data.from_pandas(df).repartition(6), window=32, stride=16, num_buckets=8
+            ray.data.from_pandas(df).repartition(6), window=32, stride=16
         )
         .to_pandas()
         .sort_values("doc_id")
@@ -785,7 +784,7 @@ def test_keyed_rolling_rows_matches_duckdb(ray_session):
     ds = ray.data.from_pandas(df).repartition(5)
     for agg, sql in (("mean", "avg(v)"), ("sum", "sum(v)"), ("max", "max(v)")):
         got = (
-            keyed_rolling_rows(ds, "k", "ts", "id", "v", 7, agg=agg, num_buckets=4)
+            keyed_rolling_rows(ds, "k", "ts", "id", "v", 7, agg=agg)
             .to_pandas()
             .sort_values("id")
             .reset_index(drop=True)

@@ -78,7 +78,6 @@ def test_interval_join_many_intervals_one_band(ray_session):
             right_hi="hi",
             right_cols=["rid"],
             band_width=1000.0,  # one band for everything
-            num_buckets=4,
         )
         .to_pandas()
         .sort_values(["lid", "rid"])
@@ -157,7 +156,6 @@ def test_group_first_last_matches_pandas(ray_session):
             "g",
             ["o", "i"],
             ["p", "o"],
-            num_buckets=8,
         )
         .to_pandas()
         .sort_values("g")
@@ -187,7 +185,7 @@ def test_lsh_exactdup_candidate_pairs_finds_all(ray_session):
         pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts)})
     ).repartition(4)
     got = (
-        lsh_exactdup_candidate_pairs(ds, num_buckets=8)
+        lsh_exactdup_candidate_pairs(ds)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
@@ -214,7 +212,7 @@ def test_lsh_exactdup_pair_key_unambiguous(ray_session, monkeypatch):
     def only(pair):
         cand = ray.data.from_arrow(pa.table({"doc_a": [pair[0]], "doc_b": [pair[1]]}))
         monkeypatch.setattr(dd, "_dedup_pairs", lambda *a, **k: cand)
-        out = dd.lsh_exactdup_candidate_pairs(ds, num_buckets=4).take_all()
+        out = dd.lsh_exactdup_candidate_pairs(ds).take_all()
         return [(r["doc_a"], r["doc_b"]) for r in out]
 
     assert only(("a|b", "c")) == []
@@ -278,7 +276,7 @@ def test_cut_duplicate_spans_matches_reference(ray_session):
         )
     ).repartition(3)
     got = (
-        cut_duplicate_spans(ds, window=w, stride=s, num_buckets=4)
+        cut_duplicate_spans(ds, window=w, stride=s)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -309,7 +307,7 @@ def test_cut_duplicate_spans_no_dups_passthrough(ray_session):
         )
     ).repartition(4)
     got = (
-        cut_duplicate_spans(ds, window=32, stride=16, num_buckets=4)
+        cut_duplicate_spans(ds, window=32, stride=16)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -392,7 +390,7 @@ def test_share_of_group_bucketed_matches_broadcast(ray_session, monkeypatch, gat
         }
     )
     out = (
-        share_of_group(ray.data.from_pandas(df).repartition(8), "g", "v", num_buckets=16)
+        share_of_group(ray.data.from_pandas(df).repartition(8), "g", "v")
         .to_pandas()
         .sort_values("rid")
         .reset_index(drop=True)
@@ -463,7 +461,7 @@ def test_zscore_bucketed_many_groups(ray_session, monkeypatch, gate_paths):
         }
     )
     out = (
-        zscore_by_group(ray.data.from_pandas(df).repartition(8), "g", "v", num_buckets=16)
+        zscore_by_group(ray.data.from_pandas(df).repartition(8), "g", "v")
         .to_pandas()
         .sort_values("rid")
         .reset_index(drop=True)
@@ -684,7 +682,6 @@ def test_set_op_union_matches_duckdb_incl_nulls(ray_session):
             ray.data.from_arrow(rt).repartition(2),
             left_cols=["k", "s"],
             op="union",
-            num_buckets=4,
         )
         .to_pandas().sort_values(["k", "s"]).reset_index(drop=True)
     )
@@ -725,7 +722,6 @@ def test_filter_vs_group_mean_both_paths(ray_session, monkeypatch, gate_paths):
         ds = ray.data.from_arrow(tbl).repartition(4)
         out = filter_vs_group_mean(
             ds, "g", "v", mult_num=1, mult_den=2, cmp="lt",
-            num_buckets=4,
         ).to_pandas()
         got = {(None if pd.isna(g) else g, int(v)) for g, v in zip(out["g"], out["v"])}
         assert got == want_v, (mbg, got)
@@ -816,7 +812,6 @@ def test_group_first_last_null_order_keys_match_sql(ray_session):
     got = (
         group_first_last(
             ray.data.from_pandas(df).repartition(3), "g", ["ts", "rid"], ["v"],
-            num_buckets=4,
         )
         .to_pandas()
         .sort_values("g")
@@ -882,8 +877,8 @@ def test_set_op_union_inclusion_exclusion_property(ray_session):
         at = pa.table({"k": pa.array(list(a_vals), pa.int64())})
         bt = pa.table({"k": pa.array(list(b_vals), pa.int64())})
         a_ds, b_ds = ray.data.from_arrow(at).repartition(3), ray.data.from_arrow(bt).repartition(2)
-        n_union = set_op(a_ds, b_ds, left_cols=["k"], op="union", num_buckets=4).count()
-        n_inter = set_op(a_ds, b_ds, left_cols=["k"], op="intersect", num_buckets=4).count()
+        n_union = set_op(a_ds, b_ds, left_cols=["k"], op="union").count()
+        n_inter = set_op(a_ds, b_ds, left_cols=["k"], op="intersect").count()
         da = len(pd.unique(pd.Series(list(a_vals))))
         db = len(pd.unique(pd.Series(list(b_vals))))
         assert n_union == da + db - n_inter, (trial, n_union, da, db, n_inter)
@@ -913,7 +908,6 @@ def test_filter_vs_group_mean_matches_pandas_transform(ray_session):
             mult_num=num,
             mult_den=den,
             cmp=cmp_name,
-            num_buckets=8,
         ).to_pandas()
         grp = df.groupby("g")
         s = grp["v"].transform("sum").to_numpy(np.int64)
@@ -987,4 +981,4 @@ def test_cut_duplicate_spans_rejects_repeated_ids(ray_session):
         pa.table({"doc_id": ["x", "x", "y"], "text": [text, text, text]})
     )
     with pytest.raises(ValueError, match="'x' appears more than once"):
-        cut_duplicate_spans(ds, window=16, stride=8, num_buckets=4).to_pandas()
+        cut_duplicate_spans(ds, window=16, stride=8).to_pandas()

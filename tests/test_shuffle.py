@@ -37,16 +37,17 @@ def _one_row_per_key_run(group: pa.Table) -> pa.Table:
 
 @pytest.mark.parametrize("num_buckets", [1, 7])
 @pytest.mark.parametrize("kind", sorted(_KEYS))
-def test_bucketed_contract(ray_session, kind, num_buckets):
+def test_bucketed_contract(ray_session, buckets, kind, num_buckets):
     import ray
     import ray.data
 
+    buckets(num_buckets)
     keys = _KEYS[kind]
     tbl = pa.table({"k": keys, "v": pa.array(range(len(keys)), pa.int64())})
     ds = ray.data.from_arrow(tbl).repartition(5)
 
     blocks = ray.get(
-        bucketed(ds, ["k"], _one_row_per_key_run, num_buckets=num_buckets).to_arrow_refs()
+        bucketed(ds, ["k"], _one_row_per_key_run).to_arrow_refs()
     )
     assert all(c.num_chunks <= 1 for b in blocks for c in b.columns)
     out = pa.concat_tables([b for b in blocks if b.num_rows]).to_pylist()
@@ -58,11 +59,11 @@ def test_bucketed_contract(ray_session, kind, num_buckets):
     assert len({r["call"] for r in out}) <= num_buckets
 
     empty = ray.data.from_arrow(tbl.slice(0, 0))
-    assert bucketed(empty, ["k"], _one_row_per_key_run, num_buckets=num_buckets).count() == 0
+    assert bucketed(empty, ["k"], _one_row_per_key_run).count() == 0
 
 
 def test_bucketed_knows_its_boundaries(ray_session, monkeypatch):
-    """Bucket ids lie in ``[0, num_buckets)``, so the shuffle never samples
+    """Bucket ids lie in ``[0, NUM_BUCKETS)``, so the shuffle never samples
     its input for range boundaries, and it runs one reduce task per Ray
     CPU at most: the output has no more blocks than that."""
     import ray
@@ -77,7 +78,7 @@ def test_bucketed_knows_its_boundaries(ray_session, monkeypatch):
     tbl = pa.table({"k": keys, "v": pa.array(range(len(keys)), pa.int64())})
     ds = ray.data.from_arrow(tbl).repartition(16)
 
-    out = bucketed(ds, ["k"], _one_row_per_key_run, num_buckets=64).materialize()
+    out = bucketed(ds, ["k"], _one_row_per_key_run).materialize()
     rows = out.take_all()
     assert len(rows) == len(set(keys.to_pylist()))  # each key in exactly one call
     assert {r["k"]: r["n"] for r in rows} == Counter(keys.to_pylist())  # and whole
@@ -110,10 +111,11 @@ def _per_side_key_runs(left: pa.Table, right: pa.Table) -> pa.Table:
 
 
 @pytest.mark.parametrize("num_buckets", [1, 7])
-def test_bucketed_two_inputs_contract(ray_session, num_buckets):
+def test_bucketed_two_inputs_contract(ray_session, buckets, num_buckets):
     import ray
     import ray.data
 
+    buckets(num_buckets)
     lk = pa.array([1, 2, None, 3, 1, None, 5] * 20, pa.int32())
     rk = pa.array([2, None, 3, 3, 4, 2**40] * 15, pa.int64())
     left = pa.table({"k": lk, "a": pa.array([str(i) for i in range(len(lk))])})
@@ -124,7 +126,7 @@ def test_bucketed_two_inputs_contract(ray_session, num_buckets):
 
     def run(lds, rds):
         sides = [(lds, ["k"]), (rds, ["key"], right_schema)]
-        blocks = ray.get(bucketed(sides, None, _per_side_key_runs, num_buckets=num_buckets).to_arrow_refs())
+        blocks = ray.get(bucketed(sides, None, _per_side_key_runs).to_arrow_refs())
         assert all(c.num_chunks <= 1 for b in blocks for c in b.columns)  # one chunk per block
         return pa.concat_tables([b for b in blocks if b.num_rows]).to_pylist()
 
@@ -151,7 +153,28 @@ def test_bucketed_two_inputs_contract(ray_session, num_buckets):
     assert dict((r["k"], r["n"]) for r in out) == Counter(lk.to_pylist())
 
 
-def test_two_sided_joins_accept_pandas_backed_sides(ray_session):
+def test_patched_bucket_count_reaches_the_workers(ray_session, buckets):
+    """``buckets(1)`` sends every key to one ``fn`` call, for one input
+    and for two: the workers route by the patched constant. At the
+    default the same inputs take several calls, so a test that patches
+    the constant does run with fewer buckets."""
+    import ray.data
+
+    tbl = pa.table({"k": pa.array(range(50), pa.int64())})
+    left = ray.data.from_arrow(tbl).repartition(4)
+    right = ray.data.from_arrow(tbl.rename_columns(["key"]))
+
+    def calls():
+        one = bucketed(left, ["k"], _one_row_per_key_run)
+        two = bucketed([(left, ["k"]), (right, ["key"])], None, _per_side_key_runs)
+        return [len({r["call"] for r in ds.take_all()}) for ds in (one, two)]
+
+    assert min(calls()) > 1
+    buckets(1)
+    assert calls() == [1, 1]
+
+
+def test_two_sided_joins_accept_pandas_backed_sides(ray_session, buckets):
     """A ``from_pandas`` side types its text columns as Python ``object``
     in ``Dataset.schema()``; the joins read its Arrow schema instead when
     no schema is passed."""
@@ -167,19 +190,76 @@ def test_two_sided_joins_accept_pandas_backed_sides(ray_session):
     def rows(ds):
         return sorted(ds.take_all(), key=lambda r: r["k"])
 
-    assert rows(hash_join_bucketed(left, right, left_on="k", right_on="k", right_cols=["t"], num_buckets=2)) == [
+    buckets(2)
+    assert rows(hash_join_bucketed(left, right, left_on="k", right_on="k", right_cols=["t"])) == [
         {"k": 1, "s": "a", "v": 1.0, "t": "x"},
         {"k": 2, "s": "b", "v": 2.0, "t": "y"},
     ]
     probes = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, 3], "s": ["a", "b", "c"], "w": [1.0, 2.0, 3.0]}))
     asof = asof_join_bucketed(
-        probes, right, on="w", by="k", right_value_cols=["t"], allow_exact_matches=True, num_buckets=2
+        probes, right, on="w", by="k", right_value_cols=["t"], allow_exact_matches=True
     )
     assert [(r["k"], r["t"]) for r in rows(asof)] == [(1, "x"), (2, "y"), (3, None)]
     banded = interval_join_banded(
-        left, bands, left_val="v", right_lo="lo", right_hi="hi", right_cols=["t"], band_width=1.0, num_buckets=2
+        left, bands, left_val="v", right_lo="lo", right_hi="hi", right_cols=["t"], band_width=1.0
     )
     assert [(r["k"], r["t"]) for r in rows(banded)] == [(1, "p"), (3, "q")]
+
+
+# One routing constant: ops/shuffle.py alone decides the bucket count and
+# the block counts. Only the hashing primitive and the shard helper its
+# tests call take a count.
+_COUNT_PARAMS = {"num_buckets", "num_shards", "num_ranges"}
+_COUNT_TAKERS = {
+    ("jsonld_ex_ray/ops/hashing.py", "bucket_ids", "num_buckets"),
+    ("jsonld_ex_ray/pipeline.py", "_sharded_triples", "num_shards"),
+}
+
+
+def _layout_knobs_in(source: str):
+    """(function, what) for each def taking a ``num_buckets``,
+    ``num_shards`` or ``num_ranges`` parameter (``function`` is that def)
+    and each ``.repartition(`` call not given exactly ``partitions()``
+    (``function`` is the enclosing top-level def)."""
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if arg.arg in _COUNT_PARAMS:
+                        yield node.name, arg.arg
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "repartition":
+                args = [*node.args, *(k.value for k in node.keywords)]
+                p = args[0] if len(args) == 1 else None
+                if not (isinstance(p, ast.Call) and getattr(p.func, "id", None) == "partitions" and not p.args):
+                    yield getattr(top, "name", None), "repartition"
+
+
+_LAYOUT_KNOBS = """
+def join(left, right, *, num_buckets=64):
+    return left.repartition(32).union(right.repartition(num_buckets))
+
+def loop(ds):
+    return ds.repartition(partitions())
+"""
+
+
+def test_one_routing_constant():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "jsonld_ex_ray").rglob("*.py")), root / "__ray_entry__.py"]
+    found = {
+        (path.relative_to(root).as_posix(), *site) for path in paths for site in _layout_knobs_in(path.read_text())
+    }
+    stray = found - _COUNT_TAKERS
+    assert not stray, f"take the layout from ops/shuffle (NUM_BUCKETS, partitions()): {sorted(stray, key=str)}"
+    assert found == _COUNT_TAKERS
+    # the guard itself flags a count parameter and literal or parameter
+    # block counts, and passes partitions()
+    assert sorted(_layout_knobs_in(_LAYOUT_KNOBS)) == [
+        ("join", "num_buckets"),
+        ("join", "repartition"),
+        ("join", "repartition"),
+    ]
 
 
 def test_key_runs_splits_at_key_changes():

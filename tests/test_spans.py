@@ -65,7 +65,7 @@ def test_duplicate_spans_edge_cases_match_oracle(ray_session):
     from jsonld_ex_ray.ops.dedup import duplicate_spans
 
     ds = ray.data.from_arrow(_corpus()).repartition(3)
-    got = duplicate_spans(ds, window=W, stride=S, num_buckets=4).take_all()
+    got = duplicate_spans(ds, window=W, stride=S).take_all()
     want = _oracle("doc_dup_spans")
     assert sorted(got, key=_key) == sorted(want, key=_key)
     assert {r["doc_id"] for r in got} == {None, 2, 3, 4}  # never doc 1
@@ -77,7 +77,7 @@ def test_cut_duplicate_spans_edge_cases_match_oracle(ray_session):
     from jsonld_ex_ray.ops.dedup import cut_duplicate_spans
 
     ds = ray.data.from_arrow(_corpus()).repartition(3)
-    got = cut_duplicate_spans(ds, window=W, stride=S, num_buckets=4).take_all()
+    got = cut_duplicate_spans(ds, window=W, stride=S).take_all()
     want = _oracle("doc_dedup_cut")
     by_id = {r["doc_id"]: r["text"] for r in got}
     assert sorted(got, key=_key) == sorted(want, key=_key)
@@ -130,7 +130,7 @@ def test_span_ops_plan_two_shuffles(ray_session, op):
     from jsonld_ex_ray.ops import dedup
 
     ds = ray.data.from_arrow(_corpus())
-    assert _plan_ops(getattr(dedup, op)(ds, window=W, stride=S, num_buckets=4), "Sort") == 2
+    assert _plan_ops(getattr(dedup, op)(ds, window=W, stride=S), "Sort") == 2
 
 
 def test_clean_corpus_cut_spans_plans_two_shuffles(ray_session):
@@ -162,7 +162,7 @@ def test_cut_duplicate_spans_carries_every_column(ray_session, source):
         ds = ray.data.from_items(rows)
     else:
         ds = ray.data.from_pandas(pd.DataFrame(rows))
-    out = cut_duplicate_spans(ds.repartition(2), window=W, stride=S, num_buckets=4)
+    out = cut_duplicate_spans(ds.repartition(2), window=W, stride=S)
     got = sorted(out.take_all(), key=lambda r: r["doc_id"])
     assert out.schema().names == ["doc_id", "text", "n", "s", "z"]
     assert [{k: v for k, v in r.items() if k != "text"} for r in got] == [
