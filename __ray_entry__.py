@@ -48,10 +48,20 @@ def _corpus_for(sf_dir: str) -> str:
     return gen.corpus_fixture(float(m.group(1)) if m else 0.001)
 
 
-def _read(sf_dir: str, table: str):
+def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+    """``table`` of the driver's testdata, without the files' schema
+    metadata (``b'pandas'``): Ray cannot hash a schema holding metadata,
+    so every later unify of block schemas would log ``Failed to hash the
+    schemas`` and take its slow path."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data
 
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"))
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def entry() -> Any:
@@ -150,12 +160,10 @@ def _q_lineitem_agg(sf_dir: str):
     """Grouped aggregate: map-side partial aggregation (combiner) inside
     map_batches, then one bucketed shuffle of the partial rows and a
     vectorized per-bucket combine — the driver sees only the result."""
-    import ray.data
     from jsonld_ex_ray.ops.agg import groupby_agg
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
+    ds = _read(
+        sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"]
     )
     # float sums are rounded to fixed precision on BOTH sides (engine +
     # oracle SQL): parallel partial aggregation adds doubles in a different
@@ -179,13 +187,9 @@ def _q_lineitem_agg(sf_dir: str):
     LIMIT 10
 """)
 def _q_top_orders(sf_dir: str):
-    import ray.data
     from jsonld_ex_ray.ops.agg import topk
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
-    )
+    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
     return topk(ds, ["o_totalprice", "o_orderkey"], [True, False], 10)
 
 
@@ -218,9 +222,7 @@ def _q_orders_by_segment(sf_dir: str):
         idx = pc.index_in(batch.column("o_custkey"), value_set=keys)
         return batch.append_column("c_mktsegment", pc.take(tbl.column("c_mktsegment").chunk(0), idx))
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
-    )
+    ds = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     ds = ds.map_batches(attach_segment, batch_format="pyarrow", zero_copy_batch=True)
     from jsonld_ex_ray.ops.agg import groupby_agg
 
@@ -245,11 +247,8 @@ def _q_events_window(sf_dir: str):
     """Daily per-event-type aggregate (event-stream rollup)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["ts", "event_type", "value"]
-    )
+    ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"])
 
     def day_col(batch: pa.Table) -> pa.Table:
         days = pc.strftime(batch.column("ts"), format="%Y-%m-%d")
@@ -278,18 +277,11 @@ def _q_revenue_by_priority(sf_dir: str):
     bounded shuffle; no driver-side read, no full-table broadcast."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
-    lineitem = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    )
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderpriority"],
-    )
+    lineitem = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
     joined = hash_join_bucketed(
         lineitem,
         orders,
@@ -350,12 +342,9 @@ def _q_events_top_users(sf_dir: str):
     """High-cardinality groupby: map-side arrow partials → ONE bounded
     bucket shuffle → vectorized per-bucket combine (never collects
     partials on the driver) → distributed top-k over the per-user rows."""
-    import ray.data
     from jsonld_ex_ray.ops.agg import groupby_agg, topk
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "value"]
-    )
+    ds = _read(sf_dir, "events", columns=["user_id", "value"])
     per_user = groupby_agg(
         ds, ["user_id"], [("value", "sum", "total_value", 2)]
     )
@@ -368,10 +357,9 @@ def _q_events_top_users(sf_dir: str):
 def _q_events_distinct_users(sf_dir: str):
     """Exact count-distinct: per-block unique (combiner) → one bounded
     bucket shuffle → per-bucket unique counts → tiny sum."""
-    import ray.data
     from jsonld_ex_ray.ops.agg import distinct_count
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["user_id"])
+    ds = _read(sf_dir, "events", columns=["user_id"])
     return distinct_count(ds, "user_id")
 
 
@@ -380,10 +368,9 @@ def _q_events_distinct_users_hll(sf_dir: str):
     """HyperLogLog sketch variant (the 100-TB shape: a few KB of
     registers per block, merged by max) — approximate, rows-only; the
     pytest gate bounds its error against the exact count."""
-    import ray.data
     from jsonld_ex_ray.ops.agg import approx_distinct_hll
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["user_id"])
+    ds = _read(sf_dir, "events", columns=["user_id"])
     return approx_distinct_hll(ds, "user_id")
 
 
@@ -393,12 +380,9 @@ def _q_events_hll_by_type(sf_dir: str):
     size) — one bounded hash(group) shuffle of 4 KB register rows,
     segmented max-merge per bucket; approximate, rows-only (the pytest
     gate bounds per-group error against true counts)."""
-    import ray.data
     from jsonld_ex_ray.ops.agg import grouped_approx_distinct_hll
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "user_id"]
-    )
+    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
     return grouped_approx_distinct_hll(ds, "event_type", "user_id").sort("event_type")
 
 
@@ -418,7 +402,6 @@ def _q_events_hll_check(sf_dir: str):
     end-to-end check of the sketch machinery: a broken hash, rank, or
     merge flips within_bound to false and hash-mismatches. Both side
     tables are one row per event type — the driver-side merge is O(types)."""
-    import ray.data
 
     from jsonld_ex_ray.ops.agg import (
         distinct_rows,
@@ -426,9 +409,7 @@ def _q_events_hll_check(sf_dir: str):
         grouped_approx_distinct_hll,
     )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "user_id"]
-    )
+    ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
     est = grouped_approx_distinct_hll(ds, "event_type", "user_id").to_pandas()
     pairs = distinct_rows(ds, ["event_type", "user_id"])
     exact = groupby_agg(
@@ -483,12 +464,9 @@ def _q_events_props_extract(sf_dir: str):
 """)
 def _q_events_tumbling(sf_dir: str):
     """Event-time tumbling window (1h) aggregate."""
-    import ray.data
     from jsonld_ex_ray.ops.window import tumbling_window_agg
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["ts", "value"]
-    )
+    ds = _read(sf_dir, "events", columns=["ts", "value"])
     return tumbling_window_agg(
         ds, "ts", 3600, [("value", "count", "n"), ("value", "sum", "sum_value", 2)]
     )
@@ -509,12 +487,9 @@ def _q_events_tumbling(sf_dir: str):
 def _q_events_sliding(sf_dir: str):
     """Sliding window (1h window, 30m slide) aggregate — rows-only check
     (not ANSI-SQL-expressible without lateral unnest gymnastics)."""
-    import ray.data
     from jsonld_ex_ray.ops.window import sliding_window_agg
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["ts", "value"]
-    )
+    ds = _read(sf_dir, "events", columns=["ts", "value"])
     return sliding_window_agg(
         ds, "ts", 3600, 1800, [("value", "count", "n"), ("value", "sum", "sum_value", 2)]
     )
@@ -530,10 +505,9 @@ def _q_events_value_quantiles(sf_dir: str):
     """Exact quantile_cont without a global sort: histogram-refinement in
     three streaming passes; only the target bins' values reach the
     driver."""
-    import ray.data
     from jsonld_ex_ray.ops.agg import exact_quantiles
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["value"])
+    ds = _read(sf_dir, "events", columns=["value"])
     return exact_quantiles(ds, "value", [0.25, 0.5, 0.9])
 
 
@@ -575,12 +549,9 @@ def _q_events_sessions(sf_dir: str):
     dtypes (round-2 red row was representation-only — values equal)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from jsonld_ex_ray.ops.window import sessionize
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
-    )
+    ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
     def epoch_us(batch: pa.Table) -> pa.Table:
         start = pc.cast(batch.column("session_start"), pa.int64())
@@ -614,12 +585,9 @@ def _q_events_asof_view(sf_dir: str):
     and merge_asof runs vectorized inside each bucket."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
     from jsonld_ex_ray.ops.joins import asof_join_bucketed
 
-    left = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_id", "user_id", "ts"]
-    )
+    left = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
     def views_only(batch: pa.Table) -> pa.Table:
         v = batch.filter(pc.equal(batch.column("event_type"), pa.scalar("view")))
@@ -627,9 +595,9 @@ def _q_events_asof_view(sf_dir: str):
             {"user_id": v.column("user_id"), "ts": v.column("ts"), "view_ts": v.column("ts")}
         )
 
-    right = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts", "event_type"]
-    ).map_batches(views_only, batch_format="pyarrow", zero_copy_batch=True)
+    right = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"]).map_batches(
+        views_only, batch_format="pyarrow", zero_copy_batch=True
+    )
 
     joined = asof_join_bucketed(
         left,
@@ -659,12 +627,9 @@ def _q_events_asof_view(sf_dir: str):
 def _q_events_value_bands(sf_dir: str):
     """Range join: event value → [lo, hi) band, broadcast + searchsorted."""
     import pyarrow as pa
-    import ray.data
     from jsonld_ex_ray.ops.joins import range_join_broadcast
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_id", "value"]
-    )
+    ds = _read(sf_dir, "events", columns=["event_id", "value"])
     bands = [(0.0, 5.0, "low"), (5.0, 20.0, "mid"), (20.0, 1e9, "high")]
     out = range_join_broadcast(ds, bands, value_col="value")
 
@@ -1040,10 +1005,7 @@ def _q_shipping_priority(sf_dir: str):
 
     cutoff = datetime(1998, 6, 1)
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_mktsegment"],
-    ).filter(expr="c_mktsegment == 'BUILDING'")
+    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).filter(expr="c_mktsegment == 'BUILDING'")
     keys = pa.concat_tables(
         [t for t in ray.get(cust.materialize().to_arrow_refs()) if t.num_rows]
     ).column("c_custkey").combine_chunks()
@@ -1059,10 +1021,9 @@ def _q_shipping_priority(sf_dir: str):
         od_s = pc.cast(pc.cast(b.column("o_orderdate"), pa.timestamp("s")), pa.int64())
         return pa.table({"o_orderkey": b.column("o_orderkey"), "od_s": od_s})
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(orders_prep, batch_format="pyarrow", zero_copy_batch=True)
+    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
+        orders_prep, batch_format="pyarrow", zero_copy_batch=True
+    )
 
     def line_prep(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.greater(batch.column("l_shipdate"), pa.scalar(cutoff)))
@@ -1072,10 +1033,9 @@ def _q_shipping_priority(sf_dir: str):
         )
         return pa.table({"l_orderkey": b.column("l_orderkey"), "__rev": rev})
 
-    line = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-    ).map_batches(line_prep, batch_format="pyarrow", zero_copy_batch=True)
+    line = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]).map_batches(
+        line_prep, batch_format="pyarrow", zero_copy_batch=True
+    )
 
     joined = hash_join_bucketed(
         line, orders, left_on="l_orderkey", right_on="o_orderkey", right_cols=["od_s"]
@@ -1142,9 +1102,8 @@ def _q_emb_clusters(sf_dir: str):
     centroid invariant is pytest-checked."""
     from jsonld_ex_ray.ops.similarity import assign_clusters
 
-    import ray.data
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = _read(sf_dir, "embeddings")
     return assign_clusters(ds).sort("vec_id")
 
 
@@ -1304,7 +1263,6 @@ def _q_customer_redact(sf_dir: str):
     (identically in the SQL oracle) — email, IPv4 and phone shapes that
     the redaction pass must actually mask, around unmaskable text that
     keeps rows distinguishable."""
-    import ray.data
 
     from jsonld_ex_ray.ops.text import redact_pii
 
@@ -1338,9 +1296,7 @@ def _q_customer_redact(sf_dir: str):
         )
         return batch.append_column("contact", contact)
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_nationkey"]
-    )
+    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name", "c_nationkey"])
     ds = ds.map_batches(add_contact, batch_format="pyarrow", zero_copy_batch=True)
     return redact_pii(ds, ["contact"]).sort("c_custkey").drop_columns(["c_nationkey"])
 
@@ -1837,7 +1793,6 @@ def _q_orders_no_recent_ship(sf_dir: str):
 
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from jsonld_ex_ray.ops.agg import distinct_rows
     from jsonld_ex_ray.ops.joins import filter_by_keys
@@ -1850,17 +1805,11 @@ def _q_orders_no_recent_ship(sf_dir: str):
         ).select(["l_orderkey"])
 
     shipped = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_shipdate"],
-        )
+        _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
         .map_batches(recent, batch_format="pyarrow", zero_copy_batch=True)
     )
     recent_keys = distinct_rows(shipped, ["l_orderkey"])
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderstatus"],
-    )
+    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderstatus"])
     return filter_by_keys(
         orders, recent_keys, on="o_orderkey", keys_on="l_orderkey", anti=True
     ).sort("o_orderkey")
@@ -1989,7 +1938,6 @@ def _q_knn_join(sf_dir: str):
     per corpus block, grouped final head; the corpus never shuffles."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray.data
 
     from jsonld_ex_ray.ops.similarity import knn_join
 
@@ -1997,9 +1945,7 @@ def _q_knn_join(sf_dir: str):
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
     )
     qt = qt.filter(pc.less(qt.column("vec_id"), 100))
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
+    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     return knn_join(ds, qt, k=5).sort(["query_id", "sim", "neighbor_id"], descending=[False, True, False])
 
 
@@ -2042,7 +1988,6 @@ def _q_orders_customers_full(sf_dir: str):
 
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
@@ -2054,10 +1999,7 @@ def _q_orders_customers_full(sf_dir: str):
         ).drop_columns(["o_orderdate"])
 
     orders = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "orders.parquet"),
-            columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"],
-        )
+        _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"])
         .map_batches(recent, batch_format="pyarrow", zero_copy_batch=True)
     )
 
@@ -2066,10 +2008,9 @@ def _q_orders_customers_full(sf_dir: str):
             pc.equal(batch.column("c_mktsegment"), pa.scalar("BUILDING"))
         ).drop_columns(["c_mktsegment"])
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_acctbal", "c_mktsegment"],
-    ).map_batches(building, batch_format="pyarrow", zero_copy_batch=True)
+    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal", "c_mktsegment"]).map_batches(
+        building, batch_format="pyarrow", zero_copy_batch=True
+    )
 
     return hash_join_bucketed(
         orders,
@@ -2110,7 +2051,6 @@ def _q_orders_last_ship(sf_dir: str):
 
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from jsonld_ex_ray.ops.agg import groupby_agg
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
@@ -2123,15 +2063,11 @@ def _q_orders_last_ship(sf_dir: str):
         return pa.table({"l_orderkey": b.column("l_orderkey"), "ship_s": ship_s})
 
     line = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey", "l_shipdate"]
-        )
+        _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
         .map_batches(recent_s, batch_format="pyarrow", zero_copy_batch=True)
     )
     last = groupby_agg(line, ["l_orderkey"], [("ship_s", "max", "last_ship_s")])
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey", "o_totalprice"]
-    )
+    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
     return hash_join_bucketed(
         orders, last,
         left_on="o_orderkey", right_on="l_orderkey",
@@ -2156,7 +2092,6 @@ def _q_parts_never_heavy(sf_dir: str):
     NOT fit worker memory (contrast orders_no_recent_ship's broadcast)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from jsonld_ex_ray.ops.joins import hash_join_bucketed
 
@@ -2165,16 +2100,10 @@ def _q_parts_never_heavy(sf_dir: str):
         return b.select(["l_partkey"])
 
     line = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_partkey", "l_quantity"],
-        )
+        _read(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
         .map_batches(heavy, batch_format="pyarrow", zero_copy_batch=True)
     )
-    part = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"),
-        columns=["p_partkey", "p_name", "p_retailprice"],
-    )
+    part = _read(sf_dir, "part", columns=["p_partkey", "p_name", "p_retailprice"])
     return hash_join_bucketed(
         part, line, left_on="p_partkey", right_on="l_partkey",
         right_cols=[], join_type="anti",
@@ -2316,13 +2245,12 @@ def _q_local_supplier_volume(sf_dir: str):
             }
         )
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(orders_prep, batch_format="pyarrow", zero_copy_batch=True)
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-    ).map_batches(cust_prep, batch_format="pyarrow", zero_copy_batch=True)
+    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
+        orders_prep, batch_format="pyarrow", zero_copy_batch=True
+    )
+    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]).map_batches(
+        cust_prep, batch_format="pyarrow", zero_copy_batch=True
+    )
     ord_cust = hash_join_bucketed(
         orders, cust, left_on="o_custkey", right_on="c_custkey", right_cols=["cust_nation"]
     )
@@ -2341,10 +2269,7 @@ def _q_local_supplier_volume(sf_dir: str):
         )
 
     line = (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "lineitem.parquet"),
-            columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-        )
+        _read(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
         .map_batches(line_prep, batch_format="pyarrow", zero_copy_batch=True)
     )
     joined = hash_join_bucketed(

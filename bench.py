@@ -150,13 +150,7 @@ def run_queries(sf_dir: str, num_cpus: int) -> dict:
     state: dict = {}
 
     def run_extract():
-        state["mat"] = triples_only(
-            build_triples(
-                corpus,
-                batch_size=512,
-                override_num_blocks=num_cpus * 2,
-            )
-        ).materialize()
+        state["mat"] = triples_only(build_triples(corpus, batch_size=512)).materialize()
         state["n_triples"] = state["mat"].count()
 
     run_extract()  # in-session warm-up (spins workers, fills ctx caches)
@@ -256,13 +250,7 @@ def run_single(sf_dir: str, num_cpus: int, plain: bool = False) -> dict:
     from jsonld_ex_ray.pipeline import build_triples, triples_only
 
     t0 = time.monotonic()
-    n_triples = triples_only(
-        build_triples(
-            corpus,
-            batch_size=512,
-            override_num_blocks=num_cpus * 2,
-        )
-    ).count()
+    n_triples = triples_only(build_triples(corpus, batch_size=512)).count()
     dt = time.monotonic() - t0
     ray.shutdown()
     return {
@@ -350,9 +338,7 @@ if __name__ == "__main__":
         from jsonld_ex_ray.pipeline import build_triples, triples_only
 
         corpus = corpus_fixture(_sf_from_dir(sf_dir), shards=32)
-        mat = triples_only(
-            build_triples(corpus, batch_size=512, override_num_blocks=num_cpus * 2)
-        ).materialize()
+        mat = triples_only(build_triples(corpus, batch_size=512)).materialize()
         print(mat.stats(), file=sys.stderr)
         print(json.dumps({"metric": "stats", "rows": mat.count(), "num_cpus": num_cpus}))
         ray.shutdown()

@@ -315,10 +315,11 @@ def write_corpus(
     shards: int | None = None,
 ) -> str:
     """``shards=None`` writes one parquet file; ``shards=N`` writes a
-    DIRECTORY of N files (identical rows, contiguous split). Ray assigns
-    one read task per FILE regardless of row groups, so a single-file
-    corpus serializes the whole pipeline behind one reader — shard any
-    corpus meant for multi-CPU runs (real corpora arrive sharded)."""
+    DIRECTORY of N files (identical rows, contiguous split), each in row
+    groups of ``row_group_size`` rows. ``pipeline.build_triples`` runs one
+    emit task per ROW GROUP, so a corpus of one row group serializes the
+    whole pipeline behind one task: keep several row groups, or shards,
+    in any corpus meant for multi-CPU runs."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -336,7 +337,6 @@ def write_corpus(
                 row_group_size=row_group_size,
             )
         return out_path
-    # small row groups so readers that can split within a file still may
     pq.write_table(table, out_path, row_group_size=row_group_size)
     return out_path
 
@@ -423,8 +423,9 @@ def files_for_sf(sf: float, heavy: float = 0.0) -> int:
 
 def corpus_fixture(sf: float, heavy: float = 0.0, shards: int = 16) -> str:
     """The cached seed-42 corpus for ``sf`` as a directory of ``shards``
-    files (Ray reads one task per file). ``heavy`` is the share of large
-    multi-entity documents. Rebuilt when the generator changes."""
+    files (one emit task per row group of 2048 rows). ``heavy`` is the
+    share of large multi-entity documents. Rebuilt when the generator
+    changes."""
     n = files_for_sf(sf, heavy)
     tag = f"{n}_42" + (f"_h{int(heavy * 100)}" if heavy else "") + f"_s{shards}"
     return cached_dir(

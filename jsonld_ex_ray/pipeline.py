@@ -1,13 +1,14 @@
 """The flagship KG-construction pipeline, Ray-Data-first.
 
-    read_parquet(source_repos)                     # column-pruned scan
-      → map_batches(emit_batch)                    # per file: extract →
-                                                   # resolve+expand+
-                                                   # node-map+toRdf
+    parquet footers of source_repos                # one item per row group
+      → map_batches(emit_batch)                    # per item: read the row
+                                                   # group, then per file
+                                                   # extract → expand →
+                                                   # node-map → toRdf
                                                    # [+URDNA2015 labels]
       → [map_batches(link_batch)]                  # broadcast dictionary
       → [dedup / canonicalize / materialize]       # explicit shuffles
-      → write_parquet(out, partitioned)            # resumable shards
+      or → write shard={i}/ from the emit task     # run_checkpointed
 
 Design notes (SURVEY.md §4): zero shuffles until the optional wide stages;
 every per-batch stage is a plain Ray task, fused by Ray Data into one; the
@@ -21,12 +22,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
+from itertools import chain
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from .columns import pylist
 from .core.rdf_generation import RDF_LANGSTRING, XSD_STRING
@@ -36,65 +40,92 @@ from .stages.extract import SOURCE_COLS
 from .stages.triples import TRIPLE_SCHEMA, canonical_labels, doc_hash, make_emit_batch
 
 
+_BATCH_ROWS = 1024  # source rows per emit call
+
+
 def build_triples(
     source: "Any",
     *,
     context_registry: dict | None = None,
     options=None,
     concurrency=None,
-    batch_size: int = 1024,
+    batch_size: int = _BATCH_ROWS,
     linker_dict_ref=None,
-    override_num_blocks: int | None = None,
     canonical: bool = False,
 ):
     """source: path(s) to the source-repo Parquet table, or a Dataset.
 
     Returns a lazy Dataset of TRIPLE_SCHEMA rows (triples + error records,
-    distinguished by ``pred IS NULL``) from one task per ``batch_size``
-    source rows (``stages/triples.make_emit_batch``: extract → expand →
-    node-map → toRdf → Arrow). 1024 rows span several of the parquet
-    reader's blocks, so the task emits fewer, larger blocks: on 2000-file
-    inputs that cut the CPU of build+materialize by a fifth against 256.
-    A batch of 1024 heavy documents (``gen`` ``heavy_fraction=1.0``, about
-    400 triples each) builds about 150 MiB of rows; pass a smaller
-    ``batch_size`` for such corpora. ``context_registry`` / ``options``
-    replace the offline context registry and the JSON-LD options of the
-    kernel; ``linker_dict_ref`` (``ray.put(alias_to_iri)``) adds the
-    entity-linker columns. ``canonical=True`` gives blank nodes their
-    URDNA2015 labels inside the emit task (see
-    :func:`canonicalize_bnodes`); otherwise they keep the kernel's
-    ``_:{doc_hash}-b<n>`` labels. ``concurrency`` is accepted and
+    distinguished by ``pred IS NULL``), emitted per ``batch_size`` source
+    rows (``stages/triples.make_emit_batch``: extract → expand → node-map
+    → toRdf → Arrow). A path source is read inside the emit task, one
+    task per parquet row group (:func:`_row_groups`), so no source block
+    crosses the object store; the trade is that a file of one row group
+    is one task. No row group gives an empty ``TRIPLE_SCHEMA`` Dataset.
+    1024-row batches cut build+materialize CPU by a fifth against 256;
+    1024 heavy documents (``gen`` ``heavy_fraction=1.0``) build about
+    150 MiB of rows, so pass a smaller ``batch_size`` there.
+    ``context_registry`` / ``options`` replace the kernel's offline
+    context registry and JSON-LD options; ``linker_dict_ref``
+    (``ray.put(alias_to_iri)``) adds the entity-linker columns;
+    ``canonical=True`` gives blank nodes their URDNA2015 labels in the
+    emit task (see :func:`canonicalize_bnodes`), else they keep the
+    kernel's ``_:{doc_hash}-b<n>``. ``concurrency`` is accepted and
     ignored: ``perfbench/workloads.py`` still passes it.
     """
     import ray.data
 
-    if isinstance(source, (str, list)):
-        ds = ray.data.read_parquet(
-            source,
-            columns=list(SOURCE_COLS),
-            override_num_blocks=override_num_blocks,
-        )
-    else:
-        ds = source
     state_ref = None
     if context_registry is not None or options is not None:
         state_ref = ray.put((context_registry, options))
     # the detector registry is snapshotted here, on the driver:
     # register_detector mutations never reach worker processes otherwise
-    ds = ds.map_batches(
-        make_emit_batch(state_ref, canonical=canonical),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
+    emit = make_emit_batch(state_ref, canonical=canonical)
+    if isinstance(source, (str, list)):
+        items = [{"path": path, "row_group": group} for path, group, _ in _row_groups(source)]
+        if not items:
+            return ray.data.from_arrow(TRIPLE_SCHEMA.empty_table())
+        ds = _emit_tasks(items, emit, batch_size, lambda item, k, n_src, out: out)
+    else:
+        ds = source.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
     if linker_dict_ref is not None:
-        ds = ds.map_batches(
-            link_entities(linker_dict_ref),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=4096,
-        )
+        link = link_entities(linker_dict_ref)
+        ds = ds.map_batches(link, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
     return ds
+
+
+def _row_groups(source) -> list[tuple[str, int, int]]:
+    """(path, row group, rows) of each non-empty row group, from the
+    footers of the parquet files that ``source`` (a path or a list of
+    paths) names: directories walked as ``ray.data.read_parquet`` walks
+    them (``_``/``.`` names skipped), a file named twice read twice, every
+    path absolute for the worker that reads it."""
+    import pyarrow.dataset as pads
+
+    groups = []
+    for top in [source] if isinstance(source, str) else source:
+        for path in pads.dataset(os.path.abspath(top), format="parquet").files:
+            meta = pq.read_metadata(path)
+            groups += [(path, g, n) for g in range(meta.num_row_groups) if (n := meta.row_group(g).num_rows)]
+    return groups
+
+
+def _emit_tasks(items: list[dict], emit, batch_size: int, per_slice):
+    """One task per work item (a dict naming a parquet ``path`` and
+    ``row_group``; a one-row block, taken with ``batch_size=1``) that
+    reads the row group and yields ``per_slice(item, k, source rows,
+    emit(slice))`` per ``batch_size``-row slice ``k``."""
+    import ray.data
+
+    def emit_batch(block: pa.Table):
+        item = {c: block.column(c)[0].as_py() for c in block.column_names}
+        rows = pq.ParquetFile(item["path"]).read_row_group(item["row_group"], columns=list(SOURCE_COLS))
+        for k, lo in enumerate(range(0, rows.num_rows, batch_size)):
+            part = rows.slice(lo, batch_size)
+            yield per_slice(item, k, part.num_rows, emit(part))
+
+    blocks = [pa.table({k: [v] for k, v in item.items()}) for item in items]
+    return ray.data.from_arrow(blocks).map_batches(emit_batch, batch_format="pyarrow", batch_size=1)
 
 
 def triples_only(ds):
@@ -510,8 +541,6 @@ def _stage_dir(out_dir: str, name: str, stamp: str | None) -> tuple[str, bool]:
     """(path, already_done): done iff the sibling marker holds ``stamp``;
     otherwise the marker and any directory are cleared. The marker is a
     SIBLING file so the stage dir stays pure parquet for readers."""
-    import shutil
-
     path = os.path.join(out_dir, name)
     marker = path + "._SUCCESS"
     try:
@@ -562,11 +591,7 @@ def _manifest_records(manifest_path: str) -> list[dict]:
 
 
 def _read_done_shards(manifest_path: str) -> set[int]:
-    return {
-        r["shard"]
-        for r in _manifest_records(manifest_path)
-        if r.get("status") == "done" and "shard" in r
-    }
+    return {r["shard"] for r in _manifest_records(manifest_path) if r.get("status") == "done" and "shard" in r}
 
 
 _held: dict[str, int] = {}  # claim path → the descriptor holding its lock
@@ -638,6 +663,42 @@ def _sweep_stale_claims(state_dir: str) -> None:
             _release(path)
 
 
+def _land_shard(state_dir: str, manifest_path: str, rec: dict) -> None:
+    """Append the manifest line ``rec``, then drop its shard's claim."""
+    with open(manifest_path, "a") as f:
+        f.write(json.dumps(rec) + "\n")
+    _release_claim(state_dir, rec["shard"])
+
+
+def _write_shards(items: list[dict], triples_dir: str, context_registry):
+    """One Ray Data execution over the work items (path, row_group,
+    shard, part), yielding (shard, source rows, rows, error rows) per
+    slice a task emitted and wrote to ``shard={shard}/part-{part}-{k}``.
+    Names come from the item, never the task, so a retried task, or one
+    of a stopped run still finishing, rewrites its own files with the
+    same rows. Closing the generator stops the execution."""
+    import ray
+
+    if not items:
+        return
+    cols = ("shard", "source_rows", "rows", "errors")
+    emit = make_emit_batch(None if context_registry is None else ray.put((context_registry, None)))
+
+    def write_part(item: dict, k: int, n_src: int, out: pa.Table) -> pa.Table:
+        if out.num_rows:
+            name = f"shard={item['shard']}/part-{item['part']:05d}-{k:05d}.parquet"
+            pq.write_table(out, os.path.join(triples_dir, name))
+        return pa.table(dict(zip(cols, ([item["shard"]], [n_src], [out.num_rows], [out.column("pred").null_count]))))
+
+    ds = _emit_tasks(items, emit, _BATCH_ROWS, write_part)
+    batches = iter(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    try:
+        for batch in batches:
+            yield from zip(*(pylist(batch.column(c)) for c in cols))
+    finally:
+        batches.close()
+
+
 def run_checkpointed(
     input_files: list[str],
     out_dir: str,
@@ -654,123 +715,80 @@ def run_checkpointed(
     per-shard ``flock`` claims, which the kernel releases when a writer
     dies. Resume needs the same run: the ``triples._SUCCESS`` marker
     holds the :func:`run_stamp` of the inputs, ``shard_size`` and
-    ``context_registry`` (it stamps the directory; the manifest says
-    which shards are done), and a call with another stamp clears
+    ``context_registry``, and a call with another stamp clears
     ``triples/`` and the manifest before any shard runs.
 
-    Two shards are in flight at once, each on its own driver thread with
-    its own Ray Data execution: the next shard's tasks fill the CPUs
-    while the other starts up or drains (one shard's execution leaves
-    the cluster idle for most of its wall). The first shard of a call
-    runs alone, so the error budget judges one shard before two take the
-    cluster, and a run killed soon after its first shard lands leaves
-    the rest unfinished. A manifest line's ``wall_ms`` includes time
-    shared with the other shard in flight.
+    Every shard not yet done is claimed first, and its source rows are
+    summed from the parquet footers. One Ray Data execution then writes
+    all claimed shards (:func:`_write_shards`). A shard lands when its
+    counted source rows reach that sum (at once for a shard of no rows):
+    :func:`_land_shard` appends its manifest line and drops its claim.
+    ``wall_ms`` runs from the execution's start to the landing.
 
-    ``max_error_rate`` is the errors-budget gate: when the cumulative
-    error-row fraction exceeds it, no further shard starts; the shard
-    still in flight lands and is counted, ``metrics.parquet`` is
-    written, and the run raises — a corrupted input corpus fails fast
-    instead of burning the cluster. Returns run metrics."""
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
+    ``max_error_rate`` is the errors-budget gate, checked as each shard
+    lands: when the cumulative error-row fraction exceeds it, the
+    execution stops, ``metrics.parquet`` is written and the run raises,
+    so a corrupted corpus fails fast; a resume redoes the shards that
+    had not landed. Returns run metrics."""
     state_dir = os.path.join(out_dir, "_state")
     os.makedirs(state_dir, exist_ok=True)
     manifest_path = os.path.join(state_dir, "manifest.jsonl")
     _sweep_stale_claims(state_dir)
     _adopt_or_clear(out_dir, run_stamp(input_files, shard_size, context_registry))
-    done = _read_done_shards(manifest_path)
-
-    shards = [
-        input_files[i : i + shard_size] for i in range(0, len(input_files), shard_size)
-    ]
+    recs = [r for r in _manifest_records(manifest_path) if r.get("status") == "done" and "shard" in r]
+    done = {r["shard"] for r in recs}
+    shards = [input_files[i : i + shard_size] for i in range(0, len(input_files), shard_size)]
+    token = f"pid {os.getpid()}"
+    claimed = [i for i in range(len(shards)) if i not in done and _claim_shard(state_dir, i, token)]
+    # re-read the manifest under the claims: a shard a concurrent writer
+    # finished since the read above is released, not reprocessed
+    late = _read_done_shards(manifest_path)
+    for i in late.intersection(claimed):
+        _release_claim(state_dir, i)
+    claimed = [i for i in claimed if i not in late]
     # seed the error-budget counters from ALREADY-DONE shards so the gate
-    # is genuinely cumulative across resumes (a fresh-counter resume
-    # would forget a prior run's 9.9% error mass and never trip)
-    metrics = {"shards_total": len(shards), "shards_skipped": len(done), "triples": 0, "errors": 0}
-    for rec in _manifest_records(manifest_path):
-        if rec.get("status") == "done" and rec.get("shard") in done:
-            metrics["triples"] += int(rec.get("triples", 0))
-            metrics["errors"] += int(rec.get("errors", 0))
+    # is genuinely cumulative across resumes
+    metrics = {"shards_total": len(shards), "shards_skipped": len(shards) - len(claimed)}
+    metrics |= {k: sum(int(r.get(k, 0)) for r in recs) for k in ("triples", "errors")}
 
-    def run_shard(i: int) -> tuple[int, int] | None:
-        """Build and record shard ``i`` → (rows, error rows); None when a
-        concurrent writer has done or holds it."""
-        files = shards[i]
-        # re-read the manifest so shards completed by a CONCURRENT writer
-        # since this run started are skipped, not reprocessed
-        if i in _read_done_shards(manifest_path) or not _claim_shard(state_dir, i, f"pid {os.getpid()}"):
-            return None
-        try:
-            if i in _read_done_shards(manifest_path):
-                # completed between the manifest check and the claim
-                return None
-            t0 = time.monotonic()
-            ds = build_triples(files, context_registry=context_registry)
+    held, tripped, counts = set(claimed), False, None
+    try:
+        todo, items = {}, []  # shard → [source rows not yet counted, rows, error rows]
+        for i in claimed:
             shard_dir = os.path.join(out_dir, "triples", f"shard={i}")
-            if os.path.isdir(shard_dir):
-                # a previous attempt died mid-write: clear the partial shard or
-                # the rerun's UUID-named files would double-count rows
-                import shutil
-
-                shutil.rmtree(shard_dir)
-            ds.write_parquet(shard_dir)
-            # cheap driver-side stats from the written shard footers
-            import pyarrow.dataset as pads
-
-            written = pads.dataset(shard_dir)
-            n = written.count_rows()
-            n_err = written.count_rows(filter=pads.field("pred").is_null())
-            rec = {
-                "shard": i,
-                "status": "done",
-                "files": files,
-                "rows": n,
-                "triples": n - n_err,
-                "errors": n_err,
-                "error_rate": round(n_err / n, 6) if n else 0.0,
-                "wall_ms": int((time.monotonic() - t0) * 1000),
-            }
-            # one append per line, so the two threads' lines never interleave
-            with open(manifest_path, "a") as f:
-                f.write(json.dumps(rec) + "\n")
-        finally:
-            _release_claim(state_dir, i)
-        return n, n_err
-
-    def error_rate() -> float:
-        total = metrics["triples"] + metrics["errors"]
-        return metrics["errors"] / total if total else 0.0
-
-    todo = (i for i in range(len(shards)) if i not in done)
-    width = 1  # the first shard runs alone; two once one has landed
-    tripped = False
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        running: set = set()
-        while True:
-            while not tripped and len(running) < width:
-                i = next(todo, None)
-                if i is None:
-                    break
-                running.add(pool.submit(run_shard, i))
-            if not running:
+            shutil.rmtree(shard_dir, ignore_errors=True)  # a died attempt's partial shard
+            os.makedirs(shard_dir)
+            groups = _row_groups(shards[i])
+            todo[i] = [sum(n for *_, n in groups), 0, 0]
+            items += [{"path": p, "row_group": g, "shard": i, "part": k} for k, (p, g, _) in enumerate(groups)]
+        t0 = time.monotonic()
+        counts = _write_shards(items, os.path.join(out_dir, "triples"), context_registry)
+        for i, n_src, n, n_err in chain(((i, 0, 0, 0) for i in claimed if not todo[i][0]), counts):
+            c = todo[i]
+            c[:] = c[0] - n_src, c[1] + n, c[2] + n_err
+            if c[0]:
+                continue
+            _, n, n_err = c
+            rec = {"shard": i, "status": "done", "files": shards[i], "rows": n, "triples": n - n_err, "errors": n_err}
+            rec["error_rate"] = round(n_err / n, 6) if n else 0.0
+            _land_shard(state_dir, manifest_path, dict(rec, wall_ms=int((time.monotonic() - t0) * 1000)))
+            held.discard(i)
+            metrics["triples"] += n - n_err
+            metrics["errors"] += n_err
+            total = metrics["triples"] + metrics["errors"]
+            if max_error_rate is not None and total and metrics["errors"] / total > max_error_rate:
+                tripped = True
                 break
-            finished, running = wait(running, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                counts = fut.result()
-                if counts is None:
-                    metrics["shards_skipped"] += 1
-                    continue
-                width = 2
-                metrics["triples"] += counts[0] - counts[1]
-                metrics["errors"] += counts[1]
-                tripped = tripped or (max_error_rate is not None and error_rate() > max_error_rate)
+    finally:
+        if counts is not None:
+            counts.close()
+        for i in held:
+            _release_claim(state_dir, i)
     _write_metrics_parquet(manifest_path, state_dir)
     if tripped:
         raise RuntimeError(
-            f"error budget exceeded: {metrics['errors']}/{metrics['triples'] + metrics['errors']} "
-            f"rows ({error_rate():.4f} > {max_error_rate}) — "
-            f"finished shards are checkpointed; fix inputs and resume"
+            f"error budget exceeded: {metrics['errors']}/{total} rows ({metrics['errors'] / total:.4f} > "
+            f"{max_error_rate}) — finished shards are checkpointed; fix inputs and resume"
         )
     return metrics
 
@@ -798,28 +816,19 @@ def _adopt_or_clear(out_dir: str, stamp: str | None) -> None:
         _release(lock)
 
 
+_METRICS_SCHEMA = pa.schema(
+    {"shard": pa.int32(), "status": pa.string(), "n_files": pa.int32(), "rows": pa.int64()}
+    | {"triples": pa.int64(), "errors": pa.int64(), "error_rate": pa.float64(), "wall_ms": pa.int64()}
+)
+
+
 def _write_metrics_parquet(manifest_path: str, state_dir: str) -> None:
     """Materialize the manifest as a metrics parquet (SURVEY.md §4:
     per-partition metrics alongside checkpoints, queryable by any engine)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     recs = _manifest_records(manifest_path)  # tolerant of a missing file
-    if not recs:
-        return
-    table = pa.table(
-        {
-            "shard": pa.array([r["shard"] for r in recs], pa.int32()),
-            "status": pa.array([r["status"] for r in recs], pa.string()),
-            "n_files": pa.array([len(r["files"]) for r in recs], pa.int32()),
-            "rows": pa.array([r["rows"] for r in recs], pa.int64()),
-            "triples": pa.array([r["triples"] for r in recs], pa.int64()),
-            "errors": pa.array([r["errors"] for r in recs], pa.int64()),
-            "error_rate": pa.array([r["error_rate"] for r in recs], pa.float64()),
-            "wall_ms": pa.array([r["wall_ms"] for r in recs], pa.int64()),
-        }
-    )
-    pq.write_table(table, os.path.join(state_dir, "metrics.parquet"))
+    if recs:
+        rows = [dict(r, n_files=len(r["files"])) for r in recs]
+        pq.write_table(pa.Table.from_pylist(rows, _METRICS_SCHEMA), os.path.join(state_dir, "metrics.parquet"))
 
 
 def read_triples(out_dir: str):
@@ -830,20 +839,10 @@ def read_triples(out_dir: str):
     partial rows into the result with no error."""
     import ray.data
 
-    base = os.path.join(out_dir, "triples")
-    manifest = os.path.join(out_dir, "_state", "manifest.jsonl")
-    done = _read_done_shards(manifest)
-    paths: list[str] = []
-    if os.path.isdir(base):
-        for d in sorted(os.listdir(base)):
-            if not d.startswith("shard=") or int(d.split("=", 1)[1]) not in done:
-                continue
-            shard_dir = os.path.join(base, d)
-            paths.extend(
-                os.path.join(shard_dir, f)
-                for f in sorted(os.listdir(shard_dir))
-                if f.endswith(".parquet")
-            )
+    done = _read_done_shards(os.path.join(out_dir, "_state", "manifest.jsonl"))
+    dirs = [os.path.join(out_dir, "triples", f"shard={i}") for i in sorted(done)]
+    dirs = [d for d in dirs if os.path.isdir(d)]
+    paths = [os.path.join(d, f) for d in dirs for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
     if not paths:
         return ray.data.from_arrow(TRIPLE_SCHEMA.empty_table())
     return triples_only(ray.data.read_parquet(paths, partitioning=None))

@@ -16,12 +16,23 @@ from jsonld_ex_ray.gen import write_corpus
 from jsonld_ex_ray.pipeline import read_triples, run_checkpointed
 
 _CHILD_SCRIPT = """
-import sys
+import sys, time
 sys.path.insert(0, {repo!r})
 import ray
 ray.init(address="local", num_cpus=2, include_dashboard=False)
-from jsonld_ex_ray.pipeline import run_checkpointed
-run_checkpointed({files!r}, {out!r}, shard_size=1)
+from jsonld_ex_ray import pipeline
+land = pipeline._land_shard
+
+
+def land_then_hold(*args):
+    # the driver stops after its first shard lands, so the kill always
+    # comes mid-run, with later shards' files written but not marked done
+    land(*args)
+    time.sleep(600)
+
+
+pipeline._land_shard = land_then_hold
+pipeline.run_checkpointed({files!r}, {out!r}, shard_size=1)
 ray.shutdown()
 """
 
@@ -36,10 +47,10 @@ def _corpus(tmp_path, n_shards=4, files_per=40):
 
 
 def test_kill9_mid_run_resume_no_double_counts(ray_session, tmp_path):
-    """SIGKILL the worker process after its first shard lands, resume
-    in-process: totals must equal a clean run's, every shard appears in
-    the manifest exactly once, and the dead run's stale claim files must
-    not block the takeover."""
+    """SIGKILL the worker process after its first shard lands (the child
+    holds its driver there), resume in-process: totals must equal a clean
+    run's, every shard appears in the manifest exactly once, and the dead
+    run's stale claim files must not block the takeover."""
     files = _corpus(tmp_path)
     out = str(tmp_path / "out_chaos")
     clean_out = str(tmp_path / "out_clean")

@@ -259,6 +259,21 @@ def test_full_kg_run_of_a_corpus_without_rows(ray_session, tmp_path):
     assert m["reused"] == ["raw", "triples", "adjacency", "mentions"]
 
 
+def test_full_kg_run_of_a_file_without_row_groups(ray_session, tmp_path):
+    """A source file of no row group gives the emit task no work item:
+    the run does not raise, writes every stage empty, and a rerun reuses
+    them all."""
+    corpus = str(tmp_path / "none.parquet")
+    pq.ParquetWriter(corpus, pa.table(generate_rows(1, seed=1)).schema).close()
+    out = str(tmp_path / "kg")
+    m = full_kg_run(corpus, out, linker_dict=LINKER, mention_names=NAMES)
+    assert (m["n_triples"], m["n_errors"]) == (0, 0)
+    for stage in ("raw", "triples", "adjacency", "mentions"):
+        assert os.path.isdir(os.path.join(out, stage))
+    m = full_kg_run(corpus, out, linker_dict=LINKER, mention_names=NAMES)
+    assert m["reused"] == ["raw", "triples", "adjacency", "mentions"]
+
+
 def test_full_kg_run_keeps_raw_when_the_graph_pass_fails(ray_session, tmp_path):
     """raw/ is marked done once every emit task has landed: a graph pass
     that fails after emit (mention names the worker cannot index) leaves

@@ -436,47 +436,6 @@ def test_read_triples_has_one_schema(ray_session, tmp_path):
     assert schemas[0].types == schemas[1].types == TRIPLE_SCHEMA.types
 
 
-class _ShardProbe:
-    """Wraps ``pipeline.build_triples`` to log when each shard's build
-    starts and its write ends, holding every write open briefly so that
-    shards in flight together overlap; ``clean`` shards drop their error
-    rows."""
-
-    def __init__(self, monkeypatch, clean=()):
-        import threading
-
-        import jsonld_ex_ray.pipeline as pipeline
-
-        self.lock = threading.Lock()
-        self.live = 0
-        self.events: list[tuple[str, str, int]] = []
-        build = pipeline.build_triples
-        probe = self
-
-        class Shard:
-            def __init__(self, ds, name):
-                self.ds, self.name = ds, name
-
-            def write_parquet(self, path):
-                time.sleep(0.3)
-                self.ds.write_parquet(path)
-                with probe.lock:
-                    probe.live -= 1
-                    probe.events.append(("end", self.name, probe.live))
-
-        def probed(files, **kw):
-            name = os.path.basename(files[0])
-            ds = build(files, **kw)
-            if name in clean:
-                ds = triples_only(ds)
-            with probe.lock:
-                probe.live += 1
-                probe.events.append(("start", name, probe.live))
-            return Shard(ds, name)
-
-        monkeypatch.setattr(pipeline, "build_triples", probed)
-
-
 def _files(tmp_path, n, n_docs=20):
     files = [str(tmp_path / f"in_{i}.parquet") for i in range(n)]
     for i, f in enumerate(files):
@@ -484,44 +443,150 @@ def _files(tmp_path, n, n_docs=20):
     return files
 
 
-def test_checkpoint_window_two_in_flight_first_alone(ray_session, tmp_path, monkeypatch):
-    """At most two shards are in flight, the first one alone, and the
-    window does fill to two after it lands."""
+def _prose(path, n=20):
+    """A parquet file of ``n`` source rows that emit no row at all."""
+    import pyarrow as pa
+
+    rows = generate_rows(n, seed=5)
+    rows["lang"] = ["text"] * n
+    rows["path"] = [f"notes/note_{i}.txt" for i in range(n)]
+    rows["content"] = ["Plain prose about widgets, with no linked data in it."] * n
+    pq.write_table(pa.table(rows), path)
+    return path
+
+
+def test_checkpoint_is_one_execution(ray_session, tmp_path, monkeypatch):
+    """One call over 5 shards runs exactly one Ray Data execution and
+    lands every shard once."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return execute(self, *args, **kwargs)
+
     files = _files(tmp_path, 5)
-    probe = _ShardProbe(monkeypatch)
-    m = run_checkpointed(files, str(tmp_path / "out"), shard_size=1)
-    assert m["shards_skipped"] == 0 and m["shards_total"] == 5
-    ev = probe.events
-    assert len(ev) == 10
-    assert max(live for _, _, live in ev) == 2
-    # nothing else starts before the first shard's write has ended
-    assert ev[0][:2] == ("start", "in_0.parquet") and ev[1][:2] == ("end", "in_0.parquet")
-
-
-def test_checkpoint_budget_trip_lands_shard_in_flight(ray_session, tmp_path, monkeypatch):
-    """The budget trips on a shard that lands while another is in
-    flight: no further shard starts, the one in flight lands in both the
-    manifest and metrics.parquet before the raise, and a resume skips
-    it."""
-    files = _files(tmp_path, 4, n_docs=40)
     out = str(tmp_path / "out")
-    # the first shard carries no errors, so the window opens to two
-    probe = _ShardProbe(monkeypatch, clean={"in_0.parquet"})
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    m = run_checkpointed(files, out, shard_size=1)
+    monkeypatch.undo()
+    assert len(runs) == 1
+    assert m["shards_skipped"] == 0 and m["shards_total"] == 5
+    recs = [json.loads(line) for line in open(os.path.join(out, "_state", "manifest.jsonl"))]
+    assert sorted(r["shard"] for r in recs) == [0, 1, 2, 3, 4]
+    assert read_triples(out).count() == m["triples"] == sum(r["triples"] for r in recs)
+
+
+def test_checkpoint_budget_trip_records_every_landed_shard(ray_session, tmp_path, monkeypatch):
+    """The budget trips at the first shard with error rows to land, and
+    the execution stops: every shard landed before the raise is in both
+    the manifest and metrics.parquet, and a resume skips exactly those
+    and finishes the rest with a fresh run's rows."""
+    import jsonld_ex_ray.pipeline as pipeline
+
+    # two shards of rows that emit nothing, so no error rows, then three with some
+    files = [_prose(str(tmp_path / f"prose_{i}.parquet")) for i in range(2)] + _files(tmp_path, 3, n_docs=40)
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    landed = []
+    land = pipeline._land_shard
+
+    def spy(state_dir, manifest_path, rec):
+        land(state_dir, manifest_path, rec)
+        landed.append((rec["shard"], rec["errors"]))
+
+    monkeypatch.setattr(pipeline, "_land_shard", spy)
     with pytest.raises(RuntimeError, match="error budget exceeded"):
         run_checkpointed(files, out, shard_size=1, max_error_rate=1e-9)
-    started = [name for kind, name, _ in probe.events if kind == "start"]
-    assert started[0] == "in_0.parquet"
-    assert sorted(started) == ["in_0.parquet", "in_1.parquet", "in_2.parquet"]
-    state = os.path.join(out, "_state")
-    recs = [json.loads(line) for line in open(os.path.join(state, "manifest.jsonl"))]
-    assert sorted(r["shard"] for r in recs) == [0, 1, 2]
-    assert recs[0]["errors"] == 0 and recs[1]["errors"] > 0 and recs[2]["errors"] > 0
-    metrics = pq.read_table(os.path.join(state, "metrics.parquet"))
-    assert sorted(metrics.column("shard").to_pylist()) == [0, 1, 2]
     monkeypatch.undo()
+    assert [e for _, e in landed[:-1]] == [0] * (len(landed) - 1) and landed[-1][1] > 0
+    assert {i for i, _ in landed[:-1]} <= {0, 1}  # nothing lands after the trip
+    state = os.path.join(out, "_state")
+    manifest = os.path.join(state, "manifest.jsonl")
+    assert [json.loads(line)["shard"] for line in open(manifest)] == [i for i, _ in landed]
+    metrics = pq.read_table(os.path.join(state, "metrics.parquet"))
+    assert metrics.column("shard").to_pylist() == [i for i, _ in landed]
+
     m = run_checkpointed(files, out, shard_size=1)
-    assert m["shards_skipped"] == 3
-    assert sorted(json.loads(line)["shard"] for line in open(os.path.join(state, "manifest.jsonl"))) == [0, 1, 2, 3]
+    want = run_checkpointed(files, fresh, shard_size=1)
+    assert m["shards_skipped"] == len(landed)
+    assert sorted(json.loads(line)["shard"] for line in open(manifest)) == [0, 1, 2, 3, 4]
+    assert (m["triples"], m["errors"]) == (want["triples"], want["errors"])
+    assert read_triples(out).count() == want["triples"]
+
+
+def test_checkpoint_lands_a_shard_of_no_rows(ray_session, tmp_path):
+    """A 0-row parquet file as a shard lands with ``rows == 0``; the other
+    shards land as usual."""
+    import pyarrow as pa
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table(generate_rows(1, seed=1)).slice(0, 0), empty)
+    files = [empty] + _files(tmp_path, 2)
+    out = str(tmp_path / "out")
+    m = run_checkpointed(files, out, shard_size=1)
+    recs = {r["shard"]: r for r in map(json.loads, open(os.path.join(out, "_state", "manifest.jsonl")))}
+    assert sorted(recs) == [0, 1, 2]
+    assert (recs[0]["rows"], recs[0]["triples"], recs[0]["errors"]) == (0, 0, 0)
+    assert read_triples(out).count() == m["triples"] > 0
+
+
+def test_build_triples_reads_what_read_parquet_reads(ray_session, tmp_path):
+    """A directory source of several files of several row groups, beside
+    a ``_SUCCESS`` and a hidden file: the emit task reads the rows that
+    ``ray.data.read_parquet(dir, columns=SOURCE_COLS)`` reads."""
+    import ray.data
+
+    from jsonld_ex_ray.stages.extract import SOURCE_COLS
+
+    d = str(tmp_path / "corpus")
+    write_corpus(d, 300, seed=3, row_group_size=64, shards=3)
+    for name in ("_SUCCESS", ".hidden"):
+        with open(os.path.join(d, name), "w") as f:
+            f.write("not parquet")
+    got = build_triples(d, batch_size=50).take_all()
+    want = build_triples(ray.data.read_parquet(d, columns=list(SOURCE_COLS))).take_all()
+    assert len(got) > 300
+    assert _row_multiset(got) == _row_multiset(want)
+
+
+def test_build_triples_of_no_row_is_typed_empty(ray_session, tmp_path):
+    """No input file, a file of no row group and a file of one 0-row row
+    group each give an empty Dataset of ``TRIPLE_SCHEMA``."""
+    import pyarrow as pa
+
+    from jsonld_ex_ray.stages.triples import TRIPLE_SCHEMA
+
+    schema = pa.table(generate_rows(1, seed=1)).schema
+    no_group, empty_group = str(tmp_path / "no_group.parquet"), str(tmp_path / "empty_group.parquet")
+    pq.ParquetWriter(no_group, schema).close()
+    pq.write_table(schema.empty_table(), empty_group)
+    assert pq.read_metadata(no_group).num_row_groups == 0
+    for source in ([], no_group, [no_group, empty_group]):
+        ds = build_triples(source)
+        assert ds.count() == 0
+        assert ds.schema().names == TRIPLE_SCHEMA.names and ds.schema().types == TRIPLE_SCHEMA.types
+
+
+def _plan_op_types(ds) -> list[str]:
+    seen, stack, names = set(), [ds._logical_plan.dag], []
+    while stack:
+        op = stack.pop()
+        if id(op) not in seen:
+            seen.add(id(op))
+            names.append(type(op).__name__)
+            stack.extend(op.input_dependencies)
+    return names
+
+
+def test_build_triples_plan_has_no_read_operator(ray_session, corpus):
+    """A path source is read inside the emit task: the plan holds the
+    work items and the emit, and no ``Read`` operator whose blocks would
+    cross the object store first."""
+    ops = _plan_op_types(build_triples([corpus, corpus]))
+    assert "Read" not in ops
+    assert ops == ["MapBatches", "FromArrow"]
 
 
 def test_triples_to_jsonld_default_graph_sharded(ray_session):
