@@ -580,7 +580,7 @@ def _dedup_pairs(pairs_ds):
 
     def bucket_distinct(group: pa.Table) -> pa.Table:
         df = group.to_pandas().drop_duplicates(["doc_a", "doc_b"])
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata()
 
     return bucketed(pairs_ds, ["doc_a"], bucket_distinct)
 
@@ -706,7 +706,7 @@ def _min_dup_per_doc(pairs_ds, id_col: str):
     def bucket_min(group: pa.Table) -> pa.Table:
         df = group.to_pandas()
         out = df.sort_values([id_col, "dup_of"]).drop_duplicates(id_col, keep="first")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata()
 
     return bucketed(pairs_ds, [id_col], bucket_min)
 

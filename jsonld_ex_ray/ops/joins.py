@@ -175,7 +175,8 @@ def asof_join_broadcast(
             allow_exact_matches=allow_exact_matches,
             suffixes=("", suffix),
         )
-        return pa.Table.from_pandas(merged, preserve_index=False)
+        # without the pandas metadata: a later sort hashes block schemas
+        return pa.Table.from_pandas(merged, preserve_index=False).replace_schema_metadata()
 
     return left_ds.map_batches(merge, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -214,7 +215,7 @@ def asof_join_bucketed(
             allow_exact_matches=allow_exact_matches,
             suffixes=("", "_right"),
         )
-        return pa.Table.from_pandas(merged[out_cols], preserve_index=False)
+        return pa.Table.from_pandas(merged[out_cols], preserve_index=False).replace_schema_metadata()
 
     sides = [(left_ds, [by]), (right_ds, [by], _narrow(arrow_schema(right_ds), right_keep))]
     return bucketed(sides, None, merge_bucket)

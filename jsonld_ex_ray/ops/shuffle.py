@@ -13,7 +13,15 @@ values themselves, so a hash collision merely co-locates two keys.
 
 Layout: this module alone decides it, so no op takes a bucket, shard
 or block count and the blocks follow the machines: the constant
-:data:`NUM_BUCKETS` and P = :func:`partitions`, from the Ray CPUs.
+:data:`NUM_BUCKETS` and P = :func:`partitions`, from the Ray CPUs. It
+also decides how many tasks an operator may run at once:
+:func:`without_reservation` turns off Ray Data's per-operator resource
+reservation on every lineage the library first touches (each side of
+:func:`bucketed`, the emit source of ``pipeline.build_triples`` and
+``run_checkpointed``, the input of ``clean_corpus``). With the
+reservation on, a plan of two or more operators on a few CPUs runs most
+operators one task at a time. The setting lives on the lineage's shared
+``DataContext``, so the caller's input Dataset keeps it.
 
 Engine: Ray's sort-based shuffle on the bucket id with EXPLICIT
 boundaries. Bucket ids are known to lie in ``[0, NUM_BUCKETS)``, so
@@ -76,6 +84,28 @@ def partitions() -> int:
     return max(1, min(NUM_BUCKETS, int(ray.cluster_resources().get("CPU", 1))))
 
 
+def without_reservation(ds):
+    """``ds``, with Ray Data's per-operator resource reservation off for
+    every execution built from its lineage; the library's only spelling
+    of that setting.
+
+    The reservation (Ray 2.49's ``ReservationOpResourceAllocator``) splits
+    half of the executor's limits over the unfinished operators, at least
+    one task's CPU each, and sizes a task with no output yet at two
+    ``target_max_block_size`` blocks (256 MiB) against a budget taken from
+    the object store. On a few CPUs, or a store of about 1 GB, that admits
+    most operators of a plan one task at a time while the other CPUs sit
+    idle. Off, an operator runs as many tasks as the free CPUs and the
+    object store's backpressure admit.
+
+    Side effect: Ray shares one ``DataContext`` by reference along a
+    lineage (``ExecutionPlan.copy``), so the setting is made on ``ds``
+    itself and every Dataset derived from it, also those the caller
+    already holds and executes later. Returns ``ds``."""
+    ds.context.op_resource_reservation_enabled = False
+    return ds
+
+
 def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table]):
     """Apply ``fn`` to every bucket of ``ds`` routed on ``keys``: all rows
     sharing a key value reach the same ``fn`` call, together with the
@@ -87,6 +117,7 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table]):
     # read on the driver: the closures below carry it to the workers
     num_buckets = NUM_BUCKETS
     if keys is not None:
+        ds = without_reservation(ds)
 
         def route(batch: pa.Table) -> pa.Table:
             # drop pandas metadata: the sort hashes schemas and fails on its dicts
@@ -99,7 +130,7 @@ def bucketed(ds, keys: list[str] | None, fn: Callable[..., pa.Table]):
             return fn(group.drop_columns([_BUCKET]))
 
     else:
-        sides = [(d, k, arrow_schema(d, *schema)) for d, k, *schema in ds]
+        sides = [(without_reservation(d), k, arrow_schema(d, *schema)) for d, k, *schema in ds]
         # one slot per (side, column), named apart so equal names on two
         # sides never meet; a row fills its own side's slots, NULL elsewhere
         slots = [(i, f) for i, (_, _, sch) in enumerate(sides) for f in sch]

@@ -34,7 +34,7 @@ import pyarrow.parquet as pq
 
 from .columns import pylist
 from .core.rdf_generation import RDF_LANGSTRING, XSD_STRING
-from .ops.shuffle import bucketed, key_runs
+from .ops.shuffle import bucketed, key_runs, without_reservation
 from .stages.linker import link_entities
 from .stages.extract import SOURCE_COLS
 from .stages.triples import TRIPLE_SCHEMA, canonical_labels, doc_hash, make_emit_batch
@@ -98,13 +98,17 @@ def _row_groups(source) -> list[tuple[str, int, int]]:
     """(path, row group, rows) of each non-empty row group, from the
     footers of the parquet files that ``source`` (a path or a list of
     paths) names: directories walked as ``ray.data.read_parquet`` walks
-    them (``_``/``.`` names skipped), a file named twice read twice, every
-    path absolute for the worker that reads it."""
+    them (``_``/``.`` names skipped) and stage markers skipped too
+    (:func:`_is_marker`), a file named twice read twice, every path
+    absolute for the worker that reads it."""
     import pyarrow.dataset as pads
 
     groups = []
     for top in [source] if isinstance(source, str) else source:
-        for path in pads.dataset(os.path.abspath(top), format="parquet").files:
+        # an explicit schema lists the files without opening the first one,
+        # which may be a marker
+        files = pads.dataset(os.path.abspath(top), format="parquet", schema=pa.schema([])).files
+        for path in [f for f in files if not _is_marker(f)]:
             meta = pq.read_metadata(path)
             groups += [(path, g, n) for g in range(meta.num_row_groups) if (n := meta.row_group(g).num_rows)]
     return groups
@@ -125,7 +129,8 @@ def _emit_tasks(items: list[dict], emit, batch_size: int, per_slice):
             yield per_slice(item, k, part.num_rows, emit(part))
 
     blocks = [pa.table({k: [v] for k, v in item.items()}) for item in items]
-    return ray.data.from_arrow(blocks).map_batches(emit_batch, batch_format="pyarrow", batch_size=1)
+    source = without_reservation(ray.data.from_arrow(blocks))
+    return source.map_batches(emit_batch, batch_format="pyarrow", batch_size=1)
 
 
 def triples_only(ds):
@@ -562,6 +567,13 @@ def _mark_done(path: str, stamp: str | None) -> None:
     with open(tmp, "w") as f:
         f.write(stamp or "")
     os.replace(tmp, path + "._SUCCESS")
+
+
+def _is_marker(path: str) -> bool:
+    """Whether ``path`` is a stage marker or a marker's temp file
+    (:func:`_mark_done`): an output directory keeps them beside its stage
+    directories, so a walk for parquet files skips them."""
+    return "._SUCCESS" in os.path.basename(path)
 
 
 def _then(stamp: str | None, *parts) -> str | None:

@@ -43,9 +43,12 @@ def clean_corpus(
 ):
     """documents Dataset → cleaned Dataset with a ``split`` column."""
     from ..ops.dedup import cut_duplicate_spans, exact_dedup, minhash_lsh_duplicates
+    from ..ops.shuffle import without_reservation
     from ..ops.text import assign_splits, filter_quality, filter_repetition
 
-    ds = filter_quality(ds, min_quality=min_quality)
+    # every materialize below builds from this lineage: let its operators
+    # run several tasks at once (ops/shuffle.without_reservation)
+    ds = filter_quality(without_reservation(ds), min_quality=min_quality)
     ds = filter_repetition(
         ds, max_dup_word_frac=max_dup_word_frac, max_top_word_frac=max_top_word_frac
     )

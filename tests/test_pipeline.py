@@ -551,6 +551,24 @@ def test_build_triples_reads_what_read_parquet_reads(ray_session, tmp_path):
     assert _row_multiset(got) == _row_multiset(want)
 
 
+def test_build_triples_skips_stage_markers(ray_session, tmp_path):
+    """A source directory that holds stage markers beside its parquet
+    file, as an output directory of ``full_kg_run`` does: the markers
+    (one first in listing order, one a marker's temp file) are skipped,
+    so the rows are the file's own."""
+    from jsonld_ex_ray.pipeline import _mark_done
+
+    d = tmp_path / "out"
+    d.mkdir()
+    write_corpus(str(d / "part-0.parquet"), 40, seed=3)
+    for stage in ("a", "raw"):
+        _mark_done(str(d / stage), "stamp")
+    (d / "raw._SUCCESS.123").write_text("torn")
+    got = build_triples(str(d)).take_all()
+    assert len(got) > 40
+    assert _row_multiset(got) == _row_multiset(build_triples(str(d / "part-0.parquet")).take_all())
+
+
 def test_build_triples_of_no_row_is_typed_empty(ray_session, tmp_path):
     """No input file, a file of no row group and a file of one 0-row row
     group each give an empty Dataset of ``TRIPLE_SCHEMA``."""

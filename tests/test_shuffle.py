@@ -4,6 +4,7 @@ shuffles from growing back in the package."""
 
 import ast
 import pathlib
+import random
 from collections import Counter
 
 import pyarrow as pa
@@ -503,12 +504,14 @@ def test_grouped_aggregates_collect_nothing_unbounded():
 
 
 # One checkpoint primitive: the claim helper is the only flock, the
-# stamped-marker helper the only place that spells a marker's name, and
-# no claim is judged by pid liveness.
+# stamped-marker helpers (writing, checking and recognising a marker) the
+# only places that spell a marker's name, and no claim is judged by pid
+# liveness.
 _CHECKPOINT_SITES = {
     ("pipeline.py", "_claim", "fcntl.flock"),
     ("pipeline.py", "_stage_dir", "._SUCCESS"),
     ("pipeline.py", "_mark_done", "._SUCCESS"),
+    ("pipeline.py", "_is_marker", "._SUCCESS"),
 }
 
 
@@ -568,3 +571,96 @@ def test_one_checkpoint_primitive():
         ("claim", "os.kill"),
         ("done", "._SUCCESS"),
     ]
+
+
+def test_library_lineages_run_without_reservation(ray_session, tmp_path, monkeypatch):
+    """Ray Data's per-operator resource reservation is off on every
+    Dataset the library builds from a source it first touches (the emit
+    of ``build_triples`` over paths, one- and two-sided ``bucketed`` ops,
+    ``clean_corpus``), and in every execution ``full_kg_run`` and
+    ``clean_corpus`` run (ops/shuffle.without_reservation)."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from jsonld_ex_ray.gen import write_corpus
+    from jsonld_ex_ray.ops.agg import groupby_agg
+    from jsonld_ex_ray.ops.joins import hash_join_bucketed
+    from jsonld_ex_ray.pipeline import build_triples
+    from jsonld_ex_ray.pipelines import full_kg_run
+    from jsonld_ex_ray.pipelines.corpus_clean import clean_corpus
+
+    def reserved(ds) -> bool:
+        return ds.context.op_resource_reservation_enabled
+
+    runs, execute = [], StreamingExecutor.execute
+
+    def recorded(self, *args, **kwargs):
+        runs.append(self._data_context.op_resource_reservation_enabled)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recorded)
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 30, seed=3)
+    assert reserved(build_triples(corpus)) is False
+
+    tbl = pa.table({"k": [1, 2, 1, 3], "v": [1.0, 2.0, 3.0, 4.0]})
+    assert reserved(ray.data.from_arrow(tbl))  # the library's default source is untouched
+    assert reserved(groupby_agg(ray.data.from_arrow(tbl), ["k"], [("v", "sum", "s")])) is False
+    joined = hash_join_bucketed(
+        ray.data.from_arrow(tbl), ray.data.from_arrow(tbl.rename_columns(["k", "w"])),
+        left_on="k", right_on="k", right_cols=["w"],
+    )
+    assert reserved(joined) is False
+
+    # prose documents that pass both gates, every fifth one a duplicate
+    rng = random.Random(5)
+    words = "the of and to in graph node triple context value term store list map base".split()
+    words += [f"{w}{i}" for w in ("iri", "blank", "quad") for i in range(10)]
+    texts = [" ".join(rng.choice(words) for _ in range(60)) + "." for _ in range(20)]
+    texts += texts[::5]
+    docs = pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": texts,
+        "lang": ["en"] * len(texts),
+        "source": ["web"] * len(texts),
+        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+    })
+    cleaned = clean_corpus(ray.data.from_arrow(docs), cut_spans=True)
+    assert reserved(cleaned) is False
+    assert cleaned.count() == 20
+    full_kg_run(corpus, str(tmp_path / "kg"))
+    assert len(runs) > 2 and not any(runs)
+
+
+def test_only_shuffle_spells_the_reservation():
+    """ops/shuffle.py alone decides how many tasks an operator may run:
+    no other module of the package or the entry scripts sets Ray Data's
+    reservation."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sources = [*(root / "jsonld_ex_ray").rglob("*.py"), root / "__ray_entry__.py", root / "bench.py"]
+    spelled = {p.relative_to(root).as_posix() for p in sources if "op_resource_reservation" in p.read_text()}
+    assert spelled == {"jsonld_ex_ray/ops/shuffle.py"}
+
+
+def test_actor_pool_stage_feeds_a_bucketed_op(ray_session):
+    """An actor-pool stage (``decode_media``) feeding a bucketed
+    aggregate finishes with the reservation off, which otherwise keeps
+    an actor pool from holding every CPU; its groups match a pandas
+    groupby of the decoded table."""
+    import ray.data
+
+    from jsonld_ex_ray.ops.agg import groupby_agg
+    from jsonld_ex_ray.ops.multimodal import MediaDecoder, decode_media, synth_media_table
+
+    tbl = synth_media_table(60)
+    # several blocks, so both actors of the pool get work
+    blocks = [tbl.slice(lo, 10) for lo in range(0, tbl.num_rows, 10)]
+    decoded = decode_media(ray.data.from_arrow(blocks), concurrency=2, batch_size=8)
+    aggs = [("n_bytes", "sum", "bytes"), ("width", "max", "width"), ("media_id", "count", "n")]
+    got = groupby_agg(decoded, ["kind"], aggs).to_pandas().sort_values("kind").reset_index(drop=True)
+    want = (
+        MediaDecoder()(tbl).to_pandas().groupby("kind")
+        .agg(bytes=("n_bytes", "sum"), width=("width", "max"), n=("media_id", "size"))
+        .reset_index()
+    )
+    assert got[["kind", "bytes", "width", "n"]].astype(str).values.tolist() == want.astype(str).values.tolist()
