@@ -1447,7 +1447,7 @@ def _q_media_features(sf_dir: str):
 @query
 def _q_media_resize(sf_dir: str):
     """Image resize stage: stdlib PNG decode → numpy bilinear kernel →
-    PNG re-encode, actor pool with small binary batches; codec-less
+    PNG re-encode, plain tasks over small binary batches; codec-less
     payloads become error rows (rows-only: binary outputs aren't SQL)."""
     import ray.data
     from jsonld_ex_ray.ops.multimodal import resize_images, synth_media_table
@@ -1673,7 +1673,7 @@ def _q_kg_mentions(sf_dir: str):
     from jsonld_ex_ray.stages.linker import detect_and_link_mentions
 
     # canonical-name dictionary (deterministic; in production built from a
-    # curated KB or distinct_subject_iris + labels)
+    # curated KB or the graph's subject IRIs + labels)
     names = {f"Widget {i}": f"https://kg.example/canonical/widget-{i}" for i in range(10_000)}
     ref = ray.put(names)
     triples = triples_only(build_triples(_corpus_for(sf_dir)))

@@ -6,18 +6,19 @@ reconstruction via referenced-once tracking (encoder.ex:103-199, 373-505),
 i18n-datatype and compound-literal direction decoding (encoder.ex:587-601).
 
 In the engine's dataflow this is the inverse direction (triples → JSON-LD),
-run per (graph, subject shard) inside a bucketed shuffle
-(``pipeline.triples_to_jsonld``; SURVEY.md §2.5 fromRdf grouping).
+run once per whole graph inside a bucketed shuffle routed on the graph
+(``pipeline.triples_to_jsonld``; SURVEY.md §2.5 fromRdf grouping), so a
+hot subject's values are deduplicated through a set of hashable keys
+(:func:`_value_key`), not a scan of every earlier value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import JsonLdError
-from .flattening import strict_equal
 from .options import JsonLdOptions
 from .rdf_generation import (
     I18N,
@@ -108,17 +109,36 @@ def _literal_to_object(term: tuple, options: JsonLdOptions) -> dict:
     return result
 
 
+def _value_key(value: Any) -> Any:
+    """A hashable key; two values have equal keys exactly when
+    ``flattening.strict_equal`` holds: a bool stays apart from 0 and 1,
+    1 equals 1.0, and a NaN equals nothing. A dict or list becomes one
+    flat tuple, its members' keys behind a tag."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return ("{", *(x for k, v in sorted(value.items()) for x in (k, _value_key(v))))
+    if isinstance(value, list):
+        return ("[", *(_value_key(v) for v in value))
+    if isinstance(value, bool):
+        return ("b", value)
+    if value != value:  # NaN: a set would match it by identity
+        return object()
+    return value
+
+
 def _rdf_to_object(term: tuple, options: JsonLdOptions) -> dict:
     if term[0] in ("iri", "bnode"):
         return {"@id": _term_id(term)}
     return _literal_to_object(term, options)
 
 
-def serialize_rdf(quads: list[tuple], options: JsonLdOptions | None = None) -> list:
+def serialize_rdf(quads: Iterable[tuple], options: JsonLdOptions | None = None) -> list:
     options = options or JsonLdOptions()
     graph_map: dict[str, dict] = {"@default": {}}
     referenced_once: dict[str, Any] = {}
     compound_subjects: dict[str, dict] = {}
+    seen: set = set()  # (id of a value list, key of a value in it)
 
     # 2-5. build node maps per graph
     for s, p, o, g in quads:
@@ -139,8 +159,11 @@ def serialize_rdf(quads: list[tuple], options: JsonLdOptions | None = None) -> l
             continue
         value = _rdf_to_object(o, options)
         values = node.setdefault(pid, [])
-        is_new = not any(strict_equal(value, v) for v in values)
+        # the lists live as long as this call, so id() names one
+        key = (id(values), _value_key(value))
+        is_new = key not in seen
         if is_new:
+            seen.add(key)
             values.append(value)
         if o[0] in ("iri", "bnode"):
             oid = _term_id(o)

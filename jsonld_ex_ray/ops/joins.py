@@ -136,51 +136,6 @@ def hash_join_bucketed(
     return bucketed(sides, None, join_bucket)
 
 
-def asof_join_broadcast(
-    left_ds,
-    right_table: pa.Table,
-    *,
-    on: str,
-    by: str | None = None,
-    right_value_cols: list[str] | None = None,
-    suffix: str = "_right",
-    allow_exact_matches: bool = False,
-    direction: str = "backward",
-):
-    """For each left row, attach the nearest prior (direction='backward')
-    right row by ``on`` (within the same ``by`` group). Right-side value
-    columns are suffixed. → Dataset(left columns + right value columns).
-    Partitioning assumption: the RIGHT side fits in worker memory; it is
-    shipped once via ``ray.put`` and deserialized once per worker
-    process (``stages/state.py``), and the merge runs as a plain task."""
-    import pandas as pd
-    import ray
-
-    rdf = right_table.to_pandas().sort_values(on).reset_index(drop=True)
-    if right_value_cols is None:
-        right_value_cols = [c for c in rdf.columns if c not in (on, by)]
-    # broadcast ONLY the requested columns (the whole right table used to
-    # ship and merge regardless of right_value_cols)
-    keep = [on] + ([by] if by else []) + [c for c in right_value_cols if c not in (on, by)]
-    right_ref = ray.put(rdf[keep])
-
-    def merge(batch: pa.Table) -> pa.Table:
-        right = worker_state("asof_join", right_ref, lambda: ray.get(right_ref))
-        merged = pd.merge_asof(
-            batch.to_pandas().sort_values(on),
-            right,
-            on=on,
-            by=by,
-            direction=direction,
-            allow_exact_matches=allow_exact_matches,
-            suffixes=("", suffix),
-        )
-        # without the pandas metadata: a later sort hashes block schemas
-        return pa.Table.from_pandas(merged, preserve_index=False).replace_schema_metadata()
-
-    return left_ds.map_batches(merge, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def asof_join_bucketed(
     left_ds,
     right_ds,

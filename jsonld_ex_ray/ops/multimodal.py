@@ -1,7 +1,7 @@
 """Multimodal column plumbing: opaque ``binary`` payloads + typed metadata.
 
     media(media_id:int64, kind:string, payload:binary, meta:string[json])
-      → map_batches(MediaDecoder, concurrency=N, batch_size=SMALL)
+      → map_batches(decode_batch, batch_size=16)
       → features table
 
 Decode is REAL where the standard library allows it — no codec packages
@@ -15,13 +15,15 @@ exist in this container, but:
 
 JPEG/video decode genuinely needs external codecs, so those kinds take
 the clearly-marked NotImplementedError path and surface as error rows
-(width/height/duration −1) rather than fake numbers — the schema,
-actor-pool shape and batch sizing are identical for a real libav/PIL
-deployment.
+(width/height/duration −1) rather than fake numbers — the schema and
+batch sizing are identical for a real libav/PIL deployment.
 
-Batch size MUST stay small for binary columns: batch_bytes ≈ batch_size ×
-payload_size × concurrency must fit the worker heap (SURVEY.md "memory-
-aware" note).
+Every stage is a plain Ray task, as the KG stages are (``stages/state.py``
+says why): none holds per-worker state. A deployment whose codec or
+model is costly to load builds it once per worker process through
+``stages/state.worker_state``. Batch size MUST stay small for binary
+columns: batch_bytes ≈ :data:`BATCH_ROWS` × payload_size × concurrent
+tasks must fit the worker heap (SURVEY.md "memory-aware" note).
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ FEATURE_SCHEMA = pa.schema(
 FEATURE_DIM = 16
 
 _PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
+
+BATCH_ROWS = 16  # media rows per task call of every stage here
 
 
 # ---------------------------------------------------------------------------
@@ -232,57 +236,42 @@ def _decode(kind: str, payload: bytes, meta: dict) -> dict:
     raise NotImplementedError(f"no stdlib decoder for kind={kind!r}")
 
 
-class MediaDecoder:
-    """Actor-pool decode stage: ``map_batches(MediaDecoder,
-    concurrency=(2, N), batch_size=16, num_cpus=1)``.
-
-    Real deployments load heavier codecs/models in ``__init__`` (once per
-    actor); the stdlib decoders need no setup beyond this hook."""
-
-    def __init__(self, target_size: tuple[int, int] = (224, 224)):
-        self.target_size = target_size  # a PIL/libav impl would init here
-        self.initialized = True
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out: dict[str, list] = {name: [] for name in FEATURE_SCHEMA.names}
-        ids = batch.column("media_id").to_pylist()
-        kinds = batch.column("kind").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        metas = batch.column("meta").to_pylist()
-        for mid, kind, payload, meta in zip(ids, kinds, payloads, metas):
-            payload = payload or b""
-            try:
-                meta_d = json.loads(meta) if meta else {}
-            except ValueError:
-                meta_d = {}
-            try:
-                dec = _decode(kind, payload, meta_d)
-            except Exception:
-                # any malformed payload (truncated chunks, corrupt zlib
-                # streams, bad RIFF headers, ...) becomes an error ROW —
-                # a poisoned record must never kill the batch/task
-                dec = {"width": -1, "height": -1, "duration_ms": -1, "feature": [0.0] * FEATURE_DIM}
-            out["media_id"].append(mid)
-            out["kind"].append(kind)
-            out["n_bytes"].append(len(payload))
-            out["sha256"].append(hashlib.sha256(payload).hexdigest())
-            out["width"].append(dec["width"])
-            out["height"].append(dec["height"])
-            out["duration_ms"].append(dec["duration_ms"])
-            feat = (list(dec["feature"]) + [0.0] * FEATURE_DIM)[:FEATURE_DIM]
-            out["feature"].append([float(np.float32(v)) for v in feat])
-        return pa.Table.from_pydict(out, schema=FEATURE_SCHEMA)
+def decode_batch(batch: pa.Table) -> pa.Table:
+    """Media rows → feature rows (FEATURE_SCHEMA), one per input row."""
+    out: dict[str, list] = {name: [] for name in FEATURE_SCHEMA.names}
+    ids = batch.column("media_id").to_pylist()
+    kinds = batch.column("kind").to_pylist()
+    payloads = batch.column("payload").to_pylist()
+    metas = batch.column("meta").to_pylist()
+    for mid, kind, payload, meta in zip(ids, kinds, payloads, metas):
+        payload = payload or b""
+        try:
+            meta_d = json.loads(meta) if meta else {}
+        except ValueError:
+            meta_d = {}
+        try:
+            dec = _decode(kind, payload, meta_d)
+        except Exception:
+            # any malformed payload (truncated chunks, corrupt zlib
+            # streams, bad RIFF headers, ...) becomes an error ROW —
+            # a poisoned record must never kill the batch/task
+            dec = {"width": -1, "height": -1, "duration_ms": -1, "feature": [0.0] * FEATURE_DIM}
+        out["media_id"].append(mid)
+        out["kind"].append(kind)
+        out["n_bytes"].append(len(payload))
+        out["sha256"].append(hashlib.sha256(payload).hexdigest())
+        out["width"].append(dec["width"])
+        out["height"].append(dec["height"])
+        out["duration_ms"].append(dec["duration_ms"])
+        feat = (list(dec["feature"]) + [0.0] * FEATURE_DIM)[:FEATURE_DIM]
+        out["feature"].append([float(np.float32(v)) for v in feat])
+    return pa.Table.from_pydict(out, schema=FEATURE_SCHEMA)
 
 
-def decode_media(ds, concurrency=(2, 4), batch_size: int = 16):
-    """Wire the decode actor pool with binary-safe batch sizing."""
-    return ds.map_batches(
-        MediaDecoder,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def decode_media(ds):
+    """The decode stage: :func:`decode_batch` as a plain task over
+    small binary batches."""
+    return ds.map_batches(decode_batch, batch_format="pyarrow", zero_copy_batch=True, batch_size=BATCH_ROWS)
 
 
 def synth_media_table(n: int, seed: int = 5) -> pa.Table:
@@ -362,50 +351,44 @@ def _bilinear_resize(px: np.ndarray, tw: int, th: int) -> np.ndarray:
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-class ImageResizer:
-    """Actor-pool resize stage: decode PNG → bilinear resample to
-    ``target_size`` → re-encode PNG. Real end-to-end for PNG inputs
-    (stdlib decode + numpy kernel + stdlib encode); payloads without a
-    stdlib codec surface as error rows with a null payload — never a
-    fake image."""
-
-    def __init__(self, target_size: tuple[int, int] = (32, 32)):
-        self.tw, self.th = int(target_size[0]), int(target_size[1])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out: dict[str, list] = {name: [] for name in RESIZED_SCHEMA.names}
-        for mid, payload in zip(
-            batch.column("media_id").to_pylist(), batch.column("payload").to_pylist()
-        ):
-            payload = payload or b""
-            try:
-                if not payload.startswith(_PNG_MAGIC):
-                    raise NotImplementedError("no stdlib decoder")
-                _w, _h, px = _png_decode(payload)
-                resized = _bilinear_resize(px, self.tw, self.th)
-                out["payload"].append(_png_encode(resized))
-                out["width"].append(self.tw)
-                out["height"].append(self.th)
-                out["error_code"].append(None)
-            except Exception as e:
-                out["payload"].append(None)
-                out["width"].append(-1)
-                out["height"].append(-1)
-                out["error_code"].append(type(e).__name__)
-            out["media_id"].append(mid)
-        return pa.Table.from_pydict(out, schema=RESIZED_SCHEMA)
+def resize_batch(batch: pa.Table, target_size: tuple[int, int] = (32, 32)) -> pa.Table:
+    """Resize kernel: decode PNG → bilinear resample to ``target_size``
+    → re-encode PNG. Real end-to-end for PNG inputs (stdlib decode +
+    numpy kernel + stdlib encode); payloads without a stdlib codec
+    surface as error rows with a null payload — never a fake image."""
+    tw, th = int(target_size[0]), int(target_size[1])
+    out: dict[str, list] = {name: [] for name in RESIZED_SCHEMA.names}
+    for mid, payload in zip(
+        batch.column("media_id").to_pylist(), batch.column("payload").to_pylist()
+    ):
+        payload = payload or b""
+        try:
+            if not payload.startswith(_PNG_MAGIC):
+                raise NotImplementedError("no stdlib decoder")
+            _w, _h, px = _png_decode(payload)
+            resized = _bilinear_resize(px, tw, th)
+            out["payload"].append(_png_encode(resized))
+            out["width"].append(tw)
+            out["height"].append(th)
+            out["error_code"].append(None)
+        except Exception as e:
+            out["payload"].append(None)
+            out["width"].append(-1)
+            out["height"].append(-1)
+            out["error_code"].append(type(e).__name__)
+        out["media_id"].append(mid)
+    return pa.Table.from_pydict(out, schema=RESIZED_SCHEMA)
 
 
-def resize_images(ds, target_size=(32, 32), concurrency=(2, 4), batch_size: int = 16):
-    """Resize stage wiring — same actor-pool + small-binary-batch shape
-    as decode_media."""
+def resize_images(ds, target_size=(32, 32)):
+    """The resize stage: :func:`resize_batch` as a plain task, with the
+    same small binary batches as decode_media."""
     return ds.map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={"target_size": target_size},
+        resize_batch,
+        fn_kwargs={"target_size": target_size},
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=BATCH_ROWS,
     )
 
 
@@ -420,64 +403,59 @@ FRAME_SCHEMA = pa.schema(
 )
 
 
-class FrameSampler:
-    """Actor-pool frame-sampling stage for video payloads: the sampling
-    GRID (which timestamps to extract, from the source-claimed duration
-    in ``meta``) is real and tested; the pixel decode behind each frame
-    genuinely needs an external codec, so every frame row carries a null
-    payload + ``error_code='NotImplementedError'`` — a libav deployment
-    replaces ONE method (``_decode_frame``) and the schema, fan-out and
-    batch sizing hold unchanged."""
+def _decode_frame(payload: bytes, ts_ms: int) -> bytes:
+    raise NotImplementedError("no stdlib video codec")
 
-    def __init__(self, every_ms: int = 1000, max_frames: int = 32):
-        if int(every_ms) <= 0:
-            raise ValueError("every_ms must be positive")
-        self.every_ms = int(every_ms)
-        self.max_frames = int(max_frames)
 
-    def _decode_frame(self, payload: bytes, ts_ms: int) -> bytes:
-        raise NotImplementedError("no stdlib video codec in this container")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out: dict[str, list] = {name: [] for name in FRAME_SCHEMA.names}
-        for mid, payload, meta in zip(
-            batch.column("media_id").to_pylist(),
-            batch.column("payload").to_pylist(),
-            batch.column("meta").to_pylist(),
-        ):
+def frame_batch(batch: pa.Table, every_ms: int = 1000, max_frames: int = 32) -> pa.Table:
+    """Frame-sampling kernel for video payloads: the sampling GRID (which
+    timestamps to extract, from the source-claimed duration in ``meta``)
+    is real and tested; the pixel decode behind each frame genuinely
+    needs an external codec, so every frame row carries a null payload +
+    ``error_code='NotImplementedError'`` — a libav deployment replaces
+    ONE function (``_decode_frame``) and the schema, fan-out and batch
+    sizing hold unchanged."""
+    if every_ms <= 0:
+        raise ValueError("every_ms must be positive")
+    out: dict[str, list] = {name: [] for name in FRAME_SCHEMA.names}
+    for mid, payload, meta in zip(
+        batch.column("media_id").to_pylist(),
+        batch.column("payload").to_pylist(),
+        batch.column("meta").to_pylist(),
+    ):
+        try:
+            # malformed meta of ANY shape (bad JSON, null duration, a
+            # string, valid-JSON non-objects like 'null'/'[1]')
+            # degrades to duration 0, never a dead task
+            parsed = json.loads(meta) if meta else {}
+            if not isinstance(parsed, dict):
+                parsed = {}
+            dur = int(parsed.get("duration_ms", 0) or 0)
+        except (ValueError, TypeError):
+            dur = 0
+        n = min(max(dur, 0) // every_ms + 1, max_frames)
+        for i in range(n):
+            ts = i * every_ms
             try:
-                # malformed meta of ANY shape (bad JSON, null duration, a
-                # string, valid-JSON non-objects like 'null'/'[1]')
-                # degrades to duration 0, never a dead task
-                parsed = json.loads(meta) if meta else {}
-                if not isinstance(parsed, dict):
-                    parsed = {}
-                dur = int(parsed.get("duration_ms", 0) or 0)
-            except (ValueError, TypeError):
-                dur = 0
-            n = min(max(dur, 0) // self.every_ms + 1, self.max_frames)
-            for i in range(n):
-                ts = i * self.every_ms
-                try:
-                    frame = self._decode_frame(payload or b"", ts)
-                    err = None
-                except NotImplementedError as e:
-                    frame, err = None, type(e).__name__
-                out["media_id"].append(mid)
-                out["frame_idx"].append(i)
-                out["ts_ms"].append(ts)
-                out["payload"].append(frame)
-                out["error_code"].append(err)
-        return pa.Table.from_pydict(out, schema=FRAME_SCHEMA)
+                frame = _decode_frame(payload or b"", ts)
+                err = None
+            except NotImplementedError as e:
+                frame, err = None, type(e).__name__
+            out["media_id"].append(mid)
+            out["frame_idx"].append(i)
+            out["ts_ms"].append(ts)
+            out["payload"].append(frame)
+            out["error_code"].append(err)
+    return pa.Table.from_pydict(out, schema=FRAME_SCHEMA)
 
 
-def sample_frames(ds, every_ms: int = 1000, concurrency=(2, 4), batch_size: int = 16):
-    """Frame-sampling stage wiring (video rows only upstream)."""
+def sample_frames(ds, every_ms: int = 1000):
+    """The frame-sampling stage (video rows only upstream):
+    :func:`frame_batch` as a plain task."""
     return ds.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"every_ms": every_ms},
+        frame_batch,
+        fn_kwargs={"every_ms": every_ms},
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=BATCH_ROWS,
     )

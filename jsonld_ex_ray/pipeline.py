@@ -201,7 +201,6 @@ def dedup_triples(ds):
 
 
 _QUAD_COLS = ("subj", "pred", "obj", "obj_kind", "obj_datatype", "obj_lang")
-_NUM_SHARDS = 32  # subject shards per graph in triples_to_jsonld
 
 
 def _term(v, kind=None, dt=None, lang=None):
@@ -310,73 +309,41 @@ def adjacency_rows(triples: pa.Table) -> pa.Table:
     )
 
 
-def _quads_of(group: pa.Table) -> list:
-    return [
-        (_term(s), _term(p), _term(o, k, dt, lg), None)
-        for s, p, o, k, dt, lg in zip(*(pylist(group.column(c)) for c in _QUAD_COLS))
-    ]
+def _quads_of(group: pa.Table):
+    """``group``'s triples as the core's default-graph quads, converted a
+    batch at a time: a graph's Python strings live in the serializer's
+    node map only, not also in whole-column lists."""
+    for batch in group.select(list(_QUAD_COLS)).to_batches(max_chunksize=4096):
+        for s, p, o, k, dt, lg in zip(*map(pylist, batch.columns)):
+            yield (_term(s), _term(p), _term(o, k, dt, lg), None)
 
 
 def triples_to_jsonld(ds):
     """Inverse direction (SURVEY.md §2.5 fromRdf grouping): triple rows →
     expanded JSON-LD node documents, one row per graph.
-    → Dataset(graph, doc[json string], n_nodes).
+    → Dataset(graph, doc[json string], n_nodes); the default graph is
+    keyed ``""`` and each ``doc`` holds its nodes sorted on ``@id``.
 
-    Skew-safe shape: the only cross-subject semantics in RDF→JSON-LD
-    conversion is rdf:first/rdf:rest list reconstruction (bare
-    ``{"@id"}`` reference nodes are never emitted — see
-    core/rdf_serialization.py:232), so:
-
-    - every subject OUTSIDE the list closure shards by
-      ``hash(subj) % _NUM_SHARDS`` and serializes independently (exact:
-      its output is a function of its own triples);
-    - only the LIST CLOSURE of each graph routes whole to that graph's
-      shard 0: the rdf:first/rest chain nodes plus every subject holding
-      a reference to one (the referencing subject's full triple set must
-      co-serialize so reference counts and @list inlining are exact).
-      A list IN THE DEFAULT GRAPH therefore no longer drags the whole
-      cross-document union into one group — only its chain + referrers.
-      Partitioning assumption: the list closure is a small fraction of
-      the corpus (lists are document-structure, not bulk data);
-    - a final bucketed merge combines the ≤ _NUM_SHARDS node-array parts
-      per graph.
-
-    Both shuffles are bucketed (ops/shuffle.py) — on (graph, subject
-    shard), then on graph — with graphs looped inside each bucket. The
-    default graph holding 90%+ of the corpus never lands in a single
-    call (its subject shards spread across buckets)."""
+    One bucketed shuffle (ops/shuffle.py) routed on ``graph``: each
+    bucket loops its graphs and serializes every graph whole in one
+    ``serialize_rdf`` call. The trade: the largest graph bounds the
+    largest task, as the one-row-per-graph output already forces (its
+    ``doc`` is one string built in one task). In return list
+    reconstruction, which crosses subjects (rdf:first/rdf:rest chains and
+    the nodes referring to them), needs no closure pass, and the driver
+    collects nothing."""
     from .core.options import JsonLdOptions
     from .core.rdf_serialization import serialize_rdf
 
-    sharded = _sharded_triples(ds, _NUM_SHARDS)
-
-    def build_shards(group: pa.Table) -> pa.Table:
-        # loop the distinct (graph, shard) cells INSIDE the bucket
-        group = group.sort_by([("__g", "ascending"), ("__shard", "ascending")])
-        starts, ends = key_runs(group, ["__g", "__shard"])
-        parts_out, counts = [], []
-        for lo, hi in zip(starts, ends):
-            docs = serialize_rdf(_quads_of(group.slice(lo, hi - lo)), JsonLdOptions(ordered=True))
-            parts_out.append(json.dumps(docs))
-            counts.append(len(docs))
-        return pa.table(
-            {
-                "graph": group.column("__g").take(pa.array(starts, pa.int64())),
-                "part": pa.array(parts_out, pa.string()),
-                "n_nodes": pa.array(counts, pa.int64()),
-            }
-        )
-
-    def merge_graphs(group: pa.Table) -> pa.Table:
+    def serialize_graphs(group: pa.Table) -> pa.Table:
+        graph = pc.fill_null(group.column("graph").cast(pa.string()), "")
+        group = group.set_column(group.schema.get_field_index("graph"), "graph", graph)
         group = group.sort_by([("graph", "ascending")])
-        blobs = pylist(group.column("part"))
         starts, ends = key_runs(group, ["graph"])
         docs_out, counts = [], []
         for lo, hi in zip(starts, ends):
-            nodes: list = []
-            for blob in blobs[lo:hi]:
-                nodes.extend(json.loads(blob))
-            nodes.sort(key=lambda n: n["@id"])  # same order as sorted node-map keys
+            # node-map keys come out sorted, so the nodes are in @id order
+            nodes = serialize_rdf(_quads_of(group.slice(lo, hi - lo)), JsonLdOptions(ordered=True))
             docs_out.append(json.dumps(nodes, sort_keys=True))
             counts.append(len(nodes))
         return pa.table(
@@ -387,88 +354,7 @@ def triples_to_jsonld(ds):
             }
         )
 
-    parts = bucketed(sharded, ["__g", "__shard"], build_shards)
-    return bucketed(parts, ["graph"], merge_graphs)
-
-
-def _sharded_triples(ds, num_shards: int):
-    """Shard assignment for ``triples_to_jsonld`` (split out for direct
-    testing): → Dataset(triple columns + __g, __shard)."""
-    from .core.rdf_generation import RDF_FIRST, RDF_REST
-
-    # three consumers (list-key scan, closure scan, the returned shard
-    # pipeline) — checkpoint once or a lazy input (a full build_triples
-    # chain!) re-executes extraction per pass
-    t = triples_only(ds).materialize()
-
-    def _gkey(g: pa.Array, node: pa.Array) -> pa.Array:
-        # (graph, node) composite key — list semantics are per-graph
-        return pc.binary_join_element_wise(g, node, "\x00")
-
-    # Pass A — (graph, subj) keys of rdf:first/rest chain nodes. Small by
-    # assumption (list closure ≪ corpus); collected once, broadcast once.
-    def list_node_keys(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch.column("pred"), value_set=pa.array([RDF_FIRST, RDF_REST]))
-        hit = batch.filter(mask)
-        g = pc.fill_null(hit.column("graph").cast(pa.string()), "")
-        return pa.table({"key": pc.unique(_gkey(g, hit.column("subj").cast(pa.string())))})
-
-    ln_df = t.map_batches(
-        list_node_keys, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    list_nodes = sorted(set(ln_df["key"])) if len(ln_df) else []
-
-    closure_keys: list = list_nodes
-    if list_nodes:
-        import ray as _ray
-
-        ln_ref = _ray.put(pa.array(list_nodes, pa.string()))
-
-        # Pass B — subjects holding a reference to a chain node: their
-        # FULL triple set must co-serialize with the chain (@list inlining
-        # and referenced-once counting read the referrer's node).
-        def referrer_keys(batch: pa.Table) -> pa.Table:
-            kind = batch.column("obj_kind")
-            is_node = pc.or_(
-                pc.equal(kind, pa.scalar("iri")), pc.equal(kind, pa.scalar("bnode"))
-            )
-            hit = batch.filter(pc.fill_null(is_node, False))
-            g = pc.fill_null(hit.column("graph").cast(pa.string()), "")
-            ok = pc.is_in(
-                _gkey(g, hit.column("obj").cast(pa.string())),
-                value_set=_ray.get(ln_ref),
-            )
-            hit = hit.filter(ok)
-            g2 = pc.fill_null(hit.column("graph").cast(pa.string()), "")
-            return pa.table(
-                {"key": pc.unique(_gkey(g2, hit.column("subj").cast(pa.string())))}
-            )
-
-        rf_df = t.map_batches(
-            referrer_keys, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas()
-        closure_keys = sorted(set(list_nodes) | set(rf_df["key"]))
-        closure_ref = _ray.put(pa.array(closure_keys, pa.string()))
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        from .ops.hashing import hash_strings
-
-        g = pc.fill_null(batch.column("graph").cast(pa.string()), "")
-        shard = (hash_strings(batch.column("subj"), seed=0) % np.uint64(num_shards)).astype(
-            np.int64
-        )
-        if closure_keys:
-            import ray as _ray
-
-            in_closure = pc.is_in(
-                _gkey(g, batch.column("subj").cast(pa.string())),
-                value_set=_ray.get(closure_ref),
-            )
-            shard = np.where(in_closure.to_numpy(zero_copy_only=False), 0, shard)
-        batch = batch.append_column("__g", g)
-        return batch.append_column("__shard", pa.array(shard.astype(np.int32), pa.int32()))
-
-    return t.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed(triples_only(ds).select_columns(["graph", *_QUAD_COLS]), ["graph"], serialize_graphs)
 
 
 def compact_docs(ds, context: dict, *, doc_col: str = "doc", options=None):

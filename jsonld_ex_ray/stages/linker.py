@@ -167,18 +167,3 @@ def detect_and_link_mentions(triples_ds, dict_ref, concurrency=None, min_score: 
         zero_copy_batch=True,
         batch_size=4096,
     )
-
-
-def distinct_subject_iris(triples_ds):
-    """Distinct non-bnode subject IRIs (linker-dictionary builder): map-side
-    set reduction before the single-column global distinct."""
-    def local(batch: pa.Table) -> pa.Table:
-        vals = {
-            s
-            for s in pylist(batch.column("subj"))
-            if s is not None and not s.startswith("_:")
-        }
-        return pa.table({"subj": pa.array(sorted(vals), pa.string())})
-
-    ds = triples_ds.map_batches(local, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.unique("subj")

@@ -1,10 +1,10 @@
 """Per-worker-process state for plain Ray tasks.
 
-The triples kernel, both linkers and the broadcast probes of
-``ops/joins.py`` (``lookup_by_key``, ``asof_join_broadcast``) run as
-plain ``map_batches`` tasks, not actor pools: an actor pool serialises
-whatever Ray fuses into it and can hold every CPU of a small node,
-starving the read tasks. Their expensive state (the kernel's context
+The triples kernel, both linkers and the broadcast probe of
+``ops/joins.py`` (``lookup_by_key``) run as plain ``map_batches``
+tasks, not actor pools: an actor pool serialises whatever Ray fuses
+into it and can hold every CPU of a small node, starving the read
+tasks. Their expensive state (the kernel's context
 cache, a linker's alias index, a lookup's key index) is built once per
 worker process instead, keyed by the ``ray.put`` ref the driver
 broadcast. Ray worker processes are long-lived, so a worker

@@ -493,3 +493,71 @@ def test_two_char_trailing_colon_term():
 
     out = expand({"@context": {"a": "http://other/", "a:": "http://ex/y"}, "a:": "v"})
     assert out == [{"http://ex/y": [{"@value": "v"}]}]
+
+
+def _scan_values(quads, options):
+    """The values each (subject, predicate) keeps under the linear
+    ``strict_equal`` scan: the dedup rule ``serialize_rdf`` must keep."""
+    from jsonld_ex_ray.core.flattening import strict_equal
+    from jsonld_ex_ray.core.rdf_serialization import _rdf_to_object
+
+    kept: dict = {}
+    for s, p, o, _ in quads:
+        value = _rdf_to_object(o, options)
+        values = kept.setdefault((s[1], p[1]), [])
+        if not any(strict_equal(value, v) for v in values):
+            values.append(value)
+    return kept
+
+
+def test_from_rdf_value_dedup_matches_strict_equal_scan():
+    """``serialize_rdf`` dedups a property's values through hashable keys;
+    over duplicated literals it keeps exactly what the ``strict_equal``
+    scan keeps: ``true`` apart from ``1``, ``1`` merged with ``1.0``,
+    language and direction variants apart, equal ``@json`` values merged
+    whatever their spelling."""
+    import math
+
+    from jsonld_ex_ray.core.flattening import strict_equal
+    from jsonld_ex_ray.core.rdf_generation import (
+        I18N,
+        RDF_JSON,
+        RDF_LANGSTRING,
+        XSD_BOOLEAN,
+        XSD_DOUBLE,
+        XSD_INTEGER,
+        XSD_STRING,
+    )
+    from jsonld_ex_ray.core.rdf_serialization import _rdf_to_object, _value_key, serialize_rdf
+
+    s, p = ("iri", "https://x.example/s"), ("iri", "https://x.example/p")
+    native = [
+        ("true", XSD_BOOLEAN), ("1", XSD_INTEGER), ("1.0E0", XSD_DOUBLE), ("1", XSD_INTEGER),
+        ("false", XSD_BOOLEAN), ("0", XSD_INTEGER), ("true", XSD_BOOLEAN), ("1", XSD_STRING),
+        ("NaN", XSD_DOUBLE), ("NaN", XSD_DOUBLE), ("yes", XSD_BOOLEAN), ("yes", XSD_BOOLEAN),
+    ]
+    langs = [
+        ("hi", RDF_LANGSTRING, "en"), ("hi", RDF_LANGSTRING, "fr"), ("hi", XSD_STRING, None), ("hi", RDF_LANGSTRING, "en")
+    ]
+    directed = [("hi", I18N + "en_ltr"), ("hi", I18N + "en_rtl"), ("hi", I18N + "_rtl"), ("hi", I18N + "en_ltr")]
+    jsons = ['{"a":1}', '{"a": 1}', '{"a":true}', '{"a":1.0}', "[1,true]", "[true,1]", "[1,true]", "true", "1", "null"]
+    cases = [
+        (JsonLdOptions(use_native_types=True), [(lex, dt, None) for lex, dt in native] + langs),
+        (JsonLdOptions(rdf_direction="i18n-datatype"), [(lex, dt, None) for lex, dt in directed] + langs),
+        (JsonLdOptions(), [(lex, RDF_JSON, None) for lex in jsons] + langs),
+    ]
+    for options, literals in cases:
+        quads = [(s, p, ("lit", lex, dt, lang), None) for lex, dt, lang in literals]
+        (node,) = serialize_rdf(quads, options)
+        want = _scan_values(quads, options)[(s[1], p[1])]
+        assert node[p[1]] == want
+        assert len(want) < len(literals)  # the corpus holds duplicates
+        # the key decides equality as strict_equal does, pair by pair
+        values = [_rdf_to_object(o, options) for _, _, o, _ in quads]
+        for a in values:
+            for b in values:
+                assert (_value_key(a) == _value_key(b)) == strict_equal(a, b)
+    assert _value_key(True) != _value_key(1) and _value_key(1) == _value_key(1.0)
+    assert _value_key([{"@value": 0}]) != _value_key([{"@value": False}])
+    nan = math.nan
+    assert _value_key(nan) != _value_key(nan) and not strict_equal(nan, nan)

@@ -271,7 +271,7 @@ def test_media_decode_real_png_wav(ray_session):
     from jsonld_ex_ray.ops.multimodal import FEATURE_DIM, decode_media, synth_media_table
 
     tbl = synth_media_table(50)
-    feats = decode_media(ray.data.from_arrow(tbl), concurrency=2, batch_size=8).to_pandas()
+    feats = decode_media(ray.data.from_arrow(tbl)).to_pandas()
     assert len(feats) == 50
     src = tbl.to_pandas().set_index("media_id")
     images = feats[feats.kind == "image"]
@@ -289,7 +289,7 @@ def test_media_decode_real_png_wav(ray_session):
     assert (errs.width == -1).all() and (errs.duration_ms == -1).all()
     assert all(len(f) == FEATURE_DIM for f in feats.feature)
     # deterministic features from payload bytes
-    feats2 = decode_media(ray.data.from_arrow(tbl), concurrency=2, batch_size=8).to_pandas()
+    feats2 = decode_media(ray.data.from_arrow(tbl)).to_pandas()
     assert list(map(list, feats.sort_values("media_id").feature)) == list(
         map(list, feats2.sort_values("media_id").feature)
     )
@@ -420,7 +420,7 @@ def test_media_decode_survives_corrupt_payloads(ray_session):
             "meta": ["{}"] * (len(corrupt) + 2),
         }
     )
-    feats = decode_media(ray.data.from_arrow(tbl), concurrency=2, batch_size=4).to_pandas()
+    feats = decode_media(ray.data.from_arrow(tbl)).to_pandas()
     assert len(feats) == 8
     bad = feats[feats.media_id < 6]
     assert (bad.width == -1).all()

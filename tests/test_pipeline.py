@@ -608,9 +608,8 @@ def test_build_triples_plan_has_no_read_operator(ray_session, corpus):
 
 
 def test_triples_to_jsonld_default_graph_sharded(ray_session):
-    """A corpus where the default graph holds >90% of triples must NOT
-    collapse into one serializer call: shard assignment spreads it, the
-    merged output still matches a single whole-graph serialize_rdf."""
+    """A corpus whose triples all sit in the default graph: one output
+    row, equal to a single whole-graph serialize_rdf."""
     import json as _json
 
     import pyarrow as pa
@@ -632,55 +631,34 @@ def test_triples_to_jsonld_default_graph_sharded(ray_session):
         "doc_id": [f"d{i}" for i in range(n)],
     }
     tbl = pa.table(rows)
-    num_shards = 8
     out = triples_to_jsonld(ray.data.from_arrow(tbl)).to_pandas()
     assert len(out) == 1  # one row per graph — unchanged output contract
     got = _json.loads(out.doc.iloc[0])
     want = serialize_rdf(_quads_of(tbl), JsonLdOptions(ordered=True))
     want.sort(key=lambda node: node["@id"])
     assert got == _json.loads(_json.dumps(want, sort_keys=True))
-    # shard spread: the subjects of the big graph hash to many shards, so
-    # no single serializer group saw more than a fraction of the triples
-    import numpy as np
-
-    from jsonld_ex_ray.pipeline import _sharded_triples
-
-    sharded = _sharded_triples(ray.data.from_arrow(tbl), num_shards).to_pandas()
-    counts = sharded.groupby("__shard").size().reindex(range(num_shards), fill_value=0)
-    assert (counts > 0).sum() >= num_shards - 1
-    assert counts.max() < n  # never one group holding the whole graph
+    assert out.graph.iloc[0] == ""  # the default graph's key
 
 
-def test_triples_to_jsonld_default_graph_list_closure_only(ray_session):
-    """A list in the DEFAULT graph must route only its closure (chain
-    nodes + the referencing subject) to shard 0 — the other 10k subjects
-    of the same graph keep spreading over shards, so no serializer group
-    sees more than a bounded slice of the corpus."""
-    import json as _json
-
+def _list_closure_table(n: int):
+    """``n`` plain subjects plus one rdf:first/rdf:rest list referred to
+    by the first of them, all in the default graph."""
     import pyarrow as pa
-    import ray.data
-
-    from jsonld_ex_ray.core.options import JsonLdOptions
-    from jsonld_ex_ray.core.rdf_serialization import serialize_rdf
-    from jsonld_ex_ray.pipeline import _quads_of, _sharded_triples, triples_to_jsonld
 
     RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
     XS = "http://www.w3.org/2001/XMLSchema#string"
-    n = 10_000
     rows = [
         (f"https://x.example/s{i}", "https://x.example/p", f"v{i}", "literal", XS)
         for i in range(n)
     ]
-    closure = [
+    rows += [
         ("https://x.example/s0", "https://x.example/items", "_:l0", "bnode", None),
         ("_:l0", RDF + "first", "a", "literal", XS),
         ("_:l0", RDF + "rest", "_:l1", "bnode", None),
         ("_:l1", RDF + "first", "b", "literal", XS),
         ("_:l1", RDF + "rest", RDF + "nil", "iri", None),
     ]
-    rows += closure
-    tbl = pa.table(
+    return pa.table(
         {
             "subj": [r[0] for r in rows],
             "pred": [r[1] for r in rows],
@@ -692,15 +670,22 @@ def test_triples_to_jsonld_default_graph_list_closure_only(ray_session):
             "doc_id": ["d"] * len(rows),
         }
     )
-    num_shards = 16
-    sharded = _sharded_triples(ray.data.from_arrow(tbl), num_shards).to_pandas()
-    cell_sizes = sharded.groupby(["__g", "__shard"]).size()
-    assert cell_sizes.max() < len(rows) // 4  # no group holds the graph
-    # the closure landed whole in shard 0
-    closure_subjects = {"https://x.example/s0", "_:l0", "_:l1"}
-    in_closure = sharded[sharded.subj.isin(closure_subjects)]
-    assert set(in_closure.__shard) == {0}
 
+
+def test_triples_to_jsonld_default_graph_list_closure_only(ray_session):
+    """A list in the DEFAULT graph, among 10k other subjects of the same
+    graph, is rebuilt as ``@list`` on its referrer, and the graph's row
+    equals a single whole-graph serialize_rdf."""
+    import json as _json
+
+    import pyarrow as pa
+    import ray.data
+
+    from jsonld_ex_ray.core.options import JsonLdOptions
+    from jsonld_ex_ray.core.rdf_serialization import serialize_rdf
+    from jsonld_ex_ray.pipeline import _quads_of, triples_to_jsonld
+
+    tbl = _list_closure_table(10_000)
     out = triples_to_jsonld(ray.data.from_arrow(tbl)).to_pandas()
     assert len(out) == 1
     got = _json.loads(out.doc.iloc[0])
@@ -711,6 +696,28 @@ def test_triples_to_jsonld_default_graph_list_closure_only(ray_session):
     assert s0["https://x.example/items"] == [
         {"@list": [{"@value": "a"}, {"@value": "b"}]}
     ]
+
+
+def test_triples_to_jsonld_is_one_execution(ray_session, monkeypatch):
+    """``triples_to_jsonld`` over a default-graph list closure is one Ray
+    Data execution with one Sort: no pass collects keys to the driver
+    before the shuffle, and no second shuffle merges parts."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from jsonld_ex_ray.pipeline import triples_to_jsonld
+
+    runs, execute = [], StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    out = triples_to_jsonld(ray.data.from_arrow(_list_closure_table(100)))
+    assert _plan_op_types(out).count("Sort") == 1
+    assert out.materialize().count() == 1
+    assert len(runs) == 1
 
 
 def test_triples_to_jsonld_list_graph_routes_whole(ray_session):

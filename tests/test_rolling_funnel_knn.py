@@ -256,7 +256,6 @@ def test_image_resize_real_bilinear_roundtrip(ray_session):
     import ray.data
 
     from jsonld_ex_ray.ops.multimodal import (
-        ImageResizer,
         _bilinear_resize,
         _png_decode,
         resize_images,
@@ -273,7 +272,7 @@ def test_image_resize_real_bilinear_roundtrip(ray_session):
     assert (_bilinear_resize(px, 2, 2) == px).all()
 
     tbl = synth_media_table(40)
-    out = resize_images(ray.data.from_arrow(tbl), target_size=(16, 16), batch_size=8).to_pandas()
+    out = resize_images(ray.data.from_arrow(tbl), target_size=(16, 16)).to_pandas()
     assert len(out) == 40
     src = tbl.to_pandas().set_index("media_id")
     ok = out[out.error_code.isna()]
@@ -490,7 +489,7 @@ def test_batch_and_perdoc_tokenization_parity():
 def test_png_roundtrip_gray_and_rgba_resize(ray_session):
     """Review-found: the encoder was RGB-only, so valid gray/RGBA PNGs
     always became error rows in the resize stage."""
-    from jsonld_ex_ray.ops.multimodal import ImageResizer, _png_decode, _png_encode
+    from jsonld_ex_ray.ops.multimodal import _png_decode, _png_encode, resize_batch
 
     gray = ((np.arange(36).reshape(6, 6, 1) * 7) % 256).astype(np.uint8)
     rgba = np.dstack([gray[..., 0]] * 4).astype(np.uint8)
@@ -499,7 +498,7 @@ def test_png_roundtrip_gray_and_rgba_resize(ray_session):
         batch = pa.table(
             {"media_id": pa.array([1], pa.int64()), "payload": pa.array([payload], pa.binary())}
         )
-        out = ImageResizer(target_size=(3, 3))(batch).to_pandas()
+        out = resize_batch(batch, target_size=(3, 3)).to_pandas()
         assert out.error_code.isna().all(), out.error_code.tolist()
         w, h, px2 = _png_decode(out.payload.iloc[0])
         assert (w, h, px2.shape[2]) == (3, 3, px.shape[2])
@@ -520,13 +519,13 @@ def test_tiny_png_features_never_nan(ray_session):
         },
         schema=MEDIA_SCHEMA,
     )
-    out = decode_media(ray.data.from_arrow(tbl), concurrency=1, batch_size=4).to_pandas()
+    out = decode_media(ray.data.from_arrow(tbl)).to_pandas()
     assert out.width.iloc[0] == 2 and out.height.iloc[0] == 1
     assert not any(np.isnan(v) for v in out.feature.iloc[0])
 
 
 def test_frame_sampler_survives_non_object_meta(ray_session):
-    from jsonld_ex_ray.ops.multimodal import FrameSampler
+    from jsonld_ex_ray.ops.multimodal import frame_batch
 
     batch = pa.table(
         {
@@ -535,7 +534,7 @@ def test_frame_sampler_survives_non_object_meta(ray_session):
             "meta": pa.array(["null", '"str"', "[1]", '{"duration_ms": null}']),
         }
     )
-    out = FrameSampler(every_ms=100)(batch).to_pandas()
+    out = frame_batch(batch, every_ms=100).to_pandas()
     # every row degrades to duration 0 → exactly one frame row each
     assert sorted(out.media_id) == [1, 2, 3, 4]
     assert (out.frame_idx == 0).all()

@@ -208,12 +208,10 @@ def test_two_sided_joins_accept_pandas_backed_sides(ray_session, buckets):
 
 
 # One routing constant: ops/shuffle.py alone decides the bucket count and
-# the block counts. Only the hashing primitive and the shard helper its
-# tests call take a count.
+# the block counts. Only the hashing primitive takes a count.
 _COUNT_PARAMS = {"num_buckets", "num_shards", "num_ranges"}
 _COUNT_TAKERS = {
     ("jsonld_ex_ray/ops/hashing.py", "bucket_ids", "num_buckets"),
-    ("jsonld_ex_ray/pipeline.py", "_sharded_triples", "num_shards"),
 }
 
 
@@ -642,24 +640,35 @@ def test_only_shuffle_spells_the_reservation():
     assert spelled == {"jsonld_ex_ray/ops/shuffle.py"}
 
 
+class _Decoder:
+    """An actor-pool stage: the library's stages are plain tasks, a
+    caller's may be an actor class."""
+
+    def __call__(self, batch):
+        from jsonld_ex_ray.ops.multimodal import decode_batch
+
+        return decode_batch(batch)
+
+
 def test_actor_pool_stage_feeds_a_bucketed_op(ray_session):
-    """An actor-pool stage (``decode_media``) feeding a bucketed
-    aggregate finishes with the reservation off, which otherwise keeps
-    an actor pool from holding every CPU; its groups match a pandas
-    groupby of the decoded table."""
+    """An actor-pool stage feeding a bucketed aggregate finishes with the
+    reservation off, which otherwise keeps an actor pool from holding
+    every CPU; its groups match a pandas groupby of the decoded table."""
     import ray.data
 
     from jsonld_ex_ray.ops.agg import groupby_agg
-    from jsonld_ex_ray.ops.multimodal import MediaDecoder, decode_media, synth_media_table
+    from jsonld_ex_ray.ops.multimodal import decode_batch, synth_media_table
 
     tbl = synth_media_table(60)
     # several blocks, so both actors of the pool get work
     blocks = [tbl.slice(lo, 10) for lo in range(0, tbl.num_rows, 10)]
-    decoded = decode_media(ray.data.from_arrow(blocks), concurrency=2, batch_size=8)
+    decoded = ray.data.from_arrow(blocks).map_batches(
+        _Decoder, batch_format="pyarrow", batch_size=8, concurrency=2
+    )
     aggs = [("n_bytes", "sum", "bytes"), ("width", "max", "width"), ("media_id", "count", "n")]
     got = groupby_agg(decoded, ["kind"], aggs).to_pandas().sort_values("kind").reset_index(drop=True)
     want = (
-        MediaDecoder()(tbl).to_pandas().groupby("kind")
+        decode_batch(tbl).to_pandas().groupby("kind")
         .agg(bytes=("n_bytes", "sum"), width=("width", "max"), n=("media_id", "size"))
         .reset_index()
     )

@@ -35,7 +35,7 @@ def test_asof_join_matches_pandas(ray_session):
     import pyarrow.compute as pc
     import ray.data
 
-    from jsonld_ex_ray.ops.joins import asof_join_broadcast
+    from jsonld_ex_ray.ops.joins import asof_join_bucketed
 
     events = pq.read_table(f"{SF}/events.parquet")
     views = events.filter(pc.equal(events.column("event_type"), pa.scalar("view")))
@@ -44,7 +44,14 @@ def test_asof_join_matches_pandas(ray_session):
     )
     left = ray.data.read_parquet(f"{SF}/events.parquet", columns=["event_id", "user_id", "ts"])
     got = (
-        asof_join_broadcast(left, right, on="ts", by="user_id", allow_exact_matches=False)
+        asof_join_bucketed(
+            left,
+            ray.data.from_arrow(right),
+            on="ts",
+            by="user_id",
+            right_value_cols=["view_ts"],
+            allow_exact_matches=False,
+        )
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)[["event_id", "view_ts"]]
