@@ -6,7 +6,10 @@
                                                    # extract → expand →
                                                    # node-map → toRdf
                                                    # [+URDNA2015 labels]
-      → [map_batches(link_batch)]                  # broadcast dictionary
+      → [map_batches(link_batch)]                  # each emitted block,
+                                                   # in the emit task; index
+                                                   # built once per worker
+                                                   # and dictionary content
       → [dedup / canonicalize / materialize]       # explicit shuffles
       or → write shard={i}/ from the emit task     # run_checkpointed
 
@@ -67,7 +70,10 @@ def build_triples(
     150 MiB of rows, so pass a smaller ``batch_size`` there.
     ``context_registry`` / ``options`` replace the kernel's offline
     context registry and JSON-LD options; ``linker_dict_ref``
-    (``ray.put(alias_to_iri)``) adds the entity-linker columns;
+    (``ray.put(alias_to_iri)``, best from ``stages/state.shared_ref``,
+    so each worker builds the alias index once per dictionary content,
+    not once per call) adds the entity-linker columns over each emitted
+    block, in the emit task, so a linker keeps one task per row group;
     ``canonical=True`` gives blank nodes their URDNA2015 labels in the
     emit task (see :func:`canonicalize_bnodes`), else they keep the
     kernel's ``_:{doc_hash}-b<n>``. ``concurrency`` is accepted and
@@ -90,7 +96,9 @@ def build_triples(
         ds = source.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
     if linker_dict_ref is not None:
         link = link_entities(linker_dict_ref)
-        ds = ds.map_batches(link, batch_format="pyarrow", zero_copy_batch=True, batch_size=4096)
+        # over each emitted block: a bundle size here would become the
+        # fused emit operator's, putting many row groups in one task
+        ds = ds.map_batches(link, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
     return ds
 
 
@@ -405,7 +413,9 @@ def frame_docs(ds, frame_doc: dict, *, doc_col: str = "doc", options=None):
 def run_stamp(source, *options) -> str | None:
     """What a checkpoint was built from: every source file's absolute
     path, size and ``mtime_ns`` (directories walked, in source order),
-    ``options``' ``repr``, and the engine digest. None for a
+    ``options``' ``repr``, and the engine digest. A large dictionary
+    is best passed as its ``stages/state.content_digest``, as
+    ``full_kg_run`` does, so it is not ``repr``-ed per call. None for a
     Dataset source: its rows cannot be stamped, so nothing built from
     one is ever reused."""
     if not isinstance(source, (str, list)):

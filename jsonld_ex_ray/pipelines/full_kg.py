@@ -10,19 +10,23 @@ one Ray Data execution:
         materialize_graph kernel) and mentions
       → metrics
 
-Ray fuses emit, link, tee and routing into one task, so raw/ is written
-but never read back. Routing on ``subj`` serves all three outputs: it is
-one of the six identity columns, so the per-bucket dedup is exact, and
-every triple of a subject meets its adjacency row in the same task. The
+Ray fuses emit, link, tee and routing into one task per source row
+group, so raw/ is written but never read back. Routing on ``subj``
+serves all three outputs: it is one of the six identity columns, so the
+per-bucket dedup is exact, and every triple of a subject meets its
+adjacency row in the same task. The
 sink walks its task's triples in slices of at most ``_SLICE_ROWS`` rows
 (adjacency slices cut where a subject starts), so the Python lists of
 the adjacency and mention kernels stay bounded.
 
 Each output lands under its own directory with a sibling
 ``<name>._SUCCESS`` marker holding the stage's stamp: the raw stage's
-covers the source files (path, size, mtime), ``linker_dict`` and the
-engine digest (``pipeline.run_stamp``), and every later stage's covers
-its upstream stamp (plus ``mention_names`` for mentions). A rerun SKIPS
+covers the source files (path, size, mtime), ``linker_dict``'s content
+digest and the engine digest (``pipeline.run_stamp``), and every later
+stage's covers its upstream stamp (plus ``mention_names``' content
+digest for mentions). Each dictionary is put in the object store once
+per content (``stages/state.shared_ref``), so a worker builds a linker's
+index once per dictionary content, not once per call. A rerun SKIPS
 a stage whose marker holds its stamp and CLEARS any other (torn, or
 built from other inputs), so files of a died attempt never double-count.
 A reused raw/ is the execution's source for the missing stages; a
@@ -45,6 +49,7 @@ import pyarrow.parquet as pq
 from ..ops.shuffle import key_runs
 from ..pipeline import _mark_done, _stage_dir, _then, adjacency_rows, build_triples, dedup_triples, run_stamp
 from ..stages.linker import link_mentions
+from ..stages.state import shared_ref
 
 
 _SLICE_ROWS = 4096
@@ -148,19 +153,21 @@ def full_kg_run(
     ``raw_skipped`` and ``reused`` (the stages a rerun skipped).
     ``concurrency`` is accepted and ignored: ``perfbench/workloads.py``
     still passes it."""
-    import ray
     import ray.data
 
     os.makedirs(out_dir, exist_ok=True)
     metrics: dict = {}
     t0 = time.monotonic()
 
-    raw_stamp = run_stamp(source, linker_dict)
+    # each dictionary is put once per content; its digest stamps the run
+    linker_ref, linker_digest = shared_ref("linker_dict", linker_dict) if linker_dict else (None, None)
+    names_ref, names_digest = shared_ref("mention_names", mention_names) if mention_names else (None, None)
+    raw_stamp = run_stamp(source, linker_digest)
     raw_dir, raw_done = _stage_dir(out_dir, "raw", raw_stamp)
     triples_stamp = _then(raw_stamp, "triples")
     stamps = {"triples": triples_stamp, "adjacency": _then(triples_stamp, "adjacency")}
     if mention_names:
-        stamps["mentions"] = _then(triples_stamp, "mentions", mention_names)
+        stamps["mentions"] = _then(triples_stamp, "mentions", names_digest)
     dirs, reused = {}, {"raw": raw_done}
     for name, stamp in stamps.items():
         # a rebuilt raw/ rebuilds every later stage, whose stamps derive from it
@@ -172,12 +179,9 @@ def full_kg_run(
             ds = ray.data.read_parquet(raw_dir)
         else:
             os.makedirs(raw_dir)
-            ds = build_triples(
-                source,
-                linker_dict_ref=ray.put(linker_dict) if linker_dict else None,
-                canonical=True,
-            ).map_batches(_tee(raw_dir), batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-        names_ref = ray.put(mention_names) if mention_names else None
+            ds = build_triples(source, linker_dict_ref=linker_ref, canonical=True).map_batches(
+                _tee(raw_dir), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+            )
         raw_mark = None if raw_done else (raw_dir, raw_stamp)
         dedup_triples(ds).write_datasink(_graph_sink(dirs, names_ref, raw_mark))
         if raw_mark is not None:

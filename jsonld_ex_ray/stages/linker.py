@@ -1,16 +1,19 @@
 """Entity-linking stage: extracted node identifiers → canonical IRIs.
 
 North-rule addition (not in the reference; SURVEY.md §2.3): a batched
-mention-detect + link scorer. The canonical dictionary is broadcast ONCE
-via ``ray.put`` and each linker runs as a plain ``map_batches`` task that
-builds its index once per worker process (``stages/state.py``) — the
-dictionary is never shipped per batch. Linking itself is a vectorized
-dictionary lookup with a deterministic normalization-based fallback
-scorer.
+mention-detect + link scorer. The canonical dictionary is broadcast via
+``ray.put`` once per dictionary content (``stages/state.shared_ref``)
+and each linker runs as a plain ``map_batches`` task that builds its
+index once per worker process and dictionary content
+(``stages/state.worker_state``) — the dictionary is never shipped per
+batch, nor indexed again per call. Entity linking is a dictionary lookup
+with a deterministic normalization-based fallback; mention linking
+counts token overlaps over per-token numpy postings.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 from ..columns import pylist
@@ -76,40 +79,47 @@ class MentionLinker:
     """Batched mention-detect + link scorer (the north rule's stateful
     linker stage): detects textual mentions in name-like literal triples
     and scores them against a canonical-name dictionary. Scoring =
-    token-set Jaccard over lowercased word sets with an exact-match fast
-    path. Returns (doc_id, subj, mention, candidate_iri, link_score) rows;
+    token-set Jaccard over lowercased word sets, with an exact-match fast
+    path: the overlaps of a mention with every name sharing one of its
+    tokens are counted over per-token numpy postings, and Jaccard =
+    overlap / (|mention| + |name| − overlap). Of the names with the best
+    score, the first in dictionary order wins. Returns (doc_id, subj,
+    mention, candidate_iri, link_score) rows;
     :func:`detect_and_link_mentions` runs it as a Ray task.
     """
 
     def __init__(self, name_to_iri: dict[str, str] | None = None, min_score: float = 0.5):
         mapping = name_to_iri or {}
         self.min_score = min_score
-        # index built once: exact lowercase map + token postings
+        # index built once: exact lowercase map, each name's token count
+        # and IRI in dictionary order, and per token the ascending ids of
+        # the names holding it
         self.exact = {k.lower(): v for k, v in mapping.items()}
-        self.token_sets = [(frozenset(k.lower().split()), k.lower(), v) for k, v in mapping.items()]
-        self.postings: dict[str, list[int]] = {}
-        for i, (tokens, _, _) in enumerate(self.token_sets):
+        self.iris = list(mapping.values())
+        sizes, postings = [], {}
+        for i, name in enumerate(mapping):
+            tokens = set(name.lower().split())
+            sizes.append(len(tokens))
             for t in tokens:
-                self.postings.setdefault(t, []).append(i)
+                postings.setdefault(t, []).append(i)
+        self.sizes = np.array(sizes, np.int64)
+        self.postings = {t: np.array(ids, np.int64) for t, ids in postings.items()}
 
     def _score(self, mention: str) -> tuple[str | None, float]:
         m = mention.lower().strip()
         hit = self.exact.get(m)
         if hit is not None:
             return hit, 1.0
-        tokens = frozenset(m.split())
+        tokens = set(m.split())
         if not tokens:
             return None, 0.0
-        candidates: set[int] = set()
-        for t in tokens:
-            candidates.update(self.postings.get(t, ()))
+        lists = [p for t in tokens if (p := self.postings.get(t)) is not None]
         best_iri, best = None, 0.0
-        for i in candidates:
-            cand_tokens, _, iri = self.token_sets[i]
-            inter = len(tokens & cand_tokens)
-            score = inter / len(tokens | cand_tokens)
-            if score > best:
-                best_iri, best = iri, score
+        if lists:
+            ids, overlap = np.unique(np.concatenate(lists), return_counts=True)
+            jaccard = overlap / (len(tokens) + self.sizes[ids] - overlap)
+            i = int(jaccard.argmax())  # the first maximum: ids ascend
+            best_iri, best = self.iris[ids[i]], float(jaccard[i])
         if best >= self.min_score:
             return best_iri, round(best, 6)
         return None, 0.0
@@ -159,11 +169,13 @@ def link_mentions(dict_ref, min_score: float = 0.5):
 
 def detect_and_link_mentions(triples_ds, dict_ref, concurrency=None, min_score: float = 0.5):
     """Wire the mention linker over a triple Dataset; ``dict_ref`` is
-    ``ray.put(name_to_iri)``. ``concurrency`` is accepted and ignored:
+    ``ray.put(name_to_iri)``. It runs over each block as it comes: fused
+    into ``build_triples``' emit task, a bundle size would put many row
+    groups in one task. ``concurrency`` is accepted and ignored:
     ``perfbench/workloads.py`` still passes it."""
     return triples_ds.map_batches(
         link_mentions(dict_ref, min_score),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=4096,
+        batch_size=None,
     )

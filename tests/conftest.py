@@ -3,20 +3,38 @@ import logging
 import pytest
 
 
+def _start_ray():
+    import ray
+
+    ray.init(
+        address="local",
+        num_cpus=4,
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        log_to_driver=False,
+    )
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray
 
     if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=4,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            log_to_driver=False,
-        )
+        _start_ray()
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def restart_ray(ray_session):
+    """``restart_ray()`` ends this process's Ray session and starts a new
+    local one with the session fixture's settings; later tests run in it."""
+
+    def restart():
+        ray_session.shutdown()
+        _start_ray()
+
+    return restart
 
 
 @pytest.fixture

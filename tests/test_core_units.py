@@ -561,3 +561,16 @@ def test_from_rdf_value_dedup_matches_strict_equal_scan():
     assert _value_key([{"@value": 0}]) != _value_key([{"@value": False}])
     nan = math.nan
     assert _value_key(nan) != _value_key(nan) and not strict_equal(nan, nan)
+
+
+def test_run_w3c_without_the_suite_exits_with_one_line(monkeypatch):
+    """``python tests/run_w3c.py`` without the vendored W3C suite exits
+    non-zero with a one-line message (``tests/test_w3c.py`` skips), not
+    with a ``FileNotFoundError`` traceback."""
+    from tests import run_w3c
+
+    monkeypatch.setattr(run_w3c, "suite_available", lambda: False)
+    for argv in (["fromRdf"], [], ["--pr"]):
+        with pytest.raises(SystemExit) as exit_:
+            run_w3c.main(argv)
+        assert isinstance(exit_.value.code, str) and "\n" not in exit_.value.code

@@ -280,6 +280,7 @@ def test_full_kg_run_keeps_raw_when_the_graph_pass_fails(ray_session, tmp_path):
     raw._SUCCESS holding the raw stamp, and the corrected rerun skips the
     emit and gives the outputs of a fresh directory."""
     from jsonld_ex_ray.pipeline import run_stamp
+    from jsonld_ex_ray.stages.state import content_digest
 
     corpus = str(tmp_path / "repos.parquet")
     write_corpus(corpus, 80, seed=21)
@@ -287,7 +288,7 @@ def test_full_kg_run_keeps_raw_when_the_graph_pass_fails(ray_session, tmp_path):
     with pytest.raises(AttributeError):  # int.lower, in the worker's MentionLinker
         full_kg_run(corpus, out, linker_dict=LINKER, mention_names={1: "https://kb/not-a-name"})
     with open(os.path.join(out, "raw._SUCCESS")) as f:
-        assert f.read() == run_stamp(corpus, LINKER)
+        assert f.read() == run_stamp(corpus, content_digest(LINKER))
     assert not os.path.exists(os.path.join(out, "triples._SUCCESS"))
 
     m = full_kg_run(corpus, out, linker_dict=LINKER, mention_names=NAMES)
@@ -312,6 +313,63 @@ def test_full_kg_run_tees_every_copy_of_a_repeated_source(ray_session, tmp_path)
     m = full_kg_run([corpus, corpus], out)
     assert pads.dataset(os.path.join(out, "raw")).count_rows() == 2 * n_rows
     assert m["n_errors"] == 2 * n_errors
+
+
+def test_full_kg_run_follows_each_dictionary_it_is_given(ray_session, tmp_path, monkeypatch):
+    """Workers keep a linker's index across calls, keyed by the ref of
+    its dictionary: a call with another dictionary of the same size
+    links by that one, not by the index of the call before, and a call
+    with an equal dictionary hands the workers the same ref."""
+    from jsonld_ex_ray.pipelines import full_kg
+
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 150, seed=77)
+    linker_refs, names_refs = [], []
+    build, sink = full_kg.build_triples, full_kg._graph_sink
+
+    def spy_build(source, **kw):
+        linker_refs.append(kw["linker_dict_ref"])
+        return build(source, **kw)
+
+    def spy_sink(dirs, names_ref, raw_mark):
+        names_refs.append(names_ref)
+        return sink(dirs, names_ref, raw_mark)
+
+    monkeypatch.setattr(full_kg, "build_triples", spy_build)
+    monkeypatch.setattr(full_kg, "_graph_sink", spy_sink)
+    hot = next(iter(LINKER))
+    linkers = [{hot: f"https://canon.example/{c}"} for c in "ab"]
+    names = [{f"Widget {i}": f"https://kb/{c}{i}" for i in range(10000)} for c in "ab"]
+    runs = [(0, 0), (1, 0), (1, 1), (1, 1)]
+    for k, (li, ni) in enumerate(runs):
+        out = str(tmp_path / f"kg{k}")
+        # the last call gets equal copies, not the same objects
+        full_kg_run(corpus, out, linker_dict=dict(linkers[li]), mention_names=dict(names[ni]))
+        rows = pads.dataset(os.path.join(out, "triples")).to_table().to_pylist()
+        canon = {r["subj_canon"] for r in rows if r["subj"] == hot} | {r["obj_canon"] for r in rows if r["obj"] == hot}
+        assert canon == {linkers[li][hot]}, k
+        iris = pads.dataset(os.path.join(out, "mentions")).to_table().column("candidate_iri").to_pylist()
+        assert iris and all(i.startswith(f"https://kb/{'ab'[ni]}") for i in iris), k
+    assert linker_refs[0] != linker_refs[1] == linker_refs[2] == linker_refs[3]
+    assert names_refs[0] == names_refs[1] != names_refs[2] == names_refs[3]
+
+
+def test_full_kg_run_puts_its_dictionaries_again_in_a_new_ray_session(ray_session, restart_ray, tmp_path):
+    """A dictionary's ref is reused only within the Ray connection that
+    put it: after ``ray.shutdown()`` and ``ray.init()`` the dictionary is
+    put again, and full_kg_run runs on the new ref."""
+    from jsonld_ex_ray.stages.state import shared_ref
+
+    corpus = str(tmp_path / "repos.parquet")
+    write_corpus(corpus, 80, seed=21)
+    before = _fresh(tmp_path, "before", corpus, linker_dict=LINKER, mention_names=NAMES)
+    restart_ray()
+    after = _fresh(tmp_path, "after", corpus, linker_dict=LINKER, mention_names=NAMES)
+    for kind, obj in (("linker_dict", LINKER), ("mention_names", NAMES)):
+        ref, _ = shared_ref(kind, dict(obj))  # the ref the run after the restart was handed
+        assert ray_session.get(ref, timeout=60) == obj  # a ref of the ended session raises
+    for stage in ("raw", "triples", "adjacency", "mentions"):
+        assert _stage_rows(after, stage) == _stage_rows(before, stage), stage
 
 
 def _fresh(tmp_path, name, source, **kw):

@@ -914,6 +914,20 @@ def test_build_triples_plan_has_one_emit_task(ray_session, corpus):
     assert sum(n.startswith("MapBatches") for n in names) == 2
 
 
+def test_build_triples_with_a_linker_runs_one_emit_task_per_row_group(ray_session, tmp_path):
+    """The linker fuses into the emit task without widening its bundles:
+    a source of 4 row groups still runs 4 emit tasks."""
+    import re
+
+    import ray
+
+    path = str(tmp_path / "repos.parquet")
+    write_corpus(path, 200, seed=7, row_group_size=50)
+    stats = build_triples(path, linker_dict_ref=ray.put(LINKER)).materialize().stats()
+    tasks = re.search(r"MapBatches\(emit_batch\)->MapBatches\(link_batch\): (\d+) tasks executed", stats)
+    assert tasks is not None and int(tasks.group(1)) == 4, stats
+
+
 def test_pylist_matches_to_pylist():
     """jsonld_ex_ray.columns.pylist: equal to ``to_pylist()`` on string
     columns (nulls, chunks, empty, large_string) and on other types, where

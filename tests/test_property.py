@@ -373,3 +373,117 @@ def test_urdna2015_invariant_under_relabel_shuffle_and_repeats(quads, rng):
     assert _canon_text(repeated) == expected
     # an independent check that relabeling kept the graph
     assert isomorphic(canonical_quads(quads), quads)
+
+
+# ---------------------------------------------------------------------------
+# MentionLinker: the counted Jaccard scorer against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+_NAME_TOKENS = ["widget", "Widget", "WIDGET", "thing", "actor", "red", "blue", "7", "42"]
+_MIN_SCORES = [0.0, 0.2, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0, 1.5]
+
+
+def _brute_force_score(names: dict, mention: str, min_score: float):
+    """The documented rule, by brute force: an exact lowercase match
+    scores 1.0; else frozenset Jaccard against every name, the first
+    best name in dictionary order winning."""
+    m = mention.lower().strip()
+    exact = {k.lower(): v for k, v in names.items()}
+    if m in exact:
+        return exact[m], 1.0
+    tokens = frozenset(m.split())
+    if not tokens:
+        return None, 0.0
+    best_iri, best = None, 0.0
+    for name, iri in names.items():
+        cand = frozenset(name.lower().split())
+        score = len(tokens & cand) / len(tokens | cand)
+        if score > best:
+            best_iri, best = iri, score
+    return (best_iri, round(best, 6)) if best >= min_score else (None, 0.0)
+
+
+@st.composite
+def _name_dicts(draw):
+    """Names over a small vocabulary in mixed case, most holding the
+    dominant token ``widget``, so shared tokens and ties are common."""
+    names = {}
+    for i in range(draw(st.integers(min_value=0, max_value=30))):
+        tokens = draw(st.lists(st.sampled_from(_NAME_TOKENS), max_size=3))
+        if draw(st.integers(min_value=0, max_value=3)):
+            tokens = ["Widget", *tokens]
+        names[" ".join(tokens)] = f"https://kb.example/{i}"
+    return names
+
+
+@st.composite
+def _mentions(draw, names):
+    """A name of ``names`` re-cased, or tokens (repeated ones and ones no
+    name holds among them) joined by runs of whitespace, or blank."""
+    if names and draw(st.integers(min_value=0, max_value=4)) == 0:
+        return draw(st.sampled_from(sorted(names))).upper()
+    tokens = draw(st.lists(st.sampled_from([*_NAME_TOKENS, "zzz", "unknown"]), max_size=5))
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "\t"]), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mention_scorer_matches_brute_force_jaccard(data):
+    from jsonld_ex_ray.stages.linker import MentionLinker
+
+    names = data.draw(_name_dicts())
+    min_score = data.draw(st.sampled_from(_MIN_SCORES))
+    linker = MentionLinker(names, min_score=min_score)
+    for mention in data.draw(st.lists(_mentions(names), min_size=1, max_size=8)):
+        assert linker._score(mention) == _brute_force_score(names, mention, min_score), mention
+
+
+def test_mention_scorer_on_a_dominant_token_matches_brute_force():
+    """Seeded dictionaries where one token posts most names (the kg
+    workloads' ``Widget N`` shape): every mention and ``min_score`` edge
+    scores as the brute force does, ties going to the first name."""
+    import random
+
+    from jsonld_ex_ray.stages.linker import MentionLinker
+
+    for seed in range(3):
+        rng = random.Random(seed)
+        names = {f"Widget {k}": f"https://kb.example/w{k}" for k in rng.sample(range(10_000), 2_000)}
+        names.update({"red widget": "https://kb.example/red", "thing 7": "https://kb.example/t7"})
+        mentions = ["", "   ", "widget", "WIDGET widget", "zzz", "red", "thing zzz", "widget 7 red"]
+        mentions += [f"widget {rng.randrange(10_000)}{rng.choice(['', ' x', ' red'])}" for _ in range(60)]
+        for min_score in _MIN_SCORES:
+            linker = MentionLinker(names, min_score=min_score)
+            for mention in mentions:
+                assert linker._score(mention) == _brute_force_score(names, mention, min_score), (mention, min_score)
+
+
+# sha256 over the sorted ``seed \x1f json(row)`` lines of the rows below,
+# as the frozenset scorer this one replaced gave them
+_KG_FULL_MENTIONS_SHA = "9ac25cc3068d5553e47bf4aa1309c5aedae573c727d17568485690e4700eb94e"
+
+
+def test_mention_linker_rows_on_kg_full_inputs_are_pinned():
+    """The MentionLinker rows of the kg_full benchmark's seeds 6001–6008
+    (its corpus's triples through the kernel, its mention names) are the
+    ones the frozenset scorer gave."""
+    import hashlib
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from jsonld_ex_ray.gen import generate_rows
+    from jsonld_ex_ray.stages.extract import make_extract_batch
+    from jsonld_ex_ray.stages.linker import MentionLinker
+    from jsonld_ex_ray.stages.triples import triples_batch
+    from perfbench.workloads import KgFull, mention_names
+
+    lines = []
+    for seed in range(6001, 6009):
+        triples = triples_batch(make_extract_batch()(pa.table(generate_rows(KgFull.sizes["full"], seed))))
+        triples = triples.filter(pc.is_valid(triples.column("pred")))
+        rows = MentionLinker(mention_names(seed))(triples).to_pylist()
+        lines += [f"{seed}\x1f{json.dumps(r, sort_keys=True)}" for r in rows]
+    assert len(lines) == 182
+    assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == _KG_FULL_MENTIONS_SHA
